@@ -1,15 +1,11 @@
 // bench_scaling — simulator throughput as a function of ring size, robot
-// count and adversary, for BOTH engines and BOTH dispatch paths:
+// count and adversary:
 //
 //   * google-benchmark micro-benchmarks: Simulator vs Engine rounds/sec
 //     across (n, k) and schedule families;
 //   * a head-to-head macro measurement at n=4096, k=64 (trace recording off)
-//     recorded in BENCH_scaling.json: Simulator vs Engine (virtual
-//     dispatch — PR 1's Engine path) vs Engine (kernel dispatch), the
-//     kernel column being the acceptance metric of the unification PR;
-//   * the model axis at the same size: rounds/sec of the unified engine in
-//     FSYNC / SSYNC / ASYNC under both dispatches (paired reps, median
-//     ratio; kernel_beats_virtual_all_models is the regression gate);
+//     recorded in BENCH_scaling.json: the reference Simulator vs the
+//     unified Engine (fast_engine_speedup, target >= 5x);
 //   * the batch-throughput series, per EXECUTION MODEL: BatchEngine
 //     aggregate replica-rounds/sec vs per-seed Engines at n=1024, k=16
 //     (FSYNC at B in {1, 4, 16, 64}; SSYNC/ASYNC — the batch-native
@@ -26,9 +22,9 @@
 //     byte-identity check of the two JSON outputs.
 //
 // --smoke shrinks every macro series to CI-sized parameters; the CI
-// bench-smoke job gates on the JSON's kernel_beats_virtual,
-// batch_speedup_over_per_seed, batch_speedup_all_models and
-// batch_stats_identical verdicts.
+// bench-smoke job gates on the JSON's batch_speedup_over_per_seed,
+// batch_speedup_all_models, batch_stats_identical and fast-forward
+// verdicts.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -225,49 +221,17 @@ double measure_simulator_rps(std::uint32_t n, std::uint32_t k, Time rounds) {
   return static_cast<double>(rounds) / secs;
 }
 
-double run_and_time(Engine& engine, Time rounds) {
+double measure_engine_rps(std::uint32_t n, std::uint32_t k, Time rounds) {
+  const Ring ring(n);
+  Engine engine(ring, make_algorithm("pef3+"),
+                make_oblivious(std::make_shared<StaticSchedule>(ring)),
+                spread_placements(ring, k));
   const auto start = std::chrono::steady_clock::now();
   engine.run(rounds);
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
   return static_cast<double>(rounds) / secs;
-}
-
-/// Unified-engine rounds/sec at one (model, dispatch) grid point, over the
-/// static schedule.  SSYNC runs under FULL activation and ASYNC under
-/// LOCKSTEP phases: the model axis compares the two Compute dispatches, so
-/// every robot must actually reach Compute — under Bernoulli(0.5) policies
-/// the loop mostly measures the policy's per-robot RNG draws and the
-/// few-percent dispatch margin drowns in scheduling noise.
-double measure_engine_rps(ExecutionModel model, ComputeDispatch dispatch,
-                          std::uint32_t n, std::uint32_t k, Time rounds) {
-  const Ring ring(n);
-  EngineOptions options;
-  options.dispatch = dispatch;
-  auto schedule = std::make_shared<StaticSchedule>(ring);
-  switch (model) {
-    case ExecutionModel::kFsync: {
-      Engine engine(ring, make_algorithm("pef3+"), make_oblivious(schedule),
-                    spread_placements(ring, k), options);
-      return run_and_time(engine, rounds);
-    }
-    case ExecutionModel::kSsync: {
-      Engine engine(ring, make_algorithm("pef3+"),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    std::make_unique<FullActivation>(),
-                    spread_placements(ring, k), options);
-      return run_and_time(engine, rounds);
-    }
-    case ExecutionModel::kAsync: {
-      Engine engine(ring, make_algorithm("pef3+"),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    std::make_unique<LockstepPhases>(),
-                    spread_placements(ring, k), options);
-      return run_and_time(engine, rounds);
-    }
-  }
-  return 0;
 }
 
 SweepSpec scaling_grid() {
@@ -290,117 +254,32 @@ void head_to_head(BenchReport& report) {
   const Time kSimRounds = smoke_mode ? 2000 : 4000;
   const Time kFastRounds = smoke_mode ? 10000 : 40000;
 
-  std::cout << "\n=== Head to head: Simulator vs Engine virtual vs Engine "
-               "kernel (n="
-            << kNodes << ", k=" << kRobots
-            << ", static schedule, no trace) ===\n";
+  std::cout << "\n=== Head to head: Simulator vs Engine (n=" << kNodes
+            << ", k=" << kRobots << ", static schedule, no trace) ===\n";
   const double sim_rps = measure_simulator_rps(kNodes, kRobots, kSimRounds);
-  // Virtual dispatch is PR 1's Engine path; kernel dispatch is the
-  // devirtualized POD path of the unification PR.  Paired reps, median
-  // ratio (see model_axis): a single sample on a loaded single-core box
-  // can swing ~20-30%, which would make the kernel-vs-virtual verdict a
-  // coin flip.
-  double virtual_rps = 0;
-  double kernel_rps = 0;
-  std::vector<double> ratios;
+  // Best of 5: a single sample on a loaded box can swing ~20-30%.
+  double engine_rps = 0;
   for (int rep = 0; rep < 5; ++rep) {
-    const double v =
-        measure_engine_rps(ExecutionModel::kFsync, ComputeDispatch::kVirtual,
-                           kNodes, kRobots, kFastRounds);
-    const double kr =
-        measure_engine_rps(ExecutionModel::kFsync, ComputeDispatch::kKernel,
-                           kNodes, kRobots, kFastRounds);
-    virtual_rps = std::max(virtual_rps, v);
-    kernel_rps = std::max(kernel_rps, kr);
-    ratios.push_back(kr / v);
+    engine_rps =
+        std::max(engine_rps, measure_engine_rps(kNodes, kRobots, kFastRounds));
   }
-  std::sort(ratios.begin(), ratios.end());
-  const double speedup = virtual_rps / sim_rps;
-  const double kernel_speedup = ratios[ratios.size() / 2];
-  std::cout << "Simulator:        " << static_cast<std::uint64_t>(sim_rps)
+  const double speedup = engine_rps / sim_rps;
+  std::cout << "Simulator: " << static_cast<std::uint64_t>(sim_rps)
             << " rounds/sec\n"
-            << "Engine (virtual): " << static_cast<std::uint64_t>(virtual_rps)
-            << " rounds/sec (" << speedup << "x vs Simulator, target >= 5x)\n"
-            << "Engine (kernel):  " << static_cast<std::uint64_t>(kernel_rps)
-            << " rounds/sec (median ratio " << kernel_speedup
-            << "x vs virtual, target > 1x)\n";
+            << "Engine:    " << static_cast<std::uint64_t>(engine_rps)
+            << " rounds/sec (" << speedup << "x vs Simulator, target >= 5x)\n";
 
-  report.add_rounds(kSimRounds + 10 * kFastRounds);
+  report.add_rounds(kSimRounds + 5 * kFastRounds);
   report.add_cell()
       .param("series", "head-to-head")
       .param("n", std::uint64_t{kNodes})
       .param("k", std::uint64_t{kRobots})
       .param("schedule", "static")
       .metric("simulator_rounds_per_sec", sim_rps)
-      .metric("fast_engine_rounds_per_sec", virtual_rps)
-      .metric("kernel_engine_rounds_per_sec", kernel_rps)
-      .metric("speedup", speedup)
-      .metric("kernel_speedup_over_virtual", kernel_speedup);
+      .metric("fast_engine_rounds_per_sec", engine_rps)
+      .metric("speedup", speedup);
   report.summary("fast_engine_speedup", speedup);
   report.summary("speedup_target_met", speedup >= 5.0);
-  report.summary("kernel_speedup_over_virtual", kernel_speedup);
-  // The kernel_beats_virtual verdict itself is emitted by model_axis from
-  // its FSYNC cell: same scenario, but 9 paired reps measured after the
-  // process is warm — the statistically strongest estimate of the margin.
-}
-
-void model_axis(BenchReport& report) {
-  const std::uint32_t kNodes = smoke_mode ? 512 : 4096;
-  const std::uint32_t kRobots = smoke_mode ? 16 : 64;
-  const Time kRounds = smoke_mode ? 8000 : 20000;
-  const int kReps = smoke_mode ? 5 : 9;
-
-  std::cout << "\n=== Model axis: unified engine rounds/sec (n=" << kNodes
-            << ", k=" << kRobots << ", static schedule, no trace) ===\n";
-  bool kernel_beats_all = true;
-  for (const ExecutionModel model :
-       {ExecutionModel::kFsync, ExecutionModel::kSsync,
-        ExecutionModel::kAsync}) {
-    // A single 20k-round sample on a loaded box can swing 30%, and even a
-    // best-of-N drifts with thermal state, which would make a few-percent
-    // kernel-vs-virtual margin a coin flip.  Each rep therefore measures
-    // the two dispatches BACK-TO-BACK (the pair sees the same machine
-    // state, so their ratio cancels drift) and the verdict is the MEDIAN
-    // of the per-rep ratios.
-    double virtual_rps = 0;
-    double kernel_rps = 0;
-    std::vector<double> ratios;
-    ratios.reserve(kReps);
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double v = measure_engine_rps(model, ComputeDispatch::kVirtual,
-                                          kNodes, kRobots, kRounds);
-      const double kr = measure_engine_rps(model, ComputeDispatch::kKernel,
-                                           kNodes, kRobots, kRounds);
-      virtual_rps = std::max(virtual_rps, v);
-      kernel_rps = std::max(kernel_rps, kr);
-      ratios.push_back(kr / v);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const double ratio_median = ratios[ratios.size() / 2];
-    const bool kernel_wins = ratio_median > 1.0;
-    kernel_beats_all = kernel_beats_all && kernel_wins;
-    if (model == ExecutionModel::kFsync) {
-      report.summary("kernel_beats_virtual", kernel_wins);
-    }
-    std::cout << to_string(model) << ": virtual "
-              << static_cast<std::uint64_t>(virtual_rps) << " rounds/sec, "
-              << "kernel " << static_cast<std::uint64_t>(kernel_rps)
-              << " rounds/sec (median ratio " << ratio_median << "x over "
-              << kReps << " paired reps)\n";
-    report.add_rounds(2 * kReps * kRounds);
-    report.add_cell()
-        .param("series", "model-axis")
-        .param("model", to_string(model))
-        .param("n", std::uint64_t{kNodes})
-        .param("k", std::uint64_t{kRobots})
-        .metric("virtual_rounds_per_sec", virtual_rps)
-        .metric("kernel_rounds_per_sec", kernel_rps)
-        .metric("kernel_speedup_over_virtual", ratio_median)
-        .metric("kernel_beats_virtual", kernel_wins);
-  }
-  // The acceptance gate: the devirtualized path must win on every model,
-  // not just FSYNC.
-  report.summary("kernel_beats_virtual_all_models", kernel_beats_all);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,8 +312,6 @@ BatchReplica batch_replica(const Ring& ring, ExecutionModel model,
 EngineStats run_solo_engine(const Ring& ring, ExecutionModel model,
                             std::uint32_t robots, std::uint64_t seed,
                             Time rounds) {
-  EngineOptions options;
-  options.dispatch = ComputeDispatch::kKernel;
   auto algorithm = make_algorithm("pef3+", seed);
   auto adversary = make_oblivious(std::make_shared<StaticSchedule>(ring));
   const auto placements = random_placements(ring, robots, seed);
@@ -442,21 +319,19 @@ EngineStats run_solo_engine(const Ring& ring, ExecutionModel model,
   switch (model) {
     case ExecutionModel::kFsync:
       engine.emplace(ring, std::move(algorithm), std::move(adversary),
-                     placements, options);
+                     placements);
       break;
     case ExecutionModel::kSsync:
       engine.emplace(
           ring, std::move(algorithm),
           std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_ssync_activation(kBatchActivationP, seed), placements,
-          options);
+          standard_ssync_activation(kBatchActivationP, seed), placements);
       break;
     case ExecutionModel::kAsync:
       engine.emplace(
           ring, std::move(algorithm),
           std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_async_phases(kBatchActivationP, seed), placements,
-          options);
+          standard_async_phases(kBatchActivationP, seed), placements);
       break;
   }
   engine->run(rounds);
@@ -841,7 +716,6 @@ int main(int argc, char** argv) {
 
   pef::BenchReport report("scaling");
   pef::head_to_head(report);
-  pef::model_axis(report);
   pef::batch_throughput(report);
   pef::intra_cell_threads(report);
   pef::cycle_fastforward(report);

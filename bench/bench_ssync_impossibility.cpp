@@ -145,62 +145,54 @@ int main(int argc, char** argv) {
   async_table.print(std::cout);
 
   // The same impossibility on the unified Engine's SSYNC/ASYNC fast paths:
-  // blocker + round-robin must freeze pef3+ at Engine-class throughput,
-  // under both Compute dispatches.  This is the bench the reference engines
-  // were too slow for — the model axis now runs at engine speed.
+  // blocker + round-robin must freeze pef3+ at Engine-class throughput.
+  // This is the bench the reference engines were too slow for — the model
+  // axis now runs at engine speed.
   std::cout << "\nUnified engine (blocker + round-robin, pef3+, horizon "
             << 100 * kHorizon << "):\n";
-  TextTable speed_table({"model", "dispatch", "rounds/sec", "moves",
-                         "visited"});
+  TextTable speed_table({"model", "rounds/sec", "moves", "visited"});
   constexpr Time kEngineHorizon = 100 * kHorizon;
   for (const ExecutionModel model :
        {ExecutionModel::kSsync, ExecutionModel::kAsync}) {
-    for (const ComputeDispatch dispatch :
-         {ComputeDispatch::kKernel, ComputeDispatch::kVirtual}) {
-      const Ring ring(kNodes);
-      EngineOptions options;
-      options.dispatch = dispatch;
-      std::optional<Engine> engine;
-      if (model == ExecutionModel::kSsync) {
-        engine.emplace(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncBlockingAdversary>(ring),
-                       std::make_unique<RoundRobinActivation>(),
-                       spread_placements(ring, kRobots), options);
-      } else {
-        engine.emplace(ring, make_algorithm("pef3+"),
-                       std::make_unique<AsyncMoveBlocker>(ring),
-                       std::make_unique<RoundRobinPhases>(),
-                       spread_placements(ring, kRobots), options);
-      }
-      const auto start = std::chrono::steady_clock::now();
-      engine->run(kEngineHorizon);
-      const double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-      const double rps = static_cast<double>(kEngineHorizon) / secs;
-
-      const bool frozen = engine->stats().total_moves == 0 &&
-                          engine->stats().visited_node_count == kRobots;
-      reproduction_holds = reproduction_holds && frozen;
-      speed_table.add_row(
-          {to_string(model), to_string(dispatch),
-           std::to_string(static_cast<std::uint64_t>(rps)),
-           std::to_string(engine->stats().total_moves),
-           std::to_string(engine->stats().visited_node_count) + "/" +
-               std::to_string(kNodes)});
-      report.add_rounds(kEngineHorizon);
-      report.add_cell()
-          .param("series", "unified-engine")
-          .param("model", to_string(model))
-          .param("dispatch", to_string(dispatch))
-          .param("n", std::uint64_t{kNodes})
-          .param("k", std::uint64_t{kRobots})
-          .metric("rounds_per_sec", rps)
-          .metric("moves", engine->stats().total_moves)
-          .metric("visited_nodes",
-                  std::uint64_t{engine->stats().visited_node_count})
-          .metric("frozen", frozen);
+    const Ring ring(kNodes);
+    std::optional<Engine> engine;
+    if (model == ExecutionModel::kSsync) {
+      engine.emplace(ring, make_algorithm("pef3+"),
+                     std::make_unique<SsyncBlockingAdversary>(ring),
+                     std::make_unique<RoundRobinActivation>(),
+                     spread_placements(ring, kRobots));
+    } else {
+      engine.emplace(ring, make_algorithm("pef3+"),
+                     std::make_unique<AsyncMoveBlocker>(ring),
+                     std::make_unique<RoundRobinPhases>(),
+                     spread_placements(ring, kRobots));
     }
+    const auto start = std::chrono::steady_clock::now();
+    engine->run(kEngineHorizon);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    const double rps = static_cast<double>(kEngineHorizon) / secs;
+
+    const bool frozen = engine->stats().total_moves == 0 &&
+                        engine->stats().visited_node_count == kRobots;
+    reproduction_holds = reproduction_holds && frozen;
+    speed_table.add_row(
+        {to_string(model), std::to_string(static_cast<std::uint64_t>(rps)),
+         std::to_string(engine->stats().total_moves),
+         std::to_string(engine->stats().visited_node_count) + "/" +
+             std::to_string(kNodes)});
+    report.add_rounds(kEngineHorizon);
+    report.add_cell()
+        .param("series", "unified-engine")
+        .param("model", to_string(model))
+        .param("n", std::uint64_t{kNodes})
+        .param("k", std::uint64_t{kRobots})
+        .metric("rounds_per_sec", rps)
+        .metric("moves", engine->stats().total_moves)
+        .metric("visited_nodes",
+                std::uint64_t{engine->stats().visited_node_count})
+        .metric("frozen", frozen);
   }
   speed_table.print(std::cout);
 

@@ -6,8 +6,9 @@
 // Each case reads the same View, flips the same `dir`, and mutates the same
 // logical state (held in the POD KernelState instead of a heap
 // AlgorithmState), so a kernel run is bit-identical to a virtual run —
-// tests/unified_engine_test.cpp pins every pair across adversaries and
-// seeds.
+// tests/fast_engine_test.cpp and tests/unified_engine_test.cpp pin the
+// engines (kernels) to the reference simulators (virtual twins) across
+// adversaries and seeds.
 //
 // When adding a registry algorithm: add a KernelId, a case here, an
 // Algorithm::kernel() override on the virtual class, and extend the

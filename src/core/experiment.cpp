@@ -177,10 +177,9 @@ std::vector<RunResult> run_battery(ExperimentConfig config,
   // different seeds — BatchEngine's shape — so run them as one traced
   // replica batch and analyse each replica's trace.  Traces (and therefore
   // every analysis) are bit-identical to the sequential path, which stays
-  // as the fallback for kernel-less algorithms and explicit placements
-  // (those may start towered, which only the reference Simulator accepts).
+  // for explicit placements (those may start towered, which only the
+  // reference Simulator accepts).
   const bool batchable = seeds > 1 && config.algorithm != nullptr &&
-                         config.algorithm->kernel().has_value() &&
                          !config.placements.has_value() &&
                          config.robots < config.nodes;
   if (batchable) {

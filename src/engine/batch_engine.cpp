@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -766,7 +765,7 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
         edge_refill_needed_ || schedules_[l] == nullptr || refill_[l] != 0;
   }
 
-  ff_init();
+  init_cycles();
 
   // The t = 0 boundary (Engine::init's observe_boundary(0)), serial —
   // construction is not a hot path.
@@ -800,7 +799,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   PEF_CHECK_MSG(replica.placements.size() == robots_,
                 "every replica of a batch must place the same robot count");
   PEF_CHECK_MSG(
-      replica.horizon < std::numeric_limits<std::uint32_t>::max(),
+      batch_horizon_fits(replica.horizon),
       "batch horizons must fit 32 bits (the visit cells store u32 times)");
 
   switch (model_) {
@@ -1239,7 +1238,7 @@ void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id, bool AllFull>
@@ -1464,7 +1463,7 @@ void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id>
@@ -1585,7 +1584,7 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
-  if (ff_enabled_) ff_observe(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 template <KernelId Id>
@@ -1724,167 +1723,94 @@ void BatchEngine::finish_round(std::uint32_t l0, std::uint32_t l1, Time t1) {
   }
 }
 
-void BatchEngine::ff_init() {
-  ff_enabled_ = false;
-  if (!options_.fast_forward.enabled || options_.record_trace) return;
-  ff_.resize(batch_);
+void BatchEngine::init_cycles() {
+  if (!options_.fast_forward.enabled) return;
+  bool any = false;
+  cycles_.reserve(batch_);
   for (std::uint32_t l = 0; l < batch_; ++l) {
-    LaneFf& f = ff_[l];
-    // Mirrors Engine::ff_eligible: the lane must be a pure function of its
-    // sampled state — oblivious periodic edges, non-Bernoulli activation.
-    if (schedules_[l] == nullptr) continue;
-    Time activation_period = 1;
-    if (model_ != ExecutionModel::kFsync) {
-      const auto kind = static_cast<ActivationBatchKind>(act_kind_[l]);
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robots_;
-      } else if (kind != ActivationBatchKind::kFull) {
-        continue;  // Bernoulli draws or an unknown virtual policy
-      }
-    }
-    const ScheduleRecurrence recurrence = schedules_[l]->recurrence();
-    if (recurrence.period == 0) continue;
-    const Time env_period =
-        combine_recurrence_periods(recurrence.period, activation_period);
-    if (env_period == 0 || env_period > kMaxEnvPeriod) continue;
-    f.stage = LaneFf::Stage::kSearch;
-    f.env_period = env_period;
-    f.env_start = recurrence.start;
-    f.detector = BrentDetector(options_.fast_forward.hash_mask);
-    ff_enabled_ = true;
+    const auto activation =
+        model_ == ExecutionModel::kFsync
+            ? ActivationBatchKind::kFull
+            : static_cast<ActivationBatchKind>(act_kind_[l]);
+    cycles_.emplace_back(options_.fast_forward, options_.record_trace,
+                         schedules_[l], activation, robots_, nodes_);
+    any = any || cycles_.back().eligible();
   }
+  if (!any) cycles_.clear();
 }
 
-void BatchEngine::ff_pack_lane(std::uint32_t lane,
-                               std::vector<std::uint64_t>& out) const {
-  out.clear();
-  const std::uint32_t stride = batch_;
+void BatchEngine::pack_lane(std::uint32_t lane,
+                            const StateWords& words) const {
   const bool rng_state = kernel_id_ == KernelId::kRandomWalk;
   for (std::uint32_t i = 0; i < robots_; ++i) {
-    const std::size_t at = std::size_t{i} * stride + lane;
-    out.push_back((static_cast<std::uint64_t>(node_[at]) << 32) |
-                  (static_cast<std::uint64_t>(dir_[at]) << 1) |
-                  right_cw_[at]);
-    out.push_back(kcounter_[at]);
-    out.push_back(khas_moved_[at]);
-    if (rng_state) {
-      for (const std::uint64_t word : krng_[at].state()) out.push_back(word);
-    }
+    const std::size_t at = std::size_t{i} * batch_ + lane;
+    words.robot(node_[at], dir_[at], right_cw_[at], kcounter_[at],
+                khas_moved_[at], rng_state ? &krng_[at] : nullptr);
   }
   if (model_ == ExecutionModel::kAsync) {
-    // One-hot phase planes + pending Look views (stale views are
-    // deterministic too, so including them only tightens the test).
+    // A robot's phase is which one-hot plane holds its lane bit.
     const std::uint64_t bit = 1ULL << (lane & 63);
     for (std::uint32_t i = 0; i < robots_; ++i) {
-      const std::size_t at = std::size_t{i} * stride + lane;
       const std::size_t w = std::size_t{i} * lane_words_ + (lane >> 6);
-      std::uint64_t phase = 0;
-      if ((compute_words_[w] & bit) != 0) phase = 1;
-      if ((move_words_[w] & bit) != 0) phase = 2;
-      const View& view = pending_views_[at];
-      out.push_back((phase << 3) |
-                    (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
-                    (static_cast<std::uint64_t>(view.exists_edge_behind)
-                     << 1) |
-                    static_cast<std::uint64_t>(view.other_robots_on_node));
+      Phase phase = Phase::kLook;
+      if ((compute_words_[w] & bit) != 0) phase = Phase::kCompute;
+      if ((move_words_[w] & bit) != 0) phase = Phase::kMove;
+      words.phase(phase, pending_views_[std::size_t{i} * batch_ + lane]);
     }
   }
 }
 
-void BatchEngine::ff_observe(std::uint32_t l0, std::uint32_t l1, Time t) {
+void BatchEngine::observe_cycles(std::uint32_t l0, std::uint32_t l1,
+                                 Time t) {
   for (std::uint32_t l = l0; l < l1; ++l) {
-    LaneFf& f = ff_[l];
-    if (f.stage == LaneFf::Stage::kSearch) {
-      if (t < f.env_start || (t - f.env_start) % f.env_period != 0) continue;
-      ff_pack_lane(l, f.packed);
-      StateHash hash;
-      for (const std::uint64_t word : f.packed) hash.add(word);
-      const Time samples = f.detector.observe(f.packed, hash.value);
-      if (samples == 0) continue;
-      const Time period = samples * f.env_period;
-      // Worth engaging only when the measurement period AND at least one
-      // whole skipped repetition fit before the lane's horizon.
-      if (horizons_[l] - t < 2 * period) {
-        f.stage = LaneFf::Stage::kDone;
-        continue;
-      }
-      f.period = period;
-      f.measure_end = t + period;
-      f.snap_moves = moves_[l];
-      f.snap_tower_rounds = stats_[l].tower_rounds;
-      f.snap_formations = stats_[l].tower_formations;
-      const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-      f.counts.resize(nodes_);
-      for (std::uint32_t u = 0; u < nodes_; ++u) {
-        f.counts[u] = row[u].count;
-      }
-      f.stage = LaneFf::Stage::kMeasure;
-    } else if (f.stage == LaneFf::Stage::kMeasure) {
-      if (t != f.measure_end) continue;
-      // The delta window closed: f.counts flips from snapshots to
-      // per-period deltas, and the lane is ready to extrapolate at the
-      // next epoch boundary (the deltas are window-start independent, so
-      // applying them later — from any in-cycle time — stays exact).
-      f.delta_moves = moves_[l] - f.snap_moves;
-      f.delta_tower_rounds = stats_[l].tower_rounds - f.snap_tower_rounds;
-      f.delta_formations = stats_[l].tower_formations - f.snap_formations;
-      const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-      for (std::uint32_t u = 0; u < nodes_; ++u) {
-        f.counts[u] = row[u].count - f.counts[u];
-      }
-      f.stage = LaneFf::Stage::kArmed;
-    }
+    CycleTracker& cycle = cycles_[l];
+    if (!cycle.due(t)) continue;
+    if (cycle.searching()) pack_lane(l, cycle.sample_words());
+    const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
+    // Armed lanes wait for the next epoch boundary (apply_armed_cycles);
+    // the deltas do not depend on where in the cycle they are applied.
+    cycle.observe(t, horizons_[l], stats_[l],
+                  [row](NodeId u) { return row[u].count; });
   }
 }
 
-void BatchEngine::ff_apply_armed() {
+void BatchEngine::apply_armed_cycles() {
   for (std::uint32_t l = 0; l < active_; ++l) {
-    LaneFf& f = ff_[l];
-    if (f.stage != LaneFf::Stage::kArmed) continue;
-    f.stage = LaneFf::Stage::kDone;
-    const Time horizon = horizons_[l];
-    const Time reps = (horizon - now_) / f.period;
+    CycleTracker& cycle = cycles_[l];
+    if (!cycle.armed()) continue;
+    const Time reps = cycle.take_skip(now_, horizons_[l]);
     if (reps == 0) continue;
-    const Time skip = f.period * reps;
-    moves_[l] += f.delta_moves * reps;
-    stats_[l].total_moves = moves_[l];
-    stats_[l].tower_rounds += f.delta_tower_rounds * reps;
-    stats_[l].tower_formations += f.delta_formations * reps;
+    cycle.extrapolate(reps, stats_[l]);
+    moves_[l] = stats_[l].total_moves;
     VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
-    for (std::uint32_t u = 0; u < nodes_; ++u) {
-      row[u].count += static_cast<std::uint32_t>(
-          std::uint64_t{f.counts[u]} * reps);
-    }
-    f.skipped = skip;
+    cycle.for_each_cycle_node([&](NodeId u, std::uint64_t delta) {
+      row[u].count += static_cast<std::uint32_t>(delta * reps);
+    });
     // The lane keeps simulating in its local clock: it now retires after
-    // the final partial period, and ff_finalize_lane shifts the clocked
-    // stats by `skip` so the retired lane lands on the full-horizon run.
-    horizons_[l] = horizon - skip;
+    // the final partial period, and finalize_cycle shifts the clocked
+    // stats by the skip so the retired lane lands on the full-horizon run.
+    horizons_[l] -= cycle.skipped();
   }
 }
 
-void BatchEngine::ff_finalize_lane(std::uint32_t lane) {
-  LaneFf& f = ff_[lane];
-  if (f.skipped == 0) return;
-  stats_[lane].rounds += f.skipped;  // == the replica's true horizon
+void BatchEngine::finalize_cycle(std::uint32_t lane) {
+  const CycleTracker& cycle = cycles_[lane];
+  if (cycle.skipped() == 0) return;
+  stats_[lane].rounds += cycle.skipped();  // == the replica's true horizon
   VisitCell* row = visits_.data() + std::size_t{lane} * nodes_;
-  const auto skip32 = static_cast<std::uint32_t>(f.skipped);
-  for (std::uint32_t u = 0; u < nodes_; ++u) {
-    // In-cycle nodes (per-period delta > 0) had their true last visit in
-    // the replayed window, `skip` later than the local stamp; nodes last
-    // seen before the cycle keep their (already true) stamp.
-    if (f.counts[u] != 0) row[u].last += skip32;
-  }
+  const auto skip32 = static_cast<std::uint32_t>(cycle.skipped());
+  cycle.for_each_cycle_node(
+      [&](NodeId u, std::uint64_t) { row[u].last += skip32; });
 }
 
 void BatchEngine::retire_finished() {
   // retire_finished runs exactly at epoch boundaries (run_all) or between
   // rounds (step), so no epoch span is in flight: safe point to shrink
   // armed lanes' horizons.
-  if (ff_enabled_) ff_apply_armed();
+  if (!cycles_.empty()) apply_armed_cycles();
   for (std::uint32_t l = active_; l-- > 0;) {
     if (stats_[l].rounds >= horizons_[l]) {
-      if (!ff_.empty()) ff_finalize_lane(l);
+      if (!cycles_.empty()) finalize_cycle(l);
       const std::uint32_t last = --active_;
       if (l != last) swap_lanes(l, last);
     }
@@ -1959,7 +1885,7 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(prev_had_tower_[a], prev_had_tower_[b]);
   swap(max_closed_gap_[a], max_closed_gap_[b]);
   swap(stats_[a], stats_[b]);
-  if (!ff_.empty()) swap(ff_[a], ff_[b]);
+  if (!cycles_.empty()) swap(cycles_[a], cycles_[b]);
   if (model_ != ExecutionModel::kFsync) {
     swap(act_kind_[a], act_kind_[b]);
     swap(act_p_[a], act_p_[b]);
@@ -2051,21 +1977,21 @@ const EngineStats& BatchEngine::stats(std::uint32_t replica) const {
 
 bool BatchEngine::fast_forwarded(std::uint32_t replica) const {
   PEF_CHECK(replica < batch_);
-  return !ff_.empty() && ff_[lane_of_replica_[replica]].skipped > 0;
+  return !cycles_.empty() &&
+         cycles_[lane_of_replica_[replica]].skipped() > 0;
 }
 
 Time BatchEngine::rounds_simulated(std::uint32_t replica) const {
   PEF_CHECK(replica < batch_);
   const std::uint32_t l = lane_of_replica_[replica];
-  const Time skipped = ff_.empty() ? Time{0} : ff_[l].skipped;
+  const Time skipped = cycles_.empty() ? Time{0} : cycles_[l].skipped();
   return stats_[l].rounds - skipped;
 }
 
 Time BatchEngine::detected_period(std::uint32_t replica) const {
   PEF_CHECK(replica < batch_);
-  if (ff_.empty()) return 0;
-  const LaneFf& f = ff_[lane_of_replica_[replica]];
-  return f.skipped > 0 ? f.period : Time{0};
+  if (cycles_.empty()) return 0;
+  return cycles_[lane_of_replica_[replica]].detected_period();
 }
 
 CoverageReport BatchEngine::coverage_report(std::uint32_t replica,

@@ -74,6 +74,7 @@
 // including ragged horizons.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -126,6 +127,13 @@ struct BatchReplica {
 void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            AdversaryPtr adversary, double activation_p,
                            std::uint64_t seed);
+
+/// Whether a replica horizon fits the 32-bit visit stamps of a batch lane.
+/// Seed groups with longer horizons run on solo Engines instead (the
+/// callers of plan_batch check this before batching).
+[[nodiscard]] constexpr bool batch_horizon_fits(Time horizon) {
+  return horizon < std::numeric_limits<std::uint32_t>::max();
+}
 
 struct BatchEngineOptions {
   /// Record a full per-replica Trace (see Engine's option of the same
@@ -323,26 +331,24 @@ class BatchEngine {
   /// Per-lane end-of-round bookkeeping for lanes [l0, l1) at round-end
   /// time t1: tower stats, round counters.
   void finish_round(std::uint32_t l0, std::uint32_t l1, Time t1);
-  /// Resolve per-lane fast-forward eligibility (called once at
-  /// construction; mirrors Engine::ff_eligible per lane).
-  void ff_init();
-  /// Per-lane cycle detection at boundary t for lanes [l0, l1): advance
-  /// each lane's detection state machine (search -> measure -> armed).
-  /// Lane-local state only, so it composes with tiles and worker slices.
-  void ff_observe(std::uint32_t l0, std::uint32_t l1, Time t);
-  /// Pack lane state for fingerprinting (the batch twin of
-  /// Engine::pack_state).
-  void ff_pack_lane(std::uint32_t lane, std::vector<std::uint64_t>& out) const;
+  /// One CycleTracker per lane when some lane is eligible (called once at
+  /// construction; cycles_ stays empty otherwise).
+  void init_cycles();
+  /// Feed the due trackers of lanes [l0, l1) at boundary t.  Lane-local
+  /// state only, so it composes with tiles and worker slices.
+  void observe_cycles(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// Pack lane state into its tracker's sample (layout: StateWords).
+  void pack_lane(std::uint32_t lane, const StateWords& words) const;
   /// At an epoch boundary (under retire_finished, so no epoch span is in
   /// flight): extrapolate every armed lane's stats over the whole periods
   /// left before its horizon and shrink the horizon to the final partial
   /// period.  Visit `last` stamps stay in the lane's local (un-skipped)
   /// clock until retirement so the replay keeps exact gap bookkeeping.
-  void ff_apply_armed();
+  void apply_armed_cycles();
   /// At retirement of a fast-forwarded lane: shift rounds and the
   /// in-cycle visit stamps by the skipped span, landing on the stats of
   /// the full-horizon run.
-  void ff_finalize_lane(std::uint32_t lane);
+  void finalize_cycle(std::uint32_t lane);
   /// Swap finished lanes out of the live prefix.
   void retire_finished();
   void swap_lanes(std::uint32_t a, std::uint32_t b);
@@ -419,7 +425,7 @@ class BatchEngine {
 
   /// Visit bookkeeping of one (lane, node): one cache access per robot per
   /// boundary.  `last` is only meaningful when `count > 0`; 32 bits suffice
-  /// because batch horizons are checked against 2^32 at construction.
+  /// because construction checks every horizon with batch_horizon_fits.
   struct VisitCell {
     std::uint32_t count = 0;
     std::uint32_t last = 0;
@@ -508,43 +514,10 @@ class BatchEngine {
   PlaneVector<std::uint32_t> stamp_epoch_;
   PlaneVector<std::uint32_t> stamp_count_;
 
-  /// Per-lane fast-forward state machine.  kSearch lanes feed their Brent
-  /// detector at env-aligned boundaries; a verified cycle moves the lane
-  /// to kMeasure (one more live period closes every wrap-around revisit
-  /// gap and yields exact per-period stat deltas, which are independent of
-  /// where in the cycle the window starts); kArmed lanes apply at the next
-  /// epoch boundary and retire after the remaining partial period.
-  struct LaneFf {
-    enum class Stage : std::uint8_t {
-      kOff = 0,  // ineligible: never sampled
-      kSearch,   // Brent detector live on the env lattice
-      kMeasure,  // cycle verified; measuring one live period of deltas
-      kArmed,    // deltas ready; apply at the next epoch boundary
-      kDone,     // applied or abandoned
-    };
-    Stage stage = Stage::kOff;
-    Time env_period = 1;
-    Time env_start = 0;
-    BrentDetector detector;
-    std::vector<std::uint64_t> packed;  // pack scratch, reused per sample
-    Time period = 0;       // verified cycle length in rounds
-    Time measure_end = 0;  // boundary at which the delta window closes
-    // Stat snapshots at the measure window's start; `counts` holds the
-    // per-node snapshot during kMeasure and the per-period DELTAS from
-    // kArmed on (kept until retirement: delta > 0 marks in-cycle nodes
-    // whose last-visit stamps must shift by the skipped span).
-    std::uint64_t snap_moves = 0;
-    Time snap_tower_rounds = 0;
-    std::uint64_t snap_formations = 0;
-    std::vector<std::uint32_t> counts;
-    std::uint64_t delta_moves = 0;
-    Time delta_tower_rounds = 0;
-    std::uint64_t delta_formations = 0;
-    // Applied extrapolation (meaningful when skipped > 0).
-    Time skipped = 0;
-  };
-  bool ff_enabled_ = false;  // some lane is actually searching
-  std::vector<LaneFf> ff_;
+  /// Per-lane fast-forward (see cycle.hpp): armed lanes apply at the next
+  /// epoch boundary and retire after the remaining partial period.  Empty
+  /// unless some lane is eligible, so plain batches pay nothing per round.
+  std::vector<CycleTracker> cycles_;
 
   // Per-REPLICA traces (tracing only).
   std::vector<std::unique_ptr<Trace>> traces_;

@@ -8,17 +8,21 @@
 namespace pef {
 namespace {
 
-/// ComputeFn for virtual dispatch: the canonical Algorithm interface.
-struct VirtualCompute {
-  const Algorithm* algorithm;
-  std::unique_ptr<AlgorithmState>* states;
-  void operator()(RobotId i, const View& view, LocalDirection& dir) const {
-    algorithm->compute(view, dir, *states[i]);
-  }
-};
+/// The algorithm's kernel: Engine runs no other Compute path.
+KernelSpec kernel_of(const AlgorithmPtr& algorithm) {
+  PEF_CHECK(algorithm != nullptr);
+  const std::optional<KernelSpec> kernel = algorithm->kernel();
+  PEF_CHECK_MSG(kernel.has_value(),
+                "Engine runs the devirtualized kernel path; the algorithm "
+                "must provide a kernel");
+  return *kernel;
+}
 
-/// ComputeFn for kernel dispatch: the KernelId is a template argument, so
-/// each engine loop instantiation inlines the kernel body directly.
+/// The Compute phase: the KernelId is a template argument, so each engine
+/// loop instantiation inlines the kernel body directly.  The functor type
+/// has internal linkage, which lets the compiler fold those loops into
+/// step_* (as member templates over KernelId they were emitted out of
+/// line).
 template <KernelId Id>
 struct KernelCompute {
   const KernelSpec* spec;
@@ -41,7 +45,7 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
-      algorithm_(std::move(algorithm)),
+      kernel_(kernel_of(algorithm)),
       model_(ExecutionModel::kFsync),
       options_(options),
       adversary_(std::move(adversary)) {
@@ -65,7 +69,7 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
-      algorithm_(std::move(algorithm)),
+      kernel_(kernel_of(algorithm)),
       model_(ExecutionModel::kSsync),
       options_(options),
       ssync_adversary_(std::move(adversary)),
@@ -85,7 +89,7 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
-      algorithm_(std::move(algorithm)),
+      kernel_(kernel_of(algorithm)),
       model_(ExecutionModel::kAsync),
       options_(options),
       ssync_adversary_(std::move(adversary)),
@@ -100,7 +104,6 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
 }
 
 void Engine::init(const std::vector<RobotPlacement>& placements) {
-  PEF_CHECK(algorithm_ != nullptr);
   PEF_CHECK(!placements.empty());
 
   if (options_.enforce_well_initiated) {
@@ -114,13 +117,6 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
     }
   }
 
-  if (options_.dispatch != ComputeDispatch::kVirtual) {
-    kernel_ = algorithm_->kernel();
-  }
-  PEF_CHECK_MSG(
-      !(options_.dispatch == ComputeDispatch::kKernel && !kernel_),
-      "kernel dispatch requested but the algorithm provides no kernel");
-
   occ_.assign(ring_.node_count(), 0);
   edges_ = EdgeSet(ring_.edge_count());
   visit_counts_.assign(ring_.node_count(), 0);
@@ -132,21 +128,13 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
   dir_.reserve(k);
   right_cw_.reserve(k);
   moved_.assign(k, 0);
-  if (kernel_) {
-    kstates_.resize(k);
-  } else {
-    states_.reserve(k);
-  }
+  kstates_.resize(k);
   for (std::uint32_t i = 0; i < k; ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
     node_.push_back(placements[i].node);
     dir_.push_back(static_cast<std::uint8_t>(LocalDirection::kLeft));
     right_cw_.push_back(placements[i].chirality.right_is_clockwise() ? 1 : 0);
-    if (kernel_) {
-      init_kernel_state(*kernel_, static_cast<RobotId>(i), kstates_[i]);
-    } else {
-      states_.push_back(algorithm_->make_state(static_cast<RobotId>(i)));
-    }
+    init_kernel_state(kernel_, static_cast<RobotId>(i), kstates_[i]);
     if (++occ_[placements[i].node] == 2) ++multi_nodes_;
   }
 
@@ -154,12 +142,6 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
   if (options_.record_trace) {
     trace_ = std::make_unique<Trace>(ring_, snapshot());
   }
-}
-
-const AlgorithmState& Engine::robot_state(RobotId r) const {
-  PEF_CHECK_MSG(!kernel_,
-                "robot_state() is only available under virtual dispatch");
-  return *states_[r];
 }
 
 Phase Engine::phase_of(RobotId r) const {
@@ -323,13 +305,9 @@ void Engine::step_fsync() {
   // Look + Compute.  The Look phase reads only node_/occ_/edges_, none of
   // which change before Move, so fusing the two phases preserves the
   // synchronous semantics; Compute writes only the robot's own dir/state.
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      look_compute_all(KernelCompute<Id>{&*kernel_, kstates_.data()});
-    });
-  } else {
-    look_compute_all(VirtualCompute{algorithm_.get(), states_.data()});
-  }
+  with_kernel_id(kernel_.id, [&]<KernelId Id>() {
+    look_compute_all(KernelCompute<Id>{&kernel_, kstates_.data()});
+  });
 
   // Move: cross the pointed edge iff present in E_t (same set all round).
   // Sequential in-place update is safe: Look already happened for everyone.
@@ -393,15 +371,10 @@ void Engine::step_ssync() {
   // Look + Compute for the activated subset.  As in FSYNC, every activated
   // robot's Look reads the start-of-round configuration (occ_/node_ are
   // untouched until the Move pass below).
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      look_compute_list(KernelCompute<Id>{&*kernel_, kstates_.data()},
-                        active_list_);
-    });
-  } else {
-    look_compute_list(VirtualCompute{algorithm_.get(), states_.data()},
+  with_kernel_id(kernel_.id, [&]<KernelId Id>() {
+    look_compute_list(KernelCompute<Id>{&kernel_, kstates_.data()},
                       active_list_);
-  }
+  });
 
   // The policies and adversaries only read the gamma mirror at the next
   // round boundary, so the per-robot dir updates batch up fine here.
@@ -482,15 +455,10 @@ void Engine::step_async() {
 
   // Pass 1b: Compute phases — the only ASYNC work that touches the
   // algorithm, and therefore the only templated loop.
-  if (kernel_) {
-    with_kernel_id(kernel_->id, [&]<KernelId Id>() {
-      compute_pending_list(KernelCompute<Id>{&*kernel_, kstates_.data()},
-                           compute_list_);
-    });
-  } else {
-    compute_pending_list(VirtualCompute{algorithm_.get(), states_.data()},
+  with_kernel_id(kernel_.id, [&]<KernelId Id>() {
+    compute_pending_list(KernelCompute<Id>{&kernel_, kstates_.data()},
                          compute_list_);
-  }
+  });
   for (const std::uint32_t i : compute_list_) {
     const auto dir = static_cast<LocalDirection>(dir_[i]);
     gamma_mirror_->set_robot_dir(i, dir);
@@ -513,150 +481,59 @@ void Engine::step_async() {
 
 void Engine::run(Time rounds) {
   const Time target = now_ + rounds;
-  if (options_.fast_forward.enabled && ff_eligible()) {
-    run_fast_forward(target);
-    return;
+  // One tracker per run: the lattice must be sampled at every aligned
+  // boundary, so detection never spans a step() made outside run().
+  const EdgeSchedule* schedule = schedule_;
+  ActivationBatchKind activation = ActivationBatchKind::kFull;
+  if (model_ != ExecutionModel::kFsync) {
+    schedule = ssync_adversary_->oblivious_schedule();
+    activation = model_ == ExecutionModel::kSsync
+                     ? activation_->batch_kind()
+                     : phase_scheduler_->batch_kind();
   }
-  while (now_ < target) step();
-}
-
-bool Engine::ff_eligible() {
-  // Every excluded component would make the sampled state an incomplete
-  // description of the future: a trace must record each round; virtual
-  // dispatch hides algorithm memory behind heap AlgorithmState; Bernoulli
-  // activation and adaptive adversaries consume unbounded RNG / observe
-  // positions, so their future is not a function of the sampled state.
-  if (options_.record_trace || !kernel_.has_value()) return false;
-
-  const EdgeSchedule* schedule = nullptr;
-  Time activation_period = 1;
-  switch (model_) {
-    case ExecutionModel::kFsync:
-      schedule = schedule_;  // non-null iff the adversary is oblivious
-      break;
-    case ExecutionModel::kSsync: {
-      schedule = ssync_adversary_->oblivious_schedule();
-      const ActivationBatchKind kind = activation_->batch_kind();
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robot_count();
-      } else if (kind != ActivationBatchKind::kFull) {
-        return false;  // Bernoulli or unknown virtual policy
-      }
-      break;
-    }
-    case ExecutionModel::kAsync: {
-      schedule = ssync_adversary_->oblivious_schedule();
-      const ActivationBatchKind kind = phase_scheduler_->batch_kind();
-      if (kind == ActivationBatchKind::kRoundRobin) {
-        activation_period = robot_count();
-      } else if (kind != ActivationBatchKind::kFull) {
-        return false;
-      }
-      break;
-    }
-  }
-  if (schedule == nullptr) return false;
-  const ScheduleRecurrence recurrence = schedule->recurrence();
-  if (recurrence.period == 0) return false;
-  const Time env_period =
-      combine_recurrence_periods(recurrence.period, activation_period);
-  if (env_period == 0 || env_period > kMaxEnvPeriod) return false;
-  ff_env_period_ = env_period;
-  ff_env_start_ = recurrence.start;
-  return true;
-}
-
-void Engine::pack_state(std::vector<std::uint64_t>& out) const {
-  out.clear();
-  const std::uint32_t k = robot_count();
-  const bool rng_state = kernel_->id == KernelId::kRandomWalk;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    out.push_back((static_cast<std::uint64_t>(node_[i]) << 32) |
-                  (static_cast<std::uint64_t>(dir_[i]) << 1) |
-                  right_cw_[i]);
-    const KernelState& ks = kstates_[i];
-    out.push_back(ks.counter);
-    out.push_back(ks.has_moved);
-    if (rng_state) {
-      for (const std::uint64_t word : ks.rng.state()) out.push_back(word);
-    }
-  }
-  if (model_ == ExecutionModel::kAsync) {
-    // Phase machines + pending Look views.  Views of robots past their
-    // Compute are stale-but-deterministic, so including them only tightens
-    // the equality test (false negatives delay detection; never wrong).
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const View& view = pending_views_[i];
-      out.push_back((static_cast<std::uint64_t>(phases_[i]) << 3) |
-                    (static_cast<std::uint64_t>(view.exists_edge_ahead) << 2) |
-                    (static_cast<std::uint64_t>(view.exists_edge_behind) << 1) |
-                    static_cast<std::uint64_t>(view.other_robots_on_node));
-    }
-  }
-}
-
-void Engine::run_fast_forward(Time target) {
-  BrentDetector detector(options_.fast_forward.hash_mask);
-  std::vector<std::uint64_t> packed;
-  Time period = 0;
-  while (now_ < target) {
-    if (now_ >= ff_env_start_ &&
-        (now_ - ff_env_start_) % ff_env_period_ == 0) {
-      pack_state(packed);
-      StateHash hash;
-      for (const std::uint64_t word : packed) hash.add(word);
-      const Time samples = detector.observe(packed, hash.value);
-      if (samples > 0) {
-        period = samples * ff_env_period_;
-        break;
-      }
-    }
-    step();
-  }
-  ff_collisions_ = detector.collisions();
-  // Detection at t2 proves states repeat with `period`, but stats are not
-  // yet extrapolable: a revisit gap that wraps the detection point has not
-  // closed, so max_closed_gap could still grow.  Run ONE more full period
-  // live — by t3 = t2 + period every steady-state inter-visit gap (each at
-  // most `period` long) has materialized, and the deltas over (t2, t3] are
-  // the exact per-period increments of every remaining statistic (visit
-  // counts and rising-edge tower counts over one period are independent of
-  // where in the cycle the window starts).
-  if (period == 0 || target - now_ < 2 * period) {
+  cycle_ = CycleTracker(options_.fast_forward, trace_ != nullptr, schedule,
+                        activation, robot_count(), ring_.node_count());
+  if (!cycle_.eligible()) {
     while (now_ < target) step();
     return;
   }
-  ff_detected_period_ = period;
-  const std::vector<std::uint64_t> snap_counts = visit_counts_;
-  const std::uint64_t snap_moves = stats_.total_moves;
-  const Time snap_tower_rounds = stats_.tower_rounds;
-  const std::uint64_t snap_formations = stats_.tower_formations;
-  for (Time i = 0; i < period; ++i) step();
-
-  const Time remaining = target - now_;
-  const Time reps = remaining / period;
-  const Time skip = period * reps;
-  const std::uint32_t n = ring_.node_count();
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint64_t delta = visit_counts_[u] - snap_counts[u];
-    if (delta == 0) continue;
-    visit_counts_[u] += delta * reps;
-    // The node's visit pattern is period-periodic: its true last visit in
-    // the skipped region sits exactly `skip` after the one just recorded.
-    last_visit_[u] += skip;
+  while (now_ < target) {
+    if (cycle_.due(now_) && advance_cycle(target)) continue;
+    step();
   }
-  stats_.total_moves += (stats_.total_moves - snap_moves) * reps;
-  stats_.tower_rounds += (stats_.tower_rounds - snap_tower_rounds) * reps;
-  stats_.tower_formations +=
-      (stats_.tower_formations - snap_formations) * reps;
+}
+
+bool Engine::advance_cycle(Time target) {
+  if (cycle_.searching()) {
+    const StateWords words = cycle_.sample_words();
+    const bool rng_state = kernel_.id == KernelId::kRandomWalk;
+    for (std::uint32_t i = 0; i < robot_count(); ++i) {
+      const KernelState& ks = kstates_[i];
+      words.robot(node_[i], dir_[i], right_cw_[i], ks.counter, ks.has_moved,
+                  rng_state ? &ks.rng : nullptr);
+    }
+    if (model_ == ExecutionModel::kAsync) {
+      for (std::uint32_t i = 0; i < robot_count(); ++i) {
+        words.phase(phases_[i], pending_views_[i]);
+      }
+    }
+  }
+  const auto count_at = [this](NodeId u) { return visit_counts_[u]; };
+  if (!cycle_.observe(now_, target, stats_, count_at)) return false;
+  // The state at now_ equals the state at now_ + skip, and skip is a
+  // multiple of the environment period, so the rest of the run replays at
+  // the advanced clock bit-for-bit (visited / cover_time are monotone and
+  // already settled within the measured period).
+  const Time reps = cycle_.take_skip(now_, target);
+  const Time skip = cycle_.skipped();
+  cycle_.extrapolate(reps, stats_);
+  cycle_.for_each_cycle_node([&](NodeId u, std::uint64_t delta) {
+    visit_counts_[u] += delta * reps;
+    last_visit_[u] += skip;
+  });
   now_ += skip;
   stats_.rounds = now_;
-  ff_skipped_ = skip;
-  // The state at t3 equals the state at t3 + skip, and skip is a multiple
-  // of the environment period, so replaying the tail at the advanced clock
-  // reproduces the true final rounds bit-for-bit (visited / cover_time are
-  // monotone and already settled within the first full period).
-  while (now_ < target) step();
+  return true;
 }
 
 CoverageReport Engine::coverage_report(Time suffix_window) const {

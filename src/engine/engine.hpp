@@ -1,31 +1,26 @@
 // Engine — the unified throughput execution core.
 //
-// One engine, three execution models (the paper's Section 1 taxonomy), two
-// Compute dispatch paths:
+// One engine, three execution models (the paper's Section 1 taxonomy):
 //
-//   model axis (ExecutionModel):
-//     FSYNC - every robot runs an atomic Look-Compute-Move every round
-//             (the paper's model; reference: scheduler/Simulator);
-//     SSYNC - an ActivationPolicy selects a subset each round, only
-//             selected robots run L-C-M (reference: SsyncSimulator);
-//     ASYNC - a PhaseScheduler advances each robot through its own
-//             Look / Compute / Move machine one phase per tick, with
-//             possibly-stale views (reference: AsyncSimulator).
+//   FSYNC - every robot runs an atomic Look-Compute-Move every round
+//           (the paper's model; reference: scheduler/Simulator);
+//   SSYNC - an ActivationPolicy selects a subset each round, only
+//           selected robots run L-C-M (reference: SsyncSimulator);
+//   ASYNC - a PhaseScheduler advances each robot through its own
+//           Look / Compute / Move machine one phase per tick, with
+//           possibly-stale views (reference: AsyncSimulator).
 //
-//   dispatch axis (ComputeDispatch):
-//     kernel  - the algorithm's devirtualized twin (robot/kernel.hpp,
-//               algorithms/kernels.hpp): enum-dispatched compute over POD
-//               state held in one contiguous vector;
-//     virtual - the canonical Algorithm interface (heap AlgorithmState,
-//               virtual compute), kept as the reference path.
-//
-// Differential tests (tests/fast_engine_test.cpp and
-// tests/unified_engine_test.cpp) pin every (model, dispatch) combination to
-// its reference engine round-by-round, so any cell of the cross product can
-// be used interchangeably — the engine is simply faster:
+// Compute always runs the algorithm's devirtualized kernel
+// (robot/kernel.hpp, algorithms/kernels.hpp): enum-dispatched compute over
+// POD state held in one contiguous vector.  Every registry algorithm has
+// one; the virtual Algorithm classes run only in the reference simulators,
+// which stay the oracle.  Differential tests (tests/fast_engine_test.cpp
+// and tests/unified_engine_test.cpp) pin every model to its reference
+// simulator round-by-round, across the registry and adversary families, so
+// the engine is a drop-in replacement — only faster:
 //
 //   * struct-of-arrays robot state: parallel vectors for node, local dir,
-//     chirality and (kernel path) POD algorithm memory;
+//     chirality and POD kernel memory;
 //   * a per-node occupancy histogram maintained incrementally, making the
 //     Look phase's multiplicity predicate O(1) per robot;
 //   * a reusable EdgeSet scratch buffer: oblivious schedules and SSYNC
@@ -38,7 +33,9 @@
 //     fresh snapshot per round;
 //   * snapshot() / trace materialization only on demand — with trace
 //     recording off, the engine keeps only O(n + k) state and a handful of
-//     incrementally maintained aggregates.
+//     incrementally maintained aggregates;
+//   * optional exact cycle fast-forward for long deterministic runs
+//     (engine/cycle.hpp's CycleTracker, shared with BatchEngine).
 #pragma once
 
 #include <memory>
@@ -82,29 +79,6 @@ enum class ExecutionModel : std::uint8_t {
 [[nodiscard]] std::optional<ExecutionModel> parse_execution_model(
     const std::string& name);
 
-/// How the engine runs the Compute phase.
-enum class ComputeDispatch : std::uint8_t {
-  /// Kernel when the algorithm provides one, else virtual (the default).
-  kAuto = 0,
-  /// Devirtualized kernel; constructing an Engine for an algorithm without
-  /// a kernel aborts.
-  kKernel = 1,
-  /// The canonical virtual Algorithm path.
-  kVirtual = 2,
-};
-
-[[nodiscard]] constexpr const char* to_string(ComputeDispatch d) {
-  switch (d) {
-    case ComputeDispatch::kAuto:
-      return "auto";
-    case ComputeDispatch::kKernel:
-      return "kernel";
-    case ComputeDispatch::kVirtual:
-      return "virtual";
-  }
-  return "?";
-}
-
 struct EngineOptions {
   /// Record a full Trace (positions, dirs, edge sets per round).  Off by
   /// default: the engine's niche is long timing sweeps; flip it on when the
@@ -115,15 +89,11 @@ struct EngineOptions {
   /// fewer robots than nodes and a towerless initial configuration.
   bool enforce_well_initiated = true;
 
-  /// Compute dispatch path; kAuto picks the kernel whenever the algorithm
-  /// has one.
-  ComputeDispatch dispatch = ComputeDispatch::kAuto;
-
   /// Cycle detection + exact stat extrapolation for run().  Only engages on
-  /// fully deterministic configurations (kernel dispatch, oblivious periodic
-  /// edge schedule, non-Bernoulli activation, no trace); anything else
-  /// silently runs the plain round loop.  Results are bit-identical either
-  /// way.
+  /// fully deterministic configurations (oblivious periodic edge schedule,
+  /// full or round-robin activation, no trace; see CycleTracker); anything
+  /// else silently runs the plain round loop.  Results are bit-identical
+  /// either way.
   FastForwardOptions fast_forward;
 };
 
@@ -148,6 +118,9 @@ struct EngineStats {
 
 class Engine {
  public:
+  /// Every constructor requires `algorithm` to provide a kernel
+  /// (Algorithm::kernel()); every registry algorithm does.
+  ///
   /// FSYNC: every robot, every round, against a (possibly adaptive)
   /// FSYNC adversary.
   Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
@@ -177,8 +150,6 @@ class Engine {
   void run(Time rounds);
 
   [[nodiscard]] ExecutionModel model() const { return model_; }
-  /// True when Compute runs through the devirtualized kernel path.
-  [[nodiscard]] bool kernel_dispatch() const { return kernel_.has_value(); }
 
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] const Ring& ring() const { return ring_; }
@@ -193,9 +164,6 @@ class Engine {
   [[nodiscard]] Chirality robot_chirality(RobotId r) const {
     return Chirality(right_cw_[r] != 0);
   }
-  /// Persistent algorithm memory of robot `r` — virtual dispatch only (the
-  /// kernel path stores POD KernelState instead).
-  [[nodiscard]] const AlgorithmState& robot_state(RobotId r) const;
   /// Pending phase of robot `r` — ASYNC only.
   [[nodiscard]] Phase phase_of(RobotId r) const;
 
@@ -209,16 +177,20 @@ class Engine {
   /// Incrementally maintained aggregates (always available).
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
-  /// Fast-forward telemetry.  rounds_simulated() is the number of rounds
-  /// actually executed (== stats().rounds unless a cycle was skipped);
-  /// detected_period() is 0 when no cycle engaged.
-  [[nodiscard]] bool fast_forwarded() const { return ff_skipped_ > 0; }
+  /// Fast-forward telemetry of the latest run().  rounds_simulated() is the
+  /// number of rounds actually executed (== stats().rounds unless a cycle
+  /// was skipped); detected_period() is 0 when no cycle engaged.
+  [[nodiscard]] bool fast_forwarded() const { return cycle_.skipped() > 0; }
   [[nodiscard]] Time rounds_simulated() const {
-    return stats_.rounds - ff_skipped_;
+    return stats_.rounds - cycle_.skipped();
   }
-  [[nodiscard]] Time detected_period() const { return ff_detected_period_; }
+  [[nodiscard]] Time detected_period() const {
+    return cycle_.detected_period();
+  }
   /// Hash hits rejected by the exact state comparison (collision audit).
-  [[nodiscard]] std::uint64_t ff_collisions() const { return ff_collisions_; }
+  [[nodiscard]] std::uint64_t ff_collisions() const {
+    return cycle_.collisions();
+  }
 
   /// Coverage report equivalent to analyze_coverage(trace) but computed from
   /// the incremental per-node bookkeeping — available without a trace.
@@ -234,30 +206,22 @@ class Engine {
  private:
   void init(const std::vector<RobotPlacement>& placements);
   void observe_boundary(Time t);  // visit/tower bookkeeping at config time t
-  /// Resolve fast-forward eligibility: fills ff_env_period_/ff_env_start_
-  /// and returns true iff every component of the run is provably
-  /// deterministic and periodic (see EngineOptions::fast_forward).
-  [[nodiscard]] bool ff_eligible();
-  /// Pack the full deterministic state (robot SoA + kernel memory + ASYNC
-  /// phase machines) into 64-bit words for hashing and exact comparison.
-  void pack_state(std::vector<std::uint64_t>& out) const;
-  /// run() with cycle detection: detect, measure one live period,
-  /// extrapolate all stats over the skipped repetitions, replay the tail.
-  void run_fast_forward(Time target);
+  /// Feed cycle_ at its due boundary now_ of a run ending at `target`;
+  /// when the tracker arms, apply the skip at once.  Returns true iff the
+  /// clock jumped.
+  bool advance_cycle(Time target);
   /// The step_* entry points dispatch ONCE per round on the kernel id, and
-  /// ONLY the fused Look+Compute loop is instantiated per kernel: under
-  /// kernel dispatch the algorithm's compute inlines into that loop body (no
-  /// per-robot branch or indirect call); under virtual dispatch ComputeFn
-  /// wraps the canonical Algorithm::compute call.  Everything else — mask
-  /// compaction, Move, trace records, the gamma mirror — is shared
-  /// non-templated code, so each kernel instantiation stays a few cache
-  /// lines instead of a whole round loop (the fix for the SSYNC/ASYNC
-  /// kernel-dispatch regression: per-robot mask branches and trace
-  /// bookkeeping no longer live inside the per-kernel loop).
+  /// ONLY the fused Look+Compute loops are instantiated per kernel, so the
+  /// kernel's compute inlines into the loop body (no per-robot branch or
+  /// indirect call).  Everything else — mask compaction, Move, trace
+  /// records, the gamma mirror — is shared non-templated code, so each
+  /// kernel instantiation stays a few cache lines instead of a whole round
+  /// loop.
   void step_fsync();
   void step_ssync();
   void step_async();
-  /// Fused Look+Compute over every robot (FSYNC).
+  /// Fused Look+Compute over every robot (FSYNC).  ComputeFn is the
+  /// per-KernelId functor of engine.cpp.
   template <typename ComputeFn>
   void look_compute_all(const ComputeFn& compute_fn);
   /// Fused Look+Compute over a compacted index list (SSYNC activated set).
@@ -289,7 +253,7 @@ class Engine {
   bool apply_move(RobotId i, bool ahead_cw, EdgeId pointed);
 
   Ring ring_;
-  AlgorithmPtr algorithm_;
+  KernelSpec kernel_;
   ExecutionModel model_ = ExecutionModel::kFsync;
   EngineOptions options_;
   Time now_ = 0;
@@ -305,10 +269,7 @@ class Engine {
   std::vector<NodeId> node_;
   std::vector<std::uint8_t> dir_;       // LocalDirection
   std::vector<std::uint8_t> right_cw_;  // Chirality::right_is_clockwise
-  // Algorithm memory: exactly one of the two is populated.
-  std::vector<std::unique_ptr<AlgorithmState>> states_;  // virtual dispatch
-  std::optional<KernelSpec> kernel_;                     // kernel dispatch
-  std::vector<KernelState> kstates_;
+  std::vector<KernelState> kstates_;    // algorithm memory
 
   // ASYNC phase machines + pending Look views.
   std::vector<Phase> phases_;
@@ -346,12 +307,8 @@ class Engine {
   Time max_closed_gap_ = 0;
   EngineStats stats_;
 
-  // Fast-forward bookkeeping (see cycle.hpp).
-  Time ff_env_period_ = 0;  // sampling lattice period (0 = ineligible)
-  Time ff_env_start_ = 0;
-  Time ff_detected_period_ = 0;
-  Time ff_skipped_ = 0;  // rounds covered by extrapolation, not execution
-  std::uint64_t ff_collisions_ = 0;
+  // The latest run()'s fast-forward (see cycle.hpp).
+  CycleTracker cycle_;
 
   std::unique_ptr<Trace> trace_;
 };

@@ -48,12 +48,11 @@ std::vector<CellTask> enumerate_cells(const SweepSpec& spec) {
   return tasks;
 }
 
-/// Pre-resolved per-spec context shared by every worker: display names and
-/// kernel availability are pure functions of the spec, probed once.
+/// Pre-resolved per-spec context shared by every worker: display names are
+/// pure functions of the spec, resolved once.
 struct SweepContext {
   const SweepSpec& spec;
   std::vector<std::string> adversary_names;
-  std::vector<std::uint8_t> algorithm_has_kernel;
   /// Intra-cell worker threads handed to each BatchEngine (1 = serial; the
   /// sweep's own pool already covers the inter-cell axis, so this only
   /// helps sweeps whose grid is narrower than the machine).
@@ -61,17 +60,10 @@ struct SweepContext {
 };
 
 SweepContext make_context(const SweepSpec& spec) {
-  SweepContext context{spec, {}, {}, 1};
+  SweepContext context{spec, {}, 1};
   context.adversary_names.reserve(spec.adversaries.size());
   for (const AdversaryConfig& config : spec.adversaries) {
     context.adversary_names.push_back(adversary_display_name(config));
-  }
-  // Kernel availability is a property of the algorithm name; probe once
-  // per spec entry instead of constructing an Algorithm per seed group.
-  context.algorithm_has_kernel.resize(spec.algorithms.size(), 0);
-  for (std::size_t a = 0; a < spec.algorithms.size(); ++a) {
-    context.algorithm_has_kernel[a] =
-        make_algorithm(spec.algorithms[a], 0)->kernel().has_value() ? 1 : 0;
   }
   return context;
 }
@@ -240,28 +232,18 @@ std::vector<CellGroup> group_cells(const std::vector<CellTask>& tasks,
 void run_group(const SweepContext& context,
                const std::vector<CellTask>& tasks, const CellGroup& group,
                SweepCell* cells) {
-  // Seed groups batch when the algorithm has a kernel (every registry
-  // algorithm does; bespoke kernel-less algorithms fall back to per-cell
-  // Engines).  Results are identical either way.
-  const SweepSpec& spec = context.spec;
-  const bool batchable =
-      spec.batch_seeds && group.count > 1 &&
-      context.algorithm_has_kernel[tasks[group.first].algorithm_index] != 0;
-  if (!batchable) {
-    for (std::uint32_t b = 0; b < group.count; ++b) {
-      cells[b] = run_cell(context, tasks[group.first + b]);
-    }
-    return;
-  }
   // The calibrated break-even model decides both whether to batch at all
   // and how wide: a narrow seed group (or an explicit max_batch below
   // break-even) routes back to solo Engines, which are strictly faster
-  // there.  Either route yields byte-identical cells.
+  // there, and so does a horizon too long for a batch lane's 32-bit visit
+  // stamps.  Either route yields byte-identical cells.
+  const SweepSpec& spec = context.spec;
   const CellTask& head = tasks[group.first];
   const BatchPlan plan =
       plan_batch(spec.models[head.model_index], head.nodes, head.robots,
                  group.count, spec.max_batch);
-  if (!plan.use_batch()) {
+  if (!spec.batch_seeds || !plan.use_batch() ||
+      !batch_horizon_fits(spec.horizon_for(head.nodes))) {
     for (std::uint32_t b = 0; b < group.count; ++b) {
       cells[b] = run_cell(context, tasks[group.first + b]);
     }

@@ -57,11 +57,13 @@ class Algorithm {
   virtual void compute(const View& view, LocalDirection& dir,
                        AlgorithmState& state) const = 0;
 
-  /// The algorithm's devirtualized twin, when one exists: a KernelSpec the
-  /// engine can run through the enum-dispatched POD compute path
-  /// (algorithms/kernels.hpp) instead of this virtual interface.  Must be
-  /// behaviourally identical to compute() — differential tests enforce it.
-  /// Every registry algorithm provides one; bespoke algorithms may not.
+  /// The algorithm's devirtualized twin: a KernelSpec the engines run
+  /// through the enum-dispatched POD compute path (algorithms/kernels.hpp)
+  /// instead of this virtual interface, which only the reference
+  /// simulators call.  Must be behaviourally identical to compute() —
+  /// differential tests against the simulators enforce it.  Every registry
+  /// algorithm provides one; Engine and BatchEngine refuse an algorithm
+  /// without one.
   [[nodiscard]] virtual std::optional<KernelSpec> kernel() const {
     return std::nullopt;
   }

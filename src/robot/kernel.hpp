@@ -10,9 +10,10 @@
 // robot memories in a single contiguous vector: no unique_ptr chase, no
 // virtual call, per round.
 //
-// Differential tests (tests/unified_engine_test.cpp) pin every kernel to
-// its virtual twin bit-for-bit; the kernel implementations themselves live
-// in algorithms/kernels.hpp.
+// The engines run only the kernels and the reference simulators only the
+// virtual classes; differential tests (tests/fast_engine_test.cpp,
+// tests/unified_engine_test.cpp) pin the two bit-for-bit.  The kernel
+// implementations themselves live in algorithms/kernels.hpp.
 #pragma once
 
 #include <cstdint>

@@ -275,31 +275,46 @@ TEST(WideBatch, TracedThreadedBatchMatchesSerial) {
 // Sweep JSON byte-identity across batch widths and engine threads
 
 TEST(AdaptiveBatch, SweepJsonIdenticalAcrossWidthsAndThreads) {
-  SweepSpec spec;
-  spec.algorithms = {"pef3+", "bounce"};
-  spec.adversaries = {
+  SweepSpec mixed;
+  mixed.algorithms = {"pef3+", "bounce"};
+  mixed.adversaries = {
       adversary_config(AdversaryKind::kStatic),
       adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}})};
-  spec.models = {ExecutionModel::kFsync, ExecutionModel::kSsync};
-  spec.ring_sizes = {32};
-  spec.robot_counts = {3};
-  spec.seeds = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
-                11, 12, 13, 14, 15, 16, 17, 18, 19, 20};
-  spec.horizon = 300;
+  mixed.models = {ExecutionModel::kFsync, ExecutionModel::kSsync};
+  mixed.ring_sizes = {32};
+  mixed.robot_counts = {3};
+  mixed.seeds = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                 11, 12, 13, 14, 15, 16, 17, 18, 19, 20};
+  mixed.horizon = 300;
 
-  std::string reference;
-  for (const std::uint32_t max_batch : {0u, 1u, 16u, 256u}) {
-    for (const std::uint32_t engine_threads : {1u, 4u}) {
-      spec.max_batch = max_batch;
-      const SweepRunner runner(1, engine_threads);
-      const std::string json = runner.run(spec).to_json();
-      if (reference.empty()) {
-        reference = json;
-        continue;
+  // A horizon past 2^32 does not fit a batch lane's visit stamps: every
+  // width must route the seed group to solo Engines (fast-forward keeps
+  // each cell to milliseconds) instead of aborting.
+  SweepSpec long_horizon;
+  long_horizon.algorithms = {"pef3+"};
+  long_horizon.adversaries = {adversary_config(AdversaryKind::kStatic)};
+  long_horizon.ring_sizes = {16};
+  long_horizon.robot_counts = {3};
+  long_horizon.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  long_horizon.horizon = 5'000'000'000ULL;
+  long_horizon.fast_forward = true;
+
+  for (SweepSpec spec : {mixed, long_horizon}) {
+    SCOPED_TRACE("horizon " + std::to_string(spec.horizon));
+    std::string reference;
+    for (const std::uint32_t max_batch : {0u, 1u, 16u, 256u}) {
+      for (const std::uint32_t engine_threads : {1u, 4u}) {
+        spec.max_batch = max_batch;
+        const SweepRunner runner(1, engine_threads);
+        const std::string json = runner.run(spec).to_json();
+        if (reference.empty()) {
+          reference = json;
+          continue;
+        }
+        EXPECT_EQ(json, reference)
+            << "sweep JSON diverged at max_batch=" << max_batch
+            << " engine_threads=" << engine_threads;
       }
-      EXPECT_EQ(json, reference)
-          << "sweep JSON diverged at max_batch=" << max_batch
-          << " engine_threads=" << engine_threads;
     }
   }
 }

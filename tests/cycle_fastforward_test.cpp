@@ -285,51 +285,138 @@ TEST(CycleFastForwardTest, BernoulliScheduleRefusesEligibility) {
 // Batch engine differentials: lanes detect independently, retire through
 // ragged-horizon compaction, and must still match solo PLAIN engines.
 
+/// One deterministic activation regime of the batch differential.  FSYNC
+/// has no policy; SSYNC lanes take an activation policy and ASYNC lanes a
+/// phase scheduler (round-robin multiplies the sampling lattice by k, and
+/// ASYNC adds the phase planes and pending views to the packed state).
+struct LanePolicy {
+  const char* name;
+  ExecutionModel model;
+  std::unique_ptr<ActivationPolicy> (*activation)();
+  std::unique_ptr<PhaseScheduler> (*phases)();
+};
+
+const LanePolicy kLanePolicies[] = {
+    {"fsync", ExecutionModel::kFsync, nullptr, nullptr},
+    {"ssync round-robin", ExecutionModel::kSsync,
+     [] {
+       return std::unique_ptr<ActivationPolicy>(
+           std::make_unique<RoundRobinActivation>());
+     },
+     nullptr},
+    {"ssync full", ExecutionModel::kSsync,
+     [] {
+       return std::unique_ptr<ActivationPolicy>(
+           std::make_unique<FullActivation>());
+     },
+     nullptr},
+    {"async lockstep", ExecutionModel::kAsync, nullptr,
+     [] {
+       return std::unique_ptr<PhaseScheduler>(
+           std::make_unique<LockstepPhases>());
+     }},
+    {"async round-robin", ExecutionModel::kAsync, nullptr,
+     [] {
+       return std::unique_ptr<PhaseScheduler>(
+           std::make_unique<RoundRobinPhases>());
+     }},
+};
+
+constexpr std::uint32_t kLaneRobots = 3;
+
+/// Lane `b`'s scenario on the rotating ring, as a solo Engine.
+Engine make_lane_engine(const Ring& ring, const LanePolicy& policy,
+                        const std::string& algorithm, std::uint32_t b,
+                        const EngineOptions& options) {
+  const SchedulePtr schedule = make_schedule(ring, Topo::kRing, true);
+  const auto placements = random_placements(ring, kLaneRobots, b + 1);
+  switch (policy.model) {
+    case ExecutionModel::kFsync:
+      break;
+    case ExecutionModel::kSsync:
+      return Engine(ring, make_algorithm(algorithm, b + 1),
+                    std::make_unique<SsyncObliviousAdversary>(schedule),
+                    policy.activation(), placements, options);
+    case ExecutionModel::kAsync:
+      return Engine(ring, make_algorithm(algorithm, b + 1),
+                    std::make_unique<SsyncObliviousAdversary>(schedule),
+                    policy.phases(), placements, options);
+  }
+  return Engine(ring, make_algorithm(algorithm, b + 1),
+                std::make_unique<ObliviousAdversary>(schedule), placements,
+                options);
+}
+
+/// The same scenario as one batch replica.
+BatchReplica make_lane_replica(const Ring& ring, const LanePolicy& policy,
+                               const std::string& algorithm, std::uint32_t b,
+                               Time horizon) {
+  BatchReplica replica;
+  replica.algorithm = make_algorithm(algorithm, b + 1);
+  replica.placements = random_placements(ring, kLaneRobots, b + 1);
+  replica.horizon = horizon;
+  const SchedulePtr schedule = make_schedule(ring, Topo::kRing, true);
+  if (policy.model == ExecutionModel::kFsync) {
+    replica.adversary = std::make_unique<ObliviousAdversary>(schedule);
+    return replica;
+  }
+  replica.ssync_adversary =
+      std::make_unique<SsyncObliviousAdversary>(schedule);
+  if (policy.model == ExecutionModel::kSsync) {
+    replica.activation = policy.activation();
+  } else {
+    replica.phases = policy.phases();
+  }
+  return replica;
+}
+
 TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
   constexpr std::uint32_t kBatch = 8;
   const Ring ring(7);
   const auto horizon_of = [](std::uint32_t b) {
     return kHorizon + 61 * (b % 5);
   };
-  for (const char* algorithm : {"pef3+", "oscillating"}) {
-    SCOPED_TRACE(algorithm);
-    std::vector<BatchReplica> replicas(kBatch);
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
-      BatchReplica& replica = replicas[b];
-      replica.algorithm = make_algorithm(algorithm, b + 1);
-      replica.adversary = std::make_unique<ObliviousAdversary>(
-          make_schedule(ring, Topo::kRing, true));
-      replica.placements = random_placements(ring, 3, b + 1);
-      replica.horizon = horizon_of(b);
-    }
-    BatchEngineOptions options;
-    options.fast_forward.enabled = true;
-    BatchEngine batch(ring, ExecutionModel::kFsync, std::move(replicas),
-                      options);
-    batch.run_all();
+  EngineOptions ff_options;
+  ff_options.fast_forward.enabled = true;
+  for (const LanePolicy& policy : kLanePolicies) {
+    for (const char* algorithm :
+         {"pef3+", "oscillating", "keep-direction", "bounce", "pef1"}) {
+      SCOPED_TRACE(std::string(policy.name) + " " + algorithm);
+      std::vector<BatchReplica> replicas;
+      for (std::uint32_t b = 0; b < kBatch; ++b) {
+        replicas.push_back(
+            make_lane_replica(ring, policy, algorithm, b, horizon_of(b)));
+      }
+      BatchEngineOptions options;
+      options.fast_forward.enabled = true;
+      BatchEngine batch(ring, policy.model, std::move(replicas), options);
+      batch.run_all();
 
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
-      SCOPED_TRACE("replica " + std::to_string(b));
-      Engine solo(ring, make_algorithm(algorithm, b + 1),
-                  std::make_unique<ObliviousAdversary>(
-                      make_schedule(ring, Topo::kRing, true)),
-                  random_placements(ring, 3, b + 1), EngineOptions{});
-      solo.run(horizon_of(b));
-      EXPECT_TRUE(batch.fast_forwarded(b));
-      EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
-      const EngineStats& a = batch.stats(b);
-      const EngineStats& s = solo.stats();
-      EXPECT_EQ(a.rounds, s.rounds);
-      EXPECT_EQ(a.total_moves, s.total_moves);
-      EXPECT_EQ(a.tower_rounds, s.tower_rounds);
-      EXPECT_EQ(a.tower_formations, s.tower_formations);
-      EXPECT_EQ(a.visited_node_count, s.visited_node_count);
-      EXPECT_EQ(a.cover_time, s.cover_time);
-      const CoverageReport ca = batch.coverage_report(b);
-      const CoverageReport cs = solo.coverage_report();
-      EXPECT_EQ(ca.visit_counts, cs.visit_counts);
-      EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
-      EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+      for (std::uint32_t b = 0; b < kBatch; ++b) {
+        SCOPED_TRACE("replica " + std::to_string(b));
+        Engine solo =
+            make_lane_engine(ring, policy, algorithm, b, EngineOptions{});
+        solo.run(horizon_of(b));
+        Engine solo_ff =
+            make_lane_engine(ring, policy, algorithm, b, ff_options);
+        solo_ff.run(horizon_of(b));
+        EXPECT_TRUE(batch.fast_forwarded(b));
+        EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
+        EXPECT_EQ(batch.detected_period(b), solo_ff.detected_period());
+        const EngineStats& a = batch.stats(b);
+        const EngineStats& s = solo.stats();
+        EXPECT_EQ(a.rounds, s.rounds);
+        EXPECT_EQ(a.total_moves, s.total_moves);
+        EXPECT_EQ(a.tower_rounds, s.tower_rounds);
+        EXPECT_EQ(a.tower_formations, s.tower_formations);
+        EXPECT_EQ(a.visited_node_count, s.visited_node_count);
+        EXPECT_EQ(a.cover_time, s.cover_time);
+        const CoverageReport ca = batch.coverage_report(b);
+        const CoverageReport cs = solo.coverage_report();
+        EXPECT_EQ(ca.visit_counts, cs.visit_counts);
+        EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
+        EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
-// Differential tests: Engine must be a bit-exact drop-in for the
-// reference Simulator, and SweepRunner output must be independent of the
-// thread count.
+// Differential tests: Engine (devirtualized kernels) must be a bit-exact
+// drop-in for the reference Simulator (virtual Algorithm classes) across
+// every registry algorithm and adversary family, and SweepRunner output
+// must be independent of the thread count.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -24,35 +25,50 @@ constexpr Time kRounds = 300;
 /// The adversary families of the differential matrix.  Adaptive adversaries
 /// are stateful, so each engine gets its own freshly-built instance with
 /// identical parameters; fed identical gammas they make identical choices.
+/// Stochastic families draw from `seed`.
 struct AdversaryFamily {
   const char* name;
-  AdversaryPtr (*make)(const Ring& ring, std::uint32_t k);
+  AdversaryPtr (*make)(const Ring& ring, std::uint32_t k, std::uint64_t seed);
   /// Window-based adversaries (proof, cage) require the robots to start
   /// inside their window {0, ..., k}; others take fully random placements.
   bool window_placements = false;
 };
 
-AdversaryPtr make_all_edges(const Ring& ring, std::uint32_t) {
+AdversaryPtr make_all_edges(const Ring& ring, std::uint32_t, std::uint64_t) {
   return make_oblivious(std::make_shared<StaticSchedule>(ring));
 }
 
-AdversaryPtr make_proof(const Ring& ring, std::uint32_t k) {
+AdversaryPtr make_bernoulli(const Ring& ring, std::uint32_t,
+                            std::uint64_t seed) {
+  return make_oblivious(std::make_shared<BernoulliSchedule>(ring, 0.5, seed));
+}
+
+AdversaryPtr make_eventual_missing(const Ring& ring, std::uint32_t,
+                                   std::uint64_t seed) {
+  return make_oblivious(std::make_shared<EventualMissingEdgeSchedule>(
+      std::make_shared<StaticSchedule>(ring),
+      static_cast<EdgeId>(seed % ring.edge_count()), /*vanish=*/5));
+}
+
+AdversaryPtr make_proof(const Ring& ring, std::uint32_t k, std::uint64_t) {
   const std::uint32_t width = std::min(k + 1, ring.node_count() - 1);
   return std::make_unique<StagedProofAdversary>(ring, 0, width,
                                                 /*patience=*/32);
 }
 
-AdversaryPtr make_greedy(const Ring& ring, std::uint32_t) {
+AdversaryPtr make_greedy(const Ring& ring, std::uint32_t, std::uint64_t) {
   return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
 }
 
-AdversaryPtr make_cage(const Ring& ring, std::uint32_t k) {
+AdversaryPtr make_cage(const Ring& ring, std::uint32_t k, std::uint64_t) {
   const std::uint32_t width = std::min(k + 1, ring.node_count() - 1);
   return std::make_unique<ConfinementAdversary>(ring, 0, width);
 }
 
 const AdversaryFamily kFamilies[] = {
     {"all-edges", make_all_edges},
+    {"bernoulli", make_bernoulli},
+    {"eventual-missing", make_eventual_missing},
     {"proof", make_proof, /*window_placements=*/true},
     {"greedy-blocker", make_greedy},
     {"confinement", make_cage, /*window_placements=*/true},
@@ -84,11 +100,11 @@ void expect_identical_run(const std::string& algorithm,
                               : random_placements(ring, k, seed);
 
   Simulator reference(ring, make_algorithm(algorithm, seed),
-                      family.make(ring, k), placements);
+                      family.make(ring, k, seed), placements);
   EngineOptions options;
   options.record_trace = true;
-  Engine fast(ring, make_algorithm(algorithm, seed), family.make(ring, k),
-                  placements, options);
+  Engine fast(ring, make_algorithm(algorithm, seed),
+              family.make(ring, k, seed), placements, options);
 
   for (Time t = 0; t < kRounds; ++t) {
     const RoundRecord expected = reference.step();
@@ -178,8 +194,8 @@ TEST(FastEngineTest, IncrementalCoverageMatchesTraceAnalysis) {
 
 TEST(FastEngineTest, StatsAccumulateWithoutTrace) {
   const Ring ring(6);
-  Engine engine(ring, make_algorithm("pef3+"), make_all_edges(ring, 3),
-                    spread_placements(ring, 3));
+  Engine engine(ring, make_algorithm("pef3+"), make_all_edges(ring, 3, 0),
+                spread_placements(ring, 3));
   EXPECT_FALSE(engine.recording_trace());
   engine.run(100);
   EXPECT_EQ(engine.stats().rounds, 100u);

@@ -1,13 +1,9 @@
-// Differential tests for the unified Engine's new axes:
-//
-//   * kernel dispatch: every registry algorithm's devirtualized kernel must
-//     be bit-identical to its virtual twin, across adversary families and
-//     seeds (the FSYNC virtual path itself is pinned to Simulator in
-//     fast_engine_test.cpp);
-//   * SSYNC / ASYNC models: the Engine must reproduce the reference
-//     SsyncSimulator / AsyncSimulator round-by-round, for both dispatch
-//     paths, across activation policies / phase schedulers, adversaries and
-//     seeds.
+// Differential tests for the unified Engine's SSYNC / ASYNC models: the
+// Engine (which always runs the devirtualized kernels) must reproduce the
+// reference SsyncSimulator / AsyncSimulator (which run the virtual
+// Algorithm classes) round-by-round, across every registry algorithm,
+// activation policies / phase schedulers, adversaries and seeds.  FSYNC is
+// pinned to Simulator in fast_engine_test.cpp.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -61,75 +57,11 @@ std::vector<RobotPlacement> placements_for(std::uint32_t k,
 }
 
 // ---------------------------------------------------------------------------
-// Kernel dispatch vs virtual twin (FSYNC).
-
-struct FsyncAdversaryFamily {
-  const char* name;
-  AdversaryPtr (*make)(const Ring& ring, std::uint64_t seed);
-};
-
-const FsyncAdversaryFamily kFsyncFamilies[] = {
-    {"static",
-     [](const Ring& ring, std::uint64_t) {
-       return make_oblivious(std::make_shared<StaticSchedule>(ring));
-     }},
-    {"bernoulli",
-     [](const Ring& ring, std::uint64_t seed) {
-       return make_oblivious(
-           std::make_shared<BernoulliSchedule>(ring, 0.5, seed));
-     }},
-    {"eventual-missing",
-     [](const Ring& ring, std::uint64_t seed) {
-       return make_oblivious(std::make_shared<EventualMissingEdgeSchedule>(
-           std::make_shared<StaticSchedule>(ring),
-           static_cast<EdgeId>(seed % ring.edge_count()), /*vanish=*/5));
-     }},
-    {"greedy-blocker",
-     [](const Ring& ring, std::uint64_t) {
-       return std::unique_ptr<Adversary>(
-           std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4));
-     }},
-};
+// Every registry algorithm runs on the kernel path.
 
 TEST(KernelDispatchTest, EveryRegistryAlgorithmHasAKernel) {
   for (const std::string& name : algorithm_names()) {
     EXPECT_TRUE(make_algorithm(name, 1)->kernel().has_value()) << name;
-  }
-}
-
-TEST(KernelDispatchTest, KernelMatchesVirtualAcrossRegistryAndAdversaries) {
-  for (const std::string& algorithm : algorithm_names()) {
-    for (const FsyncAdversaryFamily& family : kFsyncFamilies) {
-      for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        SCOPED_TRACE(algorithm + " vs " + family.name + " seed " +
-                     std::to_string(seed));
-        const Ring ring(kNodes);
-        const auto placements = placements_for(kRobots, seed);
-
-        EngineOptions virtual_options;
-        virtual_options.record_trace = true;
-        virtual_options.dispatch = ComputeDispatch::kVirtual;
-        Engine virtual_engine(ring, make_algorithm(algorithm, seed),
-                              family.make(ring, seed), placements,
-                              virtual_options);
-
-        EngineOptions kernel_options;
-        kernel_options.record_trace = true;
-        kernel_options.dispatch = ComputeDispatch::kKernel;
-        Engine kernel_engine(ring, make_algorithm(algorithm, seed),
-                             family.make(ring, seed), placements,
-                             kernel_options);
-        EXPECT_FALSE(virtual_engine.kernel_dispatch());
-        EXPECT_TRUE(kernel_engine.kernel_dispatch());
-
-        virtual_engine.run(kRounds);
-        kernel_engine.run(kRounds);
-        for (Time t = 0; t < kRounds; ++t) {
-          expect_same_round(kernel_engine.trace().rounds()[t],
-                            virtual_engine.trace().rounds()[t], t);
-        }
-      }
-    }
   }
 }
 
@@ -182,29 +114,18 @@ TEST(UnifiedSsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
         SsyncSimulator reference(ring, make_algorithm(algorithm, seed),
                                  scenario.make_adversary(ring, seed),
                                  scenario.make_activation(seed), placements);
-
-        for (const ComputeDispatch dispatch :
-             {ComputeDispatch::kKernel, ComputeDispatch::kVirtual}) {
-          SCOPED_TRACE(std::string("dispatch ") + to_string(dispatch));
-          EngineOptions options;
-          options.record_trace = true;
-          options.dispatch = dispatch;
-          Engine engine(ring, make_algorithm(algorithm, seed),
-                        scenario.make_adversary(ring, seed),
-                        scenario.make_activation(seed), placements, options);
-          EXPECT_EQ(engine.model(), ExecutionModel::kSsync);
-          engine.run(kRounds);
-          ASSERT_EQ(engine.trace().rounds().size(), kRounds);
-          // Fresh reference per dispatch would repeat work; instead replay
-          // the one reference lazily on the first dispatch and compare the
-          // second against the recorded trace.
-          if (reference.now() == 0) {
-            for (Time t = 0; t < kRounds; ++t) reference.step();
-          }
-          for (Time t = 0; t < kRounds; ++t) {
-            expect_same_round(engine.trace().rounds()[t],
-                              reference.trace().rounds()[t], t);
-          }
+        EngineOptions options;
+        options.record_trace = true;
+        Engine engine(ring, make_algorithm(algorithm, seed),
+                      scenario.make_adversary(ring, seed),
+                      scenario.make_activation(seed), placements, options);
+        EXPECT_EQ(engine.model(), ExecutionModel::kSsync);
+        engine.run(kRounds);
+        reference.run(kRounds);
+        ASSERT_EQ(engine.trace().rounds().size(), kRounds);
+        for (Time t = 0; t < kRounds; ++t) {
+          expect_same_round(engine.trace().rounds()[t],
+                            reference.trace().rounds()[t], t);
         }
       }
     }
@@ -259,31 +180,23 @@ TEST(UnifiedAsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
         AsyncSimulator reference(ring, make_algorithm(algorithm, seed),
                                  scenario.make_adversary(ring, seed),
                                  scenario.make_phases(seed), placements);
-
-        for (const ComputeDispatch dispatch :
-             {ComputeDispatch::kKernel, ComputeDispatch::kVirtual}) {
-          SCOPED_TRACE(std::string("dispatch ") + to_string(dispatch));
-          EngineOptions options;
-          options.record_trace = true;
-          options.dispatch = dispatch;
-          Engine engine(ring, make_algorithm(algorithm, seed),
-                        scenario.make_adversary(ring, seed),
-                        scenario.make_phases(seed), placements, options);
-          EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
-          engine.run(kRounds);
-          if (reference.now() == 0) {
-            for (Time t = 0; t < kRounds; ++t) reference.step();
-          }
-          for (Time t = 0; t < kRounds; ++t) {
-            expect_same_round(engine.trace().rounds()[t],
-                              reference.trace().rounds()[t], t);
-          }
-          // Final phase machines agree for every robot (per-tick phase
-          // agreement is implied by the round records: each advancing
-          // robot's record shows which phase fired).
-          for (RobotId r = 0; r < kRobots; ++r) {
-            ASSERT_EQ(engine.phase_of(r), reference.phase_of(r)) << r;
-          }
+        EngineOptions options;
+        options.record_trace = true;
+        Engine engine(ring, make_algorithm(algorithm, seed),
+                      scenario.make_adversary(ring, seed),
+                      scenario.make_phases(seed), placements, options);
+        EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
+        engine.run(kRounds);
+        reference.run(kRounds);
+        for (Time t = 0; t < kRounds; ++t) {
+          expect_same_round(engine.trace().rounds()[t],
+                            reference.trace().rounds()[t], t);
+        }
+        // Final phase machines agree for every robot (per-tick phase
+        // agreement is implied by the round records: each advancing
+        // robot's record shows which phase fired).
+        for (RobotId r = 0; r < kRobots; ++r) {
+          ASSERT_EQ(engine.phase_of(r), reference.phase_of(r)) << r;
         }
       }
     }

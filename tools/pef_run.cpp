@@ -104,8 +104,6 @@ void print_help(const char* program) {
       << "  --engine E       fast | reference (default fast; identical\n"
       << "                   results, the reference engines are the\n"
       << "                   canonical implementations)\n"
-      << "  --dispatch D     auto | kernel | virtual (default auto;\n"
-      << "                   Compute path of the fast engine)\n"
       << "  --activation-p X per-robot activation / phase-advance\n"
       << "                   probability for ssync / async (default 0.5)\n"
       << "  --seed S         RNG seed (default 1)\n"
@@ -164,7 +162,6 @@ int main(int argc, char** argv) {
   const auto model_name =
       args.get_string("--model", to_string(spec.model));
   const auto engine_name = args.get_string("--engine", "fast");
-  const auto dispatch_name = args.get_string("--dispatch", "auto");
   const bool activation_p_given = args.has("--activation-p");
   const auto activation_p =
       args.get_double("--activation-p", spec.activation_p);
@@ -193,20 +190,6 @@ int main(int argc, char** argv) {
     std::cerr << "--engine must be fast or reference\n";
     return 2;
   }
-  ComputeDispatch dispatch = ComputeDispatch::kAuto;
-  if (dispatch_name == "kernel") {
-    dispatch = ComputeDispatch::kKernel;
-  } else if (dispatch_name == "virtual") {
-    dispatch = ComputeDispatch::kVirtual;
-  } else if (dispatch_name != "auto") {
-    std::cerr << "--dispatch must be auto, kernel or virtual\n";
-    return 2;
-  }
-  if (engine_name == "reference" && dispatch != ComputeDispatch::kAuto) {
-    std::cerr << "--dispatch applies only to --engine fast (the reference "
-                 "engines always run the virtual Algorithm path)\n";
-    return 2;
-  }
   if (activation_p_given && *model == ExecutionModel::kFsync) {
     std::cerr << "--activation-p applies only to --model ssync|async (FSYNC "
                  "activates every robot every round)\n";
@@ -230,10 +213,6 @@ int main(int argc, char** argv) {
   }
   if (batch_given && engine_name != "fast") {
     std::cerr << "--batch runs on the fast engine only\n";
-    return 2;
-  }
-  if (batch_given && dispatch == ComputeDispatch::kVirtual) {
-    std::cerr << "--batch runs the devirtualized kernel path only\n";
     return 2;
   }
   if (batch_given && render) {
@@ -303,17 +282,21 @@ int main(int argc, char** argv) {
     // Monte-Carlo mode.  The engine is chosen by the calibrated break-even
     // model: narrow seed counts run solo Engines (the batch's plane setup
     // and per-round passes only amortize past the break-even width), wide
-    // ones run ONE BatchEngine advancing all seeds in lock-step.  Either
-    // way the per-seed results are bit-identical (differentially tested).
+    // ones run ONE BatchEngine advancing all seeds in lock-step.  A horizon
+    // too long for a batch lane's 32-bit visit stamps runs solo too.
+    // Either way the per-seed results are bit-identical (differentially
+    // tested).
     if (batch_auto) batch = preferred_batch_width(*model, nodes, robots);
-    const BatchPlan plan = plan_batch(*model, nodes, robots, batch, batch);
+    const bool use_batch =
+        plan_batch(*model, nodes, robots, batch, batch).use_batch() &&
+        batch_horizon_fits(horizon);
 
     std::vector<EngineStats> seed_stats(batch);
     std::vector<CoverageReport> seed_coverage(batch);
     std::vector<Time> seed_simulated(batch, 0);  // 0 = ran plain
-    const char* engine_used = plan.use_batch() ? "batch" : "solo";
+    const char* engine_used = use_batch ? "batch" : "solo";
     const auto start = std::chrono::steady_clock::now();
-    if (plan.use_batch()) {
+    if (use_batch) {
       std::vector<BatchReplica> replicas(batch);
       for (std::uint32_t b = 0; b < batch; ++b) {
         const std::uint64_t s = seed + b;
@@ -340,7 +323,6 @@ int main(int argc, char** argv) {
       for (std::uint32_t b = 0; b < batch; ++b) {
         const std::uint64_t s = seed + b;
         EngineOptions options;
-        options.dispatch = dispatch;
         options.fast_forward.enabled = fast_forward;
         std::optional<Engine> solo;
         switch (*model) {
@@ -453,7 +435,6 @@ int main(int argc, char** argv) {
   if (engine_name == "fast") {
     EngineOptions options;
     options.record_trace = true;  // the report below is all trace analysis
-    options.dispatch = dispatch;
     switch (*model) {
       case ExecutionModel::kFsync:
         engine.emplace(ring, make_algorithm(algorithm, seed),
