@@ -34,6 +34,9 @@ class GreedyBlockerAdversary final : public Adversary {
   Ring ring_;
   Time max_absence_;
   std::vector<Time> absence_run_;  // consecutive rounds absent, per edge
+  // The edges this round and last round removed: the only nonzero runs.
+  std::vector<EdgeId> absent_;
+  std::vector<EdgeId> previously_absent_;
 };
 
 }  // namespace pef

@@ -1,0 +1,31 @@
+#include "common/isa.hpp"
+
+#include <cstdlib>
+#include <cstring>
+
+namespace pef {
+
+IsaTier detect_isa() {
+#ifdef PEF_HAS_ISA_WRAPPERS
+  IsaTier best = IsaTier::kPortable;
+  if (__builtin_cpu_supports("avx2")) best = IsaTier::kAvx2;
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    best = IsaTier::kAvx512;
+  }
+  if (const char* env = std::getenv("PEF_BATCH_ISA")) {
+    IsaTier cap = best;
+    if (std::strcmp(env, "portable") == 0) cap = IsaTier::kPortable;
+    if (std::strcmp(env, "avx2") == 0) cap = IsaTier::kAvx2;
+    if (std::strcmp(env, "avx512") == 0) cap = IsaTier::kAvx512;
+    if (cap < best) best = cap;  // clamp only — never exceed the hardware
+  }
+  return best;
+#else
+  return IsaTier::kPortable;
+#endif
+}
+
+}  // namespace pef

@@ -12,15 +12,4 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
   }
 }
 
-std::uint64_t derive_seed(std::uint64_t master, std::uint64_t a,
-                          std::uint64_t b, std::uint64_t c) {
-  SplitMix64 sm(master);
-  std::uint64_t s = sm.next();
-  s ^= a * 0x9e3779b97f4a7c15ULL;
-  SplitMix64 sm2(s);
-  s = sm2.next() ^ (b * 0xbf58476d1ce4e5b9ULL);
-  SplitMix64 sm3(s);
-  return sm3.next() ^ (c * 0x94d049bb133111ebULL);
-}
-
 }  // namespace pef

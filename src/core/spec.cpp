@@ -339,13 +339,24 @@ AdversaryPtr adversary_from_config(const AdversaryConfig& config,
 
 namespace {
 
+/// A number for an error message.  JSON has no NaN or infinity, so
+/// format_number prints those as null; a message names them.
+std::string format_value(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  return JsonWriter::format_number(v);
+}
+
+/// True iff `v` is a probability.  Written so that NaN fails it.
+bool is_probability(double v) { return v >= 0.0 && v <= 1.0; }
+
 std::optional<std::string> check_probability(const AdversaryConfig& config,
                                              const char* name) {
   const double v = config.param(name);
-  if (v < 0.0 || v > 1.0) {
+  if (!is_probability(v)) {
     return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
            "\": param \"" + name + "\" must be in [0, 1] (got " +
-           JsonWriter::format_number(v) + ")";
+           format_value(v) + ")";
   }
   return std::nullopt;
 }
@@ -356,7 +367,7 @@ std::optional<std::string> check_positive_int(const AdversaryConfig& config,
   if (v < 1.0 || v != std::floor(v)) {
     return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
            "\": param \"" + name + "\" must be a positive integer (got " +
-           JsonWriter::format_number(v) + ")";
+           format_value(v) + ")";
   }
   return std::nullopt;
 }
@@ -367,7 +378,7 @@ std::optional<std::string> check_nonnegative_int(const AdversaryConfig& config,
   if (v < 0.0 || v != std::floor(v)) {
     return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
            "\": param \"" + name + "\" must be a non-negative integer (got " +
-           JsonWriter::format_number(v) + ")";
+           format_value(v) + ")";
   }
   return std::nullopt;
 }
@@ -663,8 +674,9 @@ std::optional<std::string> ScenarioSpec::validate() const {
            " cannot be well-initiated: some node would start towered)";
   }
   if (horizon < 1) return std::string("\"horizon\" must be >= 1");
-  if (activation_p < 0.0 || activation_p > 1.0) {
-    return std::string("\"activation_p\" must be in [0, 1]");
+  if (!is_probability(activation_p)) {
+    return "\"activation_p\" must be in [0, 1] (got " +
+           format_value(activation_p) + ")";
   }
   if (!algorithm.empty() && !algorithm_known(algorithm)) {
     return "unknown algorithm \"" + algorithm + "\" (known: " +
@@ -836,8 +848,9 @@ std::optional<std::string> SweepSpec::validate() const {
     return std::string(
         "one of \"horizon\" / \"horizon_per_node\" must be nonzero");
   }
-  if (activation_p < 0.0 || activation_p > 1.0) {
-    return std::string("\"activation_p\" must be in [0, 1]");
+  if (!is_probability(activation_p)) {
+    return "\"activation_p\" must be in [0, 1] (got " +
+           format_value(activation_p) + ")";
   }
   return std::nullopt;
 }

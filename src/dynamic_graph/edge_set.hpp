@@ -19,7 +19,7 @@ class EdgeSet {
   /// Full set (all edges present).
   [[nodiscard]] static EdgeSet all(std::uint32_t edge_count) {
     EdgeSet s(edge_count);
-    for (std::uint32_t e = 0; e < edge_count; ++e) s.insert(e);
+    s.fill();
     return s;
   }
 
@@ -47,6 +47,10 @@ class EdgeSet {
   /// test edge presence without re-resolving the vector each iteration;
   /// valid until the set is resized or assigned a differently-sized set.
   [[nodiscard]] const std::uint64_t* words() const { return words_.data(); }
+
+  /// Writable words() for in-place row fillers.  Writers must leave the
+  /// bits past edge_count() clear.
+  [[nodiscard]] std::uint64_t* mutable_words() { return words_.data(); }
 
   /// Overwrite this set's bits from a raw word row in the words() layout
   /// ((edge_count + 63) / 64 words; bits past edge_count are masked off).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/isa.hpp"
 #include "common/table.hpp"
 
 namespace pef {
@@ -36,10 +37,106 @@ EdgeSet RecordedSchedule::edges_at(Time t) const {
 
 // ---------------------------------------------------------------------------
 // BernoulliSchedule
+//
+// Evaluated literally, Xoshiro256(derive_seed(seed, e, t)).next_bool(p)
+// costs seven SplitMix64 mixes and a generator step per (edge, round).
+// Three exact identities cut that to two mixes with bit-identical results:
+//   * derive_seed(seed, e, t) is derive_seed_from_key(key_e, t), where
+//     key_e = derive_seed_key(seed, e) depends only on the edge, so the
+//     constructor tabulates one key per edge;
+//   * xoshiro256**'s first output reads only state[1], the second
+//     SplitMix64 output of its seed (xoshiro256_first_output);
+//   * next_bool(p) is an integer compare of the output's top 53 bits
+//     against bernoulli_threshold(p).
+
+namespace {
+
+void bernoulli_words_portable(const std::uint64_t* keys, std::uint32_t n,
+                              Time t, std::uint64_t threshold,
+                              std::uint64_t* words) {
+  for (std::uint32_t base = 0; base < n; base += 64) {
+    const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::uint32_t b = 0; b < bits; ++b) {
+      const std::uint64_t out =
+          xoshiro256_first_output(derive_seed_from_key(keys[base + b], t));
+      word |= std::uint64_t{(out >> 11) < threshold} << b;
+    }
+    words[base >> 6] = word;
+  }
+}
+
+#ifdef PEF_HAS_ISA_WRAPPERS
+// splitmix64_finalize on 8 lanes.
+__attribute__((target(PEF_AVX512_TARGET))) [[gnu::always_inline]] inline
+__m512i splitmix64_finalize_x8(__m512i z) {
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
+      _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
+  z = _mm512_mullo_epi64(
+      _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
+      _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
+  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+// bernoulli_words_portable, 8 edges per step.  Reads whole 8-key chunks
+// (keys are padded) and masks the bits past n off the last word.
+__attribute__((target(PEF_AVX512_TARGET))) void bernoulli_words_avx512(
+    const std::uint64_t* keys, std::uint32_t n, Time t,
+    std::uint64_t threshold, std::uint64_t* words) {
+  const __m512i tb =
+      _mm512_set1_epi64(static_cast<long long>(t * kDeriveSeedB));
+  const __m512i gamma =
+      _mm512_set1_epi64(static_cast<long long>(kSplitMix64Gamma));
+  const __m512i gamma2 =
+      _mm512_set1_epi64(static_cast<long long>(2 * kSplitMix64Gamma));
+  const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
+  for (std::uint32_t base = 0; base < n; base += 64) {
+    const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::uint32_t j = 0; j < bits; j += 8) {
+      const __m512i key = _mm512_loadu_si512(keys + base + j);
+      const __m512i seed = splitmix64_finalize_x8(
+          _mm512_add_epi64(_mm512_xor_si512(key, tb), gamma));
+      const __m512i s1 = splitmix64_finalize_x8(_mm512_add_epi64(seed, gamma2));
+      // rotl(s1 * 5, 7) * 9, the multiplies as shift-and-add.
+      const __m512i x = _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2));
+      const __m512i r = _mm512_rol_epi64(x, 7);
+      const __m512i out = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
+      const __mmask8 hit =
+          _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), limit);
+      word |= std::uint64_t{_cvtmask8_u32(hit)} << j;
+    }
+    words[base >> 6] =
+        bits == 64 ? word : word & ((std::uint64_t{1} << bits) - 1);
+  }
+}
+#endif
+
+void bernoulli_words(const std::uint64_t* keys, std::uint32_t n, Time t,
+                     std::uint64_t threshold, std::uint64_t* words) {
+#ifdef PEF_HAS_ISA_WRAPPERS
+  // AVX2 has no 64-bit multiply, so below AVX-512 the portable body runs.
+  if (active_isa() == IsaTier::kAvx512) {
+    bernoulli_words_avx512(keys, n, t, threshold, words);
+    return;
+  }
+#endif
+  bernoulli_words_portable(keys, n, t, threshold, words);
+}
+
+}  // namespace
 
 BernoulliSchedule::BernoulliSchedule(Ring ring, double p, std::uint64_t seed)
-    : ring_(ring), p_(p), seed_(seed) {
+    : ring_(ring),
+      p_(p),
+      threshold_(0),
+      keys_((ring.edge_count() + 7) / 8 * 8) {
   PEF_CHECK(p >= 0.0 && p <= 1.0);
+  threshold_ = bernoulli_threshold(p);
+  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
+    keys_[e] = derive_seed_key(seed, e);
+  }
 }
 
 EdgeSet BernoulliSchedule::edges_at(Time t) const {
@@ -49,21 +146,12 @@ EdgeSet BernoulliSchedule::edges_at(Time t) const {
 }
 
 void BernoulliSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    // One independent draw per (edge, round); deterministic in (seed, e, t).
-    Xoshiro256 rng(derive_seed(seed_, e, t));
-    if (rng.next_bool(p_)) out.insert(e);
-  }
+  PEF_CHECK(out.edge_count() == ring_.edge_count());
+  edges_into_words(t, out.mutable_words());
 }
 
 void BernoulliSchedule::edges_into_words(Time t, std::uint64_t* words) const {
-  const std::uint32_t count = edge_word_count(ring_.edge_count());
-  for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    Xoshiro256 rng(derive_seed(seed_, e, t));
-    if (rng.next_bool(p_)) words[e >> 6] |= 1ULL << (e & 63);
-  }
+  bernoulli_words(keys_.data(), ring_.edge_count(), t, threshold_, words);
 }
 
 std::string BernoulliSchedule::name() const {

@@ -96,7 +96,9 @@ class RecordedSchedule final : public EdgeSchedule {
 
 class BernoulliSchedule final : public EdgeSchedule {
  public:
-  /// Each edge is present at each round independently with probability `p`.
+  /// Each edge is present at each round independently with probability `p`:
+  /// edge e is present at round t iff
+  /// Xoshiro256(derive_seed(seed, e, t)).next_bool(p).
   BernoulliSchedule(Ring ring, double p, std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
@@ -110,7 +112,14 @@ class BernoulliSchedule final : public EdgeSchedule {
  private:
   Ring ring_;
   double p_;
-  std::uint64_t seed_;
+  // The draw for (e, t) evaluated without a generator: the first output of
+  // Xoshiro256(derive_seed_from_key(keys_[e], t)), shifted right by 11, is
+  // below threshold_ = bernoulli_threshold(p) exactly when next_bool(p)
+  // holds.
+  std::uint64_t threshold_;
+  // derive_seed_key(seed, e) per edge, zero-padded to a multiple of 8 so
+  // the vector body loads whole 8-edge chunks.
+  std::vector<std::uint64_t> keys_;
 };
 
 // ---------------------------------------------------------------------------

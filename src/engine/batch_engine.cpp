@@ -1,74 +1,18 @@
 #include "engine/batch_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#include <immintrin.h>
-#endif
 
 #include "scheduler/async.hpp"
 #include "scheduler/ssync.hpp"
 
 #include "algorithms/kernels.hpp"
 #include "common/check.hpp"
+#include "common/isa.hpp"
 
 namespace pef {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ISA dispatch
-//
-// The hot kernels (row-compare multiplicity, the fused FSYNC pass) are
-// compiled three times — portable, AVX2, AVX-512 — from one always_inline
-// body, and a wrapper picks the widest tier the CPU supports once per
-// process (__builtin_cpu_supports).  Explicit wrappers instead of
-// target_clones because (a) target_clones does not apply to the templated
-// pass, and (b) the PEF_BATCH_ISA escape hatch must reach every kernel:
-// PEF_BATCH_ISA=portable|avx2|avx512 CLAMPS the tier (never raises it past
-// what the CPU has), which is how the differential tests pin every tier to
-// identical results and how CI exercises the dispatch on runners whose ISA
-// is unknown.  All tiers compute the same integer arithmetic, so the tier
-// choice can never change results — only how fast they appear.
-
-enum class BatchIsa : std::uint8_t { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define PEF_BATCH_HAS_ISA_WRAPPERS 1
-// The full Skylake-and-later server subset the kernels want: f/bw/dq/vl
-// covers 512-bit u32 compares, byte-plane blends and 256/128-bit tails.
-#define PEF_BATCH_AVX512_TARGET "avx512f,avx512bw,avx512dq,avx512vl"
-#endif
-
-[[nodiscard]] BatchIsa detect_batch_isa() {
-#ifdef PEF_BATCH_HAS_ISA_WRAPPERS
-  BatchIsa best = BatchIsa::kPortable;
-  if (__builtin_cpu_supports("avx2")) best = BatchIsa::kAvx2;
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    best = BatchIsa::kAvx512;
-  }
-  if (const char* env = std::getenv("PEF_BATCH_ISA")) {
-    BatchIsa cap = best;
-    if (std::strcmp(env, "portable") == 0) cap = BatchIsa::kPortable;
-    if (std::strcmp(env, "avx2") == 0) cap = BatchIsa::kAvx2;
-    if (std::strcmp(env, "avx512") == 0) cap = BatchIsa::kAvx512;
-    if (cap < best) best = cap;  // clamp only — never exceed the hardware
-  }
-  return best;
-#else
-  return BatchIsa::kPortable;
-#endif
-}
-
-[[nodiscard]] BatchIsa active_isa() {
-  static const BatchIsa isa = detect_batch_isa();
-  return isa;
-}
 
 /// The batched form of KernelState: references into the per-field state
 /// planes, structurally compatible with kernel_compute / init_kernel_state.
@@ -203,7 +147,7 @@ template <std::uint32_t WMax>
   }
 }
 
-#ifdef PEF_BATCH_HAS_ISA_WRAPPERS
+#ifdef PEF_HAS_ISA_WRAPPERS
 __attribute__((target("avx2"))) void compute_multiplicity_rows_avx2(
     const NodeId* __restrict node, std::uint8_t* __restrict mult,
     std::uint8_t* __restrict tower, std::uint32_t k, std::uint32_t stride,
@@ -221,7 +165,7 @@ __attribute__((target("avx2"))) void compute_multiplicity_rows_avx2(
 // leaves nothing for the compiler to spill — the autovectorized W=32
 // counting body loses ~4x to stack traffic on exactly this loop.
 template <std::uint32_t KC>
-__attribute__((target(PEF_BATCH_AVX512_TARGET))) [[gnu::always_inline]] inline
+__attribute__((target(PEF_AVX512_TARGET))) [[gnu::always_inline]] inline
 void mult_pairs_chunk_avx512(const NodeId* __restrict node,
                              std::uint8_t* __restrict mult,
                              std::uint8_t* __restrict tower,
@@ -256,7 +200,7 @@ void mult_pairs_chunk_avx512(const NodeId* __restrict node,
 }
 
 template <std::uint32_t KC>
-__attribute__((target(PEF_BATCH_AVX512_TARGET))) void mult_pairs_avx512(
+__attribute__((target(PEF_AVX512_TARGET))) void mult_pairs_avx512(
     const NodeId* __restrict node, std::uint8_t* __restrict mult,
     std::uint8_t* __restrict tower, std::uint32_t stride, std::uint32_t off0,
     std::uint32_t live) {
@@ -273,7 +217,7 @@ __attribute__((target(PEF_BATCH_AVX512_TARGET))) void mult_pairs_avx512(
   }
 }
 
-__attribute__((target(PEF_BATCH_AVX512_TARGET))) void
+__attribute__((target(PEF_AVX512_TARGET))) void
 compute_multiplicity_rows_avx512(const NodeId* __restrict node,
                                  std::uint8_t* __restrict mult,
                                  std::uint8_t* __restrict tower,
@@ -322,17 +266,17 @@ void compute_multiplicity_rows(const NodeId* __restrict node,
                                std::uint8_t* __restrict tower,
                                std::uint32_t k, std::uint32_t stride,
                                std::uint32_t off0, std::uint32_t live) {
-#ifdef PEF_BATCH_HAS_ISA_WRAPPERS
+#ifdef PEF_HAS_ISA_WRAPPERS
   switch (active_isa()) {
-    case BatchIsa::kAvx512:
+    case IsaTier::kAvx512:
       compute_multiplicity_rows_avx512(node, mult, tower, k, stride, off0,
                                        live);
       return;
-    case BatchIsa::kAvx2:
+    case IsaTier::kAvx2:
       compute_multiplicity_rows_avx2(node, mult, tower, k, stride, off0,
                                      live);
       return;
-    case BatchIsa::kPortable:
+    case IsaTier::kPortable:
       break;
   }
 #endif
@@ -507,13 +451,13 @@ template <KernelId Id, bool AllFull>
 // not apply to templates, so the AVX2/AVX-512 wrappers carry plain target
 // attributes (the always_inline body is re-codegenned inside each) and
 // fsync_pass_run picks a wrapper via the shared active_isa() tier.
-#ifdef PEF_BATCH_HAS_ISA_WRAPPERS
+#ifdef PEF_HAS_ISA_WRAPPERS
 template <KernelId Id, bool AllFull>
 __attribute__((target("avx2"))) void fsync_pass_avx2(const FsyncPassArgs& a) {
   fsync_pass_body<Id, AllFull>(a);
 }
 template <KernelId Id, bool AllFull>
-__attribute__((target(PEF_BATCH_AVX512_TARGET))) void fsync_pass_avx512(
+__attribute__((target(PEF_AVX512_TARGET))) void fsync_pass_avx512(
     const FsyncPassArgs& a) {
   fsync_pass_body<Id, AllFull>(a);
 }
@@ -521,15 +465,15 @@ __attribute__((target(PEF_BATCH_AVX512_TARGET))) void fsync_pass_avx512(
 
 template <KernelId Id, bool AllFull>
 void fsync_pass_run(const FsyncPassArgs& a) {
-#ifdef PEF_BATCH_HAS_ISA_WRAPPERS
+#ifdef PEF_HAS_ISA_WRAPPERS
   switch (active_isa()) {
-    case BatchIsa::kAvx512:
+    case IsaTier::kAvx512:
       fsync_pass_avx512<Id, AllFull>(a);
       return;
-    case BatchIsa::kAvx2:
+    case IsaTier::kAvx2:
       fsync_pass_avx2<Id, AllFull>(a);
       return;
-    case BatchIsa::kPortable:
+    case IsaTier::kPortable:
       break;
   }
 #endif

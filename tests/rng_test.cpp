@@ -89,5 +89,57 @@ TEST(RngTest, DeriveSeedDeterministic) {
   EXPECT_NE(derive_seed(9, 1, 2, 3), derive_seed(10, 1, 2, 3));
 }
 
+// Every seeded stream in the repo, and so every golden baseline, hangs off
+// these values: SplitMix64's reference vector, and derive_seed plus the
+// first two Xoshiro256 outputs at corner coordinates.
+TEST(RngTest, StreamsMatchPinnedValues) {
+  SplitMix64 sm(1234567);
+  EXPECT_EQ(sm.next(), 6457827717110365317ULL);
+  EXPECT_EQ(sm.next(), 3203168211198807973ULL);
+  EXPECT_EQ(sm.next(), 9817491932198370423ULL);
+
+  struct Case {
+    std::uint64_t master, a, b, c, seed, first, second;
+  };
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const Case cases[] = {
+      {0, 0, 0, 0, 0x238275bc38fcbe91ULL, 0x8a21cd34a214a917ULL,
+       0x9c507e12243e64d0ULL},
+      {9, 1, 2, 3, 0x5a76a0d90fea5b7cULL, 0x9fab744b399a3074ULL,
+       0x9a1378edab34ff10ULL},
+      {kMax, 63, std::uint64_t{1} << 63, 0, 0x8960cba9f1111a4aULL,
+       0x090d90aa794d4ad5ULL, 0x465fdc62676e4faeULL},
+      {123456789, 1024, kMax, 7, 0x0481fb2caef644d4ULL, 0xe4cefab473d33e47ULL,
+       0x2277bd10d87d8a4cULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(derive_seed(c.master, c.a, c.b, c.c), c.seed);
+    Xoshiro256 rng(c.seed);
+    EXPECT_EQ(xoshiro256_first_output(c.seed), c.first);
+    EXPECT_EQ(rng.next(), c.first);
+    EXPECT_EQ(rng.next(), c.second);
+  }
+}
+
+TEST(RngTest, BernoulliThresholdIsNextBool) {
+  // next_bool(p) tests x * 2^-53 < p for x = next() >> 11.  Check the
+  // integer form on both sides of each threshold, where a floor-for-ceil
+  // slip would show (random draws hit a given x with probability 2^-53).
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  for (const double p : {0.0, 5e-324, 1e-17, 0x1.0p-53, 0.1, 0.3, 0.5, 0.7,
+                         1.0 - 0x1.0p-53, 1.0}) {
+    const std::uint64_t threshold = bernoulli_threshold(p);
+    for (const std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1},
+                                  threshold - 1, threshold, threshold + 1,
+                                  kTop}) {
+      if (x > kTop) continue;
+      const bool by_double = static_cast<double>(x) * 0x1.0p-53 < p;
+      EXPECT_EQ(x < threshold, by_double) << "p=" << p << " x=" << x;
+    }
+  }
+  EXPECT_EQ(bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(bernoulli_threshold(1.0), kTop + 1);
+}
+
 }  // namespace
 }  // namespace pef

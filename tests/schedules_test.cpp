@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dynamic_graph/markov_schedule.hpp"
@@ -94,6 +96,69 @@ TEST(BernoulliScheduleTest, EveryEdgeRecurrent) {
     EXPECT_TRUE(seen_recently);
     EXPECT_GT(last_seen, 1000u) << "edge " << e << " not recurrent";
   }
+}
+
+// The fill evaluates each draw without building a generator (see
+// schedules.cpp).  It must agree bit for bit with the definition,
+// Xoshiro256(derive_seed(seed, e, t)).next_bool(p), through both fill entry
+// points, on the ISA tier this process runs: ctest registers this suite a
+// second time with PEF_BATCH_ISA=portable.
+TEST(BernoulliScheduleTest, FillMatchesTheGeneratorDefinition) {
+  const double ps[] = {0.0, 5e-324, 1e-17, 0.1, 0.3,
+                       0.5, 0.7,    1.0 - 0x1.0p-53, 1.0};
+  const std::uint32_t ns[] = {3, 63, 64, 65, 128, 129, 1024};
+  constexpr Time kTop = ~Time{0};
+  const std::uint64_t seeds[] = {0, 99, kTop};
+  const Time times[] = {0,
+                        1,
+                        2,
+                        (Time{1} << 32) - 1,
+                        Time{1} << 32,
+                        (Time{1} << 32) + 1,
+                        (Time{1} << 63) - 1,
+                        Time{1} << 63,
+                        (Time{1} << 63) + 1,
+                        kTop - 1,
+                        kTop};
+  std::uint64_t draws = 0;
+  for (const std::uint32_t n : ns) {
+    const std::uint32_t word_count = edge_word_count(n);
+    std::vector<std::uint64_t> row(word_count);
+    EdgeSet set(n);
+    for (const double p : ps) {
+      for (const std::uint64_t seed : seeds) {
+        const BernoulliSchedule s(Ring(n), p, seed);
+        for (const Time t : times) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p) +
+                       " seed=" + std::to_string(seed) +
+                       " t=" + std::to_string(t));
+          // Stale bits everywhere: the fill must overwrite, not OR.
+          std::fill(row.begin(), row.end(), ~0ULL);
+          s.edges_into_words(t, row.data());
+          set.fill();
+          s.edges_into(t, set);
+          std::uint32_t mismatches = 0;
+          for (EdgeId e = 0; e < n; ++e) {
+            Xoshiro256 rng(derive_seed(seed, e, t));
+            const bool expected = rng.next_bool(p);
+            const bool in_row = (row[e >> 6] >> (e & 63)) & 1;
+            if (in_row != expected || set.contains(e) != expected) {
+              ++mismatches;
+            }
+          }
+          draws += n;
+          EXPECT_EQ(mismatches, 0u);
+          if (n % 64 != 0) {
+            EXPECT_EQ(row[word_count - 1] >> (n % 64), 0u)
+                << "tail bits past n are set";
+            EXPECT_EQ(set.words()[word_count - 1] >> (n % 64), 0u)
+                << "tail bits past n are set";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(draws, 400000u);
 }
 
 TEST(PeriodicScheduleTest, RespectsPattern) {

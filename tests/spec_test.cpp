@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "orchestrator/ledger.hpp"
@@ -191,6 +193,20 @@ TEST(AdversaryConfigTest, ValidationExplainsWhatIsWrong) {
       AdversaryKind::kPeriodic, {{"period", 3}, {"duty", 5}}));
   ASSERT_TRUE(duty.has_value());
   EXPECT_NE(duty->find("duty"), std::string::npos) << *duty;
+
+  // NaN fails every ordered compare, so a `v < 0 || v > 1` range test
+  // would pass it; the value is named as nan, not as JSON's null.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [kind, name] :
+       {std::pair{AdversaryKind::kBernoulli, "p"},
+        std::pair{AdversaryKind::kMarkov, "p_fail"},
+        std::pair{AdversaryKind::kMarkov, "p_recover"}}) {
+    const auto bad = validate_adversary(adversary_config(kind, {{name, nan}}));
+    ASSERT_TRUE(bad.has_value()) << name;
+    EXPECT_NE(bad->find("\"" + std::string(name) + "\""), std::string::npos)
+        << *bad;
+    EXPECT_NE(bad->find("(got nan)"), std::string::npos) << *bad;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,6 +282,16 @@ TEST(ScenarioSpecTest, BadInputGetsActionableErrors) {
   EXPECT_NE(error.find("fsync"), std::string::npos) << error;
 }
 
+TEST(ScenarioSpecTest, ValidateRefusesNanActivationProbability) {
+  ScenarioSpec spec;
+  spec.model = ExecutionModel::kSsync;
+  spec.activation_p = std::numeric_limits<double>::quiet_NaN();
+  const auto err = spec.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("\"activation_p\""), std::string::npos) << *err;
+  EXPECT_NE(err->find("(got nan)"), std::string::npos) << *err;
+}
+
 TEST(ScenarioSpecTest, RunScenarioExecutesTheSpec) {
   ScenarioSpec spec;
   spec.nodes = 6;
@@ -334,6 +360,16 @@ TEST(SweepSpecTest, BadInputGetsActionableErrors) {
   EXPECT_FALSE(parse_sweep_spec(R"({"max_batc": 4})", &error).has_value());
   EXPECT_NE(error.find("max_batc"), std::string::npos) << error;
   EXPECT_NE(error.find("max_batch"), std::string::npos) << error;
+}
+
+TEST(SweepSpecTest, ValidateRefusesNanActivationProbability) {
+  SweepSpec spec = sample_sweep();
+  ASSERT_FALSE(spec.validate().has_value());
+  spec.activation_p = std::numeric_limits<double>::quiet_NaN();
+  const auto err = spec.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("\"activation_p\""), std::string::npos) << *err;
+  EXPECT_NE(err->find("(got nan)"), std::string::npos) << *err;
 }
 
 TEST(SweepSpecTest, CanonicalJsonIsTheStableCacheKey) {

@@ -29,23 +29,26 @@ TEST(GreedyBlockerTest, RemovesPointedEdges) {
 }
 
 TEST(GreedyBlockerTest, AbsenceBudgetForcesReopening) {
-  // A camping robot keeps pointing at the same edge; after `max_absence`
-  // rounds the blocker must re-present it.
+  // A camping robot keeps pointing at the same edge; the blocker removes it
+  // for exactly `max_absence` rounds, then must re-present it for one.  Two
+  // robots camping on the same edge spend its budget no faster.
   const Ring ring(5);
   const Time budget = 3;
-  GreedyBlockerAdversary blocker(ring, budget);
-  std::vector<RobotSnapshot> snaps(1);
-  snaps[0].node = 2;
-  snaps[0].dir = LocalDirection::kLeft;  // points at edge 1 forever
-  const Configuration gamma(ring, snaps);
-  Time absent_run = 0;
-  for (Time t = 0; t < 50; ++t) {
-    const EdgeSet edges = blocker.choose_edges(t, gamma);
-    if (edges.contains(1)) {
-      absent_run = 0;
-    } else {
-      ++absent_run;
-      EXPECT_LE(absent_run, budget);
+  for (const std::size_t campers : {1u, 2u}) {
+    GreedyBlockerAdversary blocker(ring, budget);
+    std::vector<RobotSnapshot> snaps(campers);
+    snaps[0].node = 2;
+    snaps[0].dir = LocalDirection::kLeft;  // points at edge 1 forever
+    if (campers == 2) {
+      snaps[1].node = 1;
+      snaps[1].dir = LocalDirection::kRight;  // so does this one
+    }
+    const Configuration gamma(ring, snaps);
+    for (Time t = 0; t < 50; ++t) {
+      const EdgeSet edges = blocker.choose_edges(t, gamma);
+      EXPECT_EQ(edges.contains(1), t % (budget + 1) == budget)
+          << "campers=" << campers << " t=" << t;
+      EXPECT_EQ(edges.size(), edges.contains(1) ? 5u : 4u);
     }
   }
 }
