@@ -361,26 +361,33 @@ std::optional<std::string> check_probability(const AdversaryConfig& config,
   return std::nullopt;
 }
 
-std::optional<std::string> check_positive_int(const AdversaryConfig& config,
-                                              const char* name) {
+// The largest value an integer param's destination holds: std::uint32_t
+// for node ids, window widths and periodic patterns; for round counts
+// (Time), 2^53, up to which a double holds every integer exactly.
+constexpr double kMaxU32Param = 4294967295.0;
+constexpr double kMaxTimeParam = 9007199254740992.0;
+
+/// An integer param in [min, max].  Written so that NaN and infinities
+/// fail it.
+std::optional<std::string> check_int(const AdversaryConfig& config,
+                                     const char* name, double min, double max,
+                                     const char* what) {
   const double v = config.param(name);
-  if (v < 1.0 || v != std::floor(v)) {
-    return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
-           "\": param \"" + name + "\" must be a positive integer (got " +
-           format_value(v) + ")";
-  }
-  return std::nullopt;
+  if (v >= min && v <= max && v == std::floor(v)) return std::nullopt;
+  return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
+         "\": param \"" + name + "\" must be a " + what +
+         " integer no greater than " + format_value(max) + " (got " +
+         format_value(v) + ")";
+}
+
+std::optional<std::string> check_positive_int(const AdversaryConfig& config,
+                                              const char* name, double max) {
+  return check_int(config, name, 1.0, max, "positive");
 }
 
 std::optional<std::string> check_nonnegative_int(const AdversaryConfig& config,
-                                                 const char* name) {
-  const double v = config.param(name);
-  if (v < 0.0 || v != std::floor(v)) {
-    return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
-           "\": param \"" + name + "\" must be a non-negative integer (got " +
-           format_value(v) + ")";
-  }
-  return std::nullopt;
+                                                 const char* name, double max) {
+  return check_int(config, name, 0.0, max, "non-negative");
 }
 
 }  // namespace
@@ -394,8 +401,12 @@ std::optional<std::string> validate_adversary(const AdversaryConfig& config) {
     case AdversaryKind::kBernoulli:
       return check_probability(config, "p");
     case AdversaryKind::kPeriodic: {
-      if (auto err = check_positive_int(config, "period")) return err;
-      if (auto err = check_positive_int(config, "duty")) return err;
+      if (auto err = check_positive_int(config, "period", kMaxU32Param)) {
+        return err;
+      }
+      if (auto err = check_positive_int(config, "duty", kMaxU32Param)) {
+        return err;
+      }
       if (config.param("duty") > config.param("period")) {
         return std::string("adversary \"periodic\": \"duty\" must be <= "
                            "\"period\" (an edge cannot be present more than "
@@ -404,25 +415,34 @@ std::optional<std::string> validate_adversary(const AdversaryConfig& config) {
       return std::nullopt;
     }
     case AdversaryKind::kTInterval:
-      return check_positive_int(config, "interval");
+      return check_positive_int(config, "interval", kMaxTimeParam);
     case AdversaryKind::kBoundedAbsence: {
-      if (auto err = check_positive_int(config, "max_absence")) return err;
-      return check_positive_int(config, "max_presence");
+      if (auto err =
+              check_positive_int(config, "max_absence", kMaxTimeParam)) {
+        return err;
+      }
+      return check_positive_int(config, "max_presence", kMaxTimeParam);
     }
     case AdversaryKind::kMarkov: {
       if (auto err = check_probability(config, "p_fail")) return err;
       return check_probability(config, "p_recover");
     }
     case AdversaryKind::kGreedyBlocker:
-      return check_positive_int(config, "max_absence");
+      return check_positive_int(config, "max_absence", kMaxTimeParam);
     case AdversaryKind::kCage: {
-      if (auto err = check_nonnegative_int(config, "anchor")) return err;
-      return check_nonnegative_int(config, "width");
+      if (auto err = check_nonnegative_int(config, "anchor", kMaxU32Param)) {
+        return err;
+      }
+      return check_nonnegative_int(config, "width", kMaxU32Param);
     }
     case AdversaryKind::kProof: {
-      if (auto err = check_nonnegative_int(config, "anchor")) return err;
-      if (auto err = check_nonnegative_int(config, "width")) return err;
-      return check_positive_int(config, "patience");
+      if (auto err = check_nonnegative_int(config, "anchor", kMaxU32Param)) {
+        return err;
+      }
+      if (auto err = check_nonnegative_int(config, "width", kMaxU32Param)) {
+        return err;
+      }
+      return check_positive_int(config, "patience", kMaxTimeParam);
     }
   }
   return "unknown adversary kind";
@@ -847,6 +867,15 @@ std::optional<std::string> SweepSpec::validate() const {
   if (horizon == 0 && horizon_per_node == 0) {
     return std::string(
         "one of \"horizon\" / \"horizon_per_node\" must be nonzero");
+  }
+  if (horizon == 0) {
+    for (const std::uint32_t n : ring_sizes) {
+      if (n != 0 && horizon_per_node > kTimeInfinity / n) {
+        return "\"horizon_per_node\" (" + std::to_string(horizon_per_node) +
+               ") times ring size " + std::to_string(n) +
+               " overflows a 64-bit round count";
+      }
+    }
   }
   if (!is_probability(activation_p)) {
     return "\"activation_p\" must be in [0, 1] (got " +

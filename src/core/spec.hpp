@@ -235,7 +235,7 @@ struct SweepSpec {
   double activation_p = 0.5;
 
   /// Horizon of one run: `horizon` rounds when nonzero, else
-  /// `horizon_per_node * n`.
+  /// `horizon_per_node * n` (validate() refuses a product that overflows).
   Time horizon = 0;
   Time horizon_per_node = 200;
 

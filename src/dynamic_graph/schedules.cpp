@@ -163,16 +163,24 @@ std::string BernoulliSchedule::name() const {
 
 PeriodicSchedule::PeriodicSchedule(Ring ring,
                                    std::vector<EdgePattern> patterns)
-    : ring_(ring), patterns_(std::move(patterns)) {
+    : ring_(ring), patterns_(std::move(patterns)), period_(1) {
   PEF_CHECK(patterns_.size() == ring_.edge_count());
   for (const EdgePattern& p : patterns_) {
     PEF_CHECK(p.period > 0);
     PEF_CHECK(p.duty <= p.period);
+    period_ = combine_recurrence_periods(period_, p.period);
+  }
+  if (period_ == 0 || period_ > kMaxTabulatedRows) return;
+  const std::uint32_t count = edge_word_count(ring_.edge_count());
+  rows_.resize(static_cast<std::size_t>(period_) * count);
+  for (Time r = 0; r < period_; ++r) {
+    literal_words(r, rows_.data() + r * count);
   }
 }
 
 PeriodicSchedule PeriodicSchedule::rotating(Ring ring, std::uint32_t period,
                                             std::uint32_t duty) {
+  PEF_CHECK(period > 0);
   std::vector<EdgePattern> patterns(ring.edge_count());
   for (EdgeId e = 0; e < ring.edge_count(); ++e) {
     patterns[e] = EdgePattern{period, duty, e % period};
@@ -187,14 +195,21 @@ EdgeSet PeriodicSchedule::edges_at(Time t) const {
 }
 
 void PeriodicSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    const EdgePattern& p = patterns_[e];
-    if ((t + p.phase) % p.period < p.duty) out.insert(e);
-  }
+  PEF_CHECK(out.edge_count() == ring_.edge_count());
+  edges_into_words(t, out.mutable_words());
 }
 
 void PeriodicSchedule::edges_into_words(Time t, std::uint64_t* words) const {
+  if (rows_.empty()) {
+    literal_words(t, words);
+    return;
+  }
+  // Every edge period divides P, so t and t mod P agree on every pattern.
+  const std::uint32_t count = edge_word_count(ring_.edge_count());
+  std::copy_n(rows_.data() + (t % period_) * count, count, words);
+}
+
+void PeriodicSchedule::literal_words(Time t, std::uint64_t* words) const {
   const std::uint32_t count = edge_word_count(ring_.edge_count());
   for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;
   for (EdgeId e = 0; e < ring_.edge_count(); ++e) {

@@ -145,18 +145,26 @@ class PeriodicSchedule final : public EdgeSchedule {
   void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
-    Time period = 1;
-    for (const EdgePattern& pattern : patterns_) {
-      period = combine_recurrence_periods(period, pattern.period);
-      if (period == 0) break;  // lcm overflowed: report unknown
-    }
-    return {period, Time{0}};
+    return {period_, Time{0}};
   }
   [[nodiscard]] std::string name() const override { return "periodic"; }
 
  private:
+  /// Edge rows are tabulated only for P <= kMaxTabulatedRows: at most 64
+  /// rows of ceil(n / 64) words keeps the table within 8 bytes per node,
+  /// the size of one lane's visit row.
+  static constexpr Time kMaxTabulatedRows = 64;
+
+  /// The definition, (t + phase) % period < duty per edge.
+  void literal_words(Time t, std::uint64_t* words) const;
+
   Ring ring_;
   std::vector<EdgePattern> patterns_;
+  // P, the lcm of the edge periods (0 if it overflows): E_{t + P} == E_t.
+  Time period_;
+  // literal_words(r) for r in [0, P), one ceil(n / 64)-word row each, so
+  // E_t is row t mod P.  Empty when P is 0 or above kMaxTabulatedRows.
+  std::vector<std::uint64_t> rows_;
 };
 
 // ---------------------------------------------------------------------------

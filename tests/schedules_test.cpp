@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamic_graph/markov_schedule.hpp"
@@ -186,6 +187,119 @@ TEST(PeriodicScheduleTest, RotatingKeepsMostEdges) {
     // duty/period = 2/3 of edges present on average; at least some present.
     EXPECT_GE(s.edges_at(t).size(), 2u);
   }
+}
+
+// The fill copies row t mod P of a table built in the constructor when the
+// recurrence period P (the lcm of the edge periods) is at most 64, and
+// evaluates each edge otherwise.  Both paths must agree bit for bit with
+// the definition, (t + phase) % period < duty, through both fill entry
+// points.  The definition's t + phase wraps only for t within 2^32 of 2^64
+// (phase < 2^32), where it and the table part ways; no engine reaches such
+// a round, so the times below stop at 2^64 - 2^32.
+TEST(PeriodicScheduleTest, FillMatchesTheDefinition) {
+  using Pattern = PeriodicSchedule::EdgePattern;
+  struct Case {
+    std::string label;
+    std::vector<Pattern> patterns;
+    PeriodicSchedule schedule;
+    Time lcm;  // the expected recurrence period
+  };
+  constexpr Time kTop = ~Time{0};
+  constexpr Time kBig = Time{1} << 32;
+  constexpr Time kLast = kTop - kBig;  // the latest round checked
+  std::uint64_t checks = 0;
+  for (const std::uint32_t n : {3u, 63u, 64u, 65u, 129u, 1024u}) {
+    const Ring ring(n);
+    std::vector<Case> cases;
+    // rotating(): one period P for every edge, phase e mod P.  P = 65 is
+    // above the row cap.
+    for (const std::uint32_t period : {1u, 2u, 5u, 64u, 65u}) {
+      for (const std::uint32_t duty : {0u, (period + 1) / 2, period}) {
+        std::vector<Pattern> patterns(n);
+        for (EdgeId e = 0; e < n; ++e) patterns[e] = {period, duty, e % period};
+        cases.push_back({"rotating(" + std::to_string(period) + "," +
+                             std::to_string(duty) + ")",
+                         std::move(patterns),
+                         PeriodicSchedule::rotating(ring, period, duty),
+                         period});
+      }
+    }
+    // Mixed per-edge periods, phases past the period, duties 0, == period
+    // and in between.  The lcms: 24 (4 when n = 3, tabulated), 1001 (above
+    // the cap), and one that overflows 64 bits, which recurrence() reports
+    // as 0.
+    const std::pair<std::vector<std::uint32_t>, Time> period_sets[] = {
+        {{4, 2, 1, 8, 3}, n == 3 ? Time{4} : Time{24}},
+        {{7, 11, 13}, 1001},
+        {{4294967291u, 4294967279u, 4294967231u}, 0}};
+    for (const auto& [periods, lcm] : period_sets) {
+      std::vector<Pattern> patterns(n);
+      for (EdgeId e = 0; e < n; ++e) {
+        const std::uint32_t period = periods[e % periods.size()];
+        const std::uint32_t duty =
+            e % 5 == 0 ? 0 : e % 5 == 1 ? period : (e * 3) % (period + 1);
+        const auto phase =
+            static_cast<std::uint32_t>(Time{e} * 2654435761u % kBig);
+        patterns[e] = {period, duty, phase};
+      }
+      PeriodicSchedule schedule(ring, patterns);
+      cases.push_back({"mixed(" + std::to_string(periods.front()) + ",...)",
+                       std::move(patterns), std::move(schedule), lcm});
+    }
+
+    const std::uint32_t word_count = edge_word_count(n);
+    std::vector<std::uint64_t> row(word_count);
+    EdgeSet set(n);
+    for (const Case& c : cases) {
+      EXPECT_EQ(c.schedule.recurrence().period, c.lcm) << c.label;
+      EXPECT_EQ(c.schedule.recurrence().start, Time{0}) << c.label;
+
+      std::vector<Time> times = {0,
+                                 1,
+                                 2,
+                                 kBig - 1,
+                                 kBig,
+                                 kBig + 1,
+                                 (Time{1} << 63) - 1,
+                                 Time{1} << 63,
+                                 (Time{1} << 63) + 1,
+                                 kLast};
+      // Around multiples of the first edge's period and of the lcm.
+      for (const Time p : {Time{c.patterns.front().period}, c.lcm}) {
+        if (p == 0) continue;
+        for (const Time m : {Time{1}, Time{2}, Time{1000},
+                             (Time{1} << 63) / p, kLast / p}) {
+          times.insert(times.end(), {m * p - 1, m * p});
+          if (m * p < kLast) times.push_back(m * p + 1);
+        }
+      }
+      for (const Time t : times) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " " + c.label +
+                     " t=" + std::to_string(t));
+        // Stale bits everywhere: the fill must overwrite, not OR.
+        std::fill(row.begin(), row.end(), ~0ULL);
+        c.schedule.edges_into_words(t, row.data());
+        set.fill();
+        c.schedule.edges_into(t, set);
+        std::uint32_t mismatches = 0;
+        for (EdgeId e = 0; e < n; ++e) {
+          const Pattern& p = c.patterns[e];
+          const bool expected = (t + p.phase) % p.period < p.duty;
+          const bool in_row = (row[e >> 6] >> (e & 63)) & 1;
+          if (in_row != expected || set.contains(e) != expected) ++mismatches;
+        }
+        checks += n;
+        EXPECT_EQ(mismatches, 0u);
+        if (n % 64 != 0) {
+          EXPECT_EQ(row[word_count - 1] >> (n % 64), 0u)
+              << "tail bits past n are set";
+          EXPECT_EQ(set.words()[word_count - 1] >> (n % 64), 0u)
+              << "tail bits past n are set";
+        }
+      }
+    }
+  }
+  EXPECT_GT(checks, 900000u);
 }
 
 TEST(TIntervalScheduleTest, AtMostOneEdgeMissing) {

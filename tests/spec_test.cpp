@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/experiment.hpp"
@@ -207,6 +208,50 @@ TEST(AdversaryConfigTest, ValidationExplainsWhatIsWrong) {
         << *bad;
     EXPECT_NE(bad->find("(got nan)"), std::string::npos) << *bad;
   }
+
+  // Integer params must fit their destination: std::uint32_t for periodic
+  // patterns, node ids and widths, 2^53 for round counts.  A period of 2^32
+  // would narrow to 0, and 2^32 + 5 to 5.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [kind, name, value, got] :
+       {std::tuple{AdversaryKind::kPeriodic, "period", 4294967296.0,
+                   "(got 4294967296)"},
+        std::tuple{AdversaryKind::kPeriodic, "period", 4294967301.0,
+                   "(got 4294967301)"},
+        std::tuple{AdversaryKind::kPeriodic, "period", inf, "(got inf)"},
+        std::tuple{AdversaryKind::kPeriodic, "duty", 4294967296.0,
+                   "(got 4294967296)"},
+        std::tuple{AdversaryKind::kCage, "anchor", 4294967296.0,
+                   "(got 4294967296)"},
+        std::tuple{AdversaryKind::kProof, "width", 4294967296.0,
+                   "(got 4294967296)"},
+        std::tuple{AdversaryKind::kTInterval, "interval", 1e300,
+                   "(got 1e+300)"},
+        std::tuple{AdversaryKind::kTInterval, "interval", 9007199254740994.0,
+                   "(got 9007199254740994)"},
+        std::tuple{AdversaryKind::kBoundedAbsence, "max_presence", inf,
+                   "(got inf)"},
+        std::tuple{AdversaryKind::kGreedyBlocker, "max_absence", -inf,
+                   "(got -inf)"},
+        std::tuple{AdversaryKind::kProof, "patience", 1e19,
+                   "(got 1e+19)"}}) {
+    const auto bad =
+        validate_adversary(adversary_config(kind, {{name, value}}));
+    ASSERT_TRUE(bad.has_value()) << name << " = " << value;
+    EXPECT_NE(bad->find("\"" + std::string(name) + "\""), std::string::npos)
+        << *bad;
+    EXPECT_NE(bad->find(got), std::string::npos) << *bad;
+  }
+  // The largest value each destination holds is still accepted.
+  EXPECT_FALSE(validate_adversary(
+                   adversary_config(AdversaryKind::kPeriodic,
+                                    {{"period", 4294967295.0},
+                                     {"duty", 4294967295.0}}))
+                   .has_value());
+  EXPECT_FALSE(validate_adversary(
+                   adversary_config(AdversaryKind::kTInterval,
+                                    {{"interval", 9007199254740992.0}}))
+                   .has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -292,6 +337,24 @@ TEST(ScenarioSpecTest, ValidateRefusesNanActivationProbability) {
   EXPECT_NE(err->find("(got nan)"), std::string::npos) << *err;
 }
 
+TEST(ScenarioSpecTest, ValidateRefusesAPeriodTooLargeForItsPattern) {
+  std::string error;
+  EXPECT_FALSE(parse_scenario_spec(
+                   R"({"adversary": {"kind": "periodic",)"
+                   R"( "params": {"period": 4294967296, "duty": 3}}})",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("\"period\""), std::string::npos) << error;
+  EXPECT_NE(error.find("(got 4294967296)"), std::string::npos) << error;
+
+  ScenarioSpec spec;
+  spec.adversary = adversary_config(AdversaryKind::kPeriodic,
+                                    {{"period", 4294967301.0}, {"duty", 3}});
+  const auto err = spec.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("(got 4294967301)"), std::string::npos) << *err;
+}
+
 TEST(ScenarioSpecTest, RunScenarioExecutesTheSpec) {
   ScenarioSpec spec;
   spec.nodes = 6;
@@ -370,6 +433,52 @@ TEST(SweepSpecTest, ValidateRefusesNanActivationProbability) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("\"activation_p\""), std::string::npos) << *err;
   EXPECT_NE(err->find("(got nan)"), std::string::npos) << *err;
+}
+
+TEST(SweepSpecTest, ValidateRefusesAnIntervalNoRoundCountHolds) {
+  SweepSpec spec = sample_sweep();
+  spec.adversaries.push_back(
+      adversary_config(AdversaryKind::kTInterval, {{"interval", 1e300}}));
+  const auto err = spec.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("\"interval\""), std::string::npos) << *err;
+  EXPECT_NE(err->find("(got 1e+300)"), std::string::npos) << *err;
+}
+
+TEST(SweepSpecTest, ValidateRefusesAHorizonPerNodeProductThatOverflows) {
+  // 2^62 rounds per node times n = 4 wraps to a zero horizon.
+  SweepSpec spec = sample_sweep();
+  spec.horizon = 0;
+  spec.horizon_per_node = Time{1} << 62;
+  spec.ring_sizes = {4};
+  auto err = spec.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("\"horizon_per_node\""), std::string::npos) << *err;
+  EXPECT_NE(err->find("4611686018427387904"), std::string::npos) << *err;
+  EXPECT_NE(err->find("ring size 4"), std::string::npos) << *err;
+
+  // Every listed ring size counts, not only the first; the largest
+  // product that fits is accepted.
+  spec.ring_sizes = {3, 4};
+  spec.horizon_per_node = kTimeInfinity / 4 + 1;
+  EXPECT_TRUE(spec.validate().has_value());
+  spec.horizon_per_node = kTimeInfinity / 4;
+  EXPECT_FALSE(spec.validate().has_value());
+  // A fixed horizon never multiplies.
+  spec.horizon = 400;
+  spec.horizon_per_node = kTimeInfinity;
+  EXPECT_FALSE(spec.validate().has_value());
+
+  std::string error;
+  EXPECT_FALSE(
+      parse_sweep_spec(R"({"algorithms": ["pef3+"], "adversaries":)"
+                       R"( [{"kind": "static", "params": {}}],)"
+                       R"( "ring_sizes": [4], "robot_counts": [3],)"
+                       R"( "seeds": [1], "horizon": 0,)"
+                       R"( "horizon_per_node": 4611686018427387904})",
+                       &error)
+          .has_value());
+  EXPECT_NE(error.find("overflows"), std::string::npos) << error;
 }
 
 TEST(SweepSpecTest, CanonicalJsonIsTheStableCacheKey) {

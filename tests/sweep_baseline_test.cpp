@@ -6,7 +6,7 @@
 //
 // To regenerate after an *intentional* change:
 //   PEF_UPDATE_BASELINES=1 build/sweep_baseline_test
-// then review and commit the diff of tests/baselines/sweep_small.json.
+// then review and commit the diff of the tests/baselines/*.json files.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/spec.hpp"
 #include "engine/sweep_runner.hpp"
 
 namespace pef {
@@ -49,6 +50,22 @@ SweepSpec chain_grid() {
   SweepSpec spec = baseline_grid();
   spec.topology = Topology::kChain;
   return spec;
+}
+
+/// examples/specs/sweep_longhorizon.json: the one checked-in spec with
+/// periodic cells.  All 32 of its cells fast-forward through a cycle, so
+/// its golden file pins the periodic edge fill and the cycle layer's
+/// rounds_simulated / rounds_covered together.
+SweepSpec longhorizon_grid() {
+  std::ifstream in(std::string(PEF_SPEC_DIR) + "/sweep_longhorizon.json",
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing examples/specs/sweep_longhorizon.json";
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  const auto spec = parse_sweep_spec(text.str(), &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  return spec.value_or(SweepSpec{});
 }
 
 std::string baseline_path(const std::string& name) {
@@ -89,6 +106,10 @@ TEST(SweepBaselineTest, GridMatchesGoldenJson) {
 
 TEST(SweepBaselineTest, ChainGridMatchesGoldenJson) {
   expect_matches_golden(chain_grid(), "sweep_chain_small.json");
+}
+
+TEST(SweepBaselineTest, LongHorizonGridMatchesGoldenJson) {
+  expect_matches_golden(longhorizon_grid(), "sweep_longhorizon.json");
 }
 
 TEST(SweepBaselineTest, ChainGridDiffersFromRingGrid) {
