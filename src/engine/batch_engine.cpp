@@ -1,7 +1,9 @@
 #include "engine/batch_engine.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "scheduler/async.hpp"
@@ -329,6 +331,10 @@ struct FsyncPassArgs {
   const std::uint64_t* edges = nullptr;
   std::uint32_t ewpr = 0;
   std::uint64_t* moves = nullptr;
+  /// Masked passes only: the robot-major activation word plane (bit l & 63
+  /// of word robot * lw + l / 64 = "robot acts in lane l").
+  const std::uint64_t* mask = nullptr;
+  std::uint32_t lw = 0;
 };
 
 /// With every edge present, a kernel's Compute collapses: the edge tests
@@ -345,14 +351,66 @@ inline constexpr bool kAllFullBranchless =
     Id == KernelId::kPef3Plus || Id == KernelId::kPef3PlusNoRule2 ||
     Id == KernelId::kPef3PlusNoRule3;
 
+/// One robot row of the branchless AllFull body, lanes [lo, hi).
+/// LocalDirection is {0, 1} with opposite == XOR 1, so "turn iff P" is
+/// dir ^= P for a 0/1 byte P, and the keep/bounce/pef1/pef2 rules reduce
+/// to no Compute at all (their turn conditions need an absent edge).  Move
+/// is one modular step whose direction is a byte compare.  Masked: only
+/// the lanes whose bit is set in `act` (the one activation word covering
+/// [lo, hi), loaded by the caller) Compute and Move; the others keep their
+/// state.  Loading the word outside the lane loop is what lets both loops
+/// vectorize.
+template <KernelId Id, bool Masked>
+[[gnu::always_inline]] inline void all_full_row(
+    std::uint8_t* __restrict d, const std::uint8_t* __restrict m,
+    std::uint8_t* __restrict hm, const std::uint8_t* __restrict c,
+    NodeId* __restrict nd, std::uint32_t n, std::uint32_t lo,
+    std::uint32_t hi, std::uint64_t act) {
+  const auto acts = [act](std::uint32_t l) -> std::uint8_t {
+    if constexpr (Masked) {
+      return static_cast<std::uint8_t>((act >> (l & 63)) & 1);
+    } else {
+      return 1;
+    }
+  };
+  if constexpr (Id == KernelId::kPef3Plus) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      const std::uint8_t on = acts(l);
+      d[l] ^= static_cast<std::uint8_t>(hm[l] & m[l] & on);
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
+    }
+  } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      const std::uint8_t on = acts(l);
+      d[l] ^= static_cast<std::uint8_t>(m[l] & on);
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
+    }
+  } else if constexpr (Id == KernelId::kPef3PlusNoRule3) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | acts(l)) : 1;
+    }
+  }
+  for (std::uint32_t l = lo; l < hi; ++l) {
+    const NodeId u = nd[l];
+    const NodeId up = u + 1 == n ? 0 : u + 1;
+    const NodeId dn = u == 0 ? n - 1 : u - 1;
+    const NodeId to = d[l] == c[l] ? up : dn;
+    nd[l] = acts(l) != 0 ? to : u;
+  }
+}
+
 // ONE fused Look+Compute+Move pass, replica-stride inner loop.  Fusing is
 // sound because every Look input is frozen for the round: E_t and the
 // multiplicity plane never change mid-round, and a robot's Move only
 // writes its own node-plane slot.  In the AllFull instantiation the body
 // is pure contiguous plane arithmetic — no gathers, no branches — which
-// is exactly what the replica axis was laid out for.
-template <KernelId Id, bool AllFull>
+// is exactly what the replica axis was laid out for.  Masked is the SSYNC
+// form of the branchless AllFull body: the same rows under the
+// activation words.
+template <KernelId Id, bool AllFull, bool Masked>
 [[gnu::always_inline]] inline void fsync_pass_body(const FsyncPassArgs& a) {
+  static_assert(!Masked || (AllFull && kAllFullBranchless<Id>),
+                "only the branchless AllFull body runs under a mask");
   const std::uint32_t l0 = a.l0;
   const std::uint32_t l1 = a.l1;
   const std::uint32_t n = a.n;
@@ -368,40 +426,44 @@ template <KernelId Id, bool AllFull>
   const std::uint32_t ewpr = a.ewpr;
 
   if constexpr (AllFull && kAllFullBranchless<Id>) {
-    // Branchless form (see kAllFullBranchless).  LocalDirection is {0, 1}
-    // with opposite == XOR 1, so "turn iff P" is dir ^= P for a 0/1 byte
-    // P, and the keep/bounce/pef1/pef2 rules reduce to no Compute at all
-    // (their turn conditions need an absent edge).  Move is one modular
-    // step whose direction is a byte compare — the whole robot row is two
-    // vectorizable loops over contiguous plane rows.
+    // Branchless form (see kAllFullBranchless and all_full_row): each
+    // robot row is two vectorizable loops over contiguous plane rows, run
+    // once per activation word when Masked.
     for (std::uint32_t i = 0; i < a.k; ++i) {
       const std::size_t base = std::size_t{i} * a.stride;
-      std::uint8_t* const __restrict d = dir + base;
-      const std::uint8_t* const __restrict m = mult + base;
-      std::uint8_t* const __restrict hm = khas_moved + base;
-      const std::uint8_t* const __restrict c = cw + base;
-      NodeId* const __restrict nd = node + base;
-      if constexpr (Id == KernelId::kPef3Plus) {
-        for (std::uint32_t l = l0; l < l1; ++l) {
-          d[l] ^= static_cast<std::uint8_t>(hm[l] & m[l]);
-          hm[l] = 1;
+      std::uint8_t* const d = dir + base;
+      const std::uint8_t* const m = mult + base;
+      std::uint8_t* const hm = khas_moved + base;
+      const std::uint8_t* const c = cw + base;
+      NodeId* const nd = node + base;
+      if constexpr (Masked) {
+        const std::uint64_t* const act = a.mask + std::size_t{i} * a.lw;
+        for (std::uint32_t lo = l0; lo < l1;) {
+          const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
+          all_full_row<Id, true>(d, m, hm, c, nd, n, lo, hi, act[lo >> 6]);
+          lo = hi;
         }
-      } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
-        for (std::uint32_t l = l0; l < l1; ++l) {
-          d[l] ^= m[l];
-          hm[l] = 1;
-        }
-      } else if constexpr (Id == KernelId::kPef3PlusNoRule3) {
-        for (std::uint32_t l = l0; l < l1; ++l) hm[l] = 1;
-      }
-      for (std::uint32_t l = l0; l < l1; ++l) {
-        const NodeId u = nd[l];
-        const NodeId up = u + 1 == n ? 0 : u + 1;
-        const NodeId dn = u == 0 ? n - 1 : u - 1;
-        nd[l] = d[l] == c[l] ? up : dn;
+      } else {
+        all_full_row<Id, false>(d, m, hm, c, nd, n, l0, l1, 0);
       }
     }
-    for (std::uint32_t l = l0; l < l1; ++l) a.moves[l] += a.k;
+    // With every edge present, every acting robot moved: k per lane, or
+    // the lane's activation count under a mask.
+    if constexpr (Masked) {
+      for (std::uint32_t i = 0; i < a.k; ++i) {
+        const std::uint64_t* const act = a.mask + std::size_t{i} * a.lw;
+        for (std::uint32_t lo = l0; lo < l1;) {
+          const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
+          const std::uint64_t word = act[lo >> 6];
+          for (std::uint32_t l = lo; l < hi; ++l) {
+            a.moves[l] += (word >> (l & 63)) & 1;
+          }
+          lo = hi;
+        }
+      }
+    } else {
+      for (std::uint32_t l = l0; l < l1; ++l) a.moves[l] += a.k;
+    }
     return;
   }
 
@@ -452,33 +514,167 @@ template <KernelId Id, bool AllFull>
 // attributes (the always_inline body is re-codegenned inside each) and
 // fsync_pass_run picks a wrapper via the shared active_isa() tier.
 #ifdef PEF_HAS_ISA_WRAPPERS
-template <KernelId Id, bool AllFull>
+template <KernelId Id, bool AllFull, bool Masked>
 __attribute__((target("avx2"))) void fsync_pass_avx2(const FsyncPassArgs& a) {
-  fsync_pass_body<Id, AllFull>(a);
+  fsync_pass_body<Id, AllFull, Masked>(a);
 }
-template <KernelId Id, bool AllFull>
+template <KernelId Id, bool AllFull, bool Masked>
 __attribute__((target(PEF_AVX512_TARGET))) void fsync_pass_avx512(
     const FsyncPassArgs& a) {
-  fsync_pass_body<Id, AllFull>(a);
+  fsync_pass_body<Id, AllFull, Masked>(a);
 }
 #endif
 
-template <KernelId Id, bool AllFull>
+template <KernelId Id, bool AllFull, bool Masked>
 void fsync_pass_run(const FsyncPassArgs& a) {
 #ifdef PEF_HAS_ISA_WRAPPERS
   switch (active_isa()) {
     case IsaTier::kAvx512:
-      fsync_pass_avx512<Id, AllFull>(a);
+      fsync_pass_avx512<Id, AllFull, Masked>(a);
       return;
     case IsaTier::kAvx2:
-      fsync_pass_avx2<Id, AllFull>(a);
+      fsync_pass_avx2<Id, AllFull, Masked>(a);
       return;
     case IsaTier::kPortable:
       break;
   }
 #endif
-  fsync_pass_body<Id, AllFull>(a);
+  fsync_pass_body<Id, AllFull, Masked>(a);
 }
+
+/// The Bernoulli activation draw: (next() >> 11) < threshold is
+/// next_bool(p) (see bernoulli_threshold), and the clamp keeps p outside
+/// [0, 1] (or NaN) on the same side of every draw as next_bool.
+[[nodiscard]] std::uint64_t activation_threshold(double p) {
+  return p > 0 ? bernoulli_threshold(std::min(p, 1.0)) : 0;
+}
+
+[[gnu::always_inline]] inline bool bernoulli_draw(Xoshiro256& rng,
+                                                  std::uint64_t threshold) {
+  return (rng.next() >> 11) < threshold;
+}
+
+#ifdef PEF_HAS_ISA_WRAPPERS
+// The visit-cell update of observe_boundary, 8 lanes per step, robots in
+// index order: robot i gathers the {count, last} cells (one u64 each,
+// count in the low half) of lanes [l, l + 8) at (lane, node of i), updates
+// them and scatters them back.  Each lane has its own row, so a scatter
+// never conflicts with itself; robot i + 1's gather sees robot i's
+// scatter, so robots sharing a node keep the serial order (the second one
+// reads gap 0).  Gap maxima go straight into max_gap; first visits are
+// counted into fresh (zeroed here) for the caller to fold into the stats.
+__attribute__((target(PEF_AVX512_TARGET))) void visit_cells_avx512(
+    const NodeId* node, std::uint32_t stride, std::uint32_t k,
+    std::uint32_t n, std::uint64_t* cells, Time* max_gap,
+    std::uint32_t* fresh, std::uint32_t l0, std::uint32_t l1, Time t) {
+  const auto n64 = static_cast<long long>(n);
+  const __m512i lane_rows = _mm512_set_epi64(7 * n64, 6 * n64, 5 * n64,
+                                             4 * n64, 3 * n64, 2 * n64, n64, 0);
+  const __m512i now = _mm512_set1_epi64(static_cast<long long>(t));
+  const __m512i stamp = _mm512_set1_epi64(static_cast<long long>(
+      std::uint64_t{static_cast<std::uint32_t>(t)} << 32));
+  const __m512i low = _mm512_set1_epi64(0xffffffffLL);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m256i one32 = _mm256_set1_epi32(1);
+  std::fill(fresh + l0, fresh + l1, 0u);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const NodeId* const row = node + std::size_t{i} * stride;
+    for (std::uint32_t l = l0; l < l1; l += 8) {
+      const auto live = static_cast<__mmask8>(
+          l1 - l >= 8 ? 0xffu : (1u << (l1 - l)) - 1u);
+      const __m512i at = _mm512_add_epi64(
+          lane_rows,
+          _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(live, row + l)));
+      std::uint64_t* const base = cells + std::size_t{l} * n;
+      const __m512i cell = _mm512_mask_i64gather_epi64(
+          _mm512_setzero_si512(), live, at, base, 8);
+      const __m512i count = _mm512_and_si512(cell, low);
+      const __mmask8 seen = _mm512_mask_test_epi64_mask(live, count, count);
+      const __m512i gap =
+          _mm512_maskz_sub_epi64(seen, now, _mm512_srli_epi64(cell, 32));
+      _mm512_mask_storeu_epi64(
+          max_gap + l, live,
+          _mm512_max_epu64(_mm512_maskz_loadu_epi64(live, max_gap + l), gap));
+      const __m256i f = _mm256_maskz_loadu_epi32(live, fresh + l);
+      _mm256_mask_storeu_epi32(
+          fresh + l, live,
+          _mm256_mask_add_epi32(f, static_cast<__mmask8>(live & ~seen), f,
+                                one32));
+      // count wraps in 32 bits like the scalar cell: mask the increment
+      // before stamping `last` into the high half.
+      const __m512i next = _mm512_or_si512(
+          _mm512_and_si512(_mm512_add_epi64(count, one), low), stamp);
+      _mm512_mask_i64scatter_epi64(base, live, at, next, 8);
+    }
+  }
+}
+
+// The Bernoulli activation fill of 8 consecutive lanes: each zmm lane
+// steps one lane's xoshiro256** stream, so every lane draws exactly its
+// scalar stream, robot by robot.  `rng` holds the 8 generators
+// (array-of-structs, transposed into 4 state registers and back);
+// `threshold` the 8 draw thresholds; `words` robot 0's mask word holding
+// the lanes, whose bits start at `shift` (a multiple of 8).  Returns the
+// lanes that drew no robot: the caller runs their next_below(k) fallback
+// on the advanced streams.
+__attribute__((target(PEF_AVX512_TARGET))) std::uint32_t
+bernoulli_masks_x8_avx512(Xoshiro256* rng, const std::uint64_t* threshold,
+                          std::uint32_t k, std::uint64_t* words,
+                          std::uint32_t lw, std::uint32_t shift) {
+  static_assert(sizeof(Xoshiro256) == 4 * sizeof(std::uint64_t) &&
+                    std::is_standard_layout_v<Xoshiro256>,
+                "a generator is its four state words");
+  auto* const raw = reinterpret_cast<std::uint64_t*>(rng);
+  // Lanes 2j and 2j + 1 share a row; pairing two rows by these indices
+  // yields words {0, 1} (lo) or {2, 3} (hi) of four lanes, and the same
+  // permutation maps the transposed halves back.
+  const __m512i lo_idx = _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0);
+  const __m512i hi_idx = _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2);
+  const __m512i r0 = _mm512_loadu_si512(raw);
+  const __m512i r1 = _mm512_loadu_si512(raw + 8);
+  const __m512i r2 = _mm512_loadu_si512(raw + 16);
+  const __m512i r3 = _mm512_loadu_si512(raw + 24);
+  const __m512i a = _mm512_permutex2var_epi64(r0, lo_idx, r1);
+  const __m512i b = _mm512_permutex2var_epi64(r0, hi_idx, r1);
+  const __m512i c = _mm512_permutex2var_epi64(r2, lo_idx, r3);
+  const __m512i d = _mm512_permutex2var_epi64(r2, hi_idx, r3);
+  __m512i s0 = _mm512_shuffle_i64x2(a, c, 0x44);
+  __m512i s1 = _mm512_shuffle_i64x2(a, c, 0xee);
+  __m512i s2 = _mm512_shuffle_i64x2(b, d, 0x44);
+  __m512i s3 = _mm512_shuffle_i64x2(b, d, 0xee);
+
+  const __m512i limit = _mm512_loadu_si512(threshold);
+  std::uint32_t drew = 0;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    // Xoshiro256::next: rotl(s1 * 5, 7) * 9, the multiplies as
+    // shift-and-add.
+    const __m512i x = _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2));
+    const __m512i r = _mm512_rol_epi64(x, 7);
+    const __m512i out = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
+    const __m512i t = _mm512_slli_epi64(s1, 17);
+    s2 = _mm512_xor_si512(s2, s0);
+    s3 = _mm512_xor_si512(s3, s1);
+    s1 = _mm512_xor_si512(s1, s2);
+    s0 = _mm512_xor_si512(s0, s3);
+    s2 = _mm512_xor_si512(s2, t);
+    s3 = _mm512_rol_epi64(s3, 45);
+    const std::uint32_t hit = _cvtmask8_u32(
+        _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), limit));
+    words[std::size_t{i} * lw] |= std::uint64_t{hit} << shift;
+    drew |= hit;
+  }
+
+  const __m512i a2 = _mm512_shuffle_i64x2(s0, s1, 0x44);
+  const __m512i c2 = _mm512_shuffle_i64x2(s0, s1, 0xee);
+  const __m512i b2 = _mm512_shuffle_i64x2(s2, s3, 0x44);
+  const __m512i d2 = _mm512_shuffle_i64x2(s2, s3, 0xee);
+  _mm512_storeu_si512(raw, _mm512_permutex2var_epi64(a2, lo_idx, b2));
+  _mm512_storeu_si512(raw + 8, _mm512_permutex2var_epi64(a2, hi_idx, b2));
+  _mm512_storeu_si512(raw + 16, _mm512_permutex2var_epi64(c2, lo_idx, d2));
+  _mm512_storeu_si512(raw + 24, _mm512_permutex2var_epi64(c2, hi_idx, d2));
+  return ~drew & 0xffu;
+}
+#endif
 
 }  // namespace
 
@@ -487,40 +683,24 @@ void fsync_pass_run(const FsyncPassArgs& a) {
 // series; see bench/bench_scaling.cpp and BENCH_scaling.json at the repo
 // root for the underlying measurements).
 
-std::uint32_t batch_break_even(ExecutionModel model, std::uint32_t n,
+std::uint32_t batch_break_even(ExecutionModel, std::uint32_t,
                                std::uint32_t k) {
-  (void)n;
   // Below 4 replicas the batch runs the stamped multiplicity path and the
   // solo Engine's incremental occupancy histogram wins (the measured B=1
   // regression was ~0.94x); by B=4 the replica-stride passes amortize on
   // every model.  Huge robot counts push the crossover up: the batch pays
-  // O(k^2) row compares where the solo engine pays O(k).
-  std::uint32_t base = 4;
-  switch (model) {
-    case ExecutionModel::kFsync:
-      base = 4;
-      break;
-    case ExecutionModel::kSsync:
-    case ExecutionModel::kAsync:
-      // Sparse activation keeps per-round batch overhead (mask fill) low
-      // but the solo engine is also cheaper per round; same knee.
-      base = 4;
-      break;
-  }
-  if (k >= 48) base = 8;  // stamped-multiplicity regime amortizes later
-  return base;
+  // O(k^2) row compares where the solo engine pays O(k), and the
+  // stamped-multiplicity regime amortizes later.
+  return k >= 48 ? 8 : 4;
 }
 
-std::uint32_t preferred_batch_width(ExecutionModel model, std::uint32_t n,
-                                    std::uint32_t k) {
-  (void)k;
-  // The lane-major per-lane footprint is the visit row (8n bytes) plus,
-  // off-FSYNC, the occupancy row (4n): cap the batch where those rows
-  // stay inside a mid-size L2/L3 budget, and never below the 64-lane
-  // block the SIMD passes and the threading slices are built on.
-  const std::uint64_t per_lane =
-      std::uint64_t{8} * n +
-      (model == ExecutionModel::kFsync ? 0 : std::uint64_t{4} * n);
+std::uint32_t preferred_batch_width(ExecutionModel, std::uint32_t n,
+                                    std::uint32_t) {
+  // The lane-major per-lane footprint is the visit row (8n bytes): cap
+  // the batch where those rows stay inside a mid-size L2/L3 budget, and
+  // never below the 64-lane block the SIMD passes and the threading
+  // slices are built on.
+  const std::uint64_t per_lane = std::uint64_t{8} * n;
   constexpr std::uint64_t kLaneBudgetBytes = std::uint64_t{8} << 20;
   std::uint32_t width = 256;
   while (width > 64 && std::uint64_t{width} * per_lane > kLaneBudgetBytes) {
@@ -613,6 +793,7 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   }
 
   visits_.assign(std::size_t{batch_} * nodes_, VisitCell{});
+  fresh_visits_.assign(batch_, 0);
 
   // Intra-cell threading: resolve the requested thread count against the
   // machine (0 = one per physical core) and spin up the pinned team only
@@ -638,15 +819,13 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   }
 
   // Replica-block tile width for the tiled run_all: the lane-major rows a
-  // round walks per lane (visit cells, plus occupancy off-FSYNC, plus the
-  // stamp rows when the stamp multiplicity path is on) should stay
-  // L2-resident across a whole epoch of rounds.  Budget ~1.5 MiB of a
-  // nominal 2 MiB L2; never below the 64-lane block everything else is
-  // built on.
+  // round walks per lane (visit cells, plus the stamp rows when the stamp
+  // multiplicity path is on) should stay L2-resident across a whole epoch
+  // of rounds.  Budget ~1.5 MiB of a nominal 2 MiB L2; never below the
+  // 64-lane block everything else is built on.
   {
     const std::uint64_t per_lane =
         std::uint64_t{8} * nodes_ +
-        (model_ != ExecutionModel::kFsync ? std::uint64_t{4} * nodes_ : 0) +
         (stamped_mult_ ? std::uint64_t{8} * nodes_ : 0);
     constexpr std::uint64_t kTileBudgetBytes = std::uint64_t{3} << 19;
     std::uint32_t tile = (batch_ + 63) / 64 * 64;
@@ -688,11 +867,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
     }
     act_kind_.assign(batch_,
                      static_cast<std::uint8_t>(ActivationBatchKind::kVirtual));
-    act_p_.assign(batch_, 0.0);
+    act_threshold_.assign(batch_, 0);
     act_rng_.assign(batch_, Xoshiro256(0));
-    occ_.assign(std::size_t{batch_} * nodes_, 0);
-    multi_nodes_.assign(batch_, 0);
-    move_log_.resize(std::size_t{robots_} * batch_);
   }
 
   for (std::uint32_t l = 0; l < batch_; ++l) {
@@ -789,11 +965,6 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     node_[at] = p.node;
     dir_[at] = static_cast<std::uint8_t>(LocalDirection::kLeft);
     right_cw_[at] = p.chirality.right_is_clockwise() ? 1 : 0;
-    if (model_ != ExecutionModel::kFsync) {
-      if (++occ_[std::size_t{lane} * nodes_ + p.node] == 2) {
-        ++multi_nodes_[lane];
-      }
-    }
     init_kernel_state(
         specs_[lane], static_cast<RobotId>(i),
         KernelStateRef{
@@ -832,7 +1003,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
         if (kind == ActivationBatchKind::kBernoulli) {
           if (const auto* bernoulli = dynamic_cast<const BernoulliActivation*>(
                   activations_[lane].get())) {
-            act_p_[lane] = bernoulli->p();
+            act_threshold_[lane] = activation_threshold(bernoulli->p());
             act_rng_[lane] = bernoulli->rng();
           } else {
             kind = ActivationBatchKind::kVirtual;
@@ -843,7 +1014,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
         if (kind == ActivationBatchKind::kBernoulli) {
           if (const auto* bernoulli = dynamic_cast<const BernoulliPhases*>(
                   phase_schedulers_[lane].get())) {
-            act_p_[lane] = bernoulli->p();
+            act_threshold_[lane] = activation_threshold(bernoulli->p());
             act_rng_[lane] = bernoulli->rng();
           } else {
             kind = ActivationBatchKind::kVirtual;
@@ -964,6 +1135,25 @@ void BatchEngine::observe_boundary(Time t, std::uint32_t l0,
   const std::uint32_t k = robots_;
   const std::uint32_t n = nodes_;
   const NodeId* const node = node_.data();
+#ifdef PEF_HAS_ISA_WRAPPERS
+  if (active_isa() == IsaTier::kAvx512) {
+    static_assert(sizeof(VisitCell) == sizeof(std::uint64_t) &&
+                      offsetof(VisitCell, count) == 0 &&
+                      offsetof(VisitCell, last) == sizeof(std::uint32_t),
+                  "the AVX-512 visit body moves a cell as one u64");
+    std::uint32_t* const fresh = fresh_visits_.data();
+    visit_cells_avx512(node, stride, k, n,
+                       reinterpret_cast<std::uint64_t*>(visits_.data()),
+                       max_closed_gap_.data(), fresh, l0, l1, t);
+    for (std::uint32_t l = l0; l < l1; ++l) {
+      if (fresh[l] == 0) continue;
+      EngineStats& st = stats_[l];
+      st.visited_node_count += fresh[l];
+      if (st.visited_node_count == n && !st.cover_time) st.cover_time = t;
+    }
+    return;
+  }
+#endif
   const auto t32 = static_cast<std::uint32_t>(t);
   // Lane-major: each lane's visit row stays hot for its k cell updates and
   // the per-lane aggregates (gap maximum, cover bookkeeping) live in
@@ -1110,16 +1300,13 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     if (schedules_[l] != nullptr) {
       if (refill_[l]) {
         schedules_[l]->edges_into_words(t, edge_row(l));
-        if (model_ == ExecutionModel::kFsync) {
-          edges_full_[l] = edge_words_full(edge_row(l), edge_count_) ? 1 : 0;
-        }
+        edges_full_[l] = edge_words_full(edge_row(l), edge_count_) ? 1 : 0;
       }
       continue;
     }
     switch (model_) {
       case ExecutionModel::kFsync:
         edges_[l] = adversaries_[l]->choose_edges(t, *mirrors_[l]);
-        edges_full_[l] = edges_[l].full() ? 1 : 0;
         break;
       case ExecutionModel::kSsync:
         extract_lane_mask(mask_words_.data(), l, virt_mask);
@@ -1135,17 +1322,22 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     }
     PEF_CHECK(edges_[l].edge_count() == edge_count_);
     std::copy_n(edges_[l].words(), edge_words_per_row_, edge_row(l));
+    edges_full_[l] = edges_[l].full() ? 1 : 0;
   }
+}
+
+bool BatchEngine::edges_all_full(std::uint32_t l0, std::uint32_t l1) const {
+  for (std::uint32_t l = l0; l < l1; ++l) {
+    if (edges_full_[l] == 0) return false;
+  }
+  return true;
 }
 
 void BatchEngine::step_fsync() {
   if (edge_refill_needed_) refill_edges(0, active_, now_);
   begin_trace_round();
 
-  bool all_full = true;
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    all_full = all_full && edges_full_[l] != 0;
-  }
+  const bool all_full = edges_all_full(0, active_);
 
   // One parallel section per round: every slice runs its fused pass, then
   // recomputes its multiplicity columns for boundary t+1, then observes
@@ -1169,11 +1361,7 @@ void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   // AllFull is decided per range: a range whose live rows are all full
   // takes the no-edge-test instantiation (which computes the same values
   // the generic body would — the tests are constant-true there).
-  bool all_full = true;
-  for (std::uint32_t l = l0; l < l1 && all_full; ++l) {
-    all_full = edges_full_[l] != 0;
-  }
-  if (all_full) {
+  if (edges_all_full(l0, l1)) {
     fsync_pass<Id, true>(l0, l1);
   } else {
     fsync_pass<Id, false>(l0, l1);
@@ -1185,7 +1373,7 @@ void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
-template <KernelId Id, bool AllFull>
+template <KernelId Id, bool AllFull, bool Masked>
 void BatchEngine::fsync_pass(std::uint32_t l0, std::uint32_t l1) {
   FsyncPassArgs args;
   args.l0 = l0;
@@ -1204,7 +1392,9 @@ void BatchEngine::fsync_pass(std::uint32_t l0, std::uint32_t l1) {
   args.edges = edge_plane_.data();
   args.ewpr = edge_words_per_row_;
   args.moves = moves_.data();
-  fsync_pass_run<Id, AllFull>(args);
+  args.mask = mask_words_.data();
+  args.lw = lane_words_;
+  fsync_pass_run<Id, AllFull, Masked>(args);
 }
 
 void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
@@ -1221,29 +1411,64 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
               words + std::size_t{i} * lw + w1, 0);
   }
 
+  // Per-slice scratch for the virtual policies: members would be shared
+  // across the worker slices.  Constructing the vectors is free; they only
+  // allocate when a virtual lane actually appears in this slice.
+  ActivationMask virt_mask;
+  std::vector<Phase> virt_phases;
+  const auto bernoulli =
+      static_cast<std::uint8_t>(ActivationBatchKind::kBernoulli);
+  std::uint32_t l = l0;
+#ifdef PEF_HAS_ISA_WRAPPERS
+  // AVX-512: whole 8-lane groups of Bernoulli lanes step their 8 streams
+  // in one zmm per state word (groups start 8-aligned: l0 is 64-aligned).
+  // Any other group, and k > 64, takes the loops below.
+  if (k <= 64 && active_isa() == IsaTier::kAvx512) {
+    constexpr std::uint64_t kAllBernoulli = 0x0101010101010101ULL;
+    for (; l + 8 <= l1; l += 8) {
+      std::uint64_t kinds = 0;
+      std::memcpy(&kinds, act_kind_.data() + l, sizeof kinds);
+      if (kinds != kAllBernoulli * bernoulli) {
+        for (std::uint32_t j = l; j < l + 8; ++j) {
+          fill_lane_mask(j, t, virt_mask, virt_phases);
+        }
+        continue;
+      }
+      const std::uint32_t word = l >> 6;
+      const std::uint32_t empty =
+          bernoulli_masks_x8_avx512(act_rng_.data() + l,
+                                    act_threshold_.data() + l, k,
+                                    words + word, lw, l & 63);
+      for (std::uint32_t e = empty; e != 0; e &= e - 1) {
+        const std::uint32_t j = l + static_cast<std::uint32_t>(
+                                        __builtin_ctz(e));
+        words[act_rng_[j].next_below(k) * lw + word] |= 1ULL << (j & 63);
+      }
+    }
+  }
+#endif
+
   // Bernoulli fast path, four lanes at a time: each lane's draws are a
   // serial xoshiro dependency chain, so interleaving four independent
   // chains multiplies the instruction-level parallelism of the fill (draw
   // order WITHIN each lane is unchanged — bit-identity holds, whatever
   // lane grouping a slice boundary induces).  k <= 64 keeps each lane's
   // activation set in one register.
-  std::uint32_t l = l0;
   if (k <= 64) {
-    const auto bernoulli =
-        static_cast<std::uint8_t>(ActivationBatchKind::kBernoulli);
     while (l + 4 <= l1 && act_kind_[l] == bernoulli &&
            act_kind_[l + 1] == bernoulli && act_kind_[l + 2] == bernoulli &&
            act_kind_[l + 3] == bernoulli) {
       Xoshiro256 rng[4] = {act_rng_[l], act_rng_[l + 1], act_rng_[l + 2],
                            act_rng_[l + 3]};
-      const double p[4] = {act_p_[l], act_p_[l + 1], act_p_[l + 2],
-                           act_p_[l + 3]};
+      const std::uint64_t th[4] = {act_threshold_[l], act_threshold_[l + 1],
+                                   act_threshold_[l + 2],
+                                   act_threshold_[l + 3]};
       std::uint64_t bits[4] = {0, 0, 0, 0};
       for (std::uint32_t i = 0; i < k; ++i) {
-        bits[0] |= std::uint64_t{rng[0].next_bool(p[0])} << i;
-        bits[1] |= std::uint64_t{rng[1].next_bool(p[1])} << i;
-        bits[2] |= std::uint64_t{rng[2].next_bool(p[2])} << i;
-        bits[3] |= std::uint64_t{rng[3].next_bool(p[3])} << i;
+        bits[0] |= std::uint64_t{bernoulli_draw(rng[0], th[0])} << i;
+        bits[1] |= std::uint64_t{bernoulli_draw(rng[1], th[1])} << i;
+        bits[2] |= std::uint64_t{bernoulli_draw(rng[2], th[2])} << i;
+        bits[3] |= std::uint64_t{bernoulli_draw(rng[3], th[3])} << i;
       }
       for (std::uint32_t j = 0; j < 4; ++j) {
         if (bits[j] == 0) bits[j] = 1ULL << rng[j].next_below(k);
@@ -1260,86 +1485,87 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
       l += 4;
     }
   }
+  for (; l < l1; ++l) fill_lane_mask(l, t, virt_mask, virt_phases);
+}
 
-  // Per-slice scratch for the virtual policies: members would be shared
-  // across the worker slices.  Constructing the vectors is free; they only
-  // allocate when a virtual lane actually appears in this slice.
-  ActivationMask virt_mask;
-  std::vector<Phase> virt_phases;
-  for (; l < l1; ++l) {
-    const std::uint32_t word = l >> 6;
-    const std::uint64_t bit = 1ULL << (l & 63);
-    switch (static_cast<ActivationBatchKind>(act_kind_[l])) {
-      case ActivationBatchKind::kFull:
+void BatchEngine::fill_lane_mask(std::uint32_t l, Time t,
+                                 ActivationMask& virt_mask,
+                                 std::vector<Phase>& virt_phases) {
+  const std::uint32_t k = robots_;
+  const std::uint32_t lw = lane_words_;
+  std::uint64_t* const words = mask_words_.data();
+  const std::uint32_t word = l >> 6;
+  const std::uint64_t bit = 1ULL << (l & 63);
+  switch (static_cast<ActivationBatchKind>(act_kind_[l])) {
+    case ActivationBatchKind::kFull:
+      for (std::uint32_t i = 0; i < k; ++i) {
+        words[std::size_t{i} * lw + word] |= bit;
+      }
+      break;
+    case ActivationBatchKind::kRoundRobin:
+      words[std::size_t{t % k} * lw + word] |= bit;
+      break;
+    case ActivationBatchKind::kBernoulli: {
+      // Draw-for-draw replay of BernoulliActivation::activate /
+      // BernoulliPhases::advance: k Bernoulli trials in robot order, then
+      // the forced-nonempty fallback from the same stream.  The RNG runs
+      // on a LOCAL copy (written back after the lane) and the k <= 64
+      // case accumulates into one register: no stores inside the draw
+      // loop, so the generator state stays in registers instead of
+      // round-tripping memory per draw (the plane stores could alias the
+      // rng plane otherwise).
+      Xoshiro256 rng = act_rng_[l];
+      const std::uint64_t threshold = act_threshold_[l];
+      if (k <= 64) {
+        std::uint64_t robots_bits = 0;
         for (std::uint32_t i = 0; i < k; ++i) {
+          robots_bits |= std::uint64_t{bernoulli_draw(rng, threshold)} << i;
+        }
+        if (robots_bits == 0) robots_bits = 1ULL << rng.next_below(k);
+        while (robots_bits != 0) {
+          const auto i =
+              static_cast<std::uint32_t>(__builtin_ctzll(robots_bits));
+          robots_bits &= robots_bits - 1;
           words[std::size_t{i} * lw + word] |= bit;
         }
-        break;
-      case ActivationBatchKind::kRoundRobin:
-        words[std::size_t{t % k} * lw + word] |= bit;
-        break;
-      case ActivationBatchKind::kBernoulli: {
-        // Draw-for-draw replay of BernoulliActivation::activate /
-        // BernoulliPhases::advance: k Bernoulli trials in robot order, then
-        // the forced-nonempty fallback from the same stream.  The RNG runs
-        // on a LOCAL copy (written back after the lane) and the k <= 64
-        // case accumulates into one register: no stores inside the draw
-        // loop, so the generator state stays in registers instead of
-        // round-tripping memory per draw (the plane stores could alias the
-        // rng plane otherwise).
-        Xoshiro256 rng = act_rng_[l];
-        const double p = act_p_[l];
-        if (k <= 64) {
-          std::uint64_t robots_bits = 0;
-          for (std::uint32_t i = 0; i < k; ++i) {
-            robots_bits |= std::uint64_t{rng.next_bool(p)} << i;
-          }
-          if (robots_bits == 0) robots_bits = 1ULL << rng.next_below(k);
-          while (robots_bits != 0) {
-            const auto i =
-                static_cast<std::uint32_t>(__builtin_ctzll(robots_bits));
-            robots_bits &= robots_bits - 1;
-            words[std::size_t{i} * lw + word] |= bit;
-          }
-        } else {
-          bool any = false;
-          for (std::uint32_t i = 0; i < k; ++i) {
-            if (rng.next_bool(p)) {
-              words[std::size_t{i} * lw + word] |= bit;
-              any = true;
-            }
-          }
-          if (!any) {
-            words[std::size_t{rng.next_below(k)} * lw + word] |= bit;
-          }
-        }
-        act_rng_[l] = rng;
-        break;
-      }
-      case ActivationBatchKind::kVirtual: {
-        if (model_ == ExecutionModel::kSsync) {
-          activations_[l]->activate(t, *mirrors_[l], virt_mask);
-        } else {
-          // Reconstruct the lane's Phase vector from the one-hot planes
-          // for the scheduler's (rarely taken) virtual interface.
-          virt_phases.resize(k);
-          for (std::uint32_t i = 0; i < k; ++i) {
-            const std::size_t at = std::size_t{i} * lw + word;
-            virt_phases[i] = (look_words_[at] >> (l & 63)) & 1ULL
-                                 ? Phase::kLook
-                             : (compute_words_[at] >> (l & 63)) & 1ULL
-                                 ? Phase::kCompute
-                                 : Phase::kMove;
-          }
-          phase_schedulers_[l]->advance(t, *mirrors_[l], virt_phases,
-                                        virt_mask);
-        }
-        PEF_CHECK(virt_mask.size() == k);
+      } else {
+        bool any = false;
         for (std::uint32_t i = 0; i < k; ++i) {
-          if (virt_mask[i] != 0) words[std::size_t{i} * lw + word] |= bit;
+          if (bernoulli_draw(rng, threshold)) {
+            words[std::size_t{i} * lw + word] |= bit;
+            any = true;
+          }
         }
-        break;
+        if (!any) {
+          words[std::size_t{rng.next_below(k)} * lw + word] |= bit;
+        }
       }
+      act_rng_[l] = rng;
+      break;
+    }
+    case ActivationBatchKind::kVirtual: {
+      if (model_ == ExecutionModel::kSsync) {
+        activations_[l]->activate(t, *mirrors_[l], virt_mask);
+      } else {
+        // Reconstruct the lane's Phase vector from the one-hot planes
+        // for the scheduler's (rarely taken) virtual interface.
+        virt_phases.resize(k);
+        for (std::uint32_t i = 0; i < k; ++i) {
+          const std::size_t at = std::size_t{i} * lw + word;
+          virt_phases[i] = (look_words_[at] >> (l & 63)) & 1ULL
+                               ? Phase::kLook
+                           : (compute_words_[at] >> (l & 63)) & 1ULL
+                               ? Phase::kCompute
+                               : Phase::kMove;
+        }
+        phase_schedulers_[l]->advance(t, *mirrors_[l], virt_phases,
+                                      virt_mask);
+      }
+      PEF_CHECK(virt_mask.size() == k);
+      for (std::uint32_t i = 0; i < k; ++i) {
+        if (virt_mask[i] != 0) words[std::size_t{i} * lw + word] |= bit;
+      }
+      break;
     }
   }
 }
@@ -1385,25 +1611,19 @@ void BatchEngine::step_ssync() {
 
   with_kernel_id(kernel_id_, [&]<KernelId Id>() {
     parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      const std::size_t log_end = ssync_pass<Id>(l0, l1);
-      apply_move_log(std::size_t{l0} * robots_, log_end);
+      ssync_moves<Id>(l0, l1);
+      recompute_multiplicity(l0, l1, now_ + 1);
       observe_boundary(now_ + 1, l0, l1);
     });
   });
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
-  }
 }
 
 template <KernelId Id>
 void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
   if (edge_refill_needed_) refill_edges(l0, l1, t);
-  const std::size_t log_end = ssync_pass<Id>(l0, l1);
-  apply_move_log(std::size_t{l0} * robots_, log_end);
-  for (std::uint32_t l = l0; l < l1; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
-  }
+  ssync_moves<Id>(l0, l1);
+  recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
@@ -1411,7 +1631,21 @@ void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
 }
 
 template <KernelId Id>
-std::size_t BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
+void BatchEngine::ssync_moves(std::uint32_t l0, std::uint32_t l1) {
+  // With every edge present, an activated robot's round is exactly its
+  // FSYNC AllFull round, and an idle one keeps its state: the branchless
+  // body under the activation words.
+  if constexpr (kAllFullBranchless<Id>) {
+    if (edges_all_full(l0, l1)) {
+      fsync_pass<Id, true, true>(l0, l1);
+      return;
+    }
+  }
+  ssync_pass<Id>(l0, l1);
+}
+
+template <KernelId Id>
+void BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
   const std::uint32_t stride = batch_;
   const std::uint32_t k = robots_;
   const std::uint32_t n = nodes_;
@@ -1421,6 +1655,7 @@ std::size_t BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
   NodeId* const node = node_.data();
   std::uint8_t* const dir = dir_.data();
   const std::uint8_t* const cw = right_cw_.data();
+  const std::uint8_t* const mult = mult_.data();
   Xoshiro256* const krng = krng_.data();
   std::uint64_t* const kcounter = kcounter_.data();
   std::uint8_t* const khas_moved = khas_moved_.data();
@@ -1428,19 +1663,13 @@ std::size_t BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
   const std::uint64_t* const edges = edge_plane_.data();
   const std::uint32_t ewpr = edge_words_per_row_;
   const std::uint64_t* const mask = mask_words_.data();
-  const std::uint32_t* const occ = occ_.data();
 
-  // Fused L-C-M with DEFERRED occupancy: the only cross-robot coupling in
-  // a round is the Look phase's multiplicity bit, and it must read the
-  // round-START occupancy — so Moves update node_ in place (no other
-  // robot's Look reads it) but log their (lane, from, to) instead of
-  // touching occ_, and the log is applied after the pass.  One mask-word
-  // iteration total: the word plane loads cover 64 replicas each and ctz
-  // jumps straight to the activated robots.  Each slice logs into its own
-  // disjoint move_log_ region (lane l0's region starts at l0 * k — a
-  // slice's lanes can move at most (l1 - l0) * k times).
-  const std::size_t log_base = std::size_t{l0} * k;
-  PendingMove* log_cursor = move_log_.data() + log_base;
+  // Fused L-C-M: the only cross-robot coupling in a round is the Look
+  // phase's multiplicity bit, which reads the round-start configuration —
+  // exactly the mult_ plane, which is only recomputed after the pass, so
+  // Moves update node_ in place.  One mask-word iteration total: the word
+  // plane loads cover 64 replicas each and ctz jumps straight to the
+  // activated robots.
   for (std::uint32_t i = 0; i < k; ++i) {
     const std::size_t base = std::size_t{i} * stride;
     for (std::uint32_t w = w0; w < w1; ++w) {
@@ -1457,7 +1686,7 @@ std::size_t BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
         View view;
         view.exists_edge_ahead = edge_present(words, ahead);
         view.exists_edge_behind = edge_present(words, behind);
-        view.other_robots_on_node = occ[std::size_t{l} * n + u] > 1;
+        view.other_robots_on_node = mult[at] != 0;
         auto d = static_cast<LocalDirection>(dir[at]);
         kernel_compute<Id>(spec[l], view, d,
                            kernel_state_at<Id>(krng, kcounter, khas_moved, at));
@@ -1465,31 +1694,11 @@ std::size_t BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
 
         const bool move_cw = static_cast<std::uint8_t>(d) == cw[at];
         if (edge_present(words, adjacent_edges(u, move_cw, n).first)) {
-          const NodeId to = step_node(u, move_cw, n);
-          node[at] = to;
+          node[at] = step_node(u, move_cw, n);
           ++moves_[l];
-          *log_cursor++ = {l, u, to};
         }
       }
     }
-  }
-  return static_cast<std::size_t>(log_cursor - move_log_.data());
-}
-
-void BatchEngine::apply_move_log(std::size_t begin, std::size_t end) {
-  // Replay moves onto the occupancy rows and tower counters.  Both are
-  // lane-indexed and a range's log only names its own lanes, so a range
-  // replays its own region immediately after its pass — no cross-range
-  // draining, and the replay order within a range matches the serial one
-  // (counter updates commute anyway).
-  const std::uint32_t n = nodes_;
-  const PendingMove* it = move_log_.data() + begin;
-  const PendingMove* const stop = move_log_.data() + end;
-  for (; it != stop; ++it) {
-    const PendingMove& mv = *it;
-    const std::size_t row = std::size_t{mv.lane} * n;
-    if (--occ_[row + mv.from] == 1) --multi_nodes_[mv.lane];
-    if (++occ_[row + mv.to] == 2) ++multi_nodes_[mv.lane];
   }
 }
 
@@ -1505,14 +1714,11 @@ void BatchEngine::step_async() {
 
   with_kernel_id(kernel_id_, [&]<KernelId Id>() {
     parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      const std::size_t log_end = async_pass<Id>(l0, l1);
-      apply_move_log(std::size_t{l0} * robots_, log_end);
+      async_pass<Id>(l0, l1);
+      recompute_multiplicity(l0, l1, now_ + 1);
       observe_boundary(now_ + 1, l0, l1);
     });
   });
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
-  }
 }
 
 template <KernelId Id>
@@ -1520,11 +1726,8 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
   fill_moving_words(l0, l1);
   if (edge_refill_needed_) refill_edges(l0, l1, t);
-  const std::size_t log_end = async_pass<Id>(l0, l1);
-  apply_move_log(std::size_t{l0} * robots_, log_end);
-  for (std::uint32_t l = l0; l < l1; ++l) {
-    tower_flag_[l] = multi_nodes_[l] != 0 ? 1 : 0;
-  }
+  async_pass<Id>(l0, l1);
+  recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
@@ -1532,7 +1735,7 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
 }
 
 template <KernelId Id>
-std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
+void BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
   const std::uint32_t stride = batch_;
   const std::uint32_t k = robots_;
   const std::uint32_t n = nodes_;
@@ -1542,6 +1745,7 @@ std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
   NodeId* const node = node_.data();
   std::uint8_t* const dir = dir_.data();
   const std::uint8_t* const cw = right_cw_.data();
+  const std::uint8_t* const mult = mult_.data();
   Xoshiro256* const krng = krng_.data();
   std::uint64_t* const kcounter = kcounter_.data();
   std::uint8_t* const khas_moved = khas_moved_.data();
@@ -1554,21 +1758,16 @@ std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
   std::uint64_t* const compute_w = compute_words_.data();
   std::uint64_t* const move_w = move_words_.data();
   View* const pending = pending_views_.data();
-  const std::uint32_t* const occ = occ_.data();
 
   // An advancing robot executes exactly one of Look / Compute / Move this
   // tick.  The one-hot phase planes resolve each subset by a word AND
   // against the advancing mask — no per-robot phase loads, no
   // data-dependent branches — and the matched bits transition between
   // planes as whole words.  Lookers and movers are disjoint robots and a
-  // Move only writes its own node slot, so ONE fused pass is sound with
-  // the same deferred-occupancy trick as SSYNC: every Look reads the
-  // tick-start occ_ because moves log their occupancy deltas instead of
-  // applying them.  moving_words_ was snapshotted before any transition,
-  // so a Compute firing this tick does not also Move this tick.  Like
-  // ssync_pass, the slice logs into its own move_log_ region.
-  const std::size_t log_base = std::size_t{l0} * k;
-  PendingMove* log_cursor = move_log_.data() + log_base;
+  // Move only writes its own node slot, so ONE fused pass is sound: every
+  // Look reads the tick-start multiplicity plane, which is recomputed only
+  // after the pass.  moving_words_ was snapshotted before any transition,
+  // so a Compute firing this tick does not also Move this tick.
   for (std::uint32_t i = 0; i < k; ++i) {
     const std::size_t base = std::size_t{i} * stride;
     for (std::uint32_t w = w0; w < w1; ++w) {
@@ -1593,7 +1792,7 @@ std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
         View view;
         view.exists_edge_ahead = edge_present(words, ahead);
         view.exists_edge_behind = edge_present(words, behind);
-        view.other_robots_on_node = occ[std::size_t{l} * n + u] > 1;
+        view.other_robots_on_node = mult[at] != 0;
         pending[at] = view;
       }
 
@@ -1620,10 +1819,8 @@ std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
         const bool move_cw = dir[at] == cw[at];
         const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
         if (edge_present(words, adjacent_edges(u, move_cw, n).first)) {
-          const NodeId to = step_node(u, move_cw, n);
-          node[at] = to;
+          node[at] = step_node(u, move_cw, n);
           ++moves_[l];
-          *log_cursor++ = {l, u, to};
         }
       }
 
@@ -1633,7 +1830,6 @@ std::size_t BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
       move_w[mw] = (move_w[mw] & ~mv) | cp;
     }
   }
-  return static_cast<std::size_t>(log_cursor - move_log_.data());
 }
 
 void BatchEngine::update_mirrors(std::uint32_t l0, std::uint32_t l1) {
@@ -1832,11 +2028,8 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   if (!cycles_.empty()) swap(cycles_[a], cycles_[b]);
   if (model_ != ExecutionModel::kFsync) {
     swap(act_kind_[a], act_kind_[b]);
-    swap(act_p_[a], act_p_[b]);
+    swap(act_threshold_[a], act_threshold_[b]);
     swap(act_rng_[a], act_rng_[b]);
-    swap(multi_nodes_[a], multi_nodes_[b]);
-    std::swap_ranges(occ_.begin() + ra, occ_.begin() + ra + nodes_,
-                     occ_.begin() + rb);
   }
 
   const std::uint32_t replica_a = replica_of_lane_[a];
@@ -1868,8 +2061,7 @@ void BatchEngine::begin_trace_round() {
       r.dir_after = r.dir_before;
       // The multiplicity bit of every Look fired this round is
       // reconstructable up front: all Looks read the start-of-round
-      // occupancy (the mult plane for FSYNC, the occ rows otherwise).
-      // Which robots Look depends on the model.
+      // multiplicity plane.  Which robots Look depends on the model.
       bool looks = false;
       switch (model_) {
         case ExecutionModel::kFsync:
@@ -1885,12 +2077,7 @@ void BatchEngine::begin_trace_round() {
                   mask_bit(look_words_.data(), i, l);
           break;
       }
-      if (looks) {
-        r.saw_other_robots =
-            model_ == ExecutionModel::kFsync
-                ? mult_[at] != 0
-                : occ_[std::size_t{l} * nodes_ + node_[at]] > 1;
-      }
+      if (looks) r.saw_other_robots = mult_[at] != 0;
     }
   }
 }

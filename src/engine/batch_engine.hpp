@@ -28,15 +28,19 @@
 // instantiation was built for.
 //
 // The key deviation from Engine's round core: BatchEngine keeps NO
-// occupancy histogram.  The only things occupancy feeds are the Look
-// phase's multiplicity bit and the tower stats, and both reduce to the
-// per-robot predicate "does some other robot share my node" — which one
-// counting pass over the node planes recomputes per boundary as a byte
-// plane (mult_): k^2 replica-wide vector compares with no gathers or
-// scatters.  With the multiplicity plane and E_t frozen for the round,
-// Look, Compute and Move fuse into ONE replica-stride pass (no robot's
-// action changes another's inputs), followed by a visit-bookkeeping pass
-// over 8-byte per-(replica, node) cells.
+// occupancy histogram, under any execution model.  The only things
+// occupancy feeds are the Look phase's multiplicity bit and the tower
+// stats, and both reduce to the per-robot predicate "does some other robot
+// share my node" — which one counting pass over the node planes recomputes
+// per boundary as a byte plane (mult_): k^2 replica-wide vector compares
+// with no gathers or scatters.  SSYNC and ASYNC Looks read the same plane
+// (every Look reads the round-start configuration, and a robot's own node
+// does not change before its own Look), so every model runs the same
+// boundary: multiplicity, then visits.  With the multiplicity plane and E_t
+// frozen for the round, Look, Compute and Move fuse into ONE
+// replica-stride pass (no robot's action changes another's inputs),
+// followed by a visit-bookkeeping pass over 8-byte per-(replica, node)
+// cells — on the AVX-512 tier 8 lanes per gather/scatter.
 //
 // The per-round ROUND PROLOGUE (who acts, which edges exist) is batched
 // too — SSYNC and ASYNC are first-class citizens of the planes, not a
@@ -47,16 +51,18 @@
 //     schedule — every `batchable` registry kind) fill their row in place
 //     via EdgeSchedule::edges_into_words, with no EdgeSet and no
 //     Configuration mirror; time-invariant schedules fill once at
-//     construction and never refill, and a round whose live rows are all
-//     full runs the FSYNC AllFull instantiation with no edge tests at all.
+//     construction and never refill.  A round whose live rows are all full
+//     runs the AllFull instantiation with no edge tests at all — FSYNC's
+//     branchless body, which SSYNC runs too under its activation words.
 //   * SSYNC activation masks and ASYNC advance/move masks are robot-major
 //     uint64 WORD planes (bit = replica).  The common policies — full,
 //     Bernoulli-p, round-robin — are devirtualized (ActivationBatchKind,
 //     enum-dispatched like KernelId): one pass fills every replica's mask
 //     words from a per-replica RNG plane seeded with the policy's own
-//     stream, bit-identical to the virtual calls it replaces.  The SSYNC /
-//     ASYNC passes then iterate mask words (ctz over set bits) instead of
-//     testing every (robot, replica) byte.
+//     stream, bit-identical to the virtual calls it replaces (on the
+//     AVX-512 tier, 8 Bernoulli lanes' streams step per zmm).  The
+//     per-bit SSYNC / ASYNC passes then iterate mask words (ctz over set
+//     bits) instead of testing every (robot, replica) byte.
 //   * Configuration mirrors are materialized LAZILY: only replicas whose
 //     adversary or activation policy actually sees gamma (adaptive
 //     lower-bound families, exotic virtual policies) carry one; everything
@@ -145,11 +151,11 @@ struct BatchEngineOptions {
   bool enforce_well_initiated = true;
 
   /// Intra-cell worker threads: the replica axis is split into 64-lane
-  /// blocks and the hot phases (fused pass, multiplicity recompute, visit
-  /// bookkeeping) run block ranges on a pinned WorkerTeam.  Every parallel
-  /// section writes only lane-indexed state and block-local move-log
-  /// regions are drained in block order, so results (stats, traces,
-  /// coverage) are bit-identical to threads == 1 at any thread count.
+  /// blocks and the hot phases (activation fill, fused pass, multiplicity
+  /// recompute, visit bookkeeping) run block ranges on a pinned
+  /// WorkerTeam.  Every parallel section writes only lane-indexed state,
+  /// so results (stats, traces, coverage) are bit-identical to
+  /// threads == 1 at any thread count.
   /// 0 = one thread per physical core; 1 (default) = serial.
   std::uint32_t threads = 1;
 
@@ -169,19 +175,20 @@ struct BatchEngineOptions {
 // (mask/multiplicity plane passes, the wider working set); below that the
 // solo Engine's occupancy histogram is strictly cheaper.  The break-even
 // point and the preferred width were calibrated from BENCH_scaling's
-// batch_throughput series per activation model and n/k regime; callers
+// batch_throughput series; callers
 // (SweepRunner, pef_run --batch auto) route through plan_batch so the
 // B=1..small regime never regresses against solo Engines.
 
 /// The smallest replica count at which a BatchEngine beats `B` solo Engine
 /// runs of the same scenario (>= 2 always: one replica is never batched).
+/// The calibrated knee is the same for every model and ring size; only a
+/// huge robot count moves it.
 [[nodiscard]] std::uint32_t batch_break_even(ExecutionModel model,
                                              std::uint32_t n, std::uint32_t k);
 
 /// The calibrated sweet-spot batch width for one scenario: wide enough to
 /// saturate the replica-stride SIMD passes, capped where the lane-major
-/// visit/occupancy rows would outgrow the cache budget (large n narrows
-/// the batch).
+/// visit rows would outgrow the cache budget (large n narrows the batch).
 [[nodiscard]] std::uint32_t preferred_batch_width(ExecutionModel model,
                                                   std::uint32_t n,
                                                   std::uint32_t k);
@@ -245,8 +252,8 @@ class BatchEngine {
   void step_ssync();
   void step_async();
   /// ONE untraced round of lanes [l0, l1) at time t — edge refill, pass,
-  /// boundary bookkeeping (multiplicity/occupancy, visits, mirrors, round
-  /// stats), touching no state outside the lane range.  This is the unit
+  /// boundary bookkeeping (multiplicity, visits, mirrors, round stats),
+  /// touching no state outside the lane range.  This is the unit
   /// the tiled run_all and the threaded slices both compose.
   template <KernelId Id>
   void fsync_round(std::uint32_t l0, std::uint32_t l1, Time t);
@@ -265,22 +272,28 @@ class BatchEngine {
   /// The per-kernel FSYNC pass over lanes [l0, l1): one fused
   /// Look+Compute+Move sweep with a replica-stride inner loop.  AllFull
   /// elides every edge-presence test (every live replica's E_t is the full
-  /// set, so every robot moves).
-  template <KernelId Id, bool AllFull>
+  /// set, so every acting robot moves).  Masked (AllFull only) restricts
+  /// the branchless AllFull body to the robots set in mask_words_: the
+  /// SSYNC round of a range whose edge rows are all full.
+  template <KernelId Id, bool AllFull, bool Masked = false>
   void fsync_pass(std::uint32_t l0, std::uint32_t l1);
-  /// SSYNC/ASYNC passes over [l0, l1); both log their moves into the
-  /// range's own move_log_ region and return the log's end index for
-  /// apply_move_log.
+  /// Whether every lane of [l0, l1) has the full edge set this round.
+  [[nodiscard]] bool edges_all_full(std::uint32_t l0, std::uint32_t l1) const;
+  /// The SSYNC moves of [l0, l1): the masked AllFull body when every edge
+  /// row of the range is full and the kernel has a branchless body, the
+  /// per-bit ssync_pass otherwise.
   template <KernelId Id>
-  [[nodiscard]] std::size_t ssync_pass(std::uint32_t l0, std::uint32_t l1);
+  void ssync_moves(std::uint32_t l0, std::uint32_t l1);
+  /// SSYNC/ASYNC per-bit passes over [l0, l1): ctz over the activation
+  /// words, Looks reading the round-start multiplicity plane.
   template <KernelId Id>
-  [[nodiscard]] std::size_t async_pass(std::uint32_t l0, std::uint32_t l1);
+  void ssync_pass(std::uint32_t l0, std::uint32_t l1);
+  template <KernelId Id>
+  void async_pass(std::uint32_t l0, std::uint32_t l1);
   /// E_t for lanes [l0, l1) at time t: schedule-backed lanes refill their
   /// edge row in place, mirror-path lanes go through the virtual adversary
   /// (reading only their own lane's mask columns / gamma mirror).
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
-  /// Replay move_log_[begin, end) onto occ_ / multi_nodes_.
-  void apply_move_log(std::size_t begin, std::size_t end);
 
   /// Lane `lane`'s row of the contiguous edge-word plane.
   [[nodiscard]] std::uint64_t* edge_row(std::uint32_t lane) {
@@ -294,9 +307,14 @@ class BatchEngine {
   /// and ASYNC (phase schedulers): clear the mask word plane, then fill
   /// the bits of lanes [l0, l1) (a whole-word range) — devirtualized
   /// kernels (full / round-robin / Bernoulli over the act_rng_ plane)
-  /// inline per lane; kVirtual lanes call the policy into a scratch byte
-  /// mask and transpose.
+  /// inline per lane, 8 Bernoulli lanes per zmm on the AVX-512 tier;
+  /// kVirtual lanes call the policy into a scratch byte mask and
+  /// transpose.
   void fill_mask_words(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// fill_mask_words for the one lane `lane`; the vectors are the
+  /// caller's per-slice scratch for virtual policies.
+  void fill_lane_mask(std::uint32_t lane, Time t, ActivationMask& virt_mask,
+                      std::vector<Phase>& virt_phases);
   /// ASYNC: moving = advancing AND (phase == Move), word columns [l0, l1).
   void fill_moving_words(std::uint32_t l0, std::uint32_t l1);
   /// Lane `lane`'s column of a mask word plane as a 0/1 byte mask (the
@@ -312,8 +330,8 @@ class BatchEngine {
 
   /// Recompute the multiplicity byte plane and per-lane tower flags of
   /// lanes [l0, l1) from the node planes (replica-wide compares, or the
-  /// stamp path for small batches / large robot counts; no occupancy
-  /// histogram exists to maintain).  `boundary_t` is the configuration
+  /// stamp path for small batches / large robot counts), at every
+  /// boundary of every model.  `boundary_t` is the configuration
   /// time: the stamp path derives its row epoch from it (strictly
   /// increasing per lane, so no shared counter and no cross-slice state).
   void recompute_multiplicity(std::uint32_t l0, std::uint32_t l1,
@@ -322,7 +340,8 @@ class BatchEngine {
                                       Time boundary_t);
   /// Visit/cover bookkeeping for every robot of lanes [l0, l1) at config
   /// time `t` (the batched equivalent of Engine::observe_boundary, minus
-  /// the tower flags which recompute_multiplicity owns).
+  /// the tower flags which recompute_multiplicity owns).  The AVX-512 tier
+  /// updates 8 lanes' cells per gather/scatter; the others walk lanes.
   void observe_boundary(Time t, std::uint32_t l0, std::uint32_t l1);
   /// Refresh the gamma mirrors of lanes [l0, l1) from the planes (dirs +
   /// positions).  Mirrors are lazy: only lanes whose adversary / policy
@@ -396,8 +415,8 @@ class BatchEngine {
   std::uint32_t threads_ = 1;
   std::unique_ptr<WorkerTeam> team_;
   /// Replica-block tile width (a multiple of 64 lanes, chosen at
-  /// construction so one tile's lane-major rows — visits, occupancy,
-  /// stamps — stay L2-resident).  The tiled run_all runs each tile through
+  /// construction so one tile's lane-major rows — visits, stamps — stay
+  /// L2-resident).  The tiled run_all runs each tile through
   /// a whole epoch of rounds before moving to the next tile; lanes are
   /// fully independent simulations, so any round interleaving across lanes
   /// computes bit-identical per-lane results.
@@ -405,7 +424,7 @@ class BatchEngine {
 
   // Robot state planes, stride batch_ (robot-major, replica-minor), in
   // PlaneVectors: 64-byte-aligned rows for the SIMD passes, and the
-  // multi-MB lane-major planes (visits_, occ_, stamps) get 2 MiB-aligned
+  // multi-MB lane-major planes (visits_, stamps) get 2 MiB-aligned
   // MADV_HUGEPAGE regions — at B=256 those rows are walked by scattered
   // per-robot accesses and 4 KiB pages thrash the TLB (see topology.hpp).
   PlaneVector<NodeId> node_;
@@ -426,12 +445,17 @@ class BatchEngine {
   /// Visit bookkeeping of one (lane, node): one cache access per robot per
   /// boundary.  `last` is only meaningful when `count > 0`; 32 bits suffice
   /// because construction checks every horizon with batch_horizon_fits.
+  /// The AVX-512 visit body moves a cell as one u64, count in the low half.
   struct VisitCell {
     std::uint32_t count = 0;
     std::uint32_t last = 0;
   };
   // Per-(lane, node) cells, lane-major rows of length nodes_.
   PlaneVector<VisitCell> visits_;
+  /// AVX-512 visit body: first visits per lane of one boundary, folded
+  /// into the stats after the robot loop.  Lane-indexed, so worker slices
+  /// write disjoint entries.
+  std::vector<std::uint32_t> fresh_visits_;
 
   // The edge-word plane: E_t of lane l is the row of edge_words_per_row_
   // words at l * edge_words_per_row_ (EdgeSet::words() bit layout).
@@ -443,7 +467,7 @@ class BatchEngine {
   PlaneVector<std::uint64_t> edge_plane_;
   std::vector<EdgeSet> edges_;            // mirror-path scratch only
   std::vector<std::uint8_t> refill_;      // 0 = time-invariant, filled once
-  std::vector<std::uint8_t> edges_full_;  // E_t is the full set
+  std::vector<std::uint8_t> edges_full_;  // E_t is the full set (any model)
   std::vector<std::uint64_t> moves_;      // per-lane move counter (hot)
   std::vector<std::uint8_t> tower_flag_;  // some node holds >= 2 robots
   std::vector<std::uint8_t> prev_had_tower_;
@@ -461,10 +485,11 @@ class BatchEngine {
   PlaneVector<std::uint64_t> moving_words_;
 
   // The devirtualized activation state (SSYNC policies / ASYNC phase
-  // schedulers share ActivationBatchKind): per-lane kind, Bernoulli p and
-  // the per-replica RNG plane seeded from each policy's own stream.
+  // schedulers share ActivationBatchKind): per-lane kind, the Bernoulli
+  // draw threshold (next() >> 11 below it == next_bool(p)) and the
+  // per-replica RNG plane seeded from each policy's own stream.
   std::vector<std::uint8_t> act_kind_;
-  std::vector<double> act_p_;
+  std::vector<std::uint64_t> act_threshold_;
   std::vector<Xoshiro256> act_rng_;
 
   // ASYNC phase machines as ONE-HOT word planes (same geometry as
@@ -476,29 +501,6 @@ class BatchEngine {
   PlaneVector<std::uint64_t> compute_words_;
   PlaneVector<std::uint64_t> move_words_;
 
-  // SSYNC/ASYNC: per-lane occupancy rows (lane-major, like visits_) and a
-  // per-lane towered-node counter, updated incrementally from the moves —
-  // when only the activated subset moves, sparse counter updates beat
-  // FSYNC's full multiplicity recompute, and the tower flag is just
-  // multi_nodes_[lane] != 0.  FSYNC keeps the recompute (every robot moves
-  // every round, and the row compares vectorize).  The SSYNC pass stays
-  // fused by logging its moves (Looks must read round-start occupancy)
-  // and replaying the log after the pass.
-  PlaneVector<std::uint32_t> occ_;          // [lane * nodes_ + node]
-  std::vector<std::uint32_t> multi_nodes_;  // nodes holding >= 2 robots
-  struct PendingMove {
-    std::uint32_t lane;
-    NodeId from;
-    NodeId to;
-  };
-  // Per-round scratch, presized to robots_ * batch_ (the maximum moves of
-  // one round); the passes append through a raw cursor — no capacity
-  // checks or size bookkeeping in the hot loop.  Lane range [l0, l1) owns
-  // the region at l0 * robots_ (capacity (l1-l0) * robots_ == its maximum
-  // moves), so threaded passes log without contention; each pass returns
-  // its cursor and the range replays its own region immediately (occ_ and
-  // multi_nodes_ are lane-indexed, so the replay is range-local too).
-  PlaneVector<PendingMove> move_log_;
   /// False once every live lane's edge row is filled for good (all
   /// schedule-backed, all time-invariant): the per-round edge prologue is
   /// skipped entirely.  Monotone under lane retirement.

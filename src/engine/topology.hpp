@@ -12,7 +12,7 @@
 //   * Plane memory — PlaneVector<T>, a std::vector whose allocator hands
 //     out 64-byte-aligned memory (full-width AVX-512 loads) and, for
 //     multi-megabyte planes, 2 MiB-aligned regions advised MADV_HUGEPAGE.
-//     Wide batches live or die on this: at B=256 the visit/occupancy rows
+//     Wide batches live or die on this: at B=256 the visit and stamp rows
 //     are multi-MB lane-major arrays walked with per-robot scattered
 //     accesses, and 4 KiB pages thrash the TLB long before the cache gives
 //     out.  NUMA placement follows from first-touch: planes are touched by

@@ -4,10 +4,11 @@
 // Engines, one BatchEngine, batch width, tile shape, intra-cell worker
 // threads, ISA tier — may never change WHAT it computes.  These tests pin
 //   * plan_batch's routing (break-even fallback, preferred width, caps);
-//   * bit-identical stats/coverage for wide (B=256, multi-tile) and
-//     threaded batches against solo Engines, on all three models, with
-//     batchable (oblivious static) and non-batchable (adaptive
-//     greedy-blocker) adversaries;
+//   * bit-identical stats/coverage for wide (B=256, multi-tile), crowded
+//     (k = n/2, 77 lanes) and threaded batches against solo Engines, on
+//     all three models, with batchable (static, t-interval) and
+//     non-batchable (adaptive greedy-blocker) adversaries, and every
+//     registry kernel on the crowded ring;
 //   * byte-identical sweep JSON across max_batch in {0, 1, 16, 256} and
 //     engine_threads in {1, 4};
 //   * the pef_run CLI: --batch 1/2 route to solo Engines (and say so in the
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "adversary/greedy_blocker.hpp"
 #include "algorithms/registry.hpp"
 #include "core/experiment.hpp"
 #include "core/spec.hpp"
@@ -106,54 +106,75 @@ TEST(AdaptiveBatch, PreferredWidthNarrowsForHugeRings) {
 
 // ---------------------------------------------------------------------------
 // Wide + threaded batches vs solo Engines (stats/coverage identity)
+//
+// Untraced, so the lanes run the range-local *_round functions (the traced
+// differentials of batch_engine_test run the step_* paths).  Every
+// EngineStats field and the whole CoverageReport are compared.
+
+struct WideShape {
+  std::uint32_t nodes;
+  std::uint32_t robots;
+  std::uint32_t batch;
+};
 
 struct WideScenario {
   const char* name;
-  ExecutionModel model;
-  bool adaptive_adversary;  // greedy-blocker (mirror path) vs static
+  AdversaryConfig adversary;
 };
 
-AdversaryPtr wide_adversary(const Ring& ring, bool adaptive) {
+/// Static (every edge row full: FSYNC and SSYNC take the AllFull bodies),
+/// t-interval (rows with absent edges: the per-bit passes) and the
+/// adaptive greedy-blocker (mirror path).
+std::vector<WideScenario> wide_scenarios(bool adaptive) {
+  std::vector<WideScenario> scenarios = {
+      {"static", adversary_config(AdversaryKind::kStatic)},
+      {"t-interval",
+       adversary_config(AdversaryKind::kTInterval, {{"interval", 4}})},
+  };
   if (adaptive) {
-    return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
+    scenarios.push_back(
+        {"greedy-blocker",
+         adversary_config(AdversaryKind::kGreedyBlocker, {{"max_absence", 4}})});
   }
-  return make_oblivious(std::make_shared<StaticSchedule>(ring));
+  return scenarios;
 }
 
 /// Ragged horizons so replicas retire mid-epoch (the temporal tiling must
-/// handle lanes leaving inside an epoch span).
+/// handle lanes leaving inside an epoch span, and the live lane count
+/// stops being a multiple of 8).
 Time wide_horizon(std::uint32_t replica) { return 150 + 23 * (replica % 5); }
 
-EngineStats solo_run(const Ring& ring, const WideScenario& scenario,
-                     std::uint32_t robots, std::uint32_t replica) {
+std::unique_ptr<Engine> solo_run(const Ring& ring, const std::string& algorithm,
+                                 ExecutionModel model,
+                                 const AdversaryConfig& config,
+                                 std::uint32_t robots, std::uint32_t replica) {
   const std::uint64_t seed = replica + 1;
-  auto algorithm = make_algorithm("pef3+", seed);
+  auto fsync = adversary_from_config(config, ring, seed, robots);
   const auto placements = random_placements(ring, robots, seed);
-  auto fsync = wide_adversary(ring, scenario.adaptive_adversary);
   std::unique_ptr<Engine> engine;
-  switch (scenario.model) {
+  switch (model) {
     case ExecutionModel::kFsync:
-      engine = std::make_unique<Engine>(ring, std::move(algorithm),
+      engine = std::make_unique<Engine>(ring, make_algorithm(algorithm, seed),
                                         std::move(fsync), placements,
                                         EngineOptions{});
       break;
     case ExecutionModel::kSsync:
       engine = std::make_unique<Engine>(
-          ring, std::move(algorithm),
+          ring, make_algorithm(algorithm, seed),
           std::make_unique<SsyncFromFsyncAdversary>(std::move(fsync)),
           standard_ssync_activation(kActivationP, seed), placements,
           EngineOptions{});
       break;
     case ExecutionModel::kAsync:
       engine = std::make_unique<Engine>(
-          ring, std::move(algorithm),
+          ring, make_algorithm(algorithm, seed),
           std::make_unique<SsyncFromFsyncAdversary>(std::move(fsync)),
           standard_async_phases(kActivationP, seed), placements,
           EngineOptions{});
       break;
   }
   engine->run(wide_horizon(replica));
-  return engine->stats();
+  return engine;
 }
 
 void expect_stats_equal(const EngineStats& batch, const EngineStats& solo) {
@@ -165,54 +186,90 @@ void expect_stats_equal(const EngineStats& batch, const EngineStats& solo) {
   ASSERT_EQ(batch.cover_time, solo.cover_time);
 }
 
+void expect_coverage_equal(const CoverageReport& batch,
+                           const CoverageReport& solo) {
+  ASSERT_EQ(batch.visit_counts, solo.visit_counts);
+  ASSERT_EQ(batch.cover_time, solo.cover_time);
+  ASSERT_EQ(batch.visited_node_count, solo.visited_node_count);
+  ASSERT_EQ(batch.max_revisit_gap, solo.max_revisit_gap);
+  ASSERT_EQ(batch.max_closed_gap, solo.max_closed_gap);
+  ASSERT_EQ(batch.nodes_visited_in_suffix, solo.nodes_visited_in_suffix);
+  ASSERT_EQ(batch.suffix_window, solo.suffix_window);
+  ASSERT_EQ(batch.horizon, solo.horizon);
+}
+
+/// One untraced batch of `shape.batch` seeds per thread count, each
+/// compared replica by replica with its solo Engine.
+void expect_batch_matches_solo(const WideShape& shape,
+                               const std::string& algorithm,
+                               ExecutionModel model,
+                               const WideScenario& scenario,
+                               const std::vector<std::uint32_t>& threads) {
+  SCOPED_TRACE(algorithm + " " + to_string(model) + "/" + scenario.name);
+  const Ring ring(shape.nodes);
+  std::vector<std::unique_ptr<Engine>> solo(shape.batch);
+  for (std::uint32_t b = 0; b < shape.batch; ++b) {
+    solo[b] = solo_run(ring, algorithm, model, scenario.adversary,
+                       shape.robots, b);
+  }
+  for (const std::uint32_t thread_count : threads) {
+    SCOPED_TRACE("threads=" + std::to_string(thread_count));
+    std::vector<BatchReplica> replicas(shape.batch);
+    for (std::uint32_t b = 0; b < shape.batch; ++b) {
+      const std::uint64_t seed = b + 1;
+      BatchReplica& replica = replicas[b];
+      replica.algorithm = make_algorithm(algorithm, seed);
+      replica.placements = random_placements(ring, shape.robots, seed);
+      replica.horizon = wide_horizon(b);
+      wire_standard_replica(
+          replica, model,
+          adversary_from_config(scenario.adversary, ring, seed, shape.robots),
+          kActivationP, seed);
+    }
+    BatchEngineOptions options;
+    options.threads = thread_count;
+    BatchEngine batch(ring, model, std::move(replicas), options);
+    batch.run_all();
+    for (std::uint32_t b = 0; b < shape.batch; ++b) {
+      SCOPED_TRACE("replica " + std::to_string(b));
+      expect_stats_equal(batch.stats(b), solo[b]->stats());
+      expect_coverage_equal(batch.coverage_report(b),
+                            solo[b]->coverage_report());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+constexpr ExecutionModel kAllModels[] = {
+    ExecutionModel::kFsync, ExecutionModel::kSsync, ExecutionModel::kAsync};
+
 TEST(WideBatch, B256ThreadedMatchesSoloOnEveryModel) {
   // n chosen so a 256-replica batch spans MULTIPLE cache tiles (the tile
-  // budget splits the lane axis) and threads=4 splits the 64-lane blocks
-  // across workers on any machine (a small core count just oversubscribes;
-  // determinism must not care).
-  constexpr std::uint32_t kNodes = 2048;
-  constexpr std::uint32_t kRobots = 8;
-  constexpr std::uint32_t kBatch = 256;
-  const Ring ring(kNodes);
-
-  const std::vector<WideScenario> scenarios = {
-      {"fsync/static", ExecutionModel::kFsync, false},
-      {"ssync/static", ExecutionModel::kSsync, false},
-      {"async/static", ExecutionModel::kAsync, false},
-      {"fsync/greedy-blocker", ExecutionModel::kFsync, true},
-      {"ssync/greedy-blocker", ExecutionModel::kSsync, true},
-      {"async/greedy-blocker", ExecutionModel::kAsync, true},
-  };
-  for (const WideScenario& scenario : scenarios) {
-    SCOPED_TRACE(scenario.name);
-    std::vector<EngineStats> solo(kBatch);
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
-      solo[b] = solo_run(ring, scenario, kRobots, b);
+  // budget splits the lane axis) and threads=3/4 split the 64-lane blocks
+  // across workers, evenly or not, on any machine (a small core count
+  // just oversubscribes; determinism must not care).
+  const WideShape shape{2048, 8, 256};
+  for (const ExecutionModel model : kAllModels) {
+    for (const WideScenario& scenario : wide_scenarios(true)) {
+      expect_batch_matches_solo(shape, "pef3+", model, scenario, {1, 3, 4});
+      if (HasFatalFailure()) return;
     }
-    for (const std::uint32_t threads : {1u, 4u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      std::vector<BatchReplica> replicas(kBatch);
-      for (std::uint32_t b = 0; b < kBatch; ++b) {
-        const std::uint64_t seed = b + 1;
-        BatchReplica& replica = replicas[b];
-        replica.algorithm = make_algorithm("pef3+", seed);
-        replica.placements = random_placements(ring, kRobots, seed);
-        replica.horizon = wide_horizon(b);
-        wire_standard_replica(replica, scenario.model,
-                              wide_adversary(ring, scenario.adaptive_adversary),
-                              kActivationP, seed);
-      }
-      BatchEngineOptions options;
-      options.threads = threads;
-      BatchEngine batch(ring, scenario.model, std::move(replicas), options);
-      batch.run_all();
-      for (std::uint32_t b = 0; b < kBatch; ++b) {
-        SCOPED_TRACE("replica " + std::to_string(b));
-        expect_stats_equal(batch.stats(b), solo[b]);
+  }
+}
+
+TEST(WideBatch, CrowdedRingMatchesSoloForEveryKernel) {
+  // k = n / 2 makes towers and robots sharing visit cells common, and 77
+  // lanes leave a 13-lane second block: a ragged 8-lane tail in every
+  // per-8-lane body, before retirements make the live count ragged too.
+  // Every registry kernel runs, so on static rings each branchless kernel
+  // takes the masked SSYNC body, and oscillating and random-walk take the
+  // per-bit pass.
+  const WideShape shape{24, 12, 77};
+  for (const std::string& algorithm : algorithm_names()) {
+    for (const ExecutionModel model : kAllModels) {
+      for (const WideScenario& scenario : wide_scenarios(false)) {
+        expect_batch_matches_solo(shape, algorithm, model, scenario, {1, 3});
         if (HasFatalFailure()) return;
-        const CoverageReport& coverage = batch.coverage_report(b);
-        ASSERT_EQ(coverage.visited_node_count, solo[b].visited_node_count);
-        ASSERT_EQ(coverage.cover_time, solo[b].cover_time);
       }
     }
   }

@@ -407,6 +407,167 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
 }
 
 // ---------------------------------------------------------------------------
+// The activation fill's edge cases, untraced (the *_round path) at 1 and 3
+// threads: robot counts 1-3, where a Bernoulli lane often draws no robot
+// and takes the forced-nonempty next_below(k) fallback; p in {0, 0.5, 1};
+// and one 77-lane batch mixing Bernoulli lanes with round-robin, full and
+// virtual (no batched kernel) lanes, so 8-lane groups of Bernoulli lanes
+// break in the middle of a slice.
+
+/// A Bernoulli policy that hides its batched kernel: its lanes take the
+/// virtual path while drawing the same stream as BernoulliActivation.
+class OpaqueBernoulliActivation final : public ActivationPolicy {
+ public:
+  OpaqueBernoulliActivation(double p, std::uint64_t seed) : inner_(p, seed) {}
+  void activate(Time t, const Configuration& gamma,
+                ActivationMask& mask) override {
+    inner_.activate(t, gamma, mask);
+  }
+  [[nodiscard]] std::string name() const override { return "opaque"; }
+
+ private:
+  BernoulliActivation inner_;
+};
+
+class OpaqueBernoulliPhases final : public PhaseScheduler {
+ public:
+  OpaqueBernoulliPhases(double p, std::uint64_t seed) : inner_(p, seed) {}
+  void advance(Time t, const Configuration& gamma,
+               const std::vector<Phase>& phases,
+               ActivationMask& mask) override {
+    inner_.advance(t, gamma, phases, mask);
+  }
+  [[nodiscard]] std::string name() const override { return "opaque"; }
+
+ private:
+  BernoulliPhases inner_;
+};
+
+/// Lane roles of the mixed batch: mostly Bernoulli, with a round-robin,
+/// full or virtual lane inside some 8-lane groups.
+enum class LaneActivation { kBernoulli, kRoundRobin, kFull, kVirtual };
+
+LaneActivation lane_activation(std::uint32_t replica) {
+  switch (replica) {
+    case 11:
+    case 70:
+      return LaneActivation::kRoundRobin;
+    case 19:
+      return LaneActivation::kFull;
+    case 30:
+    case 66:
+      return LaneActivation::kVirtual;
+    default:
+      return LaneActivation::kBernoulli;
+  }
+}
+
+std::unique_ptr<ActivationPolicy> mixed_activation(std::uint32_t replica,
+                                                   double p,
+                                                   std::uint64_t seed) {
+  switch (lane_activation(replica)) {
+    case LaneActivation::kRoundRobin:
+      return std::make_unique<RoundRobinActivation>();
+    case LaneActivation::kFull:
+      return std::make_unique<FullActivation>();
+    case LaneActivation::kVirtual:
+      return std::make_unique<OpaqueBernoulliActivation>(p, seed);
+    case LaneActivation::kBernoulli:
+      break;
+  }
+  return std::make_unique<BernoulliActivation>(p, seed);
+}
+
+std::unique_ptr<PhaseScheduler> mixed_phases(std::uint32_t replica, double p,
+                                             std::uint64_t seed) {
+  switch (lane_activation(replica)) {
+    case LaneActivation::kRoundRobin:
+      return std::make_unique<RoundRobinPhases>();
+    case LaneActivation::kFull:
+      return std::make_unique<LockstepPhases>();
+    case LaneActivation::kVirtual:
+      return std::make_unique<OpaqueBernoulliPhases>(p, seed);
+    case LaneActivation::kBernoulli:
+      break;
+  }
+  return std::make_unique<BernoulliPhases>(p, seed);
+}
+
+TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
+  constexpr std::uint32_t kLanes = 77;
+  const Ring ring(10);
+  for (const ExecutionModel model :
+       {ExecutionModel::kSsync, ExecutionModel::kAsync}) {
+    for (const std::uint32_t robots : {1u, 2u, 3u}) {
+      for (const double p : {0.0, 0.5, 1.0}) {
+        for (const bool full_edges : {true, false}) {
+          SCOPED_TRACE(std::string(to_string(model)) + " k=" +
+                       std::to_string(robots) + " p=" + std::to_string(p) +
+                       (full_edges ? " static" : " bernoulli edges"));
+          const auto adversary = [&](std::uint64_t seed)
+              -> std::unique_ptr<SsyncAdversary> {
+            if (full_edges) {
+              return std::make_unique<SsyncObliviousAdversary>(
+                  std::make_shared<StaticSchedule>(ring));
+            }
+            return std::make_unique<SsyncObliviousAdversary>(
+                std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+          };
+          const auto activation_seed = [](std::uint32_t b) {
+            return derive_seed(b + 1, 0xf1);
+          };
+          std::vector<std::unique_ptr<Engine>> solo;
+          for (std::uint32_t b = 0; b < kLanes; ++b) {
+            const std::uint64_t seed = b + 1;
+            solo.push_back(
+                model == ExecutionModel::kSsync
+                    ? std::make_unique<Engine>(
+                          ring, make_algorithm("pef3+", seed), adversary(seed),
+                          mixed_activation(b, p, activation_seed(b)),
+                          random_placements(ring, robots, seed))
+                    : std::make_unique<Engine>(
+                          ring, make_algorithm("pef3+", seed), adversary(seed),
+                          mixed_phases(b, p, activation_seed(b)),
+                          random_placements(ring, robots, seed)));
+            solo.back()->run(horizon_of(b));
+          }
+          for (const std::uint32_t threads : {1u, 3u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            std::vector<BatchReplica> replicas(kLanes);
+            for (std::uint32_t b = 0; b < kLanes; ++b) {
+              const std::uint64_t seed = b + 1;
+              BatchReplica& replica = replicas[b];
+              replica.algorithm = make_algorithm("pef3+", seed);
+              replica.ssync_adversary = adversary(seed);
+              if (model == ExecutionModel::kSsync) {
+                replica.activation = mixed_activation(b, p, activation_seed(b));
+              } else {
+                replica.phases = mixed_phases(b, p, activation_seed(b));
+              }
+              replica.placements = random_placements(ring, robots, seed);
+              replica.horizon = horizon_of(b);
+            }
+            BatchEngineOptions options;
+            options.threads = threads;
+            BatchEngine batch(ring, model, std::move(replicas), options);
+            batch.run_all();
+            for (std::uint32_t b = 0; b < kLanes; ++b) {
+              SCOPED_TRACE("replica " + std::to_string(b));
+              expect_same_stats(batch.stats(b), solo[b]->stats());
+              expect_same_coverage(batch.coverage_report(b),
+                                   solo[b]->coverage_report());
+              for (RobotId r = 0; r < robots; ++r) {
+                EXPECT_EQ(batch.robot_node(b, r), solo[b]->robot_node(r));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The untraced fast path: stats and coverage still match solo runs (the
 // batch-throughput bench relies on exactly this equality), and ragged
 // horizons retire lanes at the right rounds.
