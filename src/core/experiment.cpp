@@ -1,10 +1,7 @@
 #include "core/experiment.hpp"
 
-#include <optional>
-
 #include "algorithms/registry.hpp"
 #include "common/check.hpp"
-#include "engine/batch_engine.hpp"
 
 namespace pef {
 
@@ -59,33 +56,6 @@ std::vector<AdversarySpec> standard_battery() {
   return battery;
 }
 
-namespace {
-
-/// Everything below the engine run: the full per-trace analysis shared by
-/// run_experiment and the batched run_battery path.
-RunResult analyze_run(const Ring& ring, const Trace& trace,
-                      const ExperimentConfig& config, std::uint64_t seed) {
-  RunResult result;
-  result.coverage = analyze_coverage(trace);
-  result.towers = analyze_towers(trace);
-  const Time patience =
-      config.audit_patience > 0 ? config.audit_patience : config.horizon / 4;
-  result.legality = audit_connectivity(ring, trace.edge_history(), patience);
-  result.perpetual = result.coverage.perpetual(config.nodes);
-  result.adversary_legal = result.legality.connected_over_time;
-  result.algorithm_name = config.algorithm->name();
-  result.adversary_name = adversary_display_name(config.adversary);
-  result.model = config.model;
-  result.topology = config.topology;
-  result.nodes = config.nodes;
-  result.robots = config.robots;
-  result.horizon = config.horizon;
-  result.seed = seed;
-  return result;
-}
-
-}  // namespace
-
 std::string run_result_to_json(const RunResult& result) {
   JsonWriter json;
   json.begin_object();
@@ -120,51 +90,36 @@ RunResult run_experiment(const ExperimentConfig& config) {
   PEF_CHECK(config.horizon >= 1);
 
   const Ring ring(config.nodes);
-  AdversaryPtr adversary =
-      adversary_from_config(config.adversary, ring, config.seed,
-                            config.robots, config.topology);
-
   const std::vector<RobotPlacement> placements =
       config.placements ? *config.placements
                         : spread_placements(ring, config.robots);
+  EngineOptions options;
+  options.record_trace = true;  // every analysis below reads the trace
+  Engine engine = make_standard_engine(
+      ring, config.model, config.algorithm,
+      adversary_from_config(config.adversary, ring, config.seed,
+                            config.robots, config.topology),
+      placements, config.activation_p, config.seed, options);
+  engine.run(config.horizon);
+  const Trace& trace = engine.trace();
 
-  const Trace* trace = nullptr;
-  std::optional<Simulator> sim;
-  std::optional<Engine> engine;
-  if (config.model != ExecutionModel::kFsync) {
-    // SSYNC/ASYNC run on the unified Engine with seeded Bernoulli
-    // activation / phase scheduling; the battery adversary ignores the
-    // activation mask.
-    EngineOptions options;
-    options.record_trace = true;
-    auto wrapped =
-        std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-    if (config.model == ExecutionModel::kSsync) {
-      engine.emplace(ring, config.algorithm, std::move(wrapped),
-                     standard_ssync_activation(config.activation_p,
-                                               config.seed),
-                     placements, options);
-    } else {
-      engine.emplace(ring, config.algorithm, std::move(wrapped),
-                     standard_async_phases(config.activation_p, config.seed),
-                     placements, options);
-    }
-    engine->run(config.horizon);
-    trace = &engine->trace();
-  } else if (config.fast_engine) {
-    EngineOptions options;
-    options.record_trace = true;
-    engine.emplace(ring, config.algorithm, std::move(adversary), placements,
-                   options);
-    engine->run(config.horizon);
-    trace = &engine->trace();
-  } else {
-    sim.emplace(ring, config.algorithm, std::move(adversary), placements);
-    sim->run(config.horizon);
-    trace = &sim->trace();
-  }
-
-  return analyze_run(ring, *trace, config, config.seed);
+  RunResult result;
+  result.coverage = analyze_coverage(trace);
+  result.towers = analyze_towers(trace);
+  const Time patience =
+      config.audit_patience > 0 ? config.audit_patience : config.horizon / 4;
+  result.legality = audit_connectivity(ring, trace.edge_history(), patience);
+  result.perpetual = result.coverage.perpetual(config.nodes);
+  result.adversary_legal = result.legality.connected_over_time;
+  result.algorithm_name = config.algorithm->name();
+  result.adversary_name = adversary_display_name(config.adversary);
+  result.model = config.model;
+  result.topology = config.topology;
+  result.nodes = config.nodes;
+  result.robots = config.robots;
+  result.horizon = config.horizon;
+  result.seed = config.seed;
+  return result;
 }
 
 std::vector<RunResult> run_battery(ExperimentConfig config,
@@ -172,49 +127,6 @@ std::vector<RunResult> run_battery(ExperimentConfig config,
                                    std::uint32_t seeds) {
   std::vector<RunResult> results;
   results.reserve(seeds);
-
-  // Batched fast path: the battery is B runs of one scenario with
-  // different seeds — BatchEngine's shape — so run them as one traced
-  // replica batch and analyse each replica's trace.  Traces (and therefore
-  // every analysis) are bit-identical to the sequential path, which stays
-  // for explicit placements (those may start towered, which only the
-  // reference Simulator accepts).
-  const bool batchable = seeds > 1 && config.algorithm != nullptr &&
-                         !config.placements.has_value() &&
-                         config.robots < config.nodes;
-  if (batchable) {
-    PEF_CHECK(config.robots >= 1);
-    PEF_CHECK(config.nodes >= 2);
-    PEF_CHECK(config.horizon >= 1);
-    const Ring ring(config.nodes);
-    const std::vector<RobotPlacement> placements =
-        spread_placements(ring, config.robots);
-
-    std::vector<BatchReplica> replicas(seeds);
-    for (std::uint32_t s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = first_seed + s;
-      BatchReplica& replica = replicas[s];
-      replica.algorithm = config.algorithm;
-      replica.placements = placements;
-      replica.horizon = config.horizon;
-      wire_standard_replica(
-          replica, config.model,
-          adversary_from_config(config.adversary, ring, seed, config.robots,
-                                config.topology),
-          config.activation_p, seed);
-    }
-
-    BatchEngineOptions options;
-    options.record_trace = true;  // the analyses are all trace-based
-    BatchEngine engine(ring, config.model, std::move(replicas), options);
-    engine.run_all();
-    for (std::uint32_t s = 0; s < seeds; ++s) {
-      results.push_back(
-          analyze_run(ring, engine.trace(s), config, first_seed + s));
-    }
-    return results;
-  }
-
   for (std::uint32_t s = 0; s < seeds; ++s) {
     config.seed = first_seed + s;
     results.push_back(run_experiment(config));
@@ -235,9 +147,6 @@ ExperimentConfig to_experiment_config(const ScenarioSpec& spec) {
   config.seed = spec.seed;
   config.model = spec.model;
   config.activation_p = spec.activation_p;
-  // Specs run on the unified Engine: bit-identical to the reference
-  // engines (differentially tested) and ~10x faster.
-  config.fast_engine = true;
   return config;
 }
 

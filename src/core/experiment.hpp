@@ -6,6 +6,10 @@
 // run_scenario() executes one.  ExperimentConfig remains as the thin
 // programmatic adapter underneath (it holds live objects — an AlgorithmPtr,
 // explicit placements — that a serializable spec cannot).
+//
+// Every run, under every execution model, is one traced solo Engine
+// (engine/engine.hpp) followed by the trace analyses; run_battery is a loop
+// of such runs.  The reference simulators stay the tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,7 @@
 #include "engine/engine.hpp"
 #include "robot/algorithm.hpp"
 #include "robot/robot.hpp"
-#include "scheduler/simulator.hpp"
+#include "scheduler/simulator.hpp"  // the placement helpers
 
 namespace pef {
 
@@ -67,14 +71,10 @@ struct ExperimentConfig {
   Time horizon = 2000;
   std::uint64_t seed = 1;
   /// Optional explicit placements; default = evenly spread, same chirality.
+  /// Either way the start must be well-initiated (k < n, no tower).
   std::optional<std::vector<RobotPlacement>> placements;
   /// Patience used by the legality audit for suspected-missing edges.
   Time audit_patience = 0;  // 0 => horizon / 4
-  /// Execute on the unified Engine (with trace recording, so every analysis
-  /// still runs) instead of the reference Simulator.  Differential tests pin
-  /// the two engines to bit-identical traces, so results are unchanged —
-  /// only faster.  Forced on for non-FSYNC models.
-  bool fast_engine = false;
   /// Activation model.  SSYNC runs under seeded Bernoulli activation and
   /// ASYNC under seeded Bernoulli phase advancement (probability
   /// `activation_p`, same default as SweepGrid and pef_run); the adversary
@@ -111,7 +111,9 @@ struct RunResult {
 
 [[nodiscard]] RunResult run_experiment(const ExperimentConfig& config);
 
-/// Run the config across `seeds` different seeds; returns all results.
+/// Run the config across `seeds` different seeds (first_seed, first_seed+1,
+/// ...; config.seed is ignored); returns all results, one run_experiment
+/// each.
 [[nodiscard]] std::vector<RunResult> run_battery(ExperimentConfig config,
                                                  std::uint64_t first_seed,
                                                  std::uint32_t seeds);

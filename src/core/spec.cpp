@@ -146,6 +146,14 @@ std::uint64_t int_param(const AdversaryConfig& config, const char* name) {
   return static_cast<std::uint64_t>(config.param(name));
 }
 
+/// The cage/proof window width at ring size `nodes` with `robots` robots:
+/// the "width" param, or min(k + 1, n - 1) when it is 0.
+std::uint32_t window_width(const AdversaryConfig& config, std::uint32_t robots,
+                           std::uint32_t nodes) {
+  const auto width = static_cast<std::uint32_t>(int_param(config, "width"));
+  return width != 0 ? width : std::min(robots + 1, nodes - 1);
+}
+
 }  // namespace
 
 double AdversaryConfig::param(const std::string& name) const {
@@ -310,19 +318,15 @@ AdversaryPtr resolve_ring_adversary(const AdversaryConfig& config,
     case AdversaryKind::kGreedyBlocker:
       return std::make_unique<GreedyBlockerAdversary>(
           ring, int_param(config, "max_absence"));
-    case AdversaryKind::kCage: {
-      auto width = static_cast<std::uint32_t>(int_param(config, "width"));
-      if (width == 0) width = std::min(robots + 1, ring.node_count() - 1);
+    case AdversaryKind::kCage:
       return std::make_unique<ConfinementAdversary>(
-          ring, static_cast<NodeId>(int_param(config, "anchor")), width);
-    }
-    case AdversaryKind::kProof: {
-      auto width = static_cast<std::uint32_t>(int_param(config, "width"));
-      if (width == 0) width = std::min(robots + 1, ring.node_count() - 1);
+          ring, static_cast<NodeId>(int_param(config, "anchor")),
+          window_width(config, robots, ring.node_count()));
+    case AdversaryKind::kProof:
       return std::make_unique<StagedProofAdversary>(
-          ring, static_cast<NodeId>(int_param(config, "anchor")), width,
+          ring, static_cast<NodeId>(int_param(config, "anchor")),
+          window_width(config, robots, ring.node_count()),
           int_param(config, "patience"));
-    }
   }
   PEF_CHECK_MSG(false, "unknown adversary kind");
   return nullptr;
@@ -388,6 +392,37 @@ std::optional<std::string> check_positive_int(const AdversaryConfig& config,
 std::optional<std::string> check_nonnegative_int(const AdversaryConfig& config,
                                                  const char* name, double max) {
   return check_int(config, name, 0.0, max, "non-negative");
+}
+
+/// A cage/proof window that exists at ring size `nodes` with `robots`
+/// robots: the anchor is a node and the width is in [2, n), as the
+/// adversaries' constructors require.  Call after validate_adversary.
+std::optional<std::string> check_window(const AdversaryConfig& config,
+                                        std::uint32_t nodes,
+                                        std::uint32_t robots) {
+  if (config.kind != AdversaryKind::kCage &&
+      config.kind != AdversaryKind::kProof) {
+    return std::nullopt;
+  }
+  const std::string param =
+      "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
+      "\": param ";
+  const std::string at_n = " at ring size n=" + std::to_string(nodes) + ")";
+  const std::uint64_t anchor = int_param(config, "anchor");
+  if (anchor >= nodes) {
+    return param + "\"anchor\" must be a node, below n (got " +
+           std::to_string(anchor) + at_n;
+  }
+  const std::uint32_t width = window_width(config, robots, nodes);
+  if (width < 2 || width >= nodes) {
+    const std::string got =
+        int_param(config, "width") != 0
+            ? std::to_string(width)
+            : "0, so min(k + 1, n - 1) = " + std::to_string(width) +
+                  " with k=" + std::to_string(robots) + ",";
+    return param + "\"width\" must be in [2, n) (got " + got + at_n;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -702,7 +737,8 @@ std::optional<std::string> ScenarioSpec::validate() const {
     return "unknown algorithm \"" + algorithm + "\" (known: " +
            known_algorithms() + "; empty = paper's recommendation)";
   }
-  return validate_adversary(adversary);
+  if (auto err = validate_adversary(adversary)) return err;
+  return check_window(adversary, nodes, robots);
 }
 
 std::optional<ScenarioSpec> scenario_spec_from_json(const JsonValue& value,
@@ -880,6 +916,16 @@ std::optional<std::string> SweepSpec::validate() const {
   if (!is_probability(activation_p)) {
     return "\"activation_p\" must be in [0, 1] (got " +
            format_value(activation_p) + ")";
+  }
+  // Every cell's window must exist.  Cells are the (n, k) pairs with
+  // 0 < k < n; enumerate_cells skips the rest.
+  for (const AdversaryConfig& config : adversaries) {
+    for (const std::uint32_t n : ring_sizes) {
+      for (const std::uint32_t k : robot_counts) {
+        if (k == 0 || k >= n) continue;
+        if (auto err = check_window(config, n, k)) return err;
+      }
+    }
   }
   return std::nullopt;
 }

@@ -899,14 +899,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
     }
   }
 
-  if (options_.record_trace) {
-    traces_.resize(batch_);
-    record_scratch_.resize(batch_);
-    for (std::uint32_t r = 0; r < batch_; ++r) {
-      traces_[r] = std::make_unique<Trace>(ring_, snapshot(r));
-    }
-  }
-
   // Zero-horizon replicas are done before the first step.
   retire_finished();
 }
@@ -1201,51 +1193,27 @@ void BatchEngine::observe_boundary(Time t, std::uint32_t l0,
 
 void BatchEngine::step() {
   PEF_CHECK_MSG(active_ > 0, "every replica already reached its horizon");
-  const bool tracing = !traces_.empty();
-  if (tracing) {
-    // Traced rounds keep global per-round barriers: the recorder snapshots
-    // every lane's planes between the prologue and the pass.
-    switch (model_) {
-      case ExecutionModel::kFsync:
-        step_fsync();
-        break;
-      case ExecutionModel::kSsync:
-        step_ssync();
-        break;
-      case ExecutionModel::kAsync:
-        step_async();
-        break;
-    }
-    update_mirrors(0, active_);
-    end_trace_round();
-    finish_round(0, active_, now_ + 1);
-  } else {
-    // Untraced: one range-local round per slice, no barriers inside.
-    with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-      parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-        switch (model_) {
-          case ExecutionModel::kFsync:
-            fsync_round<Id>(l0, l1, now_);
-            break;
-          case ExecutionModel::kSsync:
-            ssync_round<Id>(l0, l1, now_);
-            break;
-          case ExecutionModel::kAsync:
-            async_round<Id>(l0, l1, now_);
-            break;
-        }
-      });
+  // One range-local round per slice, no barriers inside.
+  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
+    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
+      switch (model_) {
+        case ExecutionModel::kFsync:
+          fsync_round<Id>(l0, l1, now_);
+          break;
+        case ExecutionModel::kSsync:
+          ssync_round<Id>(l0, l1, now_);
+          break;
+        case ExecutionModel::kAsync:
+          async_round<Id>(l0, l1, now_);
+          break;
+      }
     });
-  }
+  });
   ++now_;
   retire_finished();
 }
 
 void BatchEngine::run_all() {
-  if (!traces_.empty()) {
-    while (active_ > 0) step();
-    return;
-  }
   // Temporal tiling: a round touches every live lane's visit/occupancy
   // rows, and at wide B those rows outgrow L2 — per-round sweeps stream
   // from L3 no matter how good the passes are.  Lanes are fully
@@ -1331,28 +1299,6 @@ bool BatchEngine::edges_all_full(std::uint32_t l0, std::uint32_t l1) const {
     if (edges_full_[l] == 0) return false;
   }
   return true;
-}
-
-void BatchEngine::step_fsync() {
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  const bool all_full = edges_all_full(0, active_);
-
-  // One parallel section per round: every slice runs its fused pass, then
-  // recomputes its multiplicity columns for boundary t+1, then observes
-  // its visit rows — all three sweeps over planes the pass just made hot.
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      if (all_full) {
-        fsync_pass<Id, true>(l0, l1);
-      } else {
-        fsync_pass<Id, false>(l0, l1);
-      }
-      recompute_multiplicity(l0, l1, now_ + 1);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
 }
 
 template <KernelId Id>
@@ -1600,24 +1546,6 @@ void BatchEngine::extract_lane_mask(const std::uint64_t* plane,
   }
 }
 
-void BatchEngine::step_ssync() {
-  // The mask plane must be complete before the serial prologue: virtual
-  // edge adversaries and the trace recorder read arbitrary lanes.
-  parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-    fill_mask_words(l0, l1, now_);
-  });
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      ssync_moves<Id>(l0, l1);
-      recompute_multiplicity(l0, l1, now_ + 1);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
-}
-
 template <KernelId Id>
 void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
@@ -1700,25 +1628,6 @@ void BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
       }
     }
   }
-}
-
-void BatchEngine::step_async() {
-  // Same sectioning as step_ssync; the tick prologue additionally
-  // snapshots the moving mask (advancing AND in-Move) per slice.
-  parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-    fill_mask_words(l0, l1, now_);
-    fill_moving_words(l0, l1);
-  });
-  if (edge_refill_needed_) refill_edges(0, active_, now_);
-  begin_trace_round();
-
-  with_kernel_id(kernel_id_, [&]<KernelId Id>() {
-    parallel_lane_slices([&](std::uint32_t l0, std::uint32_t l1) {
-      async_pass<Id>(l0, l1);
-      recompute_multiplicity(l0, l1, now_ + 1);
-      observe_boundary(now_ + 1, l0, l1);
-    });
-  });
 }
 
 template <KernelId Id>
@@ -1872,7 +1781,7 @@ void BatchEngine::init_cycles() {
         model_ == ExecutionModel::kFsync
             ? ActivationBatchKind::kFull
             : static_cast<ActivationBatchKind>(act_kind_[l]);
-    cycles_.emplace_back(options_.fast_forward, options_.record_trace,
+    cycles_.emplace_back(options_.fast_forward, /*tracing=*/false,
                          schedules_[l], activation, robots_, nodes_);
     any = any || cycles_.back().eligible();
   }
@@ -2041,64 +1950,6 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace reconstruction (cold path).
-
-void BatchEngine::begin_trace_round() {
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    RoundRecord& record = record_scratch_[l];
-    record.time = now_;
-    if (record.edges.edge_count() != edge_count_) {
-      record.edges = EdgeSet(edge_count_);
-    }
-    record.edges.assign_words(edge_row(l));
-    record.robots.assign(robots_, RobotRoundRecord{});
-    for (std::uint32_t i = 0; i < robots_; ++i) {
-      const std::size_t at = std::size_t{i} * batch_ + l;
-      RobotRoundRecord& r = record.robots[i];
-      r.node_before = node_[at];
-      r.node_after = node_[at];
-      r.dir_before = static_cast<LocalDirection>(dir_[at]);
-      r.dir_after = r.dir_before;
-      // The multiplicity bit of every Look fired this round is
-      // reconstructable up front: all Looks read the start-of-round
-      // multiplicity plane.  Which robots Look depends on the model.
-      bool looks = false;
-      switch (model_) {
-        case ExecutionModel::kFsync:
-          looks = true;
-          break;
-        case ExecutionModel::kSsync:
-          looks = mask_bit(mask_words_.data(), i, l);
-          break;
-        case ExecutionModel::kAsync:
-          // Advancing and still in the Look phase (the planes are
-          // pre-transition here: tracing runs before the tick pass).
-          looks = mask_bit(mask_words_.data(), i, l) &&
-                  mask_bit(look_words_.data(), i, l);
-          break;
-      }
-      if (looks) r.saw_other_robots = mult_[at] != 0;
-    }
-  }
-}
-
-void BatchEngine::end_trace_round() {
-  for (std::uint32_t l = 0; l < active_; ++l) {
-    RoundRecord& record = record_scratch_[l];
-    for (std::uint32_t i = 0; i < robots_; ++i) {
-      const std::size_t at = std::size_t{i} * batch_ + l;
-      RobotRoundRecord& r = record.robots[i];
-      r.dir_after = static_cast<LocalDirection>(dir_[at]);
-      r.node_after = node_[at];
-      // One Move crosses exactly one edge, so on a ring (n >= 2) a robot
-      // moved iff its node changed.
-      r.moved = r.node_after != r.node_before;
-    }
-    traces_[replica_of_lane_[l]]->append(record);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Per-replica results.
 
 const EngineStats& BatchEngine::stats(std::uint32_t replica) const {
@@ -2180,13 +2031,6 @@ Configuration BatchEngine::snapshot_lane(std::uint32_t lane) const {
     snaps.push_back(std::move(s));
   }
   return Configuration(ring_, std::move(snaps));
-}
-
-const Trace& BatchEngine::trace(std::uint32_t replica) const {
-  PEF_CHECK(replica < batch_);
-  PEF_CHECK_MSG(!traces_.empty(),
-                "trace() requires BatchEngineOptions::record_trace");
-  return *traces_[replica];
 }
 
 }  // namespace pef

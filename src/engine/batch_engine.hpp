@@ -1,6 +1,6 @@
 // BatchEngine — the replica-batched Monte-Carlo execution core.
 //
-// A sweep cell, a figure bench and a seed battery all run the SAME scenario
+// A sweep cell and a pef_run --batch run both run the SAME scenario
 // (ring, algorithm, execution model, horizon) B times with different seeds
 // or adversary draws.  Running those as B independent Engines wastes the
 // structure: every replica re-pays the round-loop fixed costs (kernel
@@ -75,9 +75,11 @@
 // adversaries / activation policies / phase schedulers consume the same
 // streams in the same order as a solo run (batched Bernoulli kernels replay
 // the policy's RNG stream draw-for-draw), and tests/batch_engine_test.cpp
-// pins traces and stats to Engine across every registry kernel x {FSYNC,
-// SSYNC, ASYNC} x batchable and non-batchable adversaries x seeds,
-// including ragged horizons.
+// steps batches in lock-step with solo Engines and pins every replica's
+// configuration each round, plus stats and coverage, across every registry
+// kernel x {FSYNC, SSYNC, ASYNC} x batchable and non-batchable adversaries
+// x seeds, including ragged horizons.  The batch records no trace: runs
+// that need one (scenario analyses, rendering) use the solo Engine.
 #pragma once
 
 #include <limits>
@@ -94,7 +96,6 @@
 #include "robot/robot.hpp"
 #include "scheduler/async.hpp"
 #include "scheduler/ssync.hpp"
-#include "scheduler/trace.hpp"
 
 namespace pef {
 
@@ -125,7 +126,7 @@ struct BatchReplica {
 };
 
 /// Wire `replica`'s model-specific pieces the way every FSYNC-battery
-/// entry point does it (SweepRunner, run_battery, pef_run --batch): FSYNC
+/// entry point does it (SweepRunner, pef_run --batch): FSYNC
 /// takes the adversary directly; SSYNC/ASYNC adapt it through
 /// SsyncFromFsyncAdversary and attach the standard seeded Bernoulli
 /// activation / phase scheduler, so batched and solo runs of the same
@@ -142,11 +143,6 @@ void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
 }
 
 struct BatchEngineOptions {
-  /// Record a full per-replica Trace (see Engine's option of the same
-  /// name).  Off by default — tracing is the differential-test path, the
-  /// batch's niche is untraced Monte-Carlo throughput.
-  bool record_trace = false;
-
   /// Enforce the paper's well-initiated execution requirements per replica.
   bool enforce_well_initiated = true;
 
@@ -154,8 +150,8 @@ struct BatchEngineOptions {
   /// blocks and the hot phases (activation fill, fused pass, multiplicity
   /// recompute, visit bookkeeping) run block ranges on a pinned
   /// WorkerTeam.  Every parallel section writes only lane-indexed state,
-  /// so results (stats, traces, coverage) are bit-identical to
-  /// threads == 1 at any thread count.
+  /// so results (stats, coverage) are bit-identical to threads == 1 at any
+  /// thread count.
   /// 0 = one thread per physical core; 1 (default) = serial.
   std::uint32_t threads = 1;
 
@@ -163,7 +159,7 @@ struct BatchEngineOptions {
   /// and Engine's option of the same name).  A lane that proves a cycle
   /// has its horizon shrunk to the final partial period and retires into
   /// the existing ragged-horizon compaction; ineligible lanes (Bernoulli
-  /// activation, adaptive adversaries, tracing) run to their full horizon.
+  /// activation, adaptive adversaries) run to their full horizon.
   /// Per-replica results are bit-identical either way.
   FastForwardOptions fast_forward;
 };
@@ -239,22 +235,13 @@ class BatchEngine {
   [[nodiscard]] Time detected_period(std::uint32_t replica) const;
   [[nodiscard]] NodeId robot_node(std::uint32_t replica, RobotId r) const;
   [[nodiscard]] Configuration snapshot(std::uint32_t replica) const;
-  /// Only valid when options.record_trace was set.
-  [[nodiscard]] const Trace& trace(std::uint32_t replica) const;
 
  private:
   void init_replica(std::uint32_t lane, BatchReplica& replica);
-  /// The TRACED step paths: global per-round barriers so the trace
-  /// recorder can read every lane's planes between the prologue and the
-  /// pass.  Untraced rounds go through the *_round functions below, which
-  /// are entirely lane-range-local and therefore tileable and threadable.
-  void step_fsync();
-  void step_ssync();
-  void step_async();
-  /// ONE untraced round of lanes [l0, l1) at time t — edge refill, pass,
-  /// boundary bookkeeping (multiplicity, visits, mirrors, round stats),
-  /// touching no state outside the lane range.  This is the unit
-  /// the tiled run_all and the threaded slices both compose.
+  /// ONE round of lanes [l0, l1) at time t — edge refill, pass, boundary
+  /// bookkeeping (multiplicity, visits, mirrors, round stats), touching no
+  /// state outside the lane range.  This is the unit step(), the tiled
+  /// run_all and the threaded slices all compose.
   template <KernelId Id>
   void fsync_round(std::uint32_t l0, std::uint32_t l1, Time t);
   template <KernelId Id>
@@ -321,12 +308,6 @@ class BatchEngine {
   /// virtual-adversary path still speaks ActivationMask).
   void extract_lane_mask(const std::uint64_t* plane, std::uint32_t lane,
                          ActivationMask& out) const;
-  [[nodiscard]] bool mask_bit(const std::uint64_t* plane, std::uint32_t robot,
-                              std::uint32_t lane) const {
-    return (plane[std::size_t{robot} * lane_words_ + (lane >> 6)] >>
-            (lane & 63)) &
-           1ULL;
-  }
 
   /// Recompute the multiplicity byte plane and per-lane tower flags of
   /// lanes [l0, l1) from the node planes (replica-wide compares, or the
@@ -372,11 +353,6 @@ class BatchEngine {
   void retire_finished();
   void swap_lanes(std::uint32_t a, std::uint32_t b);
   [[nodiscard]] Configuration snapshot_lane(std::uint32_t lane) const;
-
-  // Trace reconstruction (cold path): records are rebuilt from the planes
-  // around the hot passes, so tracing costs nothing when off.
-  void begin_trace_round();
-  void end_trace_round();
 
   Ring ring_;
   ExecutionModel model_ = ExecutionModel::kFsync;
@@ -520,10 +496,6 @@ class BatchEngine {
   /// epoch boundary and retire after the remaining partial period.  Empty
   /// unless some lane is eligible, so plain batches pay nothing per round.
   std::vector<CycleTracker> cycles_;
-
-  // Per-REPLICA traces (tracing only).
-  std::vector<std::unique_ptr<Trace>> traces_;
-  std::vector<RoundRecord> record_scratch_;  // per lane, reused
 };
 
 }  // namespace pef

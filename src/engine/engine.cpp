@@ -41,6 +41,30 @@ std::optional<ExecutionModel> parse_execution_model(const std::string& name) {
   return std::nullopt;
 }
 
+Engine make_standard_engine(Ring ring, ExecutionModel model,
+                            AlgorithmPtr algorithm, AdversaryPtr adversary,
+                            const std::vector<RobotPlacement>& placements,
+                            double activation_p, std::uint64_t seed,
+                            EngineOptions options) {
+  switch (model) {
+    case ExecutionModel::kFsync:
+      return Engine(ring, std::move(algorithm), std::move(adversary),
+                    placements, options);
+    case ExecutionModel::kSsync:
+      return Engine(
+          ring, std::move(algorithm),
+          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
+          standard_ssync_activation(activation_p, seed), placements,
+          options);
+    case ExecutionModel::kAsync:
+      break;
+  }
+  return Engine(
+      ring, std::move(algorithm),
+      std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
+      standard_async_phases(activation_p, seed), placements, options);
+}
+
 Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)

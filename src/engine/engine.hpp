@@ -313,4 +313,15 @@ class Engine {
   std::unique_ptr<Trace> trace_;
 };
 
+/// One seeded run wired the way every FSYNC-battery entry point wires it
+/// (run_experiment, SweepRunner, pef_run): FSYNC takes the adversary
+/// directly; SSYNC/ASYNC adapt it through SsyncFromFsyncAdversary under the
+/// standard seeded Bernoulli activation / phase scheduler.  The solo
+/// counterpart of wire_standard_replica (engine/batch_engine.hpp), so solo
+/// and batched runs of the same (model, seed) see identical streams.
+[[nodiscard]] Engine make_standard_engine(
+    Ring ring, ExecutionModel model, AlgorithmPtr algorithm,
+    AdversaryPtr adversary, const std::vector<RobotPlacement>& placements,
+    double activation_p, std::uint64_t seed, EngineOptions options = {});
+
 }  // namespace pef

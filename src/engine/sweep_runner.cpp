@@ -120,28 +120,9 @@ SweepCell run_cell(const SweepContext& context, const CellTask& task) {
   options.fast_forward.enabled = spec.fast_forward;
 
   const auto start = std::chrono::steady_clock::now();
-  std::optional<Engine> engine_slot;
-  switch (cell.model) {
-    case ExecutionModel::kFsync:
-      engine_slot.emplace(ring, std::move(algorithm), std::move(adversary),
-                          placements, options);
-      break;
-    case ExecutionModel::kSsync:
-      engine_slot.emplace(
-          ring, std::move(algorithm),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_ssync_activation(spec.activation_p, cell.effective_seed),
-          placements, options);
-      break;
-    case ExecutionModel::kAsync:
-      engine_slot.emplace(
-          ring, std::move(algorithm),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_async_phases(spec.activation_p, cell.effective_seed),
-          placements, options);
-      break;
-  }
-  Engine& engine = *engine_slot;
+  Engine engine = make_standard_engine(
+      ring, cell.model, std::move(algorithm), std::move(adversary),
+      placements, spec.activation_p, cell.effective_seed, options);
   engine.run(cell.horizon);
   const auto stop = std::chrono::steady_clock::now();
 

@@ -13,14 +13,18 @@
 //     engine_threads in {1, 4};
 //   * the pef_run CLI: --batch 1/2 route to solo Engines (and say so in the
 //     footer), --batch 16/auto to the BatchEngine, with per-seed table rows
-//     identical across the routes, --threads, and PEF_BATCH_ISA tiers.
+//     identical across the routes, --threads, and PEF_BATCH_ISA tiers; and
+//     the removed --engine flag exits 2.
 //
-// (batch_engine_test.cpp is the exhaustive trace-level differential at
+// (batch_engine_test.cpp is the exhaustive round-by-round differential at
 // B=10; this file covers the regimes that test cannot reach: multi-tile
 // widths, worker threads, the planner, and the CLI routing.)
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -107,8 +111,7 @@ TEST(AdaptiveBatch, PreferredWidthNarrowsForHugeRings) {
 // ---------------------------------------------------------------------------
 // Wide + threaded batches vs solo Engines (stats/coverage identity)
 //
-// Untraced, so the lanes run the range-local *_round functions (the traced
-// differentials of batch_engine_test run the step_* paths).  Every
+// Through run_all(), so the lanes run the tiled, threaded path.  Every
 // EngineStats field and the whole CoverageReport are compared.
 
 struct WideShape {
@@ -198,7 +201,7 @@ void expect_coverage_equal(const CoverageReport& batch,
   ASSERT_EQ(batch.horizon, solo.horizon);
 }
 
-/// One untraced batch of `shape.batch` seeds per thread count, each
+/// One batch of `shape.batch` seeds per thread count, each
 /// compared replica by replica with its solo Engine.
 void expect_batch_matches_solo(const WideShape& shape,
                                const std::string& algorithm,
@@ -270,59 +273,6 @@ TEST(WideBatch, CrowdedRingMatchesSoloForEveryKernel) {
       for (const WideScenario& scenario : wide_scenarios(false)) {
         expect_batch_matches_solo(shape, algorithm, model, scenario, {1, 3});
         if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST(WideBatch, TracedThreadedBatchMatchesSerial) {
-  // The traced path keeps global round barriers; threads may only change
-  // scheduling, never a single trace byte.
-  constexpr std::uint32_t kNodes = 64;
-  constexpr std::uint32_t kRobots = 4;
-  constexpr std::uint32_t kBatch = 65;  // odd: exercises the tail block
-  const Ring ring(kNodes);
-
-  const auto build = [&](std::uint32_t threads) {
-    std::vector<BatchReplica> replicas(kBatch);
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
-      const std::uint64_t seed = b + 1;
-      BatchReplica& replica = replicas[b];
-      replica.algorithm = make_algorithm("pef3+", seed);
-      replica.placements = random_placements(ring, kRobots, seed);
-      replica.horizon = wide_horizon(b);
-      wire_standard_replica(
-          replica, ExecutionModel::kSsync,
-          make_oblivious(std::make_shared<StaticSchedule>(ring)), kActivationP,
-          seed);
-    }
-    BatchEngineOptions options;
-    options.record_trace = true;
-    options.threads = threads;
-    auto engine = std::make_unique<BatchEngine>(ring, ExecutionModel::kSsync,
-                                                std::move(replicas), options);
-    engine->run_all();
-    return engine;
-  };
-
-  const auto serial = build(1);
-  const auto threaded = build(4);
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
-    const Trace& a = serial->trace(b);
-    const Trace& c = threaded->trace(b);
-    ASSERT_EQ(a.rounds().size(), c.rounds().size()) << "replica " << b;
-    for (std::size_t t = 0; t < a.rounds().size(); ++t) {
-      const RoundRecord& ra = a.rounds()[t];
-      const RoundRecord& rc = c.rounds()[t];
-      ASSERT_EQ(ra.edges, rc.edges) << "replica " << b << " round " << t;
-      ASSERT_EQ(ra.robots.size(), rc.robots.size());
-      for (RobotId r = 0; r < ra.robots.size(); ++r) {
-        ASSERT_EQ(ra.robots[r].node_after, rc.robots[r].node_after)
-            << "replica " << b << " round " << t << " robot " << r;
-        ASSERT_EQ(ra.robots[r].dir_after, rc.robots[r].dir_after)
-            << "replica " << b << " round " << t << " robot " << r;
-        ASSERT_EQ(ra.robots[r].moved, rc.robots[r].moved)
-            << "replica " << b << " round " << t << " robot " << r;
       }
     }
   }
@@ -452,6 +402,18 @@ TEST(PefRunCli, SoloAndBatchRowsAreByteIdentical) {
   ASSERT_EQ(batch.size(), 16u);
   EXPECT_EQ(solo[0], batch[0]);
   EXPECT_EQ(solo[1], batch[1]);
+}
+
+TEST(PefRunCli, EngineFlagIsGone) {
+  // Every run executes on the unified Engine; --engine is an unknown flag.
+  for (const char* engine : {"fast", "reference"}) {
+    const int status = std::system(
+        (pef_run_cmd(std::string(kCliScenario) + " --engine " + engine) +
+         " > /dev/null 2>&1")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << engine;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << engine;
+  }
 }
 
 TEST(PefRunCli, ThreadsAndIsaTiersKeepRowsIdentical) {

@@ -1,8 +1,9 @@
 // Differential tests for BatchEngine: a batch of B replicas must be
-// BIT-IDENTICAL to B independent Engine runs — traces, stats and coverage —
-// across every registry kernel, every execution model, adversary families
-// (oblivious and adaptive) and ragged per-replica horizons (early
-// termination compacts lanes out mid-run; the survivors must not notice).
+// BIT-IDENTICAL to B independent Engine runs — every replica's
+// configuration at every round boundary, stats and coverage — across every
+// registry kernel, every execution model, adversary families (oblivious and
+// adaptive) and ragged per-replica horizons (early termination compacts
+// lanes out mid-run; the survivors must not notice).
 #include "engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include "adversary/greedy_blocker.hpp"
 #include "algorithms/registry.hpp"
 #include "common/rng.hpp"
-#include "core/experiment.hpp"
 #include "core/spec.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
@@ -33,25 +33,21 @@ Time horizon_of(std::uint32_t replica) {
   return kBaseHorizon + 37 * (replica % 4);
 }
 
-void expect_same_round(const RoundRecord& actual, const RoundRecord& expected,
-                       Time t) {
-  ASSERT_EQ(actual.time, expected.time);
-  ASSERT_EQ(actual.edges, expected.edges) << "round " << t;
-  ASSERT_EQ(actual.robots.size(), expected.robots.size());
-  for (RobotId r = 0; r < expected.robots.size(); ++r) {
-    ASSERT_EQ(actual.robots[r].node_before, expected.robots[r].node_before)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].node_after, expected.robots[r].node_after)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].dir_before, expected.robots[r].dir_before)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].dir_after, expected.robots[r].dir_after)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].moved, expected.robots[r].moved)
-        << "round " << t << " robot " << r;
-    ASSERT_EQ(actual.robots[r].saw_other_robots,
-              expected.robots[r].saw_other_robots)
-        << "round " << t << " robot " << r;
+/// Every robot's node, local direction and chirality agree.  Replica and
+/// round only label a failure.
+void expect_same_configuration(const Configuration& actual,
+                               const Configuration& expected,
+                               std::uint32_t replica, Time t) {
+  ASSERT_EQ(actual.robot_count(), expected.robot_count());
+  for (RobotId r = 0; r < expected.robot_count(); ++r) {
+    const RobotSnapshot& a = actual.robot(r);
+    const RobotSnapshot& e = expected.robot(r);
+    ASSERT_EQ(a.node, e.node)
+        << "replica " << replica << " time " << t << " robot " << r;
+    ASSERT_EQ(a.dir, e.dir)
+        << "replica " << replica << " time " << t << " robot " << r;
+    ASSERT_EQ(a.chirality, e.chirality)
+        << "replica " << replica << " time " << t << " robot " << r;
   }
 }
 
@@ -77,9 +73,12 @@ void expect_same_coverage(const CoverageReport& actual,
 }
 
 /// Runs one (algorithm, model, scenario) batch against its B solo Engine
-/// twins and pins traces, stats, coverage and final configurations.
-/// `make_replica` and `make_engine` must construct the same scenario from
-/// the same seed (fresh objects each call).
+/// twins.  `make_replica` and `make_engine` must construct the same
+/// scenario from the same seed (fresh objects each call).  Two batches run:
+/// one driven by step() in lock-step with the solo Engines, its every
+/// replica's configuration pinned at every boundary, and one by run_all()
+/// (the tiled path sweeps take).  Both must end on the solo stats, coverage
+/// and configurations.
 void run_differential(
     const std::string& label,
     const std::function<BatchReplica(std::uint32_t replica)>& make_replica,
@@ -87,42 +86,47 @@ void run_differential(
     ExecutionModel model) {
   SCOPED_TRACE(label);
   const Ring ring(kNodes);
-
-  std::vector<BatchReplica> replicas;
-  replicas.reserve(kBatch);
+  const auto replicas = [&] {
+    std::vector<BatchReplica> out;
+    out.reserve(kBatch);
+    for (std::uint32_t b = 0; b < kBatch; ++b) out.push_back(make_replica(b));
+    return out;
+  };
+  std::vector<std::unique_ptr<Engine>> solo;
   for (std::uint32_t b = 0; b < kBatch; ++b) {
-    replicas.push_back(make_replica(b));
+    solo.push_back(std::make_unique<Engine>(make_engine(b)));
   }
-  BatchEngineOptions options;
-  options.record_trace = true;
-  BatchEngine batch(ring, model, std::move(replicas), options);
-  ASSERT_EQ(batch.active_replicas(), kBatch);
-  batch.run_all();
-  ASSERT_EQ(batch.active_replicas(), 0u);
+
+  BatchEngine stepped(ring, model, replicas());
+  ASSERT_EQ(stepped.active_replicas(), kBatch);
+  for (Time t = 0;; ++t) {
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      expect_same_configuration(stepped.snapshot(b), solo[b]->snapshot(), b,
+                                t);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (stepped.active_replicas() == 0) break;
+    stepped.step();
+    for (std::uint32_t b = 0; b < kBatch; ++b) {
+      if (solo[b]->now() < horizon_of(b)) solo[b]->step();
+    }
+  }
+
+  BatchEngine ran(ring, model, replicas());
+  ran.run_all();
+  ASSERT_EQ(ran.active_replicas(), 0u);
 
   for (std::uint32_t b = 0; b < kBatch; ++b) {
     SCOPED_TRACE("replica " + std::to_string(b));
-    Engine solo = make_engine(b);
-    solo.run(horizon_of(b));
-
-    const Trace& batch_trace = batch.trace(b);
-    const Trace& solo_trace = solo.trace();
-    ASSERT_EQ(batch_trace.length(), solo_trace.length());
-    for (Time t = 0; t < solo_trace.length(); ++t) {
-      expect_same_round(batch_trace.rounds()[t], solo_trace.rounds()[t], t);
-    }
-    expect_same_stats(batch.stats(b), solo.stats());
-    expect_same_coverage(batch.coverage_report(b), solo.coverage_report());
-    for (RobotId r = 0; r < kRobots; ++r) {
-      EXPECT_EQ(batch.robot_node(b, r), solo.robot_node(r)) << "robot " << r;
+    ASSERT_EQ(solo[b]->now(), horizon_of(b));
+    for (const BatchEngine* batch : {&stepped, &ran}) {
+      expect_same_stats(batch->stats(b), solo[b]->stats());
+      expect_same_coverage(batch->coverage_report(b),
+                           solo[b]->coverage_report());
+      expect_same_configuration(batch->snapshot(b), solo[b]->snapshot(), b,
+                                horizon_of(b));
     }
   }
-}
-
-EngineOptions traced_engine_options() {
-  EngineOptions options;
-  options.record_trace = true;
-  return options;
 }
 
 // ---------------------------------------------------------------------------
@@ -178,8 +182,7 @@ TEST(BatchEngineFsyncTest, MatchesSoloEnginesAcrossRegistryAndAdversaries) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
                           family.make(ring, seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kFsync);
     }
@@ -245,8 +248,7 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_activation(seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kSsync);
     }
@@ -310,8 +312,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_phases(seed),
-                          random_placements(ring, kRobots, seed),
-                          traced_engine_options());
+                          random_placements(ring, kRobots, seed));
           },
           ExecutionModel::kAsync);
     }
@@ -322,7 +323,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
 // The batched round prologue, pinned through the standard wiring: every
 // registry kernel x {SSYNC(activation_p in {0.3, 1.0}), ASYNC} x batchable
 // AND non-batchable registry adversary kinds x 10 ragged-horizon seeds must
-// be trace-bit-identical to solo Engines.  This is the differential pin of
+// match solo Engines round by round.  This is the differential pin of
 // the mask/edge word planes: the devirtualized Bernoulli activation kernels
 // (p=0.3 sparse masks, p=1.0 full masks including the forced-nonempty
 // fallback path), the schedule-filled edge rows of the batchable kinds (no
@@ -391,14 +392,12 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
                 return Engine(ring, make_algorithm(algorithm, seed),
                               std::move(adversary),
                               standard_ssync_activation(mc.activation_p, seed),
-                              random_placements(ring, kRobots, seed),
-                              traced_engine_options());
+                              random_placements(ring, kRobots, seed));
               }
               return Engine(ring, make_algorithm(algorithm, seed),
                             std::move(adversary),
                             standard_async_phases(mc.activation_p, seed),
-                            random_placements(ring, kRobots, seed),
-                            traced_engine_options());
+                            random_placements(ring, kRobots, seed));
             },
             mc.model);
       }
@@ -407,8 +406,8 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
 }
 
 // ---------------------------------------------------------------------------
-// The activation fill's edge cases, untraced (the *_round path) at 1 and 3
-// threads: robot counts 1-3, where a Bernoulli lane often draws no robot
+// The activation fill's edge cases through run_all() at 1 and 3 threads:
+// robot counts 1-3, where a Bernoulli lane often draws no robot
 // and takes the forced-nonempty next_below(k) fallback; p in {0, 0.5, 1};
 // and one 77-lane batch mixing Bernoulli lanes with round-robin, full and
 // virtual (no batched kernel) lanes, so 8-lane groups of Bernoulli lanes
@@ -568,8 +567,8 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// The untraced fast path: stats and coverage still match solo runs (the
-// batch-throughput bench relies on exactly this equality), and ragged
+// A wider ring with more robots: stats and coverage still match solo runs
+// (the batch-throughput bench relies on exactly this equality), and ragged
 // horizons retire lanes at the right rounds.
 
 TEST(BatchEngineTest, UntracedStatsMatchSoloEngines) {
@@ -626,41 +625,6 @@ TEST(BatchEngineTest, RaggedHorizonsRetireLanesOnSchedule) {
   EXPECT_EQ(batch.active_replicas(), 0u);
   for (std::size_t b = 0; b < horizons.size(); ++b) {
     EXPECT_EQ(batch.stats(static_cast<std::uint32_t>(b)).rounds, horizons[b]);
-  }
-}
-
-TEST(BatchEngineTest, RunBatteryBatchedMatchesSequentialRuns) {
-  // run_battery dispatches seed batteries to one traced BatchEngine; every
-  // per-seed RunResult must equal the sequential run_experiment's.
-  for (const ExecutionModel model :
-       {ExecutionModel::kFsync, ExecutionModel::kSsync,
-        ExecutionModel::kAsync}) {
-    SCOPED_TRACE(to_string(model));
-    ExperimentConfig config;
-    config.nodes = 10;
-    config.robots = 3;
-    config.algorithm = make_algorithm("pef3+");
-    config.adversary = adversary_config(AdversaryKind::kBernoulli, {{"p", 0.6}});
-    config.horizon = 300;
-    config.model = model;
-
-    const std::vector<RunResult> batched = run_battery(config, 5, 4);
-    ASSERT_EQ(batched.size(), 4u);
-    for (std::uint32_t s = 0; s < 4; ++s) {
-      SCOPED_TRACE("seed " + std::to_string(5 + s));
-      config.seed = 5 + s;
-      const RunResult solo = run_experiment(config);
-      const RunResult& batch = batched[s];
-      EXPECT_EQ(batch.seed, solo.seed);
-      EXPECT_EQ(batch.perpetual, solo.perpetual);
-      EXPECT_EQ(batch.adversary_legal, solo.adversary_legal);
-      EXPECT_EQ(batch.coverage.visit_counts, solo.coverage.visit_counts);
-      EXPECT_EQ(batch.coverage.cover_time, solo.coverage.cover_time);
-      EXPECT_EQ(batch.coverage.max_revisit_gap, solo.coverage.max_revisit_gap);
-      EXPECT_EQ(batch.towers.tower_formation_count,
-                solo.towers.tower_formation_count);
-      EXPECT_EQ(batch.towers.max_tower_size, solo.towers.max_tower_size);
-    }
   }
 }
 

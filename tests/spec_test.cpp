@@ -355,6 +355,65 @@ TEST(ScenarioSpecTest, ValidateRefusesAPeriodTooLargeForItsPattern) {
   EXPECT_NE(err->find("(got 4294967301)"), std::string::npos) << *err;
 }
 
+/// True iff `message` names `param`, mentions `got` and ring size n.
+bool names_window_param(const std::optional<std::string>& message,
+                        const std::string& param, const std::string& got,
+                        std::uint32_t n) {
+  return message.has_value() &&
+         message->find("\"" + param + "\"") != std::string::npos &&
+         message->find("(got " + got) != std::string::npos &&
+         message->find("ring size n=" + std::to_string(n)) !=
+             std::string::npos;
+}
+
+TEST(ScenarioSpecTest, ValidateRefusesWindowsThatCannotExist) {
+  // The cage and proof adversaries confine robots to a window of `width`
+  // nodes from `anchor`; their constructors abort unless the anchor is a
+  // node and 2 <= width < n.
+  for (const AdversaryKind kind : {AdversaryKind::kCage,
+                                   AdversaryKind::kProof}) {
+    SCOPED_TRACE(adversary_kind_info(kind).name);
+    ScenarioSpec spec;
+    spec.nodes = 6;
+    spec.robots = 3;
+    for (const double anchor : {100.0, 6.0}) {
+      spec.adversary = adversary_config(kind, {{"anchor", anchor}});
+      const auto err = spec.validate();
+      EXPECT_TRUE(names_window_param(
+          err, "anchor", std::to_string(static_cast<int>(anchor)), 6))
+          << err.value_or("accepted");
+    }
+    for (const double width : {1.0, 6.0}) {
+      spec.adversary = adversary_config(kind, {{"width", width}});
+      const auto err = spec.validate();
+      EXPECT_TRUE(names_window_param(
+          err, "width", std::to_string(static_cast<int>(width)), 6))
+          << err.value_or("accepted");
+    }
+    // The largest anchor and width are accepted.
+    spec.adversary = adversary_config(kind, {{"anchor", 5}, {"width", 5}});
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+
+    // The default width min(k + 1, n - 1) is 1 at n = 2 and 2 at n = 3.
+    spec.adversary = adversary_config(kind);
+    spec.nodes = 2;
+    spec.robots = 1;
+    const auto err = spec.validate();
+    EXPECT_TRUE(names_window_param(err, "width", "0", 2))
+        << err.value_or("accepted");
+    spec.nodes = 3;
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+  }
+
+  std::string error;
+  EXPECT_FALSE(parse_scenario_spec(
+                   R"({"nodes": 6, "robots": 3, "adversary": {"kind":)"
+                   R"( "cage", "params": {"anchor": 100}}})",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("ring size n=6"), std::string::npos) << error;
+}
+
 TEST(ScenarioSpecTest, RunScenarioExecutesTheSpec) {
   ScenarioSpec spec;
   spec.nodes = 6;
@@ -479,6 +538,43 @@ TEST(SweepSpecTest, ValidateRefusesAHorizonPerNodeProductThatOverflows) {
                        &error)
           .has_value());
   EXPECT_NE(error.find("overflows"), std::string::npos) << error;
+}
+
+TEST(SweepSpecTest, ValidateRefusesWindowsThatCannotExist) {
+  // Every ring size with a cell (0 < k < n) must hold the window.
+  SweepSpec spec = sample_sweep();  // n in {6, 10}, k = 3
+  for (const AdversaryKind kind : {AdversaryKind::kCage,
+                                   AdversaryKind::kProof}) {
+    SCOPED_TRACE(adversary_kind_info(kind).name);
+    spec.adversaries = {adversary_config(AdversaryKind::kStatic),
+                        adversary_config(kind, {{"anchor", 6}})};
+    auto err = spec.validate();
+    EXPECT_TRUE(names_window_param(err, "anchor", "6", 6))
+        << err.value_or("accepted");
+    spec.adversaries = {adversary_config(kind, {{"width", 6}})};
+    err = spec.validate();
+    EXPECT_TRUE(names_window_param(err, "width", "6", 6))
+        << err.value_or("accepted");
+    spec.adversaries = {adversary_config(kind, {{"width", 1}})};
+    err = spec.validate();
+    EXPECT_TRUE(names_window_param(err, "width", "1", 6))
+        << err.value_or("accepted");
+    // The largest anchor and width the smallest ring holds are accepted.
+    spec.adversaries = {adversary_config(kind, {{"anchor", 5}, {"width", 5}})};
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+
+    // n = 2 has no cell at k = 3, so its default width of 1 is never
+    // built; a k = 1 cell builds it.
+    spec.adversaries = {adversary_config(kind)};
+    spec.ring_sizes = {2, 6};
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+    spec.robot_counts = {1, 3};
+    err = spec.validate();
+    EXPECT_TRUE(names_window_param(err, "width", "0", 2))
+        << err.value_or("accepted");
+    spec.ring_sizes = {6, 10};
+    spec.robot_counts = {3};
+  }
 }
 
 TEST(SweepSpecTest, CanonicalJsonIsTheStableCacheKey) {

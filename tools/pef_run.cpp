@@ -14,14 +14,13 @@
 //
 // The execution model is a flag: --model fsync|ssync|async selects the
 // activation model (SSYNC/ASYNC run under seeded Bernoulli activation /
-// phase scheduling, the adversary adapted through SsyncFromFsyncAdversary),
-// and --engine fast|reference picks the unified Engine or the matching
-// reference engine (Simulator / SsyncSimulator / AsyncSimulator) — the two
-// are differentially tested to byte-identical traces for every model.
+// phase scheduling, the adversary adapted through SsyncFromFsyncAdversary).
+// Runs execute on the unified Engine (engine/engine.hpp), or under --batch
+// on BatchEngine; the reference simulators are the test suites' oracle,
+// not a CLI choice.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,9 +37,7 @@
 #include "dynamic_graph/properties.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/async.hpp"
-#include "scheduler/simulator.hpp"
-#include "scheduler/ssync.hpp"
+#include "scheduler/simulator.hpp"  // the placement helpers
 
 namespace pef {
 namespace {
@@ -89,8 +86,7 @@ void print_help(const char* program) {
       << "                   (engine=solo|batch).  \"auto\" picks the\n"
       << "                   calibrated preferred width for the scenario.\n"
       << "                   Omit the flag for the single traced run below\n"
-      << "                   (incompatible with --render and\n"
-      << "                   --engine reference)\n"
+      << "                   (incompatible with --render)\n"
       << "  --fast-forward   detect per-seed periodicity and extrapolate\n"
       << "                   the remaining rounds in closed form\n"
       << "                   (Monte-Carlo mode only; engages on eligible\n"
@@ -101,9 +97,6 @@ void print_help(const char* program) {
       << "  --model M        fsync | ssync | async (default fsync; ssync\n"
       << "                   and async use seeded Bernoulli activation /\n"
       << "                   phase scheduling, see --activation-p)\n"
-      << "  --engine E       fast | reference (default fast; identical\n"
-      << "                   results, the reference engines are the\n"
-      << "                   canonical implementations)\n"
       << "  --activation-p X per-robot activation / phase-advance\n"
       << "                   probability for ssync / async (default 0.5)\n"
       << "  --seed S         RNG seed (default 1)\n"
@@ -161,7 +154,6 @@ int main(int argc, char** argv) {
   const auto threads = args.get_u32("--threads", 1);
   const auto model_name =
       args.get_string("--model", to_string(spec.model));
-  const auto engine_name = args.get_string("--engine", "fast");
   const bool activation_p_given = args.has("--activation-p");
   const auto activation_p =
       args.get_double("--activation-p", spec.activation_p);
@@ -186,10 +178,6 @@ int main(int argc, char** argv) {
     std::cerr << "--topology must be ring or chain\n";
     return 2;
   }
-  if (engine_name != "fast" && engine_name != "reference") {
-    std::cerr << "--engine must be fast or reference\n";
-    return 2;
-  }
   if (activation_p_given && *model == ExecutionModel::kFsync) {
     std::cerr << "--activation-p applies only to --model ssync|async (FSYNC "
                  "activates every robot every round)\n";
@@ -210,10 +198,6 @@ int main(int argc, char** argv) {
       }
       batch = static_cast<std::uint32_t>(value);
     }
-  }
-  if (batch_given && engine_name != "fast") {
-    std::cerr << "--batch runs on the fast engine only\n";
-    return 2;
   }
   if (batch_given && render) {
     std::cerr << "--render needs a single traced run (drop --batch)\n";
@@ -324,33 +308,14 @@ int main(int argc, char** argv) {
         const std::uint64_t s = seed + b;
         EngineOptions options;
         options.fast_forward.enabled = fast_forward;
-        std::optional<Engine> solo;
-        switch (*model) {
-          case ExecutionModel::kFsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         make_adversary(s), spread_placements(ring, robots),
-                         options);
-            break;
-          case ExecutionModel::kSsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         std::make_unique<SsyncFromFsyncAdversary>(
-                             make_adversary(s)),
-                         standard_ssync_activation(activation_p, s),
-                         spread_placements(ring, robots), options);
-            break;
-          case ExecutionModel::kAsync:
-            solo.emplace(ring, make_algorithm(algorithm, s),
-                         std::make_unique<SsyncFromFsyncAdversary>(
-                             make_adversary(s)),
-                         standard_async_phases(activation_p, s),
-                         spread_placements(ring, robots), options);
-            break;
-        }
-        solo->run(horizon);
-        seed_stats[b] = solo->stats();
-        seed_coverage[b] = solo->coverage_report();
-        if (solo->fast_forwarded()) {
-          seed_simulated[b] = solo->rounds_simulated();
+        Engine solo = make_standard_engine(
+            ring, *model, make_algorithm(algorithm, s), make_adversary(s),
+            spread_placements(ring, robots), activation_p, s, options);
+        solo.run(horizon);
+        seed_stats[b] = solo.stats();
+        seed_coverage[b] = solo.coverage_report();
+        if (solo.fast_forwarded()) {
+          seed_simulated[b] = solo.rounds_simulated();
         }
       }
     }
@@ -413,79 +378,18 @@ int main(int argc, char** argv) {
     return all_perpetual ? 0 : 1;
   }
 
-  std::optional<Engine> engine;
-  std::optional<Simulator> sim;
-  std::optional<SsyncSimulator> ssync_sim;
-  std::optional<AsyncSimulator> async_sim;
-  const Trace* trace_ptr = nullptr;
-
-  // The shared standard policies guarantee fast and reference runs of the
-  // same (model, seed) see identical activation streams.
-  const auto make_activation = [&] {
-    return standard_ssync_activation(activation_p, seed);
-  };
-  const auto make_phases = [&] {
-    return standard_async_phases(activation_p, seed);
-  };
-  const auto make_ssync_adversary = [&] {
-    return std::make_unique<SsyncFromFsyncAdversary>(
-        make_adversary(seed));
-  };
-
-  if (engine_name == "fast") {
-    EngineOptions options;
-    options.record_trace = true;  // the report below is all trace analysis
-    switch (*model) {
-      case ExecutionModel::kFsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_adversary(seed),
-                       spread_placements(ring, robots), options);
-        break;
-      case ExecutionModel::kSsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_ssync_adversary(), make_activation(),
-                       spread_placements(ring, robots), options);
-        break;
-      case ExecutionModel::kAsync:
-        engine.emplace(ring, make_algorithm(algorithm, seed),
-                       make_ssync_adversary(), make_phases(),
-                       spread_placements(ring, robots), options);
-        break;
-    }
-    engine->run(horizon);
-    trace_ptr = &engine->trace();
-  } else {
-    switch (*model) {
-      case ExecutionModel::kFsync:
-        sim.emplace(ring, make_algorithm(algorithm, seed),
-                    make_adversary(seed),
-                    spread_placements(ring, robots));
-        sim->run(horizon);
-        trace_ptr = &sim->trace();
-        break;
-      case ExecutionModel::kSsync:
-        ssync_sim.emplace(ring, make_algorithm(algorithm, seed),
-                          make_ssync_adversary(), make_activation(),
-                          spread_placements(ring, robots));
-        ssync_sim->run(horizon);
-        trace_ptr = &ssync_sim->trace();
-        break;
-      case ExecutionModel::kAsync:
-        async_sim.emplace(ring, make_algorithm(algorithm, seed),
-                          make_ssync_adversary(), make_phases(),
-                          spread_placements(ring, robots));
-        async_sim->run(horizon);
-        trace_ptr = &async_sim->trace();
-        break;
-    }
-  }
-  const Trace& trace = *trace_ptr;
+  EngineOptions engine_options;
+  engine_options.record_trace = true;  // the report is all trace analysis
+  Engine engine = make_standard_engine(
+      ring, *model, make_algorithm(algorithm, seed), make_adversary(seed),
+      spread_placements(ring, robots), activation_p, seed, engine_options);
+  engine.run(horizon);
+  const Trace& trace = engine.trace();
 
   std::cout << "pef_run: n=" << nodes << " k=" << robots << " algorithm="
             << algorithm << " adversary=" << adversary_name
             << " horizon=" << horizon << " seed=" << seed
-            << " model=" << to_string(*model) << " engine=" << engine_name
-            << "\n"
+            << " model=" << to_string(*model) << "\n"
             << "TABLE 1 prediction: "
             << computability::to_string(
                    computability::classify(robots, nodes))
