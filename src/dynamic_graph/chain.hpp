@@ -45,10 +45,10 @@ class ChainSchedule final : public EdgeSchedule {
     base_->edges_into_words(t, words);
     words[cut_ >> 6] &= ~(std::uint64_t{1} << (cut_ & 63));
   }
-  [[nodiscard]] bool time_invariant() const override {
-    // Masking a fixed bit preserves the base's invariance (a static base
-    // yields a static chain, so engines keep the fill-once fast path).
-    return base_->time_invariant();
+  [[nodiscard]] Time next_change(Time t) const override {
+    // Masking a fixed bit changes nothing over time (a static base yields
+    // a static chain, so engines keep the fill-once path).
+    return base_->next_change(t);
   }
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     // Masking a fixed bit also preserves the base's periodicity witness.

@@ -66,11 +66,14 @@ class EdgeSchedule {
     for (std::uint32_t i = 0; i < count; ++i) words[i] = src[i];
   }
 
-  /// True iff edges_at(t) is the same set for every t.  Engines use it to
-  /// fill their scratch set once and skip the per-round refill entirely
-  /// (BatchEngine additionally skips the per-robot edge-presence tests when
-  /// the invariant set is full).  Conservative default: false.
-  [[nodiscard]] virtual bool time_invariant() const { return false; }
+  /// The first round after `t` whose edge set may differ from E_t:
+  /// edges_at(s) == edges_at(t) for every s in [t, next_change(t)), and
+  /// next_change(t) > t.  Engines refill their edge scratch only when they
+  /// reach that round; kTimeInfinity means E_t holds forever, so
+  /// next_change(0) == kTimeInfinity marks a time-invariant schedule.  Must
+  /// never answer late (an engine would keep a stale E_t); the conservative
+  /// default is the next round.
+  [[nodiscard]] virtual Time next_change(Time t) const { return t + 1; }
 
   /// Eventual periodicity witness, if the family can prove one.  The
   /// default claims {1, 0} for time-invariant schedules and "unknown"
@@ -78,7 +81,7 @@ class EdgeSchedule {
   /// conservative — a wrong witness would let the fast-forward layer
   /// certify a cycle that is not one.
   [[nodiscard]] virtual ScheduleRecurrence recurrence() const {
-    return {time_invariant() ? Time{1} : Time{0}, Time{0}};
+    return {next_change(0) == kTimeInfinity ? Time{1} : Time{0}, Time{0}};
   }
 
   [[nodiscard]] virtual std::string name() const = 0;

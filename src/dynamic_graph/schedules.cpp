@@ -252,6 +252,12 @@ void TIntervalConnectedSchedule::edges_into_words(Time t,
   if (pick < ring_.edge_count()) words[pick >> 6] &= ~(1ULL << (pick & 63));
 }
 
+Time TIntervalConnectedSchedule::next_change(Time t) const {
+  const Time epoch = t / interval_;
+  if (epoch >= kTimeInfinity / interval_) return kTimeInfinity;
+  return (epoch + 1) * interval_;
+}
+
 std::string TIntervalConnectedSchedule::name() const {
   return "t-interval(T=" + std::to_string(interval_) + ")";
 }

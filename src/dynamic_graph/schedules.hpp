@@ -48,7 +48,7 @@ class StaticSchedule final : public EdgeSchedule {
   void edges_into_words(Time, std::uint64_t* words) const override {
     fill_edge_words(words, ring_.edge_count());
   }
-  [[nodiscard]] bool time_invariant() const override { return true; }
+  [[nodiscard]] Time next_change(Time) const override { return kTimeInfinity; }
   [[nodiscard]] std::string name() const override { return "static"; }
 
  private:
@@ -182,6 +182,9 @@ class TIntervalConnectedSchedule final : public EdgeSchedule {
   [[nodiscard]] EdgeSet edges_at(Time t) const override;
   void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
+  /// The next multiple of the interval (the pick is redrawn there),
+  /// kTimeInfinity when that multiple does not fit a Time.
+  [[nodiscard]] Time next_change(Time t) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -206,6 +209,11 @@ class EventualMissingEdgeSchedule final : public EdgeSchedule {
   [[nodiscard]] EdgeSet edges_at(Time t) const override;
   void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
+  [[nodiscard]] Time next_change(Time t) const override {
+    // The overlay changes once, at the vanish.
+    const Time next = base_->next_change(t);
+    return t < vanish_time_ ? std::min(next, vanish_time_) : next;
+  }
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     // After the vanish the overlay is constant, so the base's periodicity
     // carries through once both tails are in effect.

@@ -309,12 +309,16 @@ void compute_multiplicity_rows(const NodeId* __restrict node,
   return clockwise ? (u + 1 == n ? 0 : u + 1) : (u == 0 ? n - 1 : u - 1);
 }
 
-/// Everything the fused FSYNC pass touches, as raw restrict-able pointers,
-/// so the pass can live in free functions compiled per ISA level.  Edge
-/// words come as the contiguous plane base + row stride (lane l's row is
-/// edges + l * ewpr).  The pass covers the lane range [l0, l1) — one
-/// replica block's slice of the planes.
-struct FsyncPassArgs {
+/// Endpoint slots per lane: both ends of each listed absent edge.
+constexpr std::uint32_t kAbsentEnds = 2 * BatchEngine::kSparseAbsent;
+
+/// Everything the fused passes touch, as raw restrict-able pointers, so the
+/// passes can live in free functions compiled per ISA level.  Edge words
+/// come as the contiguous plane base + row stride (lane l's row is
+/// edges + l * ewpr).  A pass covers the lane range [l0, l1) — one replica
+/// block's slice of the planes.  Word planes are robot-major, lw words per
+/// robot: bit l & 63 of word robot * lw + l / 64 belongs to lane l.
+struct PassArgs {
   std::uint32_t l0 = 0;
   std::uint32_t l1 = 0;
   std::uint32_t stride = 0;
@@ -331,10 +335,22 @@ struct FsyncPassArgs {
   const std::uint64_t* edges = nullptr;
   std::uint32_t ewpr = 0;
   std::uint64_t* moves = nullptr;
-  /// Masked passes only: the robot-major activation word plane (bit l & 63
-  /// of word robot * lw + l / 64 = "robot acts in lane l").
-  const std::uint64_t* mask = nullptr;
   std::uint32_t lw = 0;
+  /// SSYNC activation / ASYNC advance words ("robot acts in lane l").
+  const std::uint64_t* mask = nullptr;
+  /// Split passes: the robots standing on an endpoint of one of their
+  /// lane's absent edges (touched_words).
+  const std::uint64_t* touched = nullptr;
+  /// ASYNC: the moving words, the one-hot phase planes, and the pending
+  /// Look views as edge-ahead and edge-behind words plus multiplicity
+  /// bytes (a byte plane of stride `stride`, like mult).
+  const std::uint64_t* moving = nullptr;
+  std::uint64_t* look = nullptr;
+  std::uint64_t* compute = nullptr;
+  std::uint64_t* move = nullptr;
+  std::uint64_t* pending_ahead = nullptr;
+  std::uint64_t* pending_behind = nullptr;
+  std::uint8_t* pending_mult = nullptr;
 };
 
 /// With every edge present, a kernel's Compute collapses: the edge tests
@@ -351,68 +367,87 @@ inline constexpr bool kAllFullBranchless =
     Id == KernelId::kPef3Plus || Id == KernelId::kPef3PlusNoRule2 ||
     Id == KernelId::kPef3PlusNoRule3;
 
-/// One robot row of the branchless AllFull body, lanes [lo, hi).
-/// LocalDirection is {0, 1} with opposite == XOR 1, so "turn iff P" is
-/// dir ^= P for a 0/1 byte P, and the keep/bounce/pef1/pef2 rules reduce
-/// to no Compute at all (their turn conditions need an absent edge).  Move
-/// is one modular step whose direction is a byte compare.  Masked: only
-/// the lanes whose bit is set in `act` (the one activation word covering
-/// [lo, hi), loaded by the caller) Compute and Move; the others keep their
-/// state.  Loading the word outside the lane loop is what lets both loops
-/// vectorize.
+/// 1 iff lane l acts: always when unmasked, else its bit of `act` (the one
+/// activation word covering the caller's lanes, loaded outside the lane
+/// loop — which is what lets the loops below vectorize).
+template <bool Masked>
+[[gnu::always_inline]] inline std::uint8_t lane_on(std::uint64_t act,
+                                                   std::uint32_t l) {
+  if constexpr (Masked) {
+    return static_cast<std::uint8_t>((act >> (l & 63)) & 1);
+  } else {
+    return 1;
+  }
+}
+
+/// The Compute half of one robot row's branchless AllFull body, lanes
+/// [lo, hi), with multiplicity bytes `m`.  LocalDirection is {0, 1} with
+/// opposite == XOR 1, so "turn iff P" is dir ^= P for a 0/1 byte P, and the
+/// keep/bounce/pef1/pef2 rules reduce to no Compute at all (their turn
+/// conditions need an absent edge).  Masked: only the lanes set in `act`
+/// Compute; the others keep their state.
+template <KernelId Id, bool Masked>
+[[gnu::always_inline]] inline void all_full_compute(
+    std::uint8_t* __restrict d, const std::uint8_t* __restrict m,
+    std::uint8_t* __restrict hm, std::uint32_t lo, std::uint32_t hi,
+    std::uint64_t act) {
+  if constexpr (Id == KernelId::kPef3Plus) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      const std::uint8_t on = lane_on<Masked>(act, l);
+      d[l] ^= static_cast<std::uint8_t>(hm[l] & m[l] & on);
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
+    }
+  } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      const std::uint8_t on = lane_on<Masked>(act, l);
+      d[l] ^= static_cast<std::uint8_t>(m[l] & on);
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
+    }
+  } else if constexpr (Id == KernelId::kPef3PlusNoRule3) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | lane_on<true>(act, l))
+                     : 1;
+    }
+  }
+}
+
+/// The Move half: with both edges present a robot always crosses, so Move
+/// is one modular step whose direction is a byte compare (kernel-free).
+template <bool Masked>
+[[gnu::always_inline]] inline void all_full_move(
+    const std::uint8_t* __restrict d, const std::uint8_t* __restrict c,
+    NodeId* __restrict nd, std::uint32_t n, std::uint32_t lo,
+    std::uint32_t hi, std::uint64_t act) {
+  for (std::uint32_t l = lo; l < hi; ++l) {
+    const NodeId u = nd[l];
+    const NodeId up = u + 1 == n ? 0 : u + 1;
+    const NodeId dn = u == 0 ? n - 1 : u - 1;
+    const NodeId to = d[l] == c[l] ? up : dn;
+    nd[l] = lane_on<Masked>(act, l) != 0 ? to : u;
+  }
+}
+
+/// One robot row of the branchless AllFull body: Compute, then Move.
 template <KernelId Id, bool Masked>
 [[gnu::always_inline]] inline void all_full_row(
     std::uint8_t* __restrict d, const std::uint8_t* __restrict m,
     std::uint8_t* __restrict hm, const std::uint8_t* __restrict c,
     NodeId* __restrict nd, std::uint32_t n, std::uint32_t lo,
     std::uint32_t hi, std::uint64_t act) {
-  const auto acts = [act](std::uint32_t l) -> std::uint8_t {
-    if constexpr (Masked) {
-      return static_cast<std::uint8_t>((act >> (l & 63)) & 1);
-    } else {
-      return 1;
-    }
-  };
-  if constexpr (Id == KernelId::kPef3Plus) {
-    for (std::uint32_t l = lo; l < hi; ++l) {
-      const std::uint8_t on = acts(l);
-      d[l] ^= static_cast<std::uint8_t>(hm[l] & m[l] & on);
-      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
-    }
-  } else if constexpr (Id == KernelId::kPef3PlusNoRule2) {
-    for (std::uint32_t l = lo; l < hi; ++l) {
-      const std::uint8_t on = acts(l);
-      d[l] ^= static_cast<std::uint8_t>(m[l] & on);
-      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | on) : 1;
-    }
-  } else if constexpr (Id == KernelId::kPef3PlusNoRule3) {
-    for (std::uint32_t l = lo; l < hi; ++l) {
-      hm[l] = Masked ? static_cast<std::uint8_t>(hm[l] | acts(l)) : 1;
-    }
-  }
-  for (std::uint32_t l = lo; l < hi; ++l) {
-    const NodeId u = nd[l];
-    const NodeId up = u + 1 == n ? 0 : u + 1;
-    const NodeId dn = u == 0 ? n - 1 : u - 1;
-    const NodeId to = d[l] == c[l] ? up : dn;
-    nd[l] = acts(l) != 0 ? to : u;
-  }
+  all_full_compute<Id, Masked>(d, m, hm, lo, hi, act);
+  all_full_move<Masked>(d, c, nd, n, lo, hi, act);
 }
 
-// ONE fused Look+Compute+Move pass, replica-stride inner loop.  Fusing is
-// sound because every Look input is frozen for the round: E_t and the
-// multiplicity plane never change mid-round, and a robot's Move only
-// writes its own node-plane slot.  In the AllFull instantiation the body
-// is pure contiguous plane arithmetic — no gathers, no branches — which
-// is exactly what the replica axis was laid out for.  Masked is the SSYNC
-// form of the branchless AllFull body: the same rows under the
-// activation words.
-template <KernelId Id, bool AllFull, bool Masked>
-[[gnu::always_inline]] inline void fsync_pass_body(const FsyncPassArgs& a) {
-  static_assert(!Masked || (AllFull && kAllFullBranchless<Id>),
-                "only the branchless AllFull body runs under a mask");
-  const std::uint32_t l0 = a.l0;
-  const std::uint32_t l1 = a.l1;
+/// The generic Look+Compute+Move of robot row `base` over lanes [lo, hi):
+/// both edge tests, the kernel, and a Move across the pointed edge (in the
+/// post-Compute direction) iff it is present, counted in `moves`.  The
+/// planes are bound to restrict locals once per call, outside the lane
+/// loop; per-bit callers pass a one-lane range.
+template <KernelId Id>
+[[gnu::always_inline]] inline void generic_row(const PassArgs& a,
+                                               std::size_t base,
+                                               std::uint32_t lo,
+                                               std::uint32_t hi) {
   const std::uint32_t n = a.n;
   NodeId* const __restrict node = a.node;
   std::uint8_t* const __restrict dir = a.dir;
@@ -424,122 +459,513 @@ template <KernelId Id, bool AllFull, bool Masked>
   const KernelSpec* const __restrict spec = a.spec;
   const std::uint64_t* const __restrict edges = a.edges;
   const std::uint32_t ewpr = a.ewpr;
-
-  if constexpr (AllFull && kAllFullBranchless<Id>) {
-    // Branchless form (see kAllFullBranchless and all_full_row): each
-    // robot row is two vectorizable loops over contiguous plane rows, run
-    // once per activation word when Masked.
-    for (std::uint32_t i = 0; i < a.k; ++i) {
-      const std::size_t base = std::size_t{i} * a.stride;
-      std::uint8_t* const d = dir + base;
-      const std::uint8_t* const m = mult + base;
-      std::uint8_t* const hm = khas_moved + base;
-      const std::uint8_t* const c = cw + base;
-      NodeId* const nd = node + base;
-      if constexpr (Masked) {
-        const std::uint64_t* const act = a.mask + std::size_t{i} * a.lw;
-        for (std::uint32_t lo = l0; lo < l1;) {
-          const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
-          all_full_row<Id, true>(d, m, hm, c, nd, n, lo, hi, act[lo >> 6]);
-          lo = hi;
-        }
-      } else {
-        all_full_row<Id, false>(d, m, hm, c, nd, n, l0, l1, 0);
-      }
+  for (std::uint32_t l = lo; l < hi; ++l) {
+    const std::size_t at = base + l;
+    const NodeId u = node[at];
+    const bool ahead_cw = dir[at] == cw[at];
+    const auto [ahead, behind] = adjacent_edges(u, ahead_cw, n);
+    const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
+    View view;
+    view.exists_edge_ahead = edge_present(words, ahead);
+    view.exists_edge_behind = edge_present(words, behind);
+    view.other_robots_on_node = mult[at] != 0;
+    auto d = static_cast<LocalDirection>(dir[at]);
+    kernel_compute<Id>(spec[l], view, d,
+                       kernel_state_at<Id>(krng, kcounter, khas_moved, at));
+    dir[at] = static_cast<std::uint8_t>(d);
+    const bool move_cw = static_cast<std::uint8_t>(d) == cw[at];
+    if (edge_present(words, adjacent_edges(u, move_cw, n).first)) {
+      node[at] = step_node(u, move_cw, n);
+      ++a.moves[l];
     }
-    // With every edge present, every acting robot moved: k per lane, or
-    // the lane's activation count under a mask.
-    if constexpr (Masked) {
-      for (std::uint32_t i = 0; i < a.k; ++i) {
-        const std::uint64_t* const act = a.mask + std::size_t{i} * a.lw;
-        for (std::uint32_t lo = l0; lo < l1;) {
-          const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
-          const std::uint64_t word = act[lo >> 6];
-          for (std::uint32_t l = lo; l < hi; ++l) {
-            a.moves[l] += (word >> (l & 63)) & 1;
-          }
-          lo = hi;
-        }
-      }
-    } else {
-      for (std::uint32_t l = l0; l < l1; ++l) a.moves[l] += a.k;
-    }
-    return;
-  }
-
-  for (std::uint32_t i = 0; i < a.k; ++i) {
-    const std::size_t base = std::size_t{i} * a.stride;
-    for (std::uint32_t l = l0; l < l1; ++l) {
-      const std::size_t at = base + l;
-      const NodeId u = node[at];
-      View view;
-      if constexpr (AllFull) {
-        view.exists_edge_ahead = true;
-        view.exists_edge_behind = true;
-      } else {
-        const bool ahead_cw = dir[at] == cw[at];
-        const auto [ahead, behind] = adjacent_edges(u, ahead_cw, n);
-        const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
-        view.exists_edge_ahead = edge_present(words, ahead);
-        view.exists_edge_behind = edge_present(words, behind);
-      }
-      view.other_robots_on_node = mult[at] != 0;
-      auto d = static_cast<LocalDirection>(dir[at]);
-      kernel_compute<Id>(spec[l], view, d,
-                         kernel_state_at<Id>(krng, kcounter, khas_moved, at));
-      dir[at] = static_cast<std::uint8_t>(d);
-
-      // Move: cross the pointed edge (in the post-Compute direction) iff
-      // present; with a full E_t every robot crosses.
-      const bool move_cw = static_cast<std::uint8_t>(d) == cw[at];
-      if constexpr (AllFull) {
-        node[at] = step_node(u, move_cw, n);
-      } else {
-        const EdgeId pointed = adjacent_edges(u, move_cw, n).first;
-        if (edge_present(edges + std::size_t{l} * ewpr, pointed)) {
-          node[at] = step_node(u, move_cw, n);
-          ++a.moves[l];
-        }
-      }
-    }
-  }
-  if constexpr (AllFull) {
-    // Every robot of every live replica moved.
-    for (std::uint32_t l = l0; l < l1; ++l) a.moves[l] += a.k;
   }
 }
+
+/// The bits of lanes [lo, hi) in their word (the range lies in one word).
+[[gnu::always_inline]] inline std::uint64_t lane_bits(std::uint32_t lo,
+                                                      std::uint32_t hi) {
+  const std::uint32_t width = hi - lo;
+  const std::uint64_t ones = width == 64 ? ~0ULL : (1ULL << width) - 1;
+  return ones << (lo & 63);
+}
+
+/// Add to each lane of [l0, l1) its robots set in `words` and, when
+/// `except` is non-null, clear in `except`: the moves of the robots that
+/// crossed on the branchless body.
+[[gnu::always_inline]] inline void credit_moves(const PassArgs& a,
+                                                const std::uint64_t* words,
+                                                const std::uint64_t* except) {
+  for (std::uint32_t i = 0; i < a.k; ++i) {
+    const std::size_t row = std::size_t{i} * a.lw;
+    for (std::uint32_t lo = a.l0; lo < a.l1;) {
+      const std::uint32_t hi = std::min(a.l1, (lo | 63) + 1);
+      std::uint64_t word = words[row + (lo >> 6)];
+      if (except != nullptr) word &= ~except[row + (lo >> 6)];
+      for (std::uint32_t l = lo; l < hi; ++l) {
+        a.moves[l] += (word >> (l & 63)) & 1;
+      }
+      lo = hi;
+    }
+  }
+}
+
+// ONE fused Look+Compute+Move pass, replica-stride inner loop.  Fusing is
+// sound because every Look input is frozen for the round: E_t and the
+// multiplicity plane never change mid-round, and a robot's Move only
+// writes its own node-plane slot.  In the AllFull instantiation the body
+// is pure contiguous plane arithmetic — no gathers, no branches — which
+// is exactly what the replica axis was laid out for.  Without AllFull
+// every robot runs generic_row.
+template <KernelId Id, bool AllFull>
+struct FsyncPass {
+  [[gnu::always_inline]] static void run(const PassArgs& args) {
+    // A local copy: the char-typed plane stores below cannot alias it, so
+    // the pointers stay in registers.
+    const PassArgs a = args;
+    for (std::uint32_t i = 0; i < a.k; ++i) {
+      const std::size_t base = std::size_t{i} * a.stride;
+      if constexpr (AllFull && kAllFullBranchless<Id>) {
+        // Branchless form (see kAllFullBranchless and all_full_row): each
+        // robot row is two vectorizable loops over contiguous plane rows.
+        all_full_row<Id, false>(a.dir + base, a.mult + base,
+                                a.khas_moved + base, a.cw + base,
+                                a.node + base, a.n, a.l0, a.l1, 0);
+      } else if constexpr (AllFull) {
+        // Oscillating and random-walk on a full E_t: constant-true edge
+        // tests, and every robot crosses.
+        for (std::uint32_t l = a.l0; l < a.l1; ++l) {
+          const std::size_t at = base + l;
+          View view;
+          view.exists_edge_ahead = true;
+          view.exists_edge_behind = true;
+          view.other_robots_on_node = a.mult[at] != 0;
+          auto d = static_cast<LocalDirection>(a.dir[at]);
+          kernel_compute<Id>(
+              a.spec[l], view, d,
+              kernel_state_at<Id>(a.krng, a.kcounter, a.khas_moved, at));
+          a.dir[at] = static_cast<std::uint8_t>(d);
+          a.node[at] =
+              step_node(a.node[at], static_cast<std::uint8_t>(d) == a.cw[at],
+                        a.n);
+        }
+      } else {
+        generic_row<Id>(a, base, a.l0, a.l1);
+      }
+    }
+    if constexpr (AllFull) {
+      // Every robot of every live replica moved.
+      for (std::uint32_t l = a.l0; l < a.l1; ++l) a.moves[l] += a.k;
+    }
+  }
+};
+
+/// SSYNC and ASYNC take their split passes only over lane ranges at least
+/// this wide.  On narrower ranges the word-wide masked halves run as scalar
+/// loop tails and cost more than the per-bit pass over the acting robots
+/// alone (t-interval, n = 64, k = 8: per-bit faster by 1.2-1.5x at 8 and
+/// 16 lanes, the split pass faster by 1.2-1.7x at 32).  FSYNC, whose
+/// alternative is the generic body for every robot, splits at any width.
+constexpr std::uint32_t kSplitMinLanes = 32;
+
+/// Whether most of a word's `lanes` are touched.  A crowded word of a split
+/// FSYNC row (a static chain under keep-direction parks most robots on the
+/// cut's endpoints) runs the sequential generic body, cheaper there than
+/// the branchless body plus most robots per bit.
+[[gnu::always_inline]] inline bool crowded(std::uint64_t touched,
+                                           std::uint32_t lanes) {
+  return 2 * static_cast<std::uint32_t>(__builtin_popcountll(touched)) >
+         lanes;
+}
+
+// The split pass of a range whose rows miss a few edges (rows with at most
+// kSparseAbsent absent edges, branchless kernels).  Only a robot standing
+// on an endpoint of an absent edge — a `touched` one — can see a view that
+// differs from the all-present one, so per robot row and 64-lane word the
+// other lanes take the branchless AllFull body (masked by the acting,
+// untouched lanes) and the touched ones run generic_row per bit: the
+// fast path does what it can and the slow path only the rest.  Masked is
+// SSYNC (act = the activation word).  PerBit treats every lane as touched:
+// SSYNC's per-bit pass, for rows with more absent edges, ranges narrower
+// than kSplitMinLanes and the kernels without a branchless body.
+//
+// Moves: generic_row counts each crossing.  FSYNC also credits every
+// robot of a lane after the rows (the all-present outcome), so each robot
+// that runs generic_row first gives that move back: one decrement per
+// touched robot, a vector one per crowded word.  SSYNC credits only the
+// untouched acting robots after the rows.  FSYNC's give-back is cheaper
+// than its alternatives: crediting the untouched robots word by word adds
+// an add per robot where most are untouched (t-interval), and taking back
+// each blocked robot's credit in generic_row a store per robot where most
+// are blocked (a static chain under keep-direction).
+template <KernelId Id, bool Masked, bool PerBit>
+struct SplitPass {
+  static_assert(Masked || !PerBit, "dense FSYNC rows take FsyncPass");
+  static_assert(PerBit || kAllFullBranchless<Id>,
+                "only the branchless kernels split their rows");
+
+  [[gnu::always_inline]] static void run(const PassArgs& args) {
+    const PassArgs a = args;
+    for (std::uint32_t i = 0; i < a.k; ++i) {
+      const std::size_t base = std::size_t{i} * a.stride;
+      for (std::uint32_t lo = a.l0; lo < a.l1;) {
+        const std::uint32_t hi = std::min(a.l1, (lo | 63) + 1);
+        const std::size_t mw = std::size_t{i} * a.lw + (lo >> 6);
+        const std::uint64_t live = lane_bits(lo, hi);
+        const std::uint64_t act = Masked ? a.mask[mw] : live;
+        const std::uint64_t touched = PerBit ? live : a.touched[mw];
+        if constexpr (!Masked) {
+          if (crowded(touched, hi - lo)) {
+            for (std::uint32_t l = lo; l < hi; ++l) --a.moves[l];
+            generic_row<Id>(a, base, lo, hi);
+            lo = hi;
+            continue;
+          }
+        }
+        if constexpr (!PerBit) {
+          const std::uint64_t easy = act & ~touched;
+          if (easy == live) {
+            all_full_row<Id, false>(a.dir + base, a.mult + base,
+                                    a.khas_moved + base, a.cw + base,
+                                    a.node + base, a.n, lo, hi, 0);
+          } else if (easy != 0) {
+            all_full_row<Id, true>(a.dir + base, a.mult + base,
+                                   a.khas_moved + base, a.cw + base,
+                                   a.node + base, a.n, lo, hi, easy);
+          }
+        }
+        for (std::uint64_t hard = act & touched; hard != 0; hard &= hard - 1) {
+          const std::uint32_t l =
+              (lo & ~63u) + static_cast<std::uint32_t>(__builtin_ctzll(hard));
+          if constexpr (!Masked) --a.moves[l];
+          generic_row<Id>(a, base, l, l + 1);
+        }
+        lo = hi;
+      }
+    }
+    if constexpr (!Masked) {
+      for (std::uint32_t l = a.l0; l < a.l1; ++l) a.moves[l] += a.k;
+    } else if constexpr (!PerBit) {
+      credit_moves(a, a.mask, a.touched);
+    }
+  }
+};
+
+// The ASYNC tick.  An advancing robot executes exactly one of Look /
+// Compute / Move.  The one-hot phase planes resolve each subset by a word
+// AND against the advancing mask and the matched bits transition between
+// planes as whole words.  Lookers and movers are disjoint robots and a
+// Move only writes its own node slot, so ONE fused pass is sound: every
+// Look reads the tick-start multiplicity plane, which is recomputed only
+// after the pass.  moving_words_ was snapshotted before any transition,
+// so a Compute firing this tick does not also Move this tick.
+//
+// Each phase splits like SplitPass: a Look off the absent edges' endpoints
+// records both edges present, a Compute whose pending view has both edges
+// runs the Compute half of the branchless body, and an untouched Move its
+// Move half — all masked word-wide; the rest go per bit.  PerBit runs
+// every phase per bit, for rows with more than kSparseAbsent absent edges
+// and ranges narrower than kSplitMinLanes.  Untouched movers are credited
+// after the rows, per-bit ones as they cross.
+template <KernelId Id, bool PerBit>
+struct AsyncPass {
+  [[gnu::always_inline]] static void run(const PassArgs& args) {
+    const PassArgs a = args;
+    for (std::uint32_t i = 0; i < a.k; ++i) {
+      const std::size_t base = std::size_t{i} * a.stride;
+      std::uint8_t* const d = a.dir + base;
+      const std::uint8_t* const c = a.cw + base;
+      std::uint8_t* const pm = a.pending_mult + base;
+      for (std::uint32_t lo = a.l0; lo < a.l1;) {
+        const std::uint32_t hi = std::min(a.l1, (lo | 63) + 1);
+        const std::uint32_t word_base = lo & ~63u;
+        const std::size_t mw = std::size_t{i} * a.lw + (lo >> 6);
+        const std::uint64_t adv = a.mask[mw];
+        const std::uint64_t lk = adv & a.look[mw];
+        const std::uint64_t cp = adv & a.compute[mw];
+        const std::uint64_t mv = a.moving[mw];
+        const std::uint64_t touched = PerBit ? ~0ULL : a.touched[mw];
+        std::uint64_t ahead = a.pending_ahead[mw];
+        std::uint64_t behind = a.pending_behind[mw];
+
+        if (lk != 0) {
+          // Snapshot against the CURRENT edge set and configuration; the
+          // view may be stale by the time Compute / Move execute.
+          ahead = (ahead & ~lk) | (lk & ~touched);
+          behind = (behind & ~lk) | (lk & ~touched);
+          const std::uint8_t* const m = a.mult + base;
+          for (std::uint64_t bits = lk & touched; bits != 0;
+               bits &= bits - 1) {
+            const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(bits));
+            const std::uint32_t l = word_base + bit;
+            const std::size_t at = base + l;
+            const auto [edge_ahead, edge_behind] =
+                adjacent_edges(a.node[at], d[l] == c[l], a.n);
+            const std::uint64_t* const words =
+                a.edges + std::size_t{l} * a.ewpr;
+            ahead |= std::uint64_t{edge_present(words, edge_ahead)} << bit;
+            behind |= std::uint64_t{edge_present(words, edge_behind)} << bit;
+            pm[l] = m[l];
+          }
+          a.pending_ahead[mw] = ahead;
+          a.pending_behind[mw] = behind;
+          if constexpr (!PerBit) {
+            const std::uint64_t easy = lk & ~touched;
+            if (easy != 0) {
+              for (std::uint32_t l = lo; l < hi; ++l) {
+                pm[l] = lane_on<true>(easy, l) != 0 ? m[l] : pm[l];
+              }
+            }
+          }
+        }
+
+        if (cp != 0) {
+          std::uint64_t hard = cp;
+          if constexpr (!PerBit && kAllFullBranchless<Id>) {
+            const std::uint64_t easy = cp & ahead & behind;
+            if (easy != 0) {
+              all_full_compute<Id, true>(d, pm, a.khas_moved + base, lo, hi,
+                                         easy);
+            }
+            hard &= ~easy;
+          }
+          for (; hard != 0; hard &= hard - 1) {
+            const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(hard));
+            const std::uint32_t l = word_base + bit;
+            const std::size_t at = base + l;
+            View view;
+            view.exists_edge_ahead = ((ahead >> bit) & 1) != 0;
+            view.exists_edge_behind = ((behind >> bit) & 1) != 0;
+            view.other_robots_on_node = pm[l] != 0;
+            auto dir = static_cast<LocalDirection>(d[l]);
+            kernel_compute<Id>(
+                a.spec[l], view, dir,
+                kernel_state_at<Id>(a.krng, a.kcounter, a.khas_moved, at));
+            d[l] = static_cast<std::uint8_t>(dir);
+          }
+        }
+
+        if (mv != 0) {
+          if constexpr (!PerBit) {
+            const std::uint64_t easy = mv & ~touched;
+            if (easy != 0) {
+              all_full_move<true>(d, c, a.node + base, a.n, lo, hi, easy);
+            }
+          }
+          for (std::uint64_t bits = mv & touched; bits != 0;
+               bits &= bits - 1) {
+            const std::uint32_t l =
+                word_base + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+            const std::size_t at = base + l;
+            const NodeId u = a.node[at];
+            const bool move_cw = d[l] == c[l];
+            const std::uint64_t* const words =
+                a.edges + std::size_t{l} * a.ewpr;
+            if (edge_present(words, adjacent_edges(u, move_cw, a.n).first)) {
+              a.node[at] = step_node(u, move_cw, a.n);
+              ++a.moves[l];
+            }
+          }
+        }
+
+        // Word-level transitions: L -> C, C -> M, M -> L.
+        a.look[mw] = (a.look[mw] & ~lk) | mv;
+        a.compute[mw] = (a.compute[mw] & ~cp) | lk;
+        a.move[mw] = (a.move[mw] & ~mv) | cp;
+        lo = hi;
+      }
+    }
+    if constexpr (!PerBit) {
+      credit_moves(a, a.moving, a.touched);
+    }
+  }
+};
 
 // The ISA dispatch mirrors compute_multiplicity_rows; target_clones does
 // not apply to templates, so the AVX2/AVX-512 wrappers carry plain target
-// attributes (the always_inline body is re-codegenned inside each) and
-// fsync_pass_run picks a wrapper via the shared active_isa() tier.
+// attributes (the always_inline Pass::run body is re-codegenned inside
+// each) and pass_on_tier picks a wrapper via the shared active_isa() tier.
 #ifdef PEF_HAS_ISA_WRAPPERS
-template <KernelId Id, bool AllFull, bool Masked>
-__attribute__((target("avx2"))) void fsync_pass_avx2(const FsyncPassArgs& a) {
-  fsync_pass_body<Id, AllFull, Masked>(a);
+template <typename Pass>
+__attribute__((target("avx2"))) void pass_avx2(const PassArgs& a) {
+  Pass::run(a);
 }
-template <KernelId Id, bool AllFull, bool Masked>
-__attribute__((target(PEF_AVX512_TARGET))) void fsync_pass_avx512(
-    const FsyncPassArgs& a) {
-  fsync_pass_body<Id, AllFull, Masked>(a);
+template <typename Pass>
+__attribute__((target(PEF_AVX512_TARGET))) void pass_avx512(
+    const PassArgs& a) {
+  Pass::run(a);
 }
 #endif
 
-template <KernelId Id, bool AllFull, bool Masked>
-void fsync_pass_run(const FsyncPassArgs& a) {
+template <typename Pass>
+void pass_on_tier(const PassArgs& a) {
 #ifdef PEF_HAS_ISA_WRAPPERS
   switch (active_isa()) {
     case IsaTier::kAvx512:
-      fsync_pass_avx512<Id, AllFull, Masked>(a);
+      pass_avx512<Pass>(a);
       return;
     case IsaTier::kAvx2:
-      fsync_pass_avx2<Id, AllFull, Masked>(a);
+      pass_avx2<Pass>(a);
       return;
     case IsaTier::kPortable:
       break;
   }
 #endif
-  fsync_pass_body<Id, AllFull, Masked>(a);
+  Pass::run(a);
+}
+
+/// The touched words of lanes [l0, l1) (l0 64-aligned): bit l & 63 of
+/// word i * lw + l / 64 is set iff robot i of lane l stands on one of the
+/// lane's listed absent-edge endpoints (`ends`: kAbsentEnds planes of
+/// `stride` nodes, unused slots holding n).  One compare of each node row
+/// against the first `Planes` endpoint planes — those a row of the range
+/// can fill.  Bits past l1 in the last word are zero.
+template <std::uint32_t Planes>
+[[gnu::always_inline]] inline void touched_words_body(
+    const NodeId* node, const NodeId* ends, std::uint32_t stride,
+    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
+    std::uint64_t* touched, std::uint32_t lw) {
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const NodeId* const row = node + std::size_t{i} * stride;
+    for (std::uint32_t lo = l0; lo < l1;) {
+      const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
+      std::uint64_t word = 0;
+      for (std::uint32_t l = lo; l < hi; ++l) {
+        bool hit = false;
+        for (std::uint32_t j = 0; j < Planes; ++j) {
+          hit |= row[l] == ends[std::size_t{j} * stride + l];
+        }
+        word |= std::uint64_t{hit} << (l & 63);
+      }
+      touched[std::size_t{i} * lw + (lo >> 6)] = word;
+      lo = hi;
+    }
+  }
+}
+
+#ifdef PEF_HAS_ISA_WRAPPERS
+// The vector forms run lane-major: each group of lanes loads its endpoint
+// planes once and compares every robot row against them, storing the hit
+// mask straight into its byte(s) of the robot's word — bit l & 63 of a
+// little-endian word is bit l & 7 of byte l >> 3 of the robot's row.
+// Groups past l1, up to the end of the last word, store zero.
+
+// 8 lanes per ymm compare, gathered by movemask; a group short of 8 live
+// lanes takes the scalar compare.
+template <std::uint32_t Planes>
+__attribute__((target("avx2"))) void touched_words_avx2(
+    const NodeId* node, const NodeId* ends, std::uint32_t stride,
+    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
+    std::uint64_t* touched, std::uint32_t lw) {
+  const std::uint32_t end = (l1 + 63) & ~63u;
+  for (std::uint32_t l = l0; l < end; l += 8) {
+    __m256i plane[Planes > 0 ? Planes : 1];
+    if (l + 8 <= l1) {
+      for (std::uint32_t j = 0; j < Planes; ++j) {
+        plane[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            ends + std::size_t{j} * stride + l));
+      }
+    }
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const NodeId* const row = node + std::size_t{i} * stride;
+      std::uint8_t bits = 0;
+      if (l + 8 <= l1) {
+        const __m256i u =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + l));
+        __m256i hit = _mm256_setzero_si256();
+        for (std::uint32_t j = 0; j < Planes; ++j) {
+          hit = _mm256_or_si256(hit, _mm256_cmpeq_epi32(u, plane[j]));
+        }
+        bits = static_cast<std::uint8_t>(
+            _mm256_movemask_ps(_mm256_castsi256_ps(hit)));
+      } else {
+        for (std::uint32_t t = l; t < l1 && t < l + 8; ++t) {
+          bool hit = false;
+          for (std::uint32_t j = 0; j < Planes; ++j) {
+            hit |= row[t] == ends[std::size_t{j} * stride + t];
+          }
+          bits |= static_cast<std::uint8_t>(hit << (t & 7));
+        }
+      }
+      std::memcpy(reinterpret_cast<unsigned char*>(touched +
+                                                   std::size_t{i} * lw) +
+                      (l >> 3),
+                  &bits, 1);
+    }
+  }
+}
+
+// 16 lanes per zmm compare straight into a mask register; a group short
+// of 16 live lanes loads and compares under a lane mask.
+template <std::uint32_t Planes>
+__attribute__((target(PEF_AVX512_TARGET))) void touched_words_avx512(
+    const NodeId* node, const NodeId* ends, std::uint32_t stride,
+    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
+    std::uint64_t* touched, std::uint32_t lw) {
+  const std::uint32_t end = (l1 + 63) & ~63u;
+  for (std::uint32_t l = l0; l < end; l += 16) {
+    const auto live = static_cast<__mmask16>(
+        l >= l1 ? 0u : l1 - l >= 16 ? 0xffffu : (1u << (l1 - l)) - 1u);
+    __m512i plane[Planes > 0 ? Planes : 1];
+    for (std::uint32_t j = 0; j < Planes; ++j) {
+      plane[j] =
+          _mm512_maskz_loadu_epi32(live, ends + std::size_t{j} * stride + l);
+    }
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const __m512i u =
+          _mm512_maskz_loadu_epi32(live, node + std::size_t{i} * stride + l);
+      __mmask16 hit = 0;
+      for (std::uint32_t j = 0; j < Planes; ++j) {
+        hit |= _mm512_mask_cmpeq_epi32_mask(live, u, plane[j]);
+      }
+      const auto bits = static_cast<std::uint16_t>(_cvtmask16_u32(hit));
+      std::memcpy(reinterpret_cast<unsigned char*>(touched +
+                                                   std::size_t{i} * lw) +
+                      (l >> 3),
+                  &bits, 2);
+    }
+  }
+}
+#endif
+
+template <std::uint32_t Planes>
+void touched_words_on_tier(const NodeId* node, const NodeId* ends,
+                           std::uint32_t stride, std::uint32_t k,
+                           std::uint32_t l0, std::uint32_t l1,
+                           std::uint64_t* touched, std::uint32_t lw) {
+#ifdef PEF_HAS_ISA_WRAPPERS
+  switch (active_isa()) {
+    case IsaTier::kAvx512:
+      touched_words_avx512<Planes>(node, ends, stride, k, l0, l1, touched,
+                                   lw);
+      return;
+    case IsaTier::kAvx2:
+      touched_words_avx2<Planes>(node, ends, stride, k, l0, l1, touched, lw);
+      return;
+    case IsaTier::kPortable:
+      break;
+  }
+#endif
+  touched_words_body<Planes>(node, ends, stride, k, l0, l1, touched, lw);
+}
+
+/// touched_words_body over the first 2 * `absent` endpoint planes, with
+/// the plane count a compile-time constant of the tier body.
+void touched_words(const NodeId* node, const NodeId* ends,
+                   std::uint8_t absent, std::uint32_t stride,
+                   std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
+                   std::uint64_t* touched, std::uint32_t lw) {
+  static_assert(kAbsentEnds == 4, "one instantiation per absent count");
+  switch (absent) {
+    case 0:
+      touched_words_on_tier<0>(node, ends, stride, k, l0, l1, touched, lw);
+      return;
+    case 1:
+      touched_words_on_tier<2>(node, ends, stride, k, l0, l1, touched, lw);
+      return;
+    default:
+      touched_words_on_tier<4>(node, ends, stride, k, l0, l1, touched, lw);
+      return;
+  }
 }
 
 /// The Bernoulli activation draw: (next() >> 11) < threshold is
@@ -788,9 +1214,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   khas_moved_.assign(plane, 0);
   krng_.assign(kernel_id_ == KernelId::kRandomWalk ? plane : 1,
                Xoshiro256(0));
-  if (model_ == ExecutionModel::kAsync) {
-    pending_views_.assign(plane, View{});
-  }
 
   visits_.assign(std::size_t{batch_} * nodes_, VisitCell{});
   fresh_visits_.assign(batch_, 0);
@@ -839,20 +1262,25 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   edge_words_per_row_ = edge_word_count(edge_count_);
   edge_plane_.assign(std::size_t{batch_} * edge_words_per_row_, 0);
   edges_.resize(batch_);
-  refill_.assign(batch_, 1);
-  edges_full_.assign(batch_, 0);
+  refill_at_.assign(batch_, 0);
+  absent_.assign(batch_, 0);
+  absent_ends_.assign(std::size_t{kAbsentEnds} * batch_, nodes_);
   moves_.assign(batch_, 0);
   tower_flag_.assign(batch_, 0);
   prev_had_tower_.assign(batch_, 0);
   max_closed_gap_.assign(batch_, 0);
   stats_.assign(batch_, EngineStats{});
 
+  lane_words_ = (batch_ + 63) / 64;
+  const std::size_t mask_plane = std::size_t{robots_} * lane_words_;
+  touched_words_.assign(mask_plane, 0);
   if (model_ != ExecutionModel::kFsync) {
-    lane_words_ = (batch_ + 63) / 64;
-    const std::size_t mask_plane = std::size_t{robots_} * lane_words_;
     mask_words_.assign(mask_plane, 0);
     if (model_ == ExecutionModel::kAsync) {
       moving_words_.assign(mask_plane, 0);
+      pending_ahead_.assign(mask_plane, 0);
+      pending_behind_.assign(mask_plane, 0);
+      pending_mult_.assign(plane, 0);
       // Every robot starts in its Look phase: the look plane carries every
       // lane's bit, the other two start empty.
       look_words_.assign(mask_plane, 0);
@@ -881,8 +1309,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   // Monte-Carlo case) the per-round edge prologue has nothing to do.
   edge_refill_needed_ = false;
   for (std::uint32_t l = 0; l < batch_; ++l) {
-    edge_refill_needed_ =
-        edge_refill_needed_ || schedules_[l] == nullptr || refill_[l] != 0;
+    edge_refill_needed_ = edge_refill_needed_ || schedules_[l] == nullptr ||
+                          refill_at_[l] != kTimeInfinity;
   }
 
   init_cycles();
@@ -901,6 +1329,48 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
 
   // Zero-horizon replicas are done before the first step.
   retire_finished();
+}
+
+// Inline: it runs once per lane per refilled round, every round for
+// Bernoulli and adaptive rows.
+[[gnu::always_inline]] inline void BatchEngine::note_absent(
+    std::uint32_t lane) {
+  // Count first (a popcount per word), so a dense row — which no split
+  // pass reads the endpoints of — stops as soon as it is known to be one.
+  const std::uint64_t* const row = edge_row(lane);
+  const auto gone_in = [&](std::uint32_t w) {
+    const std::uint32_t bits =
+        std::min<std::uint32_t>(64, edge_count_ - w * 64);
+    return ~row[w] & (bits == 64 ? ~0ULL : (1ULL << bits) - 1);
+  };
+  std::uint32_t count = 0;
+  for (std::uint32_t w = 0; w < edge_words_per_row_; ++w) {
+    count += static_cast<std::uint32_t>(__builtin_popcountll(gone_in(w)));
+    if (count > kSparseAbsent) {
+      absent_[lane] = kSparseAbsent + 1;
+      return;
+    }
+  }
+  absent_[lane] = static_cast<std::uint8_t>(count);
+  // Only the split passes read the endpoints, and SSYNC and ASYNC split no
+  // range narrower than kSplitMinLanes: a narrower batch, which refills
+  // its Bernoulli and greedy-blocker rows every round, skips the listing.
+  if (model_ != ExecutionModel::kFsync && batch_ < kSplitMinLanes) return;
+  // Edge e joins nodes e and e + 1 mod n, so those two are the only robot
+  // positions whose view an absent e changes.  Unused slots hold n, a node
+  // no robot stands on.
+  std::uint32_t slot = 0;
+  for (std::uint32_t w = 0; w < edge_words_per_row_; ++w) {
+    for (std::uint64_t gone = gone_in(w); gone != 0; gone &= gone - 1) {
+      const EdgeId e = w * 64 + static_cast<EdgeId>(__builtin_ctzll(gone));
+      absent_ends_[std::size_t{slot++} * batch_ + lane] = e;
+      absent_ends_[std::size_t{slot++} * batch_ + lane] =
+          e + 1 == nodes_ ? 0 : e + 1;
+    }
+  }
+  for (; slot < kAbsentEnds; ++slot) {
+    absent_ends_[std::size_t{slot} * batch_ + lane] = nodes_;
+  }
 }
 
 void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
@@ -965,9 +1435,10 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   }
 
   // Route the lane's edge sets: schedule-backed lanes fill their plane row
-  // in place (time-invariant ones once, here); everything else keeps a
-  // per-lane EdgeSet scratch for the virtual adversary.  Mirrors are lazy —
-  // materialized below only if something on this lane reads gamma.
+  // in place (E_0 here, then at each next_change; a time-invariant schedule
+  // never again); everything else keeps a per-lane EdgeSet scratch for the
+  // virtual adversary.  Mirrors are lazy — materialized below only if
+  // something on this lane reads gamma.
   bool needs_mirror = false;
   switch (model_) {
     case ExecutionModel::kFsync: {
@@ -1019,13 +1490,11 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     }
   }
 
-  if (schedules_[lane] != nullptr && schedules_[lane]->time_invariant()) {
-    refill_[lane] = 0;
+  if (schedules_[lane] != nullptr) {
     schedules_[lane]->edges_into_words(0, edge_row(lane));
-    edges_full_[lane] =
-        edge_words_full(edge_row(lane), edge_count_) ? 1 : 0;
-  }
-  if (schedules_[lane] == nullptr) {
+    refill_at_[lane] = schedules_[lane]->next_change(0);
+    note_absent(lane);
+  } else {
     edges_[lane] = EdgeSet(edge_count_);
   }
   if (needs_mirror) {
@@ -1258,17 +1727,18 @@ void BatchEngine::run_all() {
 
 void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
   // E_t per lane of [l0, l1), written into the lane's edge-plane row.
-  // Time-invariant lanes keep their construction fill; oblivious lanes
-  // refill the row in place; adaptive lanes see their gamma mirror (and,
-  // off-FSYNC, their own lane's mask column) and copy the resulting set's
-  // words over.  The byte-mask scratch is local: a member would be shared
-  // across worker slices.
+  // Oblivious lanes refill the row in place once they reach the round
+  // their schedule's next_change named (time-invariant ones never); adaptive
+  // lanes see their gamma mirror (and, off-FSYNC, their own lane's mask
+  // column) and copy the resulting set's words over.  The byte-mask scratch
+  // is local: a member would be shared across worker slices.
   ActivationMask virt_mask;
   for (std::uint32_t l = l0; l < l1; ++l) {
     if (schedules_[l] != nullptr) {
-      if (refill_[l]) {
+      if (t >= refill_at_[l]) {
         schedules_[l]->edges_into_words(t, edge_row(l));
-        edges_full_[l] = edge_words_full(edge_row(l), edge_count_) ? 1 : 0;
+        refill_at_[l] = schedules_[l]->next_change(t);
+        note_absent(l);
       }
       continue;
     }
@@ -1290,38 +1760,29 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     }
     PEF_CHECK(edges_[l].edge_count() == edge_count_);
     std::copy_n(edges_[l].words(), edge_words_per_row_, edge_row(l));
-    edges_full_[l] = edges_[l].full() ? 1 : 0;
+    note_absent(l);
   }
 }
 
-bool BatchEngine::edges_all_full(std::uint32_t l0, std::uint32_t l1) const {
-  for (std::uint32_t l = l0; l < l1; ++l) {
-    if (edges_full_[l] == 0) return false;
-  }
-  return true;
+std::uint8_t BatchEngine::max_absent(std::uint32_t l0,
+                                     std::uint32_t l1) const {
+  std::uint8_t most = 0;
+  for (std::uint32_t l = l0; l < l1; ++l) most = std::max(most, absent_[l]);
+  return most;
 }
 
-template <KernelId Id>
-void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
-  if (edge_refill_needed_) refill_edges(l0, l1, t);
-  // AllFull is decided per range: a range whose live rows are all full
-  // takes the no-edge-test instantiation (which computes the same values
-  // the generic body would — the tests are constant-true there).
-  if (edges_all_full(l0, l1)) {
-    fsync_pass<Id, true>(l0, l1);
-  } else {
-    fsync_pass<Id, false>(l0, l1);
-  }
-  recompute_multiplicity(l0, l1, t + 1);
-  observe_boundary(t + 1, l0, l1);
-  update_mirrors(l0, l1);
-  finish_round(l0, l1, t + 1);
-  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
+void BatchEngine::note_touched(std::uint32_t l0, std::uint32_t l1,
+                               std::uint8_t absent) {
+  // A lane fills its endpoint slots in order, so rows missing at most
+  // `absent` edges leave every plane past the first 2 * absent at n (and
+  // rows with every edge present touch no robot).
+  touched_words(node_.data(), absent_ends_.data(), absent, batch_, robots_,
+                l0, l1, touched_words_.data(), lane_words_);
 }
 
-template <KernelId Id, bool AllFull, bool Masked>
-void BatchEngine::fsync_pass(std::uint32_t l0, std::uint32_t l1) {
-  FsyncPassArgs args;
+template <typename Pass>
+void BatchEngine::run_pass(std::uint32_t l0, std::uint32_t l1) {
+  PassArgs args;
   args.l0 = l0;
   args.l1 = l1;
   args.stride = batch_;
@@ -1338,9 +1799,44 @@ void BatchEngine::fsync_pass(std::uint32_t l0, std::uint32_t l1) {
   args.edges = edge_plane_.data();
   args.ewpr = edge_words_per_row_;
   args.moves = moves_.data();
-  args.mask = mask_words_.data();
   args.lw = lane_words_;
-  fsync_pass_run<Id, AllFull, Masked>(args);
+  args.mask = mask_words_.data();
+  args.touched = touched_words_.data();
+  args.moving = moving_words_.data();
+  args.look = look_words_.data();
+  args.compute = compute_words_.data();
+  args.move = move_words_.data();
+  args.pending_ahead = pending_ahead_.data();
+  args.pending_behind = pending_behind_.data();
+  args.pending_mult = pending_mult_.data();
+  pass_on_tier<Pass>(args);
+}
+
+template <KernelId Id>
+void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
+  if (edge_refill_needed_) refill_edges(l0, l1, t);
+  // The body is decided per range by its densest row: all full takes the
+  // no-edge-test instantiation (which computes the same values the generic
+  // body would — the tests are constant-true there), a few absent edges
+  // the split pass (branchless kernels), anything more the generic body.
+  const std::uint8_t absent = max_absent(l0, l1);
+  if (absent == 0) {
+    run_pass<FsyncPass<Id, true>>(l0, l1);
+  } else if constexpr (kAllFullBranchless<Id>) {
+    if (absent <= kSparseAbsent) {
+      note_touched(l0, l1, absent);
+      run_pass<SplitPass<Id, false, false>>(l0, l1);
+    } else {
+      run_pass<FsyncPass<Id, false>>(l0, l1);
+    }
+  } else {
+    run_pass<FsyncPass<Id, false>>(l0, l1);
+  }
+  recompute_multiplicity(l0, l1, t + 1);
+  observe_boundary(t + 1, l0, l1);
+  update_mirrors(l0, l1);
+  finish_round(l0, l1, t + 1);
+  if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
 void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
@@ -1550,84 +2046,28 @@ template <KernelId Id>
 void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
   if (edge_refill_needed_) refill_edges(l0, l1, t);
-  ssync_moves<Id>(l0, l1);
+  // An activated robot off the absent edges' endpoints runs its FSYNC
+  // AllFull round and an idle one keeps its state: the split pass.  Rows
+  // with every edge present touch no robot, so it runs at any width then.
+  // More absent edges, a range narrower than kSplitMinLanes or a kernel
+  // without a branchless body send every activated robot per bit.
+  const std::uint8_t absent = max_absent(l0, l1);
+  if constexpr (kAllFullBranchless<Id>) {
+    if (absent == 0 ||
+        (absent <= kSparseAbsent && l1 - l0 >= kSplitMinLanes)) {
+      note_touched(l0, l1, absent);
+      run_pass<SplitPass<Id, true, false>>(l0, l1);
+    } else {
+      run_pass<SplitPass<Id, true, true>>(l0, l1);
+    }
+  } else {
+    run_pass<SplitPass<Id, true, true>>(l0, l1);
+  }
   recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
-}
-
-template <KernelId Id>
-void BatchEngine::ssync_moves(std::uint32_t l0, std::uint32_t l1) {
-  // With every edge present, an activated robot's round is exactly its
-  // FSYNC AllFull round, and an idle one keeps its state: the branchless
-  // body under the activation words.
-  if constexpr (kAllFullBranchless<Id>) {
-    if (edges_all_full(l0, l1)) {
-      fsync_pass<Id, true, true>(l0, l1);
-      return;
-    }
-  }
-  ssync_pass<Id>(l0, l1);
-}
-
-template <KernelId Id>
-void BatchEngine::ssync_pass(std::uint32_t l0, std::uint32_t l1) {
-  const std::uint32_t stride = batch_;
-  const std::uint32_t k = robots_;
-  const std::uint32_t n = nodes_;
-  const std::uint32_t lw = lane_words_;
-  const std::uint32_t w0 = l0 >> 6;
-  const std::uint32_t w1 = (l1 + 63) >> 6;
-  NodeId* const node = node_.data();
-  std::uint8_t* const dir = dir_.data();
-  const std::uint8_t* const cw = right_cw_.data();
-  const std::uint8_t* const mult = mult_.data();
-  Xoshiro256* const krng = krng_.data();
-  std::uint64_t* const kcounter = kcounter_.data();
-  std::uint8_t* const khas_moved = khas_moved_.data();
-  const KernelSpec* const spec = specs_.data();
-  const std::uint64_t* const edges = edge_plane_.data();
-  const std::uint32_t ewpr = edge_words_per_row_;
-  const std::uint64_t* const mask = mask_words_.data();
-
-  // Fused L-C-M: the only cross-robot coupling in a round is the Look
-  // phase's multiplicity bit, which reads the round-start configuration —
-  // exactly the mult_ plane, which is only recomputed after the pass, so
-  // Moves update node_ in place.  One mask-word iteration total: the word
-  // plane loads cover 64 replicas each and ctz jumps straight to the
-  // activated robots.
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::size_t base = std::size_t{i} * stride;
-    for (std::uint32_t w = w0; w < w1; ++w) {
-      std::uint64_t m = mask[std::size_t{i} * lw + w];
-      while (m != 0) {
-        const std::uint32_t l =
-            (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(m));
-        m &= m - 1;
-        const std::size_t at = base + l;
-        const NodeId u = node[at];
-        const bool ahead_cw = dir[at] == cw[at];
-        const auto [ahead, behind] = adjacent_edges(u, ahead_cw, n);
-        const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
-        View view;
-        view.exists_edge_ahead = edge_present(words, ahead);
-        view.exists_edge_behind = edge_present(words, behind);
-        view.other_robots_on_node = mult[at] != 0;
-        auto d = static_cast<LocalDirection>(dir[at]);
-        kernel_compute<Id>(spec[l], view, d,
-                           kernel_state_at<Id>(krng, kcounter, khas_moved, at));
-        dir[at] = static_cast<std::uint8_t>(d);
-
-        const bool move_cw = static_cast<std::uint8_t>(d) == cw[at];
-        if (edge_present(words, adjacent_edges(u, move_cw, n).first)) {
-          node[at] = step_node(u, move_cw, n);
-          ++moves_[l];
-        }
-      }
-    }
-  }
 }
 
 template <KernelId Id>
@@ -1635,110 +2075,18 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   fill_mask_words(l0, l1, t);
   fill_moving_words(l0, l1);
   if (edge_refill_needed_) refill_edges(l0, l1, t);
-  async_pass<Id>(l0, l1);
+  const std::uint8_t absent = max_absent(l0, l1);
+  if (absent <= kSparseAbsent && l1 - l0 >= kSplitMinLanes) {
+    note_touched(l0, l1, absent);
+    run_pass<AsyncPass<Id, false>>(l0, l1);
+  } else {
+    run_pass<AsyncPass<Id, true>>(l0, l1);
+  }
   recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
   finish_round(l0, l1, t + 1);
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
-}
-
-template <KernelId Id>
-void BatchEngine::async_pass(std::uint32_t l0, std::uint32_t l1) {
-  const std::uint32_t stride = batch_;
-  const std::uint32_t k = robots_;
-  const std::uint32_t n = nodes_;
-  const std::uint32_t lw = lane_words_;
-  const std::uint32_t w0 = l0 >> 6;
-  const std::uint32_t w1 = (l1 + 63) >> 6;
-  NodeId* const node = node_.data();
-  std::uint8_t* const dir = dir_.data();
-  const std::uint8_t* const cw = right_cw_.data();
-  const std::uint8_t* const mult = mult_.data();
-  Xoshiro256* const krng = krng_.data();
-  std::uint64_t* const kcounter = kcounter_.data();
-  std::uint8_t* const khas_moved = khas_moved_.data();
-  const KernelSpec* const spec = specs_.data();
-  const std::uint64_t* const edges = edge_plane_.data();
-  const std::uint32_t ewpr = edge_words_per_row_;
-  const std::uint64_t* const mask = mask_words_.data();
-  const std::uint64_t* const moving = moving_words_.data();
-  std::uint64_t* const look_w = look_words_.data();
-  std::uint64_t* const compute_w = compute_words_.data();
-  std::uint64_t* const move_w = move_words_.data();
-  View* const pending = pending_views_.data();
-
-  // An advancing robot executes exactly one of Look / Compute / Move this
-  // tick.  The one-hot phase planes resolve each subset by a word AND
-  // against the advancing mask — no per-robot phase loads, no
-  // data-dependent branches — and the matched bits transition between
-  // planes as whole words.  Lookers and movers are disjoint robots and a
-  // Move only writes its own node slot, so ONE fused pass is sound: every
-  // Look reads the tick-start multiplicity plane, which is recomputed only
-  // after the pass.  moving_words_ was snapshotted before any transition,
-  // so a Compute firing this tick does not also Move this tick.
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const std::size_t base = std::size_t{i} * stride;
-    for (std::uint32_t w = w0; w < w1; ++w) {
-      const std::size_t mw = std::size_t{i} * lw + w;
-      const std::uint64_t adv = mask[mw];
-      const std::uint64_t lk = adv & look_w[mw];
-      const std::uint64_t cp = adv & compute_w[mw];
-      const std::uint64_t mv = moving[mw];
-
-      std::uint64_t m = lk;
-      while (m != 0) {
-        const std::uint32_t l =
-            (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(m));
-        m &= m - 1;
-        const std::size_t at = base + l;
-        // Snapshot against the CURRENT edge set and configuration; the
-        // view may be stale by the time Compute / Move execute.
-        const NodeId u = node[at];
-        const bool ahead_cw = dir[at] == cw[at];
-        const auto [ahead, behind] = adjacent_edges(u, ahead_cw, n);
-        const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
-        View view;
-        view.exists_edge_ahead = edge_present(words, ahead);
-        view.exists_edge_behind = edge_present(words, behind);
-        view.other_robots_on_node = mult[at] != 0;
-        pending[at] = view;
-      }
-
-      m = cp;
-      while (m != 0) {
-        const std::uint32_t l =
-            (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(m));
-        m &= m - 1;
-        const std::size_t at = base + l;
-        auto d = static_cast<LocalDirection>(dir[at]);
-        kernel_compute<Id>(
-            spec[l], pending[at], d,
-            kernel_state_at<Id>(krng, kcounter, khas_moved, at));
-        dir[at] = static_cast<std::uint8_t>(d);
-      }
-
-      m = mv;
-      while (m != 0) {
-        const std::uint32_t l =
-            (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(m));
-        m &= m - 1;
-        const std::size_t at = base + l;
-        const NodeId u = node[at];
-        const bool move_cw = dir[at] == cw[at];
-        const std::uint64_t* const words = edges + std::size_t{l} * ewpr;
-        if (edge_present(words, adjacent_edges(u, move_cw, n).first)) {
-          node[at] = step_node(u, move_cw, n);
-          ++moves_[l];
-        }
-      }
-
-      // Word-level transitions: L -> C, C -> M, M -> L.
-      look_w[mw] = (look_w[mw] & ~lk) | mv;
-      compute_w[mw] = (compute_w[mw] & ~cp) | lk;
-      move_w[mw] = (move_w[mw] & ~mv) | cp;
-    }
-  }
 }
 
 void BatchEngine::update_mirrors(std::uint32_t l0, std::uint32_t l1) {
@@ -1804,7 +2152,12 @@ void BatchEngine::pack_lane(std::uint32_t lane,
       Phase phase = Phase::kLook;
       if ((compute_words_[w] & bit) != 0) phase = Phase::kCompute;
       if ((move_words_[w] & bit) != 0) phase = Phase::kMove;
-      words.phase(phase, pending_views_[std::size_t{i} * batch_ + lane]);
+      View pending;
+      pending.exists_edge_ahead = (pending_ahead_[w] & bit) != 0;
+      pending.exists_edge_behind = (pending_behind_[w] & bit) != 0;
+      pending.other_robots_on_node =
+          pending_mult_[std::size_t{i} * batch_ + lane] != 0;
+      words.phase(phase, pending);
     }
   }
 }
@@ -1879,14 +2232,16 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
     swap(khas_moved_[pa], khas_moved_[pb]);
     if (kernel_id_ == KernelId::kRandomWalk) swap(krng_[pa], krng_[pb]);
     if (model_ == ExecutionModel::kAsync) {
-      swap(pending_views_[pa], pending_views_[pb]);
-      // One-hot phase planes: swap lane a's and b's bits in each plane.
+      swap(pending_mult_[pa], pending_mult_[pb]);
+      // One-hot phase planes and pending-view edge words: swap lane a's and
+      // b's bits in each plane.
       const std::size_t wa = std::size_t{i} * lane_words_ + (a >> 6);
       const std::size_t wb = std::size_t{i} * lane_words_ + (b >> 6);
       const std::uint64_t bit_a = 1ULL << (a & 63);
       const std::uint64_t bit_b = 1ULL << (b & 63);
       for (std::uint64_t* plane :
-           {look_words_.data(), compute_words_.data(), move_words_.data()}) {
+           {look_words_.data(), compute_words_.data(), move_words_.data(),
+            pending_ahead_.data(), pending_behind_.data()}) {
         const bool va = (plane[wa] & bit_a) != 0;
         const bool vb = (plane[wb] & bit_b) != 0;
         if (va != vb) {
@@ -1916,6 +2271,10 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   std::swap_ranges(edge_plane_.begin() + ea,
                    edge_plane_.begin() + ea + edge_words_per_row_,
                    edge_plane_.begin() + eb);
+  for (std::uint32_t j = 0; j < kAbsentEnds; ++j) {
+    swap(absent_ends_[std::size_t{j} * batch_ + a],
+         absent_ends_[std::size_t{j} * batch_ + b]);
+  }
 
   swap(algorithms_[a], algorithms_[b]);
   swap(specs_[a], specs_[b]);
@@ -1927,8 +2286,8 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(mirrors_[a], mirrors_[b]);
   swap(horizons_[a], horizons_[b]);
   swap(edges_[a], edges_[b]);
-  swap(refill_[a], refill_[b]);
-  swap(edges_full_[a], edges_full_[b]);
+  swap(refill_at_[a], refill_at_[b]);
+  swap(absent_[a], absent_[b]);
   swap(moves_[a], moves_[b]);
   swap(tower_flag_[a], tower_flag_[b]);
   swap(prev_had_tower_[a], prev_had_tower_[b]);

@@ -50,10 +50,33 @@
 //     Replicas whose adversary is per-replica-independent (an oblivious
 //     schedule — every `batchable` registry kind) fill their row in place
 //     via EdgeSchedule::edges_into_words, with no EdgeSet and no
-//     Configuration mirror; time-invariant schedules fill once at
-//     construction and never refill.  A round whose live rows are all full
-//     runs the AllFull instantiation with no edge tests at all — FSYNC's
-//     branchless body, which SSYNC runs too under its activation words.
+//     Configuration mirror, and only at the rounds the schedule's
+//     next_change names (a time-invariant schedule fills once, at
+//     construction; t-interval once per interval).  One scan of each
+//     refilled row counts its absent edges and, for at most
+//     kSparseAbsent of them, lists their endpoint nodes (for the split
+//     passes below; an SSYNC or ASYNC batch too narrow for them skips it).
+//   * the pass body is chosen per lane range by its densest row.  A range
+//     whose rows are all full runs FSYNC's AllFull instantiation with no
+//     edge tests at all.  A range whose rows miss at most kSparseAbsent
+//     edges (t-interval, eventual-missing, chains, cages) runs the split
+//     pass: only a robot standing on an endpoint of an absent edge (a
+//     "touched" one — a lane-major vector compare of the node rows against
+//     the endpoint planes) can see a view that differs from the
+//     all-present one, so per robot row and 64-lane word the untouched
+//     lanes take the branchless body and the touched ones the generic
+//     kernel per bit.  An FSYNC word where most lanes are touched (a
+//     crowded one: a static chain under keep-direction parks most robots
+//     on its ends) runs the sequential generic body instead.  SSYNC runs
+//     the split pass under its activation words, full rows included (no
+//     robot is touched there).  Denser rows, and the oscillating and
+//     random-walk kernels, run the generic FSYNC body and SSYNC's per-bit
+//     pass.  ASYNC splits each phase the same way — Looks off the
+//     endpoints record both edges present, Computes whose pending view
+//     has both edges take the branchless Compute half, untouched Moves the
+//     Move half — and its dense rows run the same pass per bit.  SSYNC and
+//     ASYNC split only ranges of 32 lanes or more: below that their
+//     per-bit passes over the acting robots cost less.
 //   * SSYNC activation masks and ASYNC advance/move masks are robot-major
 //     uint64 WORD planes (bit = replica).  The common policies — full,
 //     Bernoulli-p, round-robin — are devirtualized (ActivationBatchKind,
@@ -229,6 +252,11 @@ class BatchEngine {
   [[nodiscard]] const EngineStats& stats(std::uint32_t replica) const;
   [[nodiscard]] CoverageReport coverage_report(std::uint32_t replica,
                                                Time suffix_window = 0) const;
+  /// Rows with at most this many absent edges take the split passes (see
+  /// the header comment); A = 2 covers t-interval, eventual-missing and a
+  /// chain (one edge each) and a chain under t-interval or a cage (two).
+  static constexpr std::uint32_t kSparseAbsent = 2;
+
   /// Fast-forward telemetry, per replica (see Engine::fast_forwarded).
   [[nodiscard]] bool fast_forwarded(std::uint32_t replica) const;
   [[nodiscard]] Time rounds_simulated(std::uint32_t replica) const;
@@ -256,31 +284,28 @@ class BatchEngine {
   /// one cache line), so fn needs no synchronization.
   template <typename Fn>
   void parallel_lane_slices(Fn&& fn);
-  /// The per-kernel FSYNC pass over lanes [l0, l1): one fused
-  /// Look+Compute+Move sweep with a replica-stride inner loop.  AllFull
-  /// elides every edge-presence test (every live replica's E_t is the full
-  /// set, so every acting robot moves).  Masked (AllFull only) restricts
-  /// the branchless AllFull body to the robots set in mask_words_: the
-  /// SSYNC round of a range whose edge rows are all full.
-  template <KernelId Id, bool AllFull, bool Masked = false>
-  void fsync_pass(std::uint32_t l0, std::uint32_t l1);
-  /// Whether every lane of [l0, l1) has the full edge set this round.
-  [[nodiscard]] bool edges_all_full(std::uint32_t l0, std::uint32_t l1) const;
-  /// The SSYNC moves of [l0, l1): the masked AllFull body when every edge
-  /// row of the range is full and the kernel has a branchless body, the
-  /// per-bit ssync_pass otherwise.
-  template <KernelId Id>
-  void ssync_moves(std::uint32_t l0, std::uint32_t l1);
-  /// SSYNC/ASYNC per-bit passes over [l0, l1): ctz over the activation
-  /// words, Looks reading the round-start multiplicity plane.
-  template <KernelId Id>
-  void ssync_pass(std::uint32_t l0, std::uint32_t l1);
-  template <KernelId Id>
-  void async_pass(std::uint32_t l0, std::uint32_t l1);
+  /// Run one fused Look+Compute+Move pass body over lanes [l0, l1): `Pass`
+  /// is one of the free pass bodies of batch_engine.cpp (FSYNC all-full or
+  /// generic, the split pass, the ASYNC pass), handed the planes' raw
+  /// pointers and run on the active ISA tier.
+  template <typename Pass>
+  void run_pass(std::uint32_t l0, std::uint32_t l1);
   /// E_t for lanes [l0, l1) at time t: schedule-backed lanes refill their
-  /// edge row in place, mirror-path lanes go through the virtual adversary
-  /// (reading only their own lane's mask columns / gamma mirror).
+  /// edge row in place once t reaches refill_at_, mirror-path lanes go
+  /// through the virtual adversary every round (reading only their own
+  /// lane's mask columns / gamma mirror).  Every refilled row is noted.
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// One scan of `lane`'s edge row: its absent count (capped at
+  /// kSparseAbsent + 1, "dense") and, for a sparse row of a batch that can
+  /// split, both endpoints of each absent edge in the lane's column of
+  /// absent_ends_.
+  void note_absent(std::uint32_t lane);
+  /// The densest row of [l0, l1): the largest absent_ count.
+  [[nodiscard]] std::uint8_t max_absent(std::uint32_t l0,
+                                        std::uint32_t l1) const;
+  /// Fill the touched words of [l0, l1), a range whose densest row misses
+  /// `absent` <= kSparseAbsent edges (none touched when it is 0).
+  void note_touched(std::uint32_t l0, std::uint32_t l1, std::uint8_t absent);
 
   /// Lane `lane`'s row of the contiguous edge-word plane.
   [[nodiscard]] std::uint64_t* edge_row(std::uint32_t lane) {
@@ -416,7 +441,6 @@ class BatchEngine {
   PlaneVector<Xoshiro256> krng_;
   PlaneVector<std::uint64_t> kcounter_;
   PlaneVector<std::uint8_t> khas_moved_;
-  PlaneVector<View> pending_views_;    // ASYNC: Look snapshots
 
   /// Visit bookkeeping of one (lane, node): one cache access per robot per
   /// boundary.  `last` is only meaningful when `count > 0`; 32 bits suffice
@@ -442,19 +466,31 @@ class BatchEngine {
   std::uint32_t edge_words_per_row_ = 0;
   PlaneVector<std::uint64_t> edge_plane_;
   std::vector<EdgeSet> edges_;            // mirror-path scratch only
-  std::vector<std::uint8_t> refill_;      // 0 = time-invariant, filled once
-  std::vector<std::uint8_t> edges_full_;  // E_t is the full set (any model)
+  /// Schedule-backed lanes: the round their row is next refilled (the
+  /// schedule's next_change of the last fill; kTimeInfinity = never).
+  std::vector<Time> refill_at_;
+  /// Absent edges of each lane's row, 0..kSparseAbsent, or
+  /// kSparseAbsent + 1 for a dense row (any model).
+  std::vector<std::uint8_t> absent_;
+  /// The endpoint nodes of a sparse row's absent edges: 2 * kSparseAbsent
+  /// slot-major planes of batch_ nodes (slot j of lane l at j * batch_ + l),
+  /// unused slots holding n.  An SSYNC or ASYNC batch of fewer than 32
+  /// lanes never splits, so it never lists them.
+  PlaneVector<NodeId> absent_ends_;
   std::vector<std::uint64_t> moves_;      // per-lane move counter (hot)
   std::vector<std::uint8_t> tower_flag_;  // some node holds >= 2 robots
   std::vector<std::uint8_t> prev_had_tower_;
   std::vector<Time> max_closed_gap_;
   std::vector<EngineStats> stats_;
 
-  // SSYNC activation / ASYNC advance masks as robot-major WORD planes:
-  // bit l of word (robot * lane_words_ + l / 64) = "robot acts in lane l".
-  // Regenerated every round before use (never swapped on compaction).
+  // Robot-major WORD planes: bit l of word (robot * lane_words_ + l / 64)
+  // belongs to lane l.  The SSYNC activation / ASYNC advance masks
+  // ("robot acts in lane l") and the touched words of a split pass ("robot
+  // stands on an endpoint of one of lane l's absent edges") are
+  // regenerated every round before use (never swapped on compaction).
   std::uint32_t lane_words_ = 0;
   PlaneVector<std::uint64_t> mask_words_;
+  PlaneVector<std::uint64_t> touched_words_;
   /// ASYNC: advancing AND in-Move-phase (mask_words_ & move_words_, one
   /// word AND per robot-word) — what the edge adversary and the Move pass
   /// see.  Snapshotted before the tick's phase transitions.
@@ -476,10 +512,18 @@ class BatchEngine {
   PlaneVector<std::uint64_t> look_words_;
   PlaneVector<std::uint64_t> compute_words_;
   PlaneVector<std::uint64_t> move_words_;
+  // ASYNC pending Look views, written by each Look and read by the Compute
+  // that follows (and by the cycle tracker's packed state): edge-ahead and
+  // edge-behind word planes (geometry of look_words_) and a multiplicity
+  // byte plane (geometry of mult_).
+  PlaneVector<std::uint64_t> pending_ahead_;
+  PlaneVector<std::uint64_t> pending_behind_;
+  PlaneVector<std::uint8_t> pending_mult_;
 
   /// False once every live lane's edge row is filled for good (all
-  /// schedule-backed, all time-invariant): the per-round edge prologue is
-  /// skipped entirely.  Monotone under lane retirement.
+  /// schedule-backed, all with next_change(0) == kTimeInfinity): the
+  /// per-round edge prologue is skipped entirely.  Monotone under lane
+  /// retirement.
   bool edge_refill_needed_ = true;
 
   // Multiplicity scratch.  The compare path accumulates per-robot node

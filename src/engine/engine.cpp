@@ -302,9 +302,14 @@ void Engine::compute_pending_list(const ComputeFn& compute_fn,
 void Engine::step_fsync() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  // Adversary: E_t.  Oblivious schedules refill the scratch set in place.
+  // Adversary: E_t.  Oblivious schedules refill the scratch set in place,
+  // and only once E_t may have changed (a fast-forward skip lands past
+  // refill_at_ or inside the same unchanged span).
   if (schedule_ != nullptr) {
-    schedule_->edges_into(now_, edges_);
+    if (now_ >= refill_at_) {
+      schedule_->edges_into(now_, edges_);
+      refill_at_ = schedule_->next_change(now_);
+    }
   } else {
     edges_ = adversary_->choose_edges(now_, *gamma_mirror_);
     PEF_CHECK(edges_.edge_count() == ring_.edge_count());

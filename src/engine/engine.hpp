@@ -25,7 +25,8 @@
 //     Look phase's multiplicity predicate O(1) per robot;
 //   * a reusable EdgeSet scratch buffer: oblivious schedules and SSYNC
 //     adversaries refill it in place (choose_edges_into) — zero allocation
-//     per round;
+//     per round, and an oblivious FSYNC schedule refills it only at the
+//     rounds its EdgeSchedule::next_change names;
 //   * reusable activation/phase masks: policies fill a persistent byte
 //     buffer instead of returning a fresh vector<bool> per round;
 //   * one persistent Configuration mirror updated in place (O(moves) per
@@ -294,8 +295,10 @@ class Engine {
 
   // Oblivious FSYNC fast path: when the adversary is an ObliviousAdversary
   // we call the schedule's in-place fill directly and never touch
-  // gamma_mirror_.
+  // gamma_mirror_, and only from round refill_at_ on (the schedule's
+  // next_change of the last fill; E_t holds until then).
   const EdgeSchedule* schedule_ = nullptr;
+  Time refill_at_ = 0;
   // Persistent configuration mirror: FSYNC adaptive adversaries, and every
   // SSYNC/ASYNC run (policies and adversaries see gamma each round).
   std::unique_ptr<Configuration> gamma_mirror_;

@@ -6,7 +6,8 @@
 //   * plan_batch's routing (break-even fallback, preferred width, caps);
 //   * bit-identical stats/coverage for wide (B=256, multi-tile), crowded
 //     (k = n/2, 77 lanes) and threaded batches against solo Engines, on
-//     all three models, with batchable (static, t-interval) and
+//     all three models, with batchable (static, t-interval,
+//     eventual-missing, a chain under t-interval, Bernoulli) and
 //     non-batchable (adaptive greedy-blocker) adversaries, and every
 //     registry kernel on the crowded ring;
 //   * byte-identical sweep JSON across max_batch in {0, 1, 16, 256} and
@@ -123,16 +124,25 @@ struct WideShape {
 struct WideScenario {
   const char* name;
   AdversaryConfig adversary;
+  Topology topology = Topology::kRing;
 };
 
-/// Static (every edge row full: FSYNC and SSYNC take the AllFull bodies),
-/// t-interval (rows with absent edges: the per-bit passes) and the
+/// Static (every edge row full: FSYNC's AllFull body, SSYNC's split pass
+/// with no robot touched), t-interval and eventual-missing (at most one
+/// absent edge per row) and a chain under t-interval (at most two: the
+/// split passes, with crowded words at k = n/2), Bernoulli (dense rows:
+/// the generic FSYNC body and the per-bit SSYNC and ASYNC passes) and the
 /// adaptive greedy-blocker (mirror path).
 std::vector<WideScenario> wide_scenarios(bool adaptive) {
   std::vector<WideScenario> scenarios = {
       {"static", adversary_config(AdversaryKind::kStatic)},
       {"t-interval",
        adversary_config(AdversaryKind::kTInterval, {{"interval", 4}})},
+      {"eventual-missing", adversary_config(AdversaryKind::kEventualMissing)},
+      {"chain+t-interval",
+       adversary_config(AdversaryKind::kTInterval, {{"interval", 4}}),
+       Topology::kChain},
+      {"bernoulli", adversary_config(AdversaryKind::kBernoulli, {{"p", 0.8}})},
   };
   if (adaptive) {
     scenarios.push_back(
@@ -149,10 +159,11 @@ Time wide_horizon(std::uint32_t replica) { return 150 + 23 * (replica % 5); }
 
 std::unique_ptr<Engine> solo_run(const Ring& ring, const std::string& algorithm,
                                  ExecutionModel model,
-                                 const AdversaryConfig& config,
+                                 const WideScenario& scenario,
                                  std::uint32_t robots, std::uint32_t replica) {
   const std::uint64_t seed = replica + 1;
-  auto fsync = adversary_from_config(config, ring, seed, robots);
+  auto fsync = adversary_from_config(scenario.adversary, ring, seed, robots,
+                                     scenario.topology);
   const auto placements = random_placements(ring, robots, seed);
   std::unique_ptr<Engine> engine;
   switch (model) {
@@ -212,8 +223,7 @@ void expect_batch_matches_solo(const WideShape& shape,
   const Ring ring(shape.nodes);
   std::vector<std::unique_ptr<Engine>> solo(shape.batch);
   for (std::uint32_t b = 0; b < shape.batch; ++b) {
-    solo[b] = solo_run(ring, algorithm, model, scenario.adversary,
-                       shape.robots, b);
+    solo[b] = solo_run(ring, algorithm, model, scenario, shape.robots, b);
   }
   for (const std::uint32_t thread_count : threads) {
     SCOPED_TRACE("threads=" + std::to_string(thread_count));
@@ -224,10 +234,11 @@ void expect_batch_matches_solo(const WideShape& shape,
       replica.algorithm = make_algorithm(algorithm, seed);
       replica.placements = random_placements(ring, shape.robots, seed);
       replica.horizon = wide_horizon(b);
-      wire_standard_replica(
-          replica, model,
-          adversary_from_config(scenario.adversary, ring, seed, shape.robots),
-          kActivationP, seed);
+      wire_standard_replica(replica, model,
+                            adversary_from_config(scenario.adversary, ring,
+                                                  seed, shape.robots,
+                                                  scenario.topology),
+                            kActivationP, seed);
     }
     BatchEngineOptions options;
     options.threads = thread_count;
@@ -265,8 +276,9 @@ TEST(WideBatch, CrowdedRingMatchesSoloForEveryKernel) {
   // lanes leave a 13-lane second block: a ragged 8-lane tail in every
   // per-8-lane body, before retirements make the live count ragged too.
   // Every registry kernel runs, so on static rings each branchless kernel
-  // takes the masked SSYNC body, and oscillating and random-walk take the
-  // per-bit pass.
+  // takes the masked SSYNC body, on few-absent-edge rows the split passes
+  // (with most robots touched on a chain: crowded FSYNC words), and
+  // oscillating and random-walk take the per-bit pass.
   const WideShape shape{24, 12, 77};
   for (const std::string& algorithm : algorithm_names()) {
     for (const ExecutionModel model : kAllModels) {

@@ -3,7 +3,10 @@
 // configuration at every round boundary, stats and coverage — across every
 // registry kernel, every execution model, adversary families (oblivious and
 // adaptive) and ragged per-replica horizons (early termination compacts
-// lanes out mid-run; the survivors must not notice).
+// lanes out mid-run; the survivors must not notice).  The families whose
+// rows miss a few edges (t-interval, chains, bounded-absence, the cage) run
+// kWideBatch lanes, so SSYNC and ASYNC take their split passes until
+// retirements narrow the batch and their per-bit passes after.
 #include "engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "adversary/confinement.hpp"
 #include "adversary/greedy_blocker.hpp"
 #include "algorithms/registry.hpp"
 #include "common/rng.hpp"
 #include "core/spec.hpp"
+#include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 
@@ -23,14 +28,48 @@ namespace pef {
 namespace {
 
 constexpr std::uint32_t kBatch = 10;  // one replica per seed
+/// Wide enough for SSYNC and ASYNC to split their rows (the batch
+/// engine's threshold is 32 lanes) until the first retirements.
+constexpr std::uint32_t kWideBatch = 40;
 constexpr std::uint32_t kNodes = 9;
 constexpr std::uint32_t kRobots = 3;
 constexpr Time kBaseHorizon = 160;
+/// The cage's window is nodes {0, .., kCageWidth - 1}.
+constexpr std::uint32_t kCageWidth = 4;
 
 /// Ragged horizons: replicas retire at different rounds, exercising the
 /// lane-compaction path on every batch.
 Time horizon_of(std::uint32_t replica) {
   return kBaseHorizon + 37 * (replica % 4);
+}
+
+/// Where a scenario's robots start: random_placements on the whole ring,
+/// or on distinct nodes of the cage's window (the cage refuses a robot
+/// outside it).
+using PlaceFn = std::vector<RobotPlacement> (*)(const Ring&, std::uint64_t);
+
+std::vector<RobotPlacement> anywhere(const Ring& ring, std::uint64_t seed) {
+  return random_placements(ring, kRobots, seed);
+}
+
+std::vector<RobotPlacement> in_cage(const Ring&, std::uint64_t seed) {
+  return random_placements(Ring(kCageWidth), kRobots, seed);
+}
+
+/// The few-absent-edge schedules.
+SchedulePtr t_interval(const Ring& ring, std::uint64_t seed) {
+  return std::make_shared<TIntervalConnectedSchedule>(ring, 3, seed);
+}
+SchedulePtr static_chain(const Ring& ring) {
+  return ChainSchedule::cut_last(std::make_shared<StaticSchedule>(ring));
+}
+SchedulePtr chain_t_interval(const Ring& ring, std::uint64_t seed) {
+  return ChainSchedule::cut_last(t_interval(ring, seed));
+}
+/// About a quarter of the edges absent: rows switch between at most two
+/// absent edges and more from round to round.
+SchedulePtr bounded_absence(const Ring& ring, std::uint64_t seed) {
+  return std::make_shared<BoundedAbsenceSchedule>(ring, 2, 8, seed);
 }
 
 /// Every robot's node, local direction and chirality agree.  Replica and
@@ -83,31 +122,31 @@ void run_differential(
     const std::string& label,
     const std::function<BatchReplica(std::uint32_t replica)>& make_replica,
     const std::function<Engine(std::uint32_t replica)>& make_engine,
-    ExecutionModel model) {
+    ExecutionModel model, std::uint32_t lanes = kBatch) {
   SCOPED_TRACE(label);
   const Ring ring(kNodes);
   const auto replicas = [&] {
     std::vector<BatchReplica> out;
-    out.reserve(kBatch);
-    for (std::uint32_t b = 0; b < kBatch; ++b) out.push_back(make_replica(b));
+    out.reserve(lanes);
+    for (std::uint32_t b = 0; b < lanes; ++b) out.push_back(make_replica(b));
     return out;
   };
   std::vector<std::unique_ptr<Engine>> solo;
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
+  for (std::uint32_t b = 0; b < lanes; ++b) {
     solo.push_back(std::make_unique<Engine>(make_engine(b)));
   }
 
   BatchEngine stepped(ring, model, replicas());
-  ASSERT_EQ(stepped.active_replicas(), kBatch);
+  ASSERT_EQ(stepped.active_replicas(), lanes);
   for (Time t = 0;; ++t) {
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
+    for (std::uint32_t b = 0; b < lanes; ++b) {
       expect_same_configuration(stepped.snapshot(b), solo[b]->snapshot(), b,
                                 t);
       if (::testing::Test::HasFatalFailure()) return;
     }
     if (stepped.active_replicas() == 0) break;
     stepped.step();
-    for (std::uint32_t b = 0; b < kBatch; ++b) {
+    for (std::uint32_t b = 0; b < lanes; ++b) {
       if (solo[b]->now() < horizon_of(b)) solo[b]->step();
     }
   }
@@ -116,7 +155,7 @@ void run_differential(
   ran.run_all();
   ASSERT_EQ(ran.active_replicas(), 0u);
 
-  for (std::uint32_t b = 0; b < kBatch; ++b) {
+  for (std::uint32_t b = 0; b < lanes; ++b) {
     SCOPED_TRACE("replica " + std::to_string(b));
     ASSERT_EQ(solo[b]->now(), horizon_of(b));
     for (const BatchEngine* batch : {&stepped, &ran}) {
@@ -130,12 +169,15 @@ void run_differential(
 }
 
 // ---------------------------------------------------------------------------
-// FSYNC: oblivious (static, Bernoulli, eventual-missing) and adaptive
-// (greedy-blocker) adversaries.
+// FSYNC: oblivious (static, Bernoulli, eventual-missing, t-interval, static
+// chain, chain under t-interval, bounded-absence) and adaptive
+// (greedy-blocker, cage) adversaries.
 
 struct FsyncFamily {
   const char* name;
   std::function<AdversaryPtr(const Ring&, std::uint64_t)> make;
+  PlaceFn place = anywhere;
+  std::uint32_t lanes = kBatch;
 };
 
 std::vector<FsyncFamily> fsync_families() {
@@ -160,6 +202,43 @@ std::vector<FsyncFamily> fsync_families() {
          return AdversaryPtr(
              std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4));
        }},
+      {"t-interval",
+       [](const Ring& ring, std::uint64_t seed) {
+         return make_oblivious(t_interval(ring, seed));
+       },
+       anywhere, kWideBatch},
+      // Vanish times spread across the ragged horizons: a lane whose edge
+      // has yet to vanish is compacted into the slot of one that retired
+      // (its refill round must travel with it).
+      {"eventual-missing, late vanish",
+       [](const Ring& ring, std::uint64_t seed) {
+         return make_oblivious(std::make_shared<EventualMissingEdgeSchedule>(
+             std::make_shared<StaticSchedule>(ring),
+             static_cast<EdgeId>(seed % ring.edge_count()),
+             /*vanish=*/150 + 31 * (seed % 5)));
+       },
+       anywhere, kWideBatch},
+      {"static chain",
+       [](const Ring& ring, std::uint64_t) {
+         return make_oblivious(static_chain(ring));
+       },
+       anywhere, kWideBatch},
+      {"chain+t-interval",
+       [](const Ring& ring, std::uint64_t seed) {
+         return make_oblivious(chain_t_interval(ring, seed));
+       },
+       anywhere, kWideBatch},
+      {"bounded-absence",
+       [](const Ring& ring, std::uint64_t seed) {
+         return make_oblivious(bounded_absence(ring, seed));
+       },
+       anywhere, kWideBatch},
+      {"cage",
+       [](const Ring& ring, std::uint64_t) {
+         return AdversaryPtr(
+             std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
+       },
+       in_cage, kWideBatch},
   };
 }
 
@@ -174,17 +253,16 @@ TEST(BatchEngineFsyncTest, MatchesSoloEnginesAcrossRegistryAndAdversaries) {
             BatchReplica replica;
             replica.algorithm = make_algorithm(algorithm, seed);
             replica.adversary = family.make(ring, seed);
-            replica.placements = random_placements(ring, kRobots, seed);
+            replica.placements = family.place(ring, seed);
             replica.horizon = horizon_of(b);
             return replica;
           },
           [&](std::uint32_t b) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
-                          family.make(ring, seed),
-                          random_placements(ring, kRobots, seed));
+                          family.make(ring, seed), family.place(ring, seed));
           },
-          ExecutionModel::kFsync);
+          ExecutionModel::kFsync, family.lanes);
     }
   }
 }
@@ -199,7 +277,22 @@ struct SsyncScenario {
       make_adversary;
   std::function<std::unique_ptr<ActivationPolicy>(std::uint64_t)>
       make_activation;
+  PlaceFn place = anywhere;
+  std::uint32_t lanes = kBatch;
 };
+
+std::unique_ptr<ActivationPolicy> bernoulli_activation(std::uint64_t seed) {
+  return std::make_unique<BernoulliActivation>(0.6, derive_seed(seed, 0xac));
+}
+
+std::unique_ptr<SsyncAdversary> oblivious(SchedulePtr schedule) {
+  return std::make_unique<SsyncObliviousAdversary>(std::move(schedule));
+}
+
+std::unique_ptr<SsyncAdversary> cage(const Ring& ring, std::uint64_t) {
+  return std::make_unique<SsyncFromFsyncAdversary>(
+      std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
+}
 
 std::vector<SsyncScenario> ssync_scenarios() {
   return {
@@ -224,6 +317,30 @@ std::vector<SsyncScenario> ssync_scenarios() {
                                                       /*max_absence=*/4));
        },
        [](std::uint64_t) { return std::make_unique<FullActivation>(); }},
+      {"t-interval+bernoulli-activation",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(t_interval(ring, seed));
+       },
+       bernoulli_activation, anywhere, kWideBatch},
+      {"static-chain+full",
+       [](const Ring& ring, std::uint64_t) {
+         return oblivious(static_chain(ring));
+       },
+       [](std::uint64_t) { return std::make_unique<FullActivation>(); },
+       anywhere, kWideBatch},
+      {"chain-t-interval+round-robin",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(chain_t_interval(ring, seed));
+       },
+       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); },
+       anywhere, kWideBatch},
+      {"bounded-absence+bernoulli-activation",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(bounded_absence(ring, seed));
+       },
+       bernoulli_activation, anywhere, kWideBatch},
+      {"cage+bernoulli-activation", cage, bernoulli_activation, in_cage,
+       kWideBatch},
   };
 }
 
@@ -239,7 +356,7 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             replica.algorithm = make_algorithm(algorithm, seed);
             replica.ssync_adversary = scenario.make_adversary(ring, seed);
             replica.activation = scenario.make_activation(seed);
-            replica.placements = random_placements(ring, kRobots, seed);
+            replica.placements = scenario.place(ring, seed);
             replica.horizon = horizon_of(b);
             return replica;
           },
@@ -248,9 +365,9 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_activation(seed),
-                          random_placements(ring, kRobots, seed));
+                          scenario.place(ring, seed));
           },
-          ExecutionModel::kSsync);
+          ExecutionModel::kSsync, scenario.lanes);
     }
   }
 }
@@ -263,7 +380,13 @@ struct AsyncScenario {
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
   std::function<std::unique_ptr<PhaseScheduler>(std::uint64_t)> make_phases;
+  PlaceFn place = anywhere;
+  std::uint32_t lanes = kBatch;
 };
+
+std::unique_ptr<PhaseScheduler> bernoulli_phases(std::uint64_t seed) {
+  return std::make_unique<BernoulliPhases>(0.6, derive_seed(seed, 0xa5));
+}
 
 std::vector<AsyncScenario> async_scenarios() {
   return {
@@ -288,6 +411,29 @@ std::vector<AsyncScenario> async_scenarios() {
                                                       /*max_absence=*/4));
        },
        [](std::uint64_t) { return std::make_unique<LockstepPhases>(); }},
+      {"t-interval+bernoulli-phases",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(t_interval(ring, seed));
+       },
+       bernoulli_phases, anywhere, kWideBatch},
+      {"static-chain+lockstep",
+       [](const Ring& ring, std::uint64_t) {
+         return oblivious(static_chain(ring));
+       },
+       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); },
+       anywhere, kWideBatch},
+      {"chain-t-interval+round-robin",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(chain_t_interval(ring, seed));
+       },
+       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); },
+       anywhere, kWideBatch},
+      {"bounded-absence+bernoulli-phases",
+       [](const Ring& ring, std::uint64_t seed) {
+         return oblivious(bounded_absence(ring, seed));
+       },
+       bernoulli_phases, anywhere, kWideBatch},
+      {"cage+bernoulli-phases", cage, bernoulli_phases, in_cage, kWideBatch},
   };
 }
 
@@ -303,7 +449,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             replica.algorithm = make_algorithm(algorithm, seed);
             replica.ssync_adversary = scenario.make_adversary(ring, seed);
             replica.phases = scenario.make_phases(seed);
-            replica.placements = random_placements(ring, kRobots, seed);
+            replica.placements = scenario.place(ring, seed);
             replica.horizon = horizon_of(b);
             return replica;
           },
@@ -312,9 +458,9 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
                           scenario.make_phases(seed),
-                          random_placements(ring, kRobots, seed));
+                          scenario.place(ring, seed));
           },
-          ExecutionModel::kAsync);
+          ExecutionModel::kAsync, scenario.lanes);
     }
   }
 }

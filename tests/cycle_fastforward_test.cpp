@@ -324,11 +324,25 @@ const LanePolicy kLanePolicies[] = {
 
 constexpr std::uint32_t kLaneRobots = 3;
 
-/// Lane `b`'s scenario on the rotating ring, as a solo Engine.
-Engine make_lane_engine(const Ring& ring, const LanePolicy& policy,
-                        const std::string& algorithm, std::uint32_t b,
-                        const EngineOptions& options) {
-  const SchedulePtr schedule = make_schedule(ring, Topo::kRing, true);
+/// The graphs the batch differential runs on: the rotating ring, and the
+/// static chain, whose one absent edge sends a batch of 32 or more lanes
+/// through the split passes (ASYNC's packed state then reads the pending
+/// views those write) and a narrower one through the per-bit passes.
+struct LaneGraph {
+  const char* name;
+  Topo topo;
+  bool rotating;
+  std::uint32_t lanes;
+};
+
+const LaneGraph kLaneGraphs[] = {{"rotating ring", Topo::kRing, true, 8},
+                                 {"static chain", Topo::kChain, false, 34}};
+
+/// Lane `b`'s scenario as a solo Engine.
+Engine make_lane_engine(const Ring& ring, const LaneGraph& graph,
+                        const LanePolicy& policy, const std::string& algorithm,
+                        std::uint32_t b, const EngineOptions& options) {
+  const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
   const auto placements = random_placements(ring, kLaneRobots, b + 1);
   switch (policy.model) {
     case ExecutionModel::kFsync:
@@ -348,14 +362,15 @@ Engine make_lane_engine(const Ring& ring, const LanePolicy& policy,
 }
 
 /// The same scenario as one batch replica.
-BatchReplica make_lane_replica(const Ring& ring, const LanePolicy& policy,
+BatchReplica make_lane_replica(const Ring& ring, const LaneGraph& graph,
+                               const LanePolicy& policy,
                                const std::string& algorithm, std::uint32_t b,
                                Time horizon) {
   BatchReplica replica;
   replica.algorithm = make_algorithm(algorithm, b + 1);
   replica.placements = random_placements(ring, kLaneRobots, b + 1);
   replica.horizon = horizon;
-  const SchedulePtr schedule = make_schedule(ring, Topo::kRing, true);
+  const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
   if (policy.model == ExecutionModel::kFsync) {
     replica.adversary = std::make_unique<ObliviousAdversary>(schedule);
     return replica;
@@ -371,51 +386,53 @@ BatchReplica make_lane_replica(const Ring& ring, const LanePolicy& policy,
 }
 
 TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
-  constexpr std::uint32_t kBatch = 8;
   const Ring ring(7);
   const auto horizon_of = [](std::uint32_t b) {
     return kHorizon + 61 * (b % 5);
   };
   EngineOptions ff_options;
   ff_options.fast_forward.enabled = true;
-  for (const LanePolicy& policy : kLanePolicies) {
-    for (const char* algorithm :
-         {"pef3+", "oscillating", "keep-direction", "bounce", "pef1"}) {
-      SCOPED_TRACE(std::string(policy.name) + " " + algorithm);
-      std::vector<BatchReplica> replicas;
-      for (std::uint32_t b = 0; b < kBatch; ++b) {
-        replicas.push_back(
-            make_lane_replica(ring, policy, algorithm, b, horizon_of(b)));
-      }
-      BatchEngineOptions options;
-      options.fast_forward.enabled = true;
-      BatchEngine batch(ring, policy.model, std::move(replicas), options);
-      batch.run_all();
+  for (const LaneGraph& graph : kLaneGraphs) {
+    for (const LanePolicy& policy : kLanePolicies) {
+      for (const char* algorithm :
+           {"pef3+", "oscillating", "keep-direction", "bounce", "pef1"}) {
+        SCOPED_TRACE(std::string(graph.name) + " " + policy.name + " " +
+                     algorithm);
+        std::vector<BatchReplica> replicas;
+        for (std::uint32_t b = 0; b < graph.lanes; ++b) {
+          replicas.push_back(make_lane_replica(ring, graph, policy,
+                                               algorithm, b, horizon_of(b)));
+        }
+        BatchEngineOptions options;
+        options.fast_forward.enabled = true;
+        BatchEngine batch(ring, policy.model, std::move(replicas), options);
+        batch.run_all();
 
-      for (std::uint32_t b = 0; b < kBatch; ++b) {
-        SCOPED_TRACE("replica " + std::to_string(b));
-        Engine solo =
-            make_lane_engine(ring, policy, algorithm, b, EngineOptions{});
-        solo.run(horizon_of(b));
-        Engine solo_ff =
-            make_lane_engine(ring, policy, algorithm, b, ff_options);
-        solo_ff.run(horizon_of(b));
-        EXPECT_TRUE(batch.fast_forwarded(b));
-        EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
-        EXPECT_EQ(batch.detected_period(b), solo_ff.detected_period());
-        const EngineStats& a = batch.stats(b);
-        const EngineStats& s = solo.stats();
-        EXPECT_EQ(a.rounds, s.rounds);
-        EXPECT_EQ(a.total_moves, s.total_moves);
-        EXPECT_EQ(a.tower_rounds, s.tower_rounds);
-        EXPECT_EQ(a.tower_formations, s.tower_formations);
-        EXPECT_EQ(a.visited_node_count, s.visited_node_count);
-        EXPECT_EQ(a.cover_time, s.cover_time);
-        const CoverageReport ca = batch.coverage_report(b);
-        const CoverageReport cs = solo.coverage_report();
-        EXPECT_EQ(ca.visit_counts, cs.visit_counts);
-        EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
-        EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+        for (std::uint32_t b = 0; b < graph.lanes; ++b) {
+          SCOPED_TRACE("replica " + std::to_string(b));
+          Engine solo = make_lane_engine(ring, graph, policy, algorithm, b,
+                                         EngineOptions{});
+          solo.run(horizon_of(b));
+          Engine solo_ff =
+              make_lane_engine(ring, graph, policy, algorithm, b, ff_options);
+          solo_ff.run(horizon_of(b));
+          EXPECT_TRUE(batch.fast_forwarded(b));
+          EXPECT_LT(batch.rounds_simulated(b), horizon_of(b));
+          EXPECT_EQ(batch.detected_period(b), solo_ff.detected_period());
+          const EngineStats& a = batch.stats(b);
+          const EngineStats& s = solo.stats();
+          EXPECT_EQ(a.rounds, s.rounds);
+          EXPECT_EQ(a.total_moves, s.total_moves);
+          EXPECT_EQ(a.tower_rounds, s.tower_rounds);
+          EXPECT_EQ(a.tower_formations, s.tower_formations);
+          EXPECT_EQ(a.visited_node_count, s.visited_node_count);
+          EXPECT_EQ(a.cover_time, s.cover_time);
+          const CoverageReport ca = batch.coverage_report(b);
+          const CoverageReport cs = solo.coverage_report();
+          EXPECT_EQ(ca.visit_counts, cs.visit_counts);
+          EXPECT_EQ(ca.max_revisit_gap, cs.max_revisit_gap);
+          EXPECT_EQ(ca.max_closed_gap, cs.max_closed_gap);
+        }
       }
     }
   }

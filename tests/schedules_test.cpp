@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/markov_schedule.hpp"
 
 namespace pef {
@@ -374,6 +375,111 @@ TEST(SurgeryScheduleTest, InfiniteRemoval) {
   EXPECT_TRUE(s.edges_at(6).contains(3));
   EXPECT_FALSE(s.edges_at(7).contains(3));
   EXPECT_FALSE(s.edges_at(100000).contains(3));
+}
+
+// ---------------------------------------------------------------------------
+// next_change: engines refill their edge scratch only at the round a
+// schedule names, so an answer must never be late — E_s == E_t for every s
+// in [t, next_change(t)) — and must lie after t.
+
+/// The contract at every t of [from, to).  A span longer than kSpan rounds
+/// is checked at its first kSpan rounds and its last one (or, for
+/// kTimeInfinity, one round 2^40 later).
+void expect_next_change_holds(const EdgeSchedule& s, Time from, Time to) {
+  constexpr Time kSpan = 64;
+  for (Time t = from; t < to; ++t) {
+    const Time next = s.next_change(t);
+    ASSERT_GT(next, t) << s.name() << " t=" << t;
+    const EdgeSet at_t = s.edges_at(t);
+    for (Time u = t + 1; u < std::min(next, t + kSpan); ++u) {
+      ASSERT_EQ(s.edges_at(u), at_t) << s.name() << " t=" << t << " s=" << u;
+    }
+    const Time last = next == kTimeInfinity ? t + (Time{1} << 40) : next - 1;
+    ASSERT_EQ(s.edges_at(last), at_t)
+        << s.name() << " t=" << t << " s=" << last;
+  }
+}
+
+TEST(NextChangeTest, EveryFamilyNeverAnswersLate) {
+  const Ring ring(9);
+  const auto stat = std::make_shared<StaticSchedule>(ring);
+  const auto tint = std::make_shared<TIntervalConnectedSchedule>(ring, 5, 3);
+  EdgeSet a = EdgeSet::all(9);
+  a.erase(2);
+  EdgeSet b = EdgeSet::none(9);
+  b.insert(4);
+  const std::vector<SchedulePtr> schedules = {
+      stat,
+      std::make_shared<RecordedSchedule>(ring, std::vector<EdgeSet>{a, b, a},
+                                         TailRule::kAllPresent),
+      std::make_shared<RecordedSchedule>(ring, std::vector<EdgeSet>{a, b},
+                                         TailRule::kRepeatLast),
+      std::make_shared<RecordedSchedule>(ring, std::vector<EdgeSet>{a, b, b},
+                                         TailRule::kCyclePrefix),
+      std::make_shared<BernoulliSchedule>(ring, 0.5, 7),
+      std::make_shared<PeriodicSchedule>(
+          PeriodicSchedule::rotating(ring, 4, 3)),
+      tint,
+      std::make_shared<EventualMissingEdgeSchedule>(stat, 3, 17),
+      std::make_shared<EventualMissingEdgeSchedule>(tint, 3, 17),
+      std::make_shared<BoundedAbsenceSchedule>(ring, 3, 4, 11),
+      std::make_shared<SurgerySchedule>(
+          stat, std::vector<Removal>{{1, 4, 9}, {6, 20, kTimeInfinity}}),
+      std::make_shared<MarkovSchedule>(ring, 0.2, 0.5, 13),
+      ChainSchedule::cut_last(stat),
+      ChainSchedule::cut_last(tint),
+  };
+  for (const SchedulePtr& schedule : schedules) {
+    SCOPED_TRACE(schedule->name());
+    expect_next_change_holds(*schedule, 0, 120);
+  }
+}
+
+TEST(NextChangeTest, AnswersOfTheFamiliesThatKnowTheirSpans) {
+  const Ring ring(9);
+  const auto stat = std::make_shared<StaticSchedule>(ring);
+  const auto tint = std::make_shared<TIntervalConnectedSchedule>(ring, 5, 3);
+  for (const Time t : {Time{0}, Time{7}, Time{1} << 40}) {
+    EXPECT_EQ(stat->next_change(t), kTimeInfinity);
+    EXPECT_EQ(ChainSchedule::cut_last(stat)->next_change(t), kTimeInfinity);
+  }
+  EXPECT_EQ(tint->next_change(0), 5u);
+  EXPECT_EQ(tint->next_change(4), 5u);
+  EXPECT_EQ(tint->next_change(5), 10u);
+  EXPECT_EQ(ChainSchedule::cut_last(tint)->next_change(7), 10u);
+  // Eventual-missing: the base's answer, capped at the vanish before it.
+  const EventualMissingEdgeSchedule on_static(stat, 3, 17);
+  EXPECT_EQ(on_static.next_change(0), 17u);
+  EXPECT_EQ(on_static.next_change(16), 17u);
+  EXPECT_EQ(on_static.next_change(17), kTimeInfinity);
+  const EventualMissingEdgeSchedule on_tint(tint, 3, 17);
+  EXPECT_EQ(on_tint.next_change(12), 15u);
+  EXPECT_EQ(on_tint.next_change(15), 17u);
+  EXPECT_EQ(on_tint.next_change(17), 20u);
+  // A time-invariant schedule is still recognized as recurrent.
+  EXPECT_EQ(stat->recurrence().period, 1u);
+  EXPECT_EQ(tint->recurrence().period, 0u);
+}
+
+TEST(NextChangeTest, TIntervalBoundaryPastTimeSaturates) {
+  const Ring ring(9);
+  // 2^63 + 5: the second boundary, 2^64 + 10, does not fit a Time.
+  const Time huge = (Time{1} << 63) + 5;
+  const TIntervalConnectedSchedule s(ring, huge, 21);
+  EXPECT_EQ(s.next_change(0), huge);
+  EXPECT_EQ(s.next_change(huge - 1), huge);
+  EXPECT_EQ(s.next_change(huge), kTimeInfinity);
+  EXPECT_EQ(s.next_change(kTimeInfinity - 1), kTimeInfinity);
+  expect_next_change_holds(s, huge - 3, huge + 3);
+  EXPECT_EQ(s.edges_at(kTimeInfinity - 1), s.edges_at(huge));
+  // 2^63 - 1: the second boundary, 2^64 - 2, still fits; the third does
+  // not.
+  const Time edge = (Time{1} << 63) - 1;
+  const TIntervalConnectedSchedule t(ring, edge, 21);
+  EXPECT_EQ(t.next_change(edge), 2 * edge);
+  EXPECT_EQ(t.next_change(2 * edge - 1), 2 * edge);
+  EXPECT_EQ(t.next_change(2 * edge), kTimeInfinity);
+  expect_next_change_holds(t, 2 * edge - 3, 2 * edge);
 }
 
 // ---------------------------------------------------------------------------
