@@ -4,10 +4,10 @@
 
 namespace pef {
 
-EdgeSet AdaptiveMissingEdgeAdversary::choose_edges(Time t,
-                                                   const Configuration& gamma) {
-  EdgeSet edges = EdgeSet::all(ring_.edge_count());
-  if (t < trigger_time_) return edges;
+void AdaptiveMissingEdgeAdversary::choose_edges_into(
+    Time t, const Configuration& gamma, EdgeSet& out) {
+  out.fill();
+  if (t < trigger_time_) return;
 
   if (!chosen_) {
     // Pick the edge maximising the distance from its nearer extremity to the
@@ -28,8 +28,7 @@ EdgeSet AdaptiveMissingEdgeAdversary::choose_edges(Time t,
     }
     chosen_ = best;
   }
-  edges.erase(*chosen_);
-  return edges;
+  out.erase(*chosen_);
 }
 
 }  // namespace pef

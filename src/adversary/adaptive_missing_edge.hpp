@@ -22,8 +22,8 @@ class AdaptiveMissingEdgeAdversary final : public Adversary {
       : ring_(ring), trigger_time_(trigger_time) {}
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet choose_edges(Time t,
-                                     const Configuration& gamma) override;
+  void choose_edges_into(Time t, const Configuration& gamma,
+                         EdgeSet& out) override;
   [[nodiscard]] std::string name() const override {
     return "adaptive-missing(t=" + std::to_string(trigger_time_) + ")";
   }

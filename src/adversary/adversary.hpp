@@ -24,11 +24,21 @@ class Adversary {
 
   [[nodiscard]] virtual const Ring& ring() const = 0;
 
-  /// Choose E_t.  Called exactly once per round, in increasing `t` order,
-  /// with the configuration *before* the round's Look phase (the paper's
-  /// gamma_t).  Implementations may keep internal state.
-  [[nodiscard]] virtual EdgeSet choose_edges(Time t,
-                                             const Configuration& gamma) = 0;
+  /// Choose E_t into `out`, a caller-owned set sized to
+  /// ring().edge_count() whose stale contents are overwritten: the one fill
+  /// every adversary implements, which the engines call on their scratch
+  /// set.  Called exactly once per round, in increasing `t` order, with the
+  /// configuration *before* the round's Look phase (the paper's gamma_t).
+  /// Implementations may keep internal state.
+  virtual void choose_edges_into(Time t, const Configuration& gamma,
+                                 EdgeSet& out) = 0;
+
+  /// E_t as a fresh set, for the reference simulators and tests.
+  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma) {
+    EdgeSet edges(ring().edge_count());
+    choose_edges_into(t, gamma, edges);
+    return edges;
+  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -44,8 +54,8 @@ class ObliviousAdversary final : public Adversary {
   [[nodiscard]] const Ring& ring() const override {
     return schedule_->ring();
   }
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration&) override {
-    return schedule_->edges_at(t);
+  void choose_edges_into(Time t, const Configuration&, EdgeSet& out) override {
+    schedule_->edges_into(t, out);
   }
   [[nodiscard]] std::string name() const override {
     return schedule_->name();

@@ -27,17 +27,17 @@ EdgeId ConfinementAdversary::right_boundary_edge() const {
                              GlobalDirection::kClockwise);
 }
 
-EdgeSet ConfinementAdversary::choose_edges(Time, const Configuration& gamma) {
-  EdgeSet edges = EdgeSet::all(ring_.edge_count());
+void ConfinementAdversary::choose_edges_into(Time, const Configuration& gamma,
+                                             EdgeSet& out) {
+  out.fill();
   const NodeId left_node = anchor_;
   const NodeId right_node = window_node(width_ - 1);
   for (const RobotSnapshot& r : gamma.robots()) {
     PEF_CHECK_MSG(in_window(r.node),
                   "robot escaped the confinement window (impossible)");
-    if (r.node == left_node) edges.erase(left_boundary_edge());
-    if (r.node == right_node) edges.erase(right_boundary_edge());
+    if (r.node == left_node) out.erase(left_boundary_edge());
+    if (r.node == right_node) out.erase(right_boundary_edge());
   }
-  return edges;
 }
 
 std::string ConfinementAdversary::name() const {

@@ -27,8 +27,8 @@ class ConfinementAdversary final : public Adversary {
   ConfinementAdversary(Ring ring, NodeId anchor, std::uint32_t width);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet choose_edges(Time t,
-                                     const Configuration& gamma) override;
+  void choose_edges_into(Time t, const Configuration& gamma,
+                         EdgeSet& out) override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] NodeId window_node(std::uint32_t offset) const {

@@ -11,13 +11,15 @@ GreedyBlockerAdversary::GreedyBlockerAdversary(Ring ring, Time max_absence)
   PEF_CHECK(max_absence >= 1);
 }
 
-EdgeSet GreedyBlockerAdversary::choose_edges(Time, const Configuration& gamma) {
+void GreedyBlockerAdversary::choose_edges_into(Time,
+                                               const Configuration& gamma,
+                                               EdgeSet& out) {
   // Runs every round of an adaptive cell, so it indexes the edge words and
   // runs directly: robots stand on ring nodes, so Ring::adjacent_edge's
   // node check and EdgeSet's edge checks cannot fire here.
   const std::uint32_t n = ring_.edge_count();
-  EdgeSet edges = EdgeSet::all(n);
-  std::uint64_t* const words = edges.mutable_words();
+  out.fill();
+  std::uint64_t* const words = out.mutable_words();
   const auto present = [words](EdgeId e) {
     return ((words[e >> 6] >> (e & 63)) & 1) != 0;
   };
@@ -41,7 +43,6 @@ EdgeSet GreedyBlockerAdversary::choose_edges(Time, const Configuration& gamma) {
   for (const EdgeId e : previously_absent_) {
     if (present(e)) absence_run_[e] = 0;
   }
-  return edges;
 }
 
 std::string GreedyBlockerAdversary::name() const {

@@ -24,8 +24,8 @@ class GreedyBlockerAdversary final : public Adversary {
   GreedyBlockerAdversary(Ring ring, Time max_absence);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet choose_edges(Time t,
-                                     const Configuration& gamma) override;
+  void choose_edges_into(Time t, const Configuration& gamma,
+                         EdgeSet& out) override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] Time max_absence() const { return max_absence_; }

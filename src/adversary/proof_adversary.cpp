@@ -42,21 +42,23 @@ EdgeId StagedProofAdversary::right_boundary_edge() const {
 }
 
 void StagedProofAdversary::begin_stage(Time t, RobotId designated,
-                                       const Configuration& gamma) {
+                                       const Configuration& gamma,
+                                       EdgeSet& out) {
   designated_ = designated;
   stage_start_ = t;
   stage_start_node_ = gamma.robot(designated).node;
-  // Log the stage's removal set (complement of the assembled present set).
-  const EdgeSet present = assemble_edges(gamma);
+  // Assemble the stage's present set into `out` and log its removal set
+  // (the complement).
+  assemble_edges(gamma, out);
   stage_removed_.clear();
   for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (!present.contains(e)) stage_removed_.push_back(e);
+    if (!out.contains(e)) stage_removed_.push_back(e);
   }
 }
 
-EdgeSet StagedProofAdversary::assemble_edges(
-    const Configuration& gamma) const {
-  EdgeSet edges = EdgeSet::all(ring_.edge_count());
+void StagedProofAdversary::assemble_edges(const Configuration& gamma,
+                                          EdgeSet& out) const {
+  out.fill();
 
   // Freeze every non-designated robot: both its adjacent edges removed
   // (this reproduces the paper's per-stage removal sets, e.g.
@@ -64,8 +66,8 @@ EdgeSet StagedProofAdversary::assemble_edges(
   for (RobotId r = 0; r < gamma.robot_count(); ++r) {
     if (r == designated_) continue;
     const NodeId x = gamma.robot(r).node;
-    edges.erase(ring_.adjacent_edge(x, GlobalDirection::kClockwise));
-    edges.erase(ring_.adjacent_edge(x, GlobalDirection::kCounterClockwise));
+    out.erase(ring_.adjacent_edge(x, GlobalDirection::kClockwise));
+    out.erase(ring_.adjacent_edge(x, GlobalDirection::kCounterClockwise));
   }
 
   // The designated robot keeps one inward edge (OneEdge): standing on a
@@ -74,21 +76,22 @@ EdgeSet StagedProofAdversary::assemble_edges(
   // away edge stays present.
   const NodeId x = gamma.robot(designated_).node;
   const std::uint32_t o = offset_of(x);
-  if (o == 0) edges.erase(left_boundary_edge());
-  if (o == width_ - 1) edges.erase(right_boundary_edge());
-  return edges;
+  if (o == 0) out.erase(left_boundary_edge());
+  if (o == width_ - 1) out.erase(right_boundary_edge());
 }
 
-EdgeSet StagedProofAdversary::choose_edges(Time t, const Configuration& gamma) {
+void StagedProofAdversary::choose_edges_into(Time t,
+                                             const Configuration& gamma,
+                                             EdgeSet& out) {
   PEF_CHECK(gamma.robot_count() >= 1);
 
   // Terminal mode: exactly one eventually-missing edge, everything else
   // present forever (a legal connected-over-time suffix).  Robots may roam
   // the whole chain in this mode.
   if (terminal_) {
-    EdgeSet edges = EdgeSet::all(ring_.edge_count());
-    edges.erase(*terminal_);
-    return edges;
+    out.fill();
+    out.erase(*terminal_);
+    return;
   }
 
   for (const RobotSnapshot& r : gamma.robots()) {
@@ -102,14 +105,12 @@ EdgeSet StagedProofAdversary::choose_edges(Time t, const Configuration& gamma) {
   // clock once the tower breaks.
   if (gamma.has_tower()) {
     initialised_ = false;
-    EdgeSet edges = EdgeSet::all(ring_.edge_count());
+    out.fill();
     for (const RobotSnapshot& r : gamma.robots()) {
-      if (r.node == anchor_) edges.erase(left_boundary_edge());
-      if (r.node == window_node(width_ - 1)) {
-        edges.erase(right_boundary_edge());
-      }
+      if (r.node == anchor_) out.erase(left_boundary_edge());
+      if (r.node == window_node(width_ - 1)) out.erase(right_boundary_edge());
     }
-    return edges;
+    return;
   }
 
   if (!initialised_) {
@@ -122,9 +123,9 @@ EdgeSet StagedProofAdversary::choose_edges(Time t, const Configuration& gamma) {
         break;
       }
     }
-    begin_stage(t, designated, gamma);
+    begin_stage(t, designated, gamma, out);
     initialised_ = true;
-    return assemble_edges(gamma);
+    return;
   }
 
   const NodeId pos = gamma.robot(designated_).node;
@@ -137,8 +138,8 @@ EdgeSet StagedProofAdversary::choose_edges(Time t, const Configuration& gamma) {
       // Designation switches at window boundaries (the paper's rotation).
       next = (designated_ + 1) % gamma.robot_count();
     }
-    begin_stage(t, next, gamma);
-    return assemble_edges(gamma);
+    begin_stage(t, next, gamma, out);
+    return;
   }
 
   if (t - stage_start_ >= patience_) {
@@ -150,12 +151,12 @@ EdgeSet StagedProofAdversary::choose_edges(Time t, const Configuration& gamma) {
     const EdgeId pointed =
         ring_.adjacent_edge(camper.node, camper.considered_direction());
     terminal_ = pointed;
-    EdgeSet edges = EdgeSet::all(ring_.edge_count());
-    edges.erase(*terminal_);
-    return edges;
+    out.fill();
+    out.erase(*terminal_);
+    return;
   }
 
-  return assemble_edges(gamma);
+  assemble_edges(gamma, out);
 }
 
 std::string StagedProofAdversary::name() const {

@@ -60,8 +60,8 @@ class StagedProofAdversary final : public Adversary {
                        Time patience);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet choose_edges(Time t,
-                                     const Configuration& gamma) override;
+  void choose_edges_into(Time t, const Configuration& gamma,
+                         EdgeSet& out) override;
   [[nodiscard]] std::string name() const override;
 
   // --- Reporting ----------------------------------------------------------
@@ -83,8 +83,9 @@ class StagedProofAdversary final : public Adversary {
   [[nodiscard]] std::uint32_t offset_of(NodeId u) const;
   [[nodiscard]] NodeId window_node(std::uint32_t offset) const;
   [[nodiscard]] bool is_boundary(NodeId u) const;
-  void begin_stage(Time t, RobotId designated, const Configuration& gamma);
-  [[nodiscard]] EdgeSet assemble_edges(const Configuration& gamma) const;
+  void begin_stage(Time t, RobotId designated, const Configuration& gamma,
+                   EdgeSet& out);
+  void assemble_edges(const Configuration& gamma, EdgeSet& out) const;
 
   Ring ring_;
   NodeId anchor_;

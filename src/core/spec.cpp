@@ -17,6 +17,7 @@
 #include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/markov_schedule.hpp"
 #include "dynamic_graph/schedules.hpp"
+#include "scheduler/simulator.hpp"
 
 namespace pef {
 
@@ -249,11 +250,10 @@ class ChainAdversary final : public Adversary {
       : inner_(std::move(inner)), cut_(cut) {}
 
   [[nodiscard]] const Ring& ring() const override { return inner_->ring(); }
-  [[nodiscard]] EdgeSet choose_edges(Time t,
-                                     const Configuration& gamma) override {
-    EdgeSet s = inner_->choose_edges(t, gamma);
-    s.erase(cut_);
-    return s;
+  void choose_edges_into(Time t, const Configuration& gamma,
+                         EdgeSet& out) override {
+    inner_->choose_edges_into(t, gamma, out);
+    out.erase(cut_);
   }
   [[nodiscard]] std::string name() const override {
     return "chain(" + inner_->name() + ")";
@@ -354,13 +354,18 @@ std::string format_value(double v) {
 /// True iff `v` is a probability.  Written so that NaN fails it.
 bool is_probability(double v) { return v >= 0.0 && v <= 1.0; }
 
+/// `adversary "<kind>": `, the head of every message about one adversary.
+std::string adversary_prefix(const AdversaryConfig& config) {
+  return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
+         "\": ";
+}
+
 std::optional<std::string> check_probability(const AdversaryConfig& config,
                                              const char* name) {
   const double v = config.param(name);
   if (!is_probability(v)) {
-    return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
-           "\": param \"" + name + "\" must be in [0, 1] (got " +
-           format_value(v) + ")";
+    return adversary_prefix(config) + "param \"" + name +
+           "\" must be in [0, 1] (got " + format_value(v) + ")";
   }
   return std::nullopt;
 }
@@ -378,9 +383,8 @@ std::optional<std::string> check_int(const AdversaryConfig& config,
                                      const char* what) {
   const double v = config.param(name);
   if (v >= min && v <= max && v == std::floor(v)) return std::nullopt;
-  return "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
-         "\": param \"" + name + "\" must be a " + what +
-         " integer no greater than " + format_value(max) + " (got " +
+  return adversary_prefix(config) + "param \"" + name + "\" must be a " +
+         what + " integer no greater than " + format_value(max) + " (got " +
          format_value(v) + ")";
 }
 
@@ -394,19 +398,20 @@ std::optional<std::string> check_nonnegative_int(const AdversaryConfig& config,
   return check_int(config, name, 0.0, max, "non-negative");
 }
 
+/// The cage and proof adversaries confine the robots to a window of nodes.
+bool has_window(const AdversaryConfig& config) {
+  return config.kind == AdversaryKind::kCage ||
+         config.kind == AdversaryKind::kProof;
+}
+
 /// A cage/proof window that exists at ring size `nodes` with `robots`
 /// robots: the anchor is a node and the width is in [2, n), as the
 /// adversaries' constructors require.  Call after validate_adversary.
 std::optional<std::string> check_window(const AdversaryConfig& config,
                                         std::uint32_t nodes,
                                         std::uint32_t robots) {
-  if (config.kind != AdversaryKind::kCage &&
-      config.kind != AdversaryKind::kProof) {
-    return std::nullopt;
-  }
-  const std::string param =
-      "adversary \"" + std::string(adversary_kind_info(config.kind).name) +
-      "\": param ";
+  if (!has_window(config)) return std::nullopt;
+  const std::string param = adversary_prefix(config) + "param ";
   const std::string at_n = " at ring size n=" + std::to_string(nodes) + ")";
   const std::uint64_t anchor = int_param(config, "anchor");
   if (anchor >= nodes) {
@@ -421,6 +426,31 @@ std::optional<std::string> check_window(const AdversaryConfig& config,
             : "0, so min(k + 1, n - 1) = " + std::to_string(width) +
                   " with k=" + std::to_string(robots) + ",";
     return param + "\"width\" must be in [2, n) (got " + got + at_n;
+  }
+  return std::nullopt;
+}
+
+/// Every robot of spread_placements(n, k), the placements of scenarios and
+/// of sweeps without random placements, starts inside the cage/proof
+/// window: the adversaries abort on a robot outside it.  Call after
+/// check_window.
+std::optional<std::string> check_spread_placements(
+    const AdversaryConfig& config, std::uint32_t nodes, std::uint32_t robots) {
+  if (!has_window(config)) return std::nullopt;
+  const auto anchor = static_cast<std::uint32_t>(int_param(config, "anchor"));
+  const std::uint32_t width = window_width(config, robots, nodes);
+  const std::vector<RobotPlacement> placements =
+      spread_placements(Ring(nodes), robots);
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    const NodeId node = placements[i].node;
+    if ((std::uint64_t{node} + nodes - anchor) % nodes < width) continue;
+    return adversary_prefix(config) + "robot " + std::to_string(i) +
+           " starts on node " + std::to_string(node) +
+           ", outside its window, nodes " + std::to_string(anchor) + ".." +
+           std::to_string((std::uint64_t{anchor} + width - 1) % nodes) +
+           " clockwise (anchor " + std::to_string(anchor) + ", width " +
+           std::to_string(width) + " at ring size n=" +
+           std::to_string(nodes) + " with k=" + std::to_string(robots) + ")";
   }
   return std::nullopt;
 }
@@ -738,7 +768,8 @@ std::optional<std::string> ScenarioSpec::validate() const {
            known_algorithms() + "; empty = paper's recommendation)";
   }
   if (auto err = validate_adversary(adversary)) return err;
-  return check_window(adversary, nodes, robots);
+  if (auto err = check_window(adversary, nodes, robots)) return err;
+  return check_spread_placements(adversary, nodes, robots);
 }
 
 std::optional<ScenarioSpec> scenario_spec_from_json(const JsonValue& value,
@@ -917,14 +948,23 @@ std::optional<std::string> SweepSpec::validate() const {
     return "\"activation_p\" must be in [0, 1] (got " +
            format_value(activation_p) + ")";
   }
-  // Every cell's window must exist.  Cells are the (n, k) pairs with
-  // 0 < k < n; enumerate_cells skips the rest.
+  // Every cell's window must exist and hold its robots.  Cells are the
+  // (n, k) pairs with 0 < k < n; enumerate_cells skips the rest.
   for (const AdversaryConfig& config : adversaries) {
     for (const std::uint32_t n : ring_sizes) {
       for (const std::uint32_t k : robot_counts) {
         if (k == 0 || k >= n) continue;
         if (auto err = check_window(config, n, k)) return err;
+        if (random_placements) continue;
+        if (auto err = check_spread_placements(config, n, k)) return err;
       }
+    }
+    // Whether a random placement lands inside the window depends on the
+    // seed, so such a sweep would run or abort by chance.
+    if (random_placements && has_window(config)) {
+      return adversary_prefix(config) +
+             "needs \"random_placements\": false (a random placement may "
+             "start a robot outside its window)";
     }
   }
   return std::nullopt;

@@ -32,15 +32,6 @@ class ChainSchedule final : public EdgeSchedule {
   }
 
   [[nodiscard]] const Ring& ring() const override { return base_->ring(); }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override {
-    EdgeSet s = base_->edges_at(t);
-    s.erase(cut_);
-    return s;
-  }
-  void edges_into(Time t, EdgeSet& out) const override {
-    base_->edges_into(t, out);
-    out.erase(cut_);
-  }
   void edges_into_words(Time t, std::uint64_t* words) const override {
     base_->edges_into_words(t, words);
     words[cut_ >> 6] &= ~(std::uint64_t{1} << (cut_ & 63));

@@ -172,18 +172,4 @@ inline void fill_edge_words(std::uint64_t* words, std::uint32_t edge_count) {
   words[count - 1] = tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
 }
 
-/// True iff a raw word row holds the full edge set.
-[[nodiscard]] inline bool edge_words_full(const std::uint64_t* words,
-                                          std::uint32_t edge_count) {
-  const std::uint32_t count = edge_word_count(edge_count);
-  if (count == 0) return true;
-  for (std::uint32_t i = 0; i + 1 < count; ++i) {
-    if (words[i] != ~0ULL) return false;
-  }
-  const std::uint32_t tail_bits = edge_count - (count - 1) * 64;
-  const std::uint64_t tail_mask =
-      tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1;
-  return words[count - 1] == tail_mask;
-}
-
 }  // namespace pef

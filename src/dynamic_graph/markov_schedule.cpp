@@ -32,21 +32,6 @@ bool MarkovSchedule::edge_present(EdgeId e, Time t) const {
   return chain.states[static_cast<std::size_t>(t)];
 }
 
-EdgeSet MarkovSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) s.insert(e);
-  }
-  return s;
-}
-
-void MarkovSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) out.insert(e);
-  }
-}
-
 void MarkovSchedule::edges_into_words(Time t, std::uint64_t* words) const {
   const std::uint32_t count = edge_word_count(ring_.edge_count());
   for (std::uint32_t i = 0; i < count; ++i) words[i] = 0;

@@ -26,8 +26,6 @@ class MarkovSchedule final : public EdgeSchedule {
                  std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 

@@ -33,37 +33,35 @@ struct ScheduleRecurrence {
 }
 
 /// The edge-presence function of an evolving graph over a fixed ring.
-/// Implementations must be deterministic: calling `edges_at(t)` twice for
-/// the same `t` returns the same set (stochastic schedules pre-derive a
-/// per-(edge, t) stream from their seed).
+/// Each family implements one fill, edges_into_words; edges_into and
+/// edges_at are wrappers around it.  Implementations must be deterministic:
+/// filling E_t twice for the same `t` gives the same set (stochastic
+/// schedules pre-derive a per-(edge, t) stream from their seed).
 class EdgeSchedule {
  public:
   virtual ~EdgeSchedule() = default;
 
   [[nodiscard]] virtual const Ring& ring() const = 0;
 
-  /// The set E_t of edges present during round `t`.
-  [[nodiscard]] virtual EdgeSet edges_at(Time t) const = 0;
-
-  /// Fill a caller-owned scratch set with E_t instead of allocating a fresh
-  /// one.  `out` must already be sized to `ring().edge_count()`.  The default
-  /// falls back to edges_at(); hot schedule families override it so engines
-  /// can run rounds allocation-free.
-  virtual void edges_into(Time t, EdgeSet& out) const { out = edges_at(t); }
-
   /// Fill one raw word row ((edge_count + 63) / 64 words, EdgeSet::words()
-  /// layout, tail bits clear) with E_t — the plane filler BatchEngine uses
-  /// to write each replica's edge words straight into its contiguous edge
-  /// plane, with no EdgeSet and no Configuration mirror in between.  The
-  /// default routes through edges_into() on a temporary set (cold families
-  /// only pay it off the hot path); every hot family overrides it to write
-  /// the words directly.
-  virtual void edges_into_words(Time t, std::uint64_t* words) const {
-    EdgeSet scratch(ring().edge_count());
-    edges_into(t, scratch);
-    const std::uint32_t count = edge_word_count(scratch.edge_count());
-    const std::uint64_t* src = scratch.words();
-    for (std::uint32_t i = 0; i < count; ++i) words[i] = src[i];
+  /// layout) with E_t, the set of edges present during round `t`.  Every
+  /// word is overwritten (the row may hold a stale E_s) and the tail bits
+  /// past edge_count are left clear.  BatchEngine writes each replica's
+  /// edge words straight into its contiguous edge plane through it.
+  virtual void edges_into_words(Time t, std::uint64_t* words) const = 0;
+
+  /// E_t into a caller-owned scratch set sized to ring().edge_count(), with
+  /// no allocation: the solo Engine's per-round fill.
+  void edges_into(Time t, EdgeSet& out) const {
+    PEF_CHECK(out.edge_count() == ring().edge_count());
+    edges_into_words(t, out.mutable_words());
+  }
+
+  /// E_t as a fresh set.
+  [[nodiscard]] EdgeSet edges_at(Time t) const {
+    EdgeSet edges(ring().edge_count());
+    edges_into_words(t, edges.mutable_words());
+    return edges;
   }
 
   /// The first round after `t` whose edge set may differ from E_t:
@@ -85,11 +83,6 @@ class EdgeSchedule {
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Convenience: presence of a single edge at time `t`.
-  [[nodiscard]] bool is_present(EdgeId e, Time t) const {
-    return edges_at(t).contains(e);
-  }
 };
 
 using SchedulePtr = std::shared_ptr<const EdgeSchedule>;

@@ -22,17 +22,18 @@ RecordedSchedule::RecordedSchedule(Ring ring, std::vector<EdgeSet> rounds,
   }
 }
 
-EdgeSet RecordedSchedule::edges_at(Time t) const {
-  if (t < rounds_.size()) return rounds_[static_cast<std::size_t>(t)];
-  switch (tail_) {
-    case TailRule::kAllPresent:
-      return EdgeSet::all(ring_.edge_count());
-    case TailRule::kRepeatLast:
-      return rounds_.back();
-    case TailRule::kCyclePrefix:
-      return rounds_[static_cast<std::size_t>(t % rounds_.size())];
+void RecordedSchedule::edges_into_words(Time t, std::uint64_t* words) const {
+  if (t >= rounds_.size() && tail_ == TailRule::kAllPresent) {
+    fill_edge_words(words, ring_.edge_count());
+    return;
   }
-  return EdgeSet::all(ring_.edge_count());
+  // Inside the prefix both picks are t; past it, kRepeatLast holds the
+  // final set and kCyclePrefix loops the prefix.
+  const Time round = tail_ == TailRule::kRepeatLast
+                         ? std::min<Time>(t, rounds_.size() - 1)
+                         : t % rounds_.size();
+  std::copy_n(rounds_[static_cast<std::size_t>(round)].words(),
+              edge_word_count(ring_.edge_count()), words);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,17 +140,6 @@ BernoulliSchedule::BernoulliSchedule(Ring ring, double p, std::uint64_t seed)
   }
 }
 
-EdgeSet BernoulliSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void BernoulliSchedule::edges_into(Time t, EdgeSet& out) const {
-  PEF_CHECK(out.edge_count() == ring_.edge_count());
-  edges_into_words(t, out.mutable_words());
-}
-
 void BernoulliSchedule::edges_into_words(Time t, std::uint64_t* words) const {
   bernoulli_words(keys_.data(), ring_.edge_count(), t, threshold_, words);
 }
@@ -188,17 +178,6 @@ PeriodicSchedule PeriodicSchedule::rotating(Ring ring, std::uint32_t period,
   return PeriodicSchedule(ring, std::move(patterns));
 }
 
-EdgeSet PeriodicSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void PeriodicSchedule::edges_into(Time t, EdgeSet& out) const {
-  PEF_CHECK(out.edge_count() == ring_.edge_count());
-  edges_into_words(t, out.mutable_words());
-}
-
 void PeriodicSchedule::edges_into_words(Time t, std::uint64_t* words) const {
   if (rows_.empty()) {
     literal_words(t, words);
@@ -228,25 +207,11 @@ TIntervalConnectedSchedule::TIntervalConnectedSchedule(Ring ring,
   PEF_CHECK(interval > 0);
 }
 
-EdgeSet TIntervalConnectedSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  edges_into(t, s);
-  return s;
-}
-
-void TIntervalConnectedSchedule::edges_into(Time t, EdgeSet& out) const {
-  const Time epoch = t / interval_;
-  Xoshiro256 rng(derive_seed(seed_, epoch));
-  // Draw in [0, n]: value n means "no edge missing this epoch".
-  const std::uint64_t pick = rng.next_below(ring_.edge_count() + 1);
-  out.fill();
-  if (pick < ring_.edge_count()) out.erase(static_cast<EdgeId>(pick));
-}
-
 void TIntervalConnectedSchedule::edges_into_words(Time t,
                                                   std::uint64_t* words) const {
   const Time epoch = t / interval_;
   Xoshiro256 rng(derive_seed(seed_, epoch));
+  // Draw in [0, n]: value n means "no edge missing this epoch".
   const std::uint64_t pick = rng.next_below(ring_.edge_count() + 1);
   fill_edge_words(words, ring_.edge_count());
   if (pick < ring_.edge_count()) words[pick >> 6] &= ~(1ULL << (pick & 63));
@@ -273,17 +238,6 @@ EventualMissingEdgeSchedule::EventualMissingEdgeSchedule(SchedulePtr base,
       vanish_time_(vanish_time) {
   PEF_CHECK(base_ != nullptr);
   PEF_CHECK(base_->ring().is_valid_edge(missing_edge_));
-}
-
-EdgeSet EventualMissingEdgeSchedule::edges_at(Time t) const {
-  EdgeSet s = base_->edges_at(t);
-  if (t >= vanish_time_) s.erase(missing_edge_);
-  return s;
-}
-
-void EventualMissingEdgeSchedule::edges_into(Time t, EdgeSet& out) const {
-  base_->edges_into(t, out);
-  if (t >= vanish_time_) out.erase(missing_edge_);
 }
 
 void EventualMissingEdgeSchedule::edges_into_words(
@@ -340,21 +294,6 @@ bool BoundedAbsenceSchedule::edge_present(EdgeId e, Time t) const {
   return run_index % 2 == 0;  // even-indexed runs are "present" runs
 }
 
-EdgeSet BoundedAbsenceSchedule::edges_at(Time t) const {
-  EdgeSet s(ring_.edge_count());
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) s.insert(e);
-  }
-  return s;
-}
-
-void BoundedAbsenceSchedule::edges_into(Time t, EdgeSet& out) const {
-  out.clear();
-  for (EdgeId e = 0; e < ring_.edge_count(); ++e) {
-    if (edge_present(e, t)) out.insert(e);
-  }
-}
-
 void BoundedAbsenceSchedule::edges_into_words(Time t,
                                               std::uint64_t* words) const {
   const std::uint32_t count = edge_word_count(ring_.edge_count());
@@ -381,12 +320,13 @@ SurgerySchedule::SurgerySchedule(SchedulePtr base,
   }
 }
 
-EdgeSet SurgerySchedule::edges_at(Time t) const {
-  EdgeSet s = base_->edges_at(t);
+void SurgerySchedule::edges_into_words(Time t, std::uint64_t* words) const {
+  base_->edges_into_words(t, words);
   for (const Removal& r : removals_) {
-    if (t >= r.from && t <= r.to) s.erase(r.edge);
+    if (t >= r.from && t <= r.to) {
+      words[r.edge >> 6] &= ~(1ULL << (r.edge & 63));
+    }
   }
-  return s;
 }
 
 }  // namespace pef

@@ -41,10 +41,6 @@ class StaticSchedule final : public EdgeSchedule {
   explicit StaticSchedule(Ring ring) : ring_(ring) {}
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time) const override {
-    return EdgeSet::all(ring_.edge_count());
-  }
-  void edges_into(Time, EdgeSet& out) const override { out.fill(); }
   void edges_into_words(Time, std::uint64_t* words) const override {
     fill_edge_words(words, ring_.edge_count());
   }
@@ -71,7 +67,7 @@ class RecordedSchedule final : public EdgeSchedule {
                    TailRule tail = TailRule::kAllPresent);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
+  void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     // kAllPresent / kRepeatLast hold one fixed set once the prefix ends;
     // kCyclePrefix is periodic from round 0 with the prefix as its period.
@@ -102,8 +98,6 @@ class BernoulliSchedule final : public EdgeSchedule {
   BernoulliSchedule(Ring ring, double p, std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -141,8 +135,6 @@ class PeriodicSchedule final : public EdgeSchedule {
                                    std::uint32_t duty);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     return {period_, Time{0}};
@@ -179,8 +171,6 @@ class TIntervalConnectedSchedule final : public EdgeSchedule {
   TIntervalConnectedSchedule(Ring ring, Time interval, std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   /// The next multiple of the interval (the pick is redrawn there),
   /// kTimeInfinity when that multiple does not fit a Time.
@@ -206,8 +196,6 @@ class EventualMissingEdgeSchedule final : public EdgeSchedule {
                               Time vanish_time);
 
   [[nodiscard]] const Ring& ring() const override { return base_->ring(); }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] Time next_change(Time t) const override {
     // The overlay changes once, at the vanish.
@@ -243,8 +231,6 @@ class BoundedAbsenceSchedule final : public EdgeSchedule {
                          std::uint64_t seed);
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
-  void edges_into(Time t, EdgeSet& out) const override;
   void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] std::string name() const override;
 
@@ -286,7 +272,7 @@ class SurgerySchedule final : public EdgeSchedule {
   SurgerySchedule(SchedulePtr base, std::vector<Removal> removals);
 
   [[nodiscard]] const Ring& ring() const override { return base_->ring(); }
-  [[nodiscard]] EdgeSet edges_at(Time t) const override;
+  void edges_into_words(Time t, std::uint64_t* words) const override;
   [[nodiscard]] ScheduleRecurrence recurrence() const override {
     // A finite removal stops mattering after `to`; an infinite one is a
     // constant overlay from `from` on.  Past the latest such boundary the

@@ -1401,14 +1401,13 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
       break;
   }
 
-  if (options_.enforce_well_initiated) {
-    PEF_CHECK_MSG(replica.placements.size() < nodes_,
-                  "well-initiated executions need k < n");
-    for (std::size_t a = 0; a < replica.placements.size(); ++a) {
-      for (std::size_t b = a + 1; b < replica.placements.size(); ++b) {
-        PEF_CHECK_MSG(replica.placements[a].node != replica.placements[b].node,
-                      "well-initiated executions start towerless");
-      }
+  // The paper's well-initiated executions: k < n robots, towerless.
+  PEF_CHECK_MSG(replica.placements.size() < nodes_,
+                "well-initiated executions need k < n");
+  for (std::size_t a = 0; a < replica.placements.size(); ++a) {
+    for (std::size_t b = a + 1; b < replica.placements.size(); ++b) {
+      PEF_CHECK_MSG(replica.placements[a].node != replica.placements[b].node,
+                    "well-initiated executions start towerless");
     }
   }
 
@@ -1730,8 +1729,9 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
   // Oblivious lanes refill the row in place once they reach the round
   // their schedule's next_change named (time-invariant ones never); adaptive
   // lanes see their gamma mirror (and, off-FSYNC, their own lane's mask
-  // column) and copy the resulting set's words over.  The byte-mask scratch
-  // is local: a member would be shared across worker slices.
+  // column), fill the lane's scratch set in place and copy its words over.
+  // The byte-mask scratch is local: a member would be shared across worker
+  // slices.
   ActivationMask virt_mask;
   for (std::uint32_t l = l0; l < l1; ++l) {
     if (schedules_[l] != nullptr) {
@@ -1744,7 +1744,7 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     }
     switch (model_) {
       case ExecutionModel::kFsync:
-        edges_[l] = adversaries_[l]->choose_edges(t, *mirrors_[l]);
+        adversaries_[l]->choose_edges_into(t, *mirrors_[l], edges_[l]);
         break;
       case ExecutionModel::kSsync:
         extract_lane_mask(mask_words_.data(), l, virt_mask);

@@ -166,9 +166,6 @@ void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
 }
 
 struct BatchEngineOptions {
-  /// Enforce the paper's well-initiated execution requirements per replica.
-  bool enforce_well_initiated = true;
-
   /// Intra-cell worker threads: the replica axis is split into 64-lane
   /// blocks and the hot phases (activation fill, fused pass, multiplicity
   /// recompute, visit bookkeeping) run block ranges on a pinned

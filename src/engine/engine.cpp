@@ -130,14 +130,13 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
 void Engine::init(const std::vector<RobotPlacement>& placements) {
   PEF_CHECK(!placements.empty());
 
-  if (options_.enforce_well_initiated) {
-    PEF_CHECK_MSG(placements.size() < ring_.node_count(),
-                  "well-initiated executions need k < n");
-    for (std::size_t a = 0; a < placements.size(); ++a) {
-      for (std::size_t b = a + 1; b < placements.size(); ++b) {
-        PEF_CHECK_MSG(placements[a].node != placements[b].node,
-                      "well-initiated executions start towerless");
-      }
+  // The paper's well-initiated executions: k < n robots, towerless.
+  PEF_CHECK_MSG(placements.size() < ring_.node_count(),
+                "well-initiated executions need k < n");
+  for (std::size_t a = 0; a < placements.size(); ++a) {
+    for (std::size_t b = a + 1; b < placements.size(); ++b) {
+      PEF_CHECK_MSG(placements[a].node != placements[b].node,
+                    "well-initiated executions start towerless");
     }
   }
 
@@ -311,7 +310,7 @@ void Engine::step_fsync() {
       refill_at_ = schedule_->next_change(now_);
     }
   } else {
-    edges_ = adversary_->choose_edges(now_, *gamma_mirror_);
+    adversary_->choose_edges_into(now_, *gamma_mirror_, edges_);
     PEF_CHECK(edges_.edge_count() == ring_.edge_count());
   }
 

@@ -23,10 +23,10 @@
 //     chirality and POD kernel memory;
 //   * a per-node occupancy histogram maintained incrementally, making the
 //     Look phase's multiplicity predicate O(1) per robot;
-//   * a reusable EdgeSet scratch buffer: oblivious schedules and SSYNC
-//     adversaries refill it in place (choose_edges_into) — zero allocation
-//     per round, and an oblivious FSYNC schedule refills it only at the
-//     rounds its EdgeSchedule::next_change names;
+//   * a reusable EdgeSet scratch buffer: every schedule and adversary
+//     refills it in place (EdgeSchedule::edges_into, choose_edges_into) —
+//     zero allocation per round, and an oblivious FSYNC schedule refills it
+//     only at the rounds its EdgeSchedule::next_change names;
 //   * reusable activation/phase masks: policies fill a persistent byte
 //     buffer instead of returning a fresh vector<bool> per round;
 //   * one persistent Configuration mirror updated in place (O(moves) per
@@ -85,10 +85,6 @@ struct EngineOptions {
   /// default: the engine's niche is long timing sweeps; flip it on when the
   /// run feeds trace-based analysis (towers, legality audits, rendering).
   bool record_trace = false;
-
-  /// Enforce the paper's well-initiated execution requirements: strictly
-  /// fewer robots than nodes and a towerless initial configuration.
-  bool enforce_well_initiated = true;
 
   /// Cycle detection + exact stat extrapolation for run().  Only engages on
   /// fully deterministic configurations (oblivious periodic edge schedule,

@@ -21,8 +21,6 @@ struct RobotSnapshot {
   NodeId node = 0;
   LocalDirection dir = LocalDirection::kLeft;
   Chirality chirality{true};
-  /// Stringified algorithm memory (for traces / debugging only).
-  std::string state_repr;
 
   [[nodiscard]] GlobalDirection considered_direction() const {
     return chirality.to_global(dir);

@@ -48,7 +48,6 @@ Configuration Simulator::snapshot() const {
     s.node = r.node();
     s.dir = r.dir();
     s.chirality = r.chirality();
-    if (options_.snapshot_states) s.state_repr = r.state().to_string();
     snaps.push_back(std::move(s));
   }
   return Configuration(ring_, std::move(snaps));

@@ -28,10 +28,6 @@ struct SimulatorOptions {
   /// Enforce the paper's well-initiated execution requirements: strictly
   /// fewer robots than nodes and a towerless initial configuration.
   bool enforce_well_initiated = true;
-
-  /// Fill Configuration::state_repr with stringified algorithm memory
-  /// (debug aid; off by default, the adversaries don't need it).
-  bool snapshot_states = false;
 };
 
 class Simulator {

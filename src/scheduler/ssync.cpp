@@ -17,14 +17,6 @@ void BernoulliActivation::activate(Time, const Configuration& gamma,
   }
 }
 
-EdgeSet SsyncBlockingAdversary::choose_edges(Time t,
-                                             const Configuration& gamma,
-                                             const ActivationMask& activated) {
-  EdgeSet edges(ring_.edge_count());
-  choose_edges_into(t, gamma, activated, edges);
-  return edges;
-}
-
 void SsyncBlockingAdversary::choose_edges_into(
     Time, const Configuration& gamma, const ActivationMask& activated,
     EdgeSet& out) {

@@ -133,16 +133,20 @@ class SsyncAdversary {
  public:
   virtual ~SsyncAdversary() = default;
   [[nodiscard]] virtual const Ring& ring() const = 0;
-  [[nodiscard]] virtual EdgeSet choose_edges(
-      Time t, const Configuration& gamma,
-      const ActivationMask& activated) = 0;
-  /// In-place variant for engine hot loops: refill a caller-owned scratch
-  /// set (already sized to ring().edge_count()).  The default falls back to
-  /// choose_edges(); hot families override it to run allocation-free.
+  /// Choose E_t into `out`, a caller-owned set sized to
+  /// ring().edge_count() whose stale contents are overwritten: the one fill
+  /// every SSYNC adversary implements, which the engines call on their
+  /// scratch set.  `activated` marks the robots that act this round (ASYNC:
+  /// those firing their Move phase).
   virtual void choose_edges_into(Time t, const Configuration& gamma,
                                  const ActivationMask& activated,
-                                 EdgeSet& out) {
-    out = choose_edges(t, gamma, activated);
+                                 EdgeSet& out) = 0;
+  /// E_t as a fresh set, for the reference simulators and tests.
+  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma,
+                                     const ActivationMask& activated) {
+    EdgeSet edges(ring().edge_count());
+    choose_edges_into(t, gamma, activated, edges);
+    return edges;
   }
   /// Non-null iff this adversary is a pure function of time (it reads
   /// neither gamma nor the activation mask): the wrapped oblivious
@@ -163,8 +167,6 @@ class SsyncBlockingAdversary final : public SsyncAdversary {
  public:
   explicit SsyncBlockingAdversary(Ring ring) : ring_(ring) {}
   [[nodiscard]] const Ring& ring() const override { return ring_; }
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma,
-                                     const ActivationMask& activated) override;
   void choose_edges_into(Time t, const Configuration& gamma,
                          const ActivationMask& activated,
                          EdgeSet& out) override;
@@ -181,10 +183,6 @@ class SsyncObliviousAdversary final : public SsyncAdversary {
       : schedule_(std::move(schedule)) {}
   [[nodiscard]] const Ring& ring() const override {
     return schedule_->ring();
-  }
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration&,
-                                     const ActivationMask&) override {
-    return schedule_->edges_at(t);
   }
   void choose_edges_into(Time t, const Configuration&, const ActivationMask&,
                          EdgeSet& out) override {
@@ -210,26 +208,18 @@ class SsyncFromFsyncAdversary final : public SsyncAdversary {
  public:
   explicit SsyncFromFsyncAdversary(AdversaryPtr inner)
       : inner_(std::move(inner)) {
-    // Mirror the Engine's FSYNC fast path: oblivious inner adversaries are
-    // pure functions of time, so choose_edges_into can refill the scratch
-    // set allocation-free via the schedule.
+    // Oblivious inner adversaries are pure functions of time: expose their
+    // schedule through oblivious_schedule() (BatchEngine's row fill, cycle
+    // fast-forward).
     if (const auto* oblivious =
             dynamic_cast<const ObliviousAdversary*>(inner_.get())) {
       schedule_ = oblivious->schedule().get();
     }
   }
   [[nodiscard]] const Ring& ring() const override { return inner_->ring(); }
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma,
-                                     const ActivationMask&) override {
-    return inner_->choose_edges(t, gamma);
-  }
   void choose_edges_into(Time t, const Configuration& gamma,
                          const ActivationMask&, EdgeSet& out) override {
-    if (schedule_ != nullptr) {
-      schedule_->edges_into(t, out);
-    } else {
-      out = inner_->choose_edges(t, gamma);
-    }
+    inner_->choose_edges_into(t, gamma, out);
   }
   [[nodiscard]] const EdgeSchedule* oblivious_schedule() const override {
     return schedule_;

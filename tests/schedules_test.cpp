@@ -483,16 +483,51 @@ TEST(NextChangeTest, TIntervalBoundaryPastTimeSaturates) {
 }
 
 // ---------------------------------------------------------------------------
-// The word-row plane fillers: edges_into_words must agree bit-for-bit with
-// edges_at / edges_into for EVERY family (BatchEngine fills its edge plane
-// through them and skips the EdgeSet path entirely), including the default
-// fallback (Recorded/Surgery), tail-masked rings (n not a multiple of 64)
-// and multi-word rings (n > 64).
+// Every family's E_t, pinned: edges_into_words is each family's only fill
+// (edges_into and edges_at wrap it), so it is checked against FNV-1a
+// hashes of its rows t in [0, 200), recorded while every family still had
+// a separate edges_at body.  Covers tail-masked rings (n not a multiple of
+// 64) and multi-word rings (n > 64).  Regenerate the pins only after an
+// intentional change to a family's E_t.
 
-TEST(ScheduleWordsTest, EdgesIntoWordsMatchesEdgesAtForEveryFamily) {
-  for (const std::uint32_t n : {9u, 70u, 130u}) {
+std::vector<EdgeSet> recorded_prefix(std::uint32_t n) {
+  std::vector<EdgeSet> rounds;
+  for (std::uint32_t r = 0; r < 7; ++r) {
+    EdgeSet s(n);
+    for (EdgeId e = 0; e < n; ++e) {
+      if ((e * 7 + r * 3) % 5 != 0) s.insert(e);
+    }
+    rounds.push_back(s);
+  }
+  return rounds;
+}
+
+TEST(ScheduleWordsTest, EveryFamilyFillsItsPinnedRows) {
+  struct Pins {
+    std::uint32_t n;
+    std::uint64_t rows[12];  // in the order of `schedules` below
+  };
+  const Pins all_pins[] = {
+      {9,
+       {0x3e30b9367a8e6e7dULL, 0x1620774e5a63e45fULL, 0xd3cf106815c1970dULL,
+        0x723165e49744dde9ULL, 0x528c11488275f57dULL, 0xe8761457c5444190ULL,
+        0x4f9af1698e58959eULL, 0x9562bc30f11818bdULL, 0x04f8df582cb01d63ULL,
+        0x7d600c4537ba1789ULL, 0xdae63a1035ce845aULL, 0x161a0b53ac347538ULL}},
+      {70,
+       {0x3fcaa34f06905cd5ULL, 0x4ccd166f30151f42ULL, 0xaacd72f3b700e355ULL,
+        0xca86f6990b9dc135ULL, 0x8d0298de2ac26bf7ULL, 0x1357047adb12c074ULL,
+        0xa7b9e8c3c89a4de9ULL, 0xf7ff17f9c5640e25ULL, 0xd20161ab575d22e2ULL,
+        0x2a9350cde6814ca8ULL, 0xd29e3e5bfd33d218ULL, 0x9656d7184f7375cfULL}},
+      {130,
+       {0xe54d6dae9803114dULL, 0xd2ff0882af12d6c1ULL, 0x17889580bc56972dULL,
+        0xb52b1261bfe023cdULL, 0x4de4fe2c493c4a7eULL, 0xfb6d4ee2cd19a1bdULL,
+        0x62f16880afa05bf5ULL, 0xf5e711eb0d06b74dULL, 0x671f073946354d31ULL,
+        0xfa76a67ce0c108f3ULL, 0x1602664a1ebf21a3ULL, 0x4ad7cc7dfa0482eeULL}},
+  };
+  for (const Pins& pins : all_pins) {
+    const std::uint32_t n = pins.n;
     const Ring ring(n);
-    std::vector<SchedulePtr> schedules = {
+    const std::vector<SchedulePtr> schedules = {
         std::make_shared<StaticSchedule>(ring),
         std::make_shared<BernoulliSchedule>(ring, 0.4, 7),
         std::make_shared<PeriodicSchedule>(
@@ -503,23 +538,43 @@ TEST(ScheduleWordsTest, EdgesIntoWordsMatchesEdgesAtForEveryFamily) {
             std::make_shared<BernoulliSchedule>(ring, 0.8, 3),
             static_cast<EdgeId>(n / 2), 6),
         std::make_shared<MarkovSchedule>(ring, 0.2, 0.4, 17),
-        // Default-implementation fallback (no override).
         std::make_shared<SurgerySchedule>(
             std::make_shared<StaticSchedule>(ring),
             std::vector<Removal>{{1, 2, 9}}),
+        std::make_shared<RecordedSchedule>(ring, recorded_prefix(n),
+                                           TailRule::kAllPresent),
+        std::make_shared<RecordedSchedule>(ring, recorded_prefix(n),
+                                           TailRule::kRepeatLast),
+        std::make_shared<RecordedSchedule>(ring, recorded_prefix(n),
+                                           TailRule::kCyclePrefix),
+        ChainSchedule::cut_last(
+            std::make_shared<BernoulliSchedule>(ring, 0.6, 19)),
     };
-    for (const SchedulePtr& schedule : schedules) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " " + schedule->name());
-      std::vector<std::uint64_t> row(edge_word_count(n), ~0ULL);
-      for (Time t = 0; t < 40; ++t) {
-        schedule->edges_into_words(t, row.data());
-        EdgeSet from_words(n);
-        from_words.assign_words(row.data());
-        EXPECT_EQ(from_words, schedule->edges_at(t)) << "t=" << t;
+    for (std::size_t i = 0; i < schedules.size(); ++i) {
+      const EdgeSchedule& schedule = *schedules[i];
+      SCOPED_TRACE("n=" + std::to_string(n) + " #" + std::to_string(i) +
+                   " " + schedule.name());
+      std::vector<std::uint64_t> row(edge_word_count(n));
+      EdgeSet set(n);
+      std::uint64_t hash = 0xcbf29ce484222325ULL;
+      for (Time t = 0; t < 200; ++t) {
+        // Stale bits everywhere: the fill must overwrite, not OR.
+        std::fill(row.begin(), row.end(), ~0ULL);
+        schedule.edges_into_words(t, row.data());
         // Tail bits must stay clear so full()/word compares stay valid.
-        EXPECT_TRUE(edge_words_full(row.data(), n) ==
-                    schedule->edges_at(t).full());
+        if (n % 64 != 0) {
+          EXPECT_EQ(row.back() >> (n % 64), 0u) << "t=" << t;
+        }
+        set.fill();
+        schedule.edges_into(t, set);
+        EXPECT_TRUE(std::equal(row.begin(), row.end(), set.words()))
+            << "t=" << t;
+        for (const std::uint64_t word : row) {
+          hash ^= word;
+          hash *= 0x100000001b3ULL;
+        }
       }
+      EXPECT_EQ(hash, pins.rows[i]);
     }
   }
 }

@@ -152,9 +152,9 @@ TEST(AdversaryRegistryTest, ConfigMatchesFactoryDraws) {
   // same schedule family, same seed derivation, same edge sets.
   const Ring ring(9);
   const Configuration gamma(
-      ring, {{0, LocalDirection::kRight, Chirality(true), ""},
-             {3, LocalDirection::kLeft, Chirality(true), ""},
-             {6, LocalDirection::kRight, Chirality(false), ""}});
+      ring, {{0, LocalDirection::kRight, Chirality(true)},
+             {3, LocalDirection::kLeft, Chirality(true)},
+             {6, LocalDirection::kRight, Chirality(false)}});
   for (const AdversaryConfig& config : standard_battery_configs()) {
     const AdversarySpec factory = spec_from_config(config);
     AdversaryPtr a = adversary_from_config(config, ring, 42);
@@ -166,6 +166,38 @@ TEST(AdversaryRegistryTest, ConfigMatchesFactoryDraws) {
         ASSERT_EQ(ea.contains(e), eb.contains(e))
             << adversary_display_name(config) << " diverged at t=" << t
             << " edge " << e;
+      }
+    }
+  }
+}
+
+TEST(AdversaryRegistryTest, EveryKindOverwritesStaleEdges) {
+  // choose_edges_into is each adversary's only fill, and the engines hand
+  // it the scratch set that still holds E_{t-1}: a fill into a full set and
+  // one into an empty set must agree.  Three robots step around nodes 0..3,
+  // inside the cage and proof windows.
+  const Ring ring(9);
+  for (const AdversaryKindInfo& info : adversary_registry()) {
+    for (const Topology topology : {Topology::kRing, Topology::kChain}) {
+      const AdversaryConfig config = adversary_config(info.kind);
+      AdversaryPtr on_full = adversary_from_config(config, ring, 42, 3,
+                                                   topology);
+      AdversaryPtr on_empty = adversary_from_config(config, ring, 42, 3,
+                                                    topology);
+      EdgeSet full(ring.edge_count());
+      EdgeSet empty(ring.edge_count());
+      for (Time t = 0; t < 64; ++t) {
+        const NodeId shift = t % 2;
+        const Configuration gamma(
+            ring, {{shift, LocalDirection::kRight, Chirality(true)},
+                   {shift + 1, LocalDirection::kLeft, Chirality(true)},
+                   {shift + 2, LocalDirection::kRight, Chirality(false)}});
+        full.fill();
+        empty.clear();
+        on_full->choose_edges_into(t, gamma, full);
+        on_empty->choose_edges_into(t, gamma, empty);
+        ASSERT_EQ(full, empty) << info.name << " on a " << to_string(topology)
+                               << " at t=" << t;
       }
     }
   }
@@ -390,7 +422,9 @@ TEST(ScenarioSpecTest, ValidateRefusesWindowsThatCannotExist) {
           err, "width", std::to_string(static_cast<int>(width)), 6))
           << err.value_or("accepted");
     }
-    // The largest anchor and width are accepted.
+    // The largest anchor and width are accepted.  Two spread robots, on
+    // nodes 0 and 3, start inside that window.
+    spec.robots = 2;
     spec.adversary = adversary_config(kind, {{"anchor", 5}, {"width", 5}});
     EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
 
@@ -412,6 +446,75 @@ TEST(ScenarioSpecTest, ValidateRefusesWindowsThatCannotExist) {
                    &error)
                    .has_value());
   EXPECT_NE(error.find("ring size n=6"), std::string::npos) << error;
+}
+
+TEST(ScenarioSpecTest, ValidateRefusesRobotsOutsideTheWindow) {
+  // Scenarios spread k robots on nodes floor(i * n / k); the cage and the
+  // proof adversary abort on a robot outside their window.
+  for (const AdversaryKind kind : {AdversaryKind::kCage,
+                                   AdversaryKind::kProof}) {
+    SCOPED_TRACE(adversary_kind_info(kind).name);
+    ScenarioSpec spec;
+    spec.nodes = 10;
+    spec.robots = 3;  // nodes 0, 3 and 6; the default window is 0..3
+    spec.adversary = adversary_config(kind);
+    auto err = spec.validate();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("robot 2 starts on node 6, outside its window, nodes "
+                        "0..3 clockwise (anchor 0, width 4 at ring size n=10 "
+                        "with k=3)"),
+              std::string::npos)
+        << *err;
+
+    // A window that wraps past node n - 1.
+    spec.robots = 2;  // nodes 0 and 5
+    spec.adversary = adversary_config(kind, {{"anchor", 8}, {"width", 4}});
+    err = spec.validate();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("robot 1 starts on node 5, outside its window, nodes "
+                        "8..1 clockwise"),
+              std::string::npos)
+        << *err;
+    spec.adversary = adversary_config(kind, {{"anchor", 5}, {"width", 6}});
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+
+    // One robot always starts on node 0, inside the default window.
+    spec.robots = 1;
+    spec.adversary = adversary_config(kind);
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+  }
+}
+
+TEST(ScenarioSpecTest, EveryAcceptedWindowSpecRuns) {
+  // A cage or proof scenario that validate() accepts runs to its horizon:
+  // a robot outside the window would abort this process.
+  std::uint32_t runs = 0;
+  for (const AdversaryKind kind : {AdversaryKind::kCage,
+                                   AdversaryKind::kProof}) {
+    for (std::uint32_t n = 3; n <= 8; ++n) {
+      for (std::uint32_t k = 1; k < n; ++k) {
+        for (const double anchor : {0.0, 1.0, n - 1.0}) {
+          for (const double width : {0.0, 2.0, n - 1.0}) {
+            for (const ExecutionModel model :
+                 {ExecutionModel::kFsync, ExecutionModel::kSsync,
+                  ExecutionModel::kAsync}) {
+              ScenarioSpec spec;
+              spec.nodes = n;
+              spec.robots = k;
+              spec.adversary = adversary_config(
+                  kind, {{"anchor", anchor}, {"width", width}});
+              spec.model = model;
+              spec.horizon = 60;
+              if (spec.validate().has_value()) continue;
+              EXPECT_EQ(run_scenario(spec).horizon, 60u);
+              ++runs;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(runs, 400u);
 }
 
 TEST(ScenarioSpecTest, RunScenarioExecutesTheSpec) {
@@ -444,11 +547,13 @@ SweepSpec sample_sweep() {
       adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}}),
       adversary_config(AdversaryKind::kProof, {{"patience", 32}})};
   spec.models = {ExecutionModel::kFsync, ExecutionModel::kAsync};
-  spec.ring_sizes = {6, 10};
+  // The proof adversary's default window holds every spread robot here.
+  spec.ring_sizes = {4, 5};
   spec.robot_counts = {3};
   spec.seeds = {1, 2, 17454410316023251831ull};
   spec.activation_p = 0.75;
   spec.horizon = 400;
+  spec.random_placements = false;
   spec.max_batch = 16;
   return spec;
 }
@@ -542,7 +647,9 @@ TEST(SweepSpecTest, ValidateRefusesAHorizonPerNodeProductThatOverflows) {
 
 TEST(SweepSpecTest, ValidateRefusesWindowsThatCannotExist) {
   // Every ring size with a cell (0 < k < n) must hold the window.
-  SweepSpec spec = sample_sweep();  // n in {6, 10}, k = 3
+  SweepSpec spec = sample_sweep();
+  spec.ring_sizes = {6, 10};
+  spec.robot_counts = {3};
   for (const AdversaryKind kind : {AdversaryKind::kCage,
                                    AdversaryKind::kProof}) {
     SCOPED_TRACE(adversary_kind_info(kind).name);
@@ -560,13 +667,18 @@ TEST(SweepSpecTest, ValidateRefusesWindowsThatCannotExist) {
     EXPECT_TRUE(names_window_param(err, "width", "1", 6))
         << err.value_or("accepted");
     // The largest anchor and width the smallest ring holds are accepted.
+    // One spread robot, on node 0, starts inside both windows.
+    spec.ring_sizes = {6, 7};
+    spec.robot_counts = {1};
     spec.adversaries = {adversary_config(kind, {{"anchor", 5}, {"width", 5}})};
     EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
 
     // n = 2 has no cell at k = 3, so its default width of 1 is never
-    // built; a k = 1 cell builds it.
+    // built; a k = 1 cell builds it.  At n = 4 the default window, nodes
+    // 0..2, holds the three spread robots.
     spec.adversaries = {adversary_config(kind)};
-    spec.ring_sizes = {2, 6};
+    spec.ring_sizes = {2, 4};
+    spec.robot_counts = {3};
     EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
     spec.robot_counts = {1, 3};
     err = spec.validate();
@@ -574,6 +686,36 @@ TEST(SweepSpecTest, ValidateRefusesWindowsThatCannotExist) {
         << err.value_or("accepted");
     spec.ring_sizes = {6, 10};
     spec.robot_counts = {3};
+  }
+}
+
+TEST(SweepSpecTest, ValidateRefusesRobotsOutsideTheWindow) {
+  for (const AdversaryKind kind : {AdversaryKind::kCage,
+                                   AdversaryKind::kProof}) {
+    SCOPED_TRACE(adversary_kind_info(kind).name);
+    SweepSpec spec = sample_sweep();
+    spec.adversaries = {adversary_config(AdversaryKind::kStatic),
+                        adversary_config(kind)};
+    // Spread placements: every cell's robots must start in its window.
+    // At n = 6 the three robots stand on nodes 0, 2 and 4.
+    spec.ring_sizes = {4, 5, 6};
+    auto err = spec.validate();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("robot 2 starts on node 4, outside its window, nodes "
+                        "0..3 clockwise (anchor 0, width 4 at ring size n=6 "
+                        "with k=3)"),
+              std::string::npos)
+        << *err;
+    spec.ring_sizes = {4, 5};
+    EXPECT_FALSE(spec.validate().has_value()) << *spec.validate();
+
+    // Random placements may land outside any window, depending on the seed.
+    spec.random_placements = true;
+    err = spec.validate();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("needs \"random_placements\": false"),
+              std::string::npos)
+        << *err;
   }
 }
 
