@@ -661,9 +661,11 @@ void sweep_scaling(BenchReport& report) {
   std::cout << "\n=== SweepRunner thread scaling (same grid, 1 vs 4 "
                "threads) ===\n";
   SweepSpec spec = scaling_grid();
-  // Large enough to clear SweepRunner's serial-fallback work threshold, so
-  // multi-core machines actually exercise the pool (single-core boxes clamp
-  // to one worker and the ratio hovers at 1.0 by construction).
+  // The grid's 36 seed groups keep 4 workers busy at either horizon, so
+  // the smoke run's bit-identity check compares a pooled run with a serial
+  // one too; the full horizon makes the wall-time ratio meaningful.
+  // Single-core boxes clamp to one worker and the ratio hovers at 1.0 by
+  // construction.
   spec.horizon = smoke_mode ? 1000 : 20000;
   const SweepResult serial = SweepRunner(1).run(spec);
   const SweepResult parallel = SweepRunner(4).run(spec);
@@ -675,7 +677,8 @@ void sweep_scaling(BenchReport& report) {
             << "1 thread:  " << serial.wall_seconds << " s ("
             << static_cast<std::uint64_t>(serial.rounds_per_sec())
             << " rounds/sec)\n"
-            << "4 threads: " << parallel.wall_seconds << " s ("
+            << "4 threads: " << parallel.wall_seconds << " s on "
+            << parallel.threads << " workers ("
             << static_cast<std::uint64_t>(parallel.rounds_per_sec())
             << " rounds/sec)\n"
             << "wall-time ratio: " << ratio
@@ -689,6 +692,7 @@ void sweep_scaling(BenchReport& report) {
       .param("series", "sweep-thread-scaling")
       .param("cells", static_cast<std::uint64_t>(serial.cells.size()))
       .param("hardware_threads", std::uint64_t{hardware})
+      .param("parallel_workers", std::uint64_t{parallel.threads})
       .metric("serial_wall_seconds", serial.wall_seconds)
       .metric("parallel_wall_seconds", parallel.wall_seconds)
       .metric("parallel_over_serial", ratio)

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <iterator>
+#include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 
 #include "algorithms/registry.hpp"
@@ -186,12 +189,49 @@ void run_batched(const SweepContext& context, const CellTask* tasks,
 struct CellGroup {
   std::size_t first = 0;
   std::uint32_t count = 0;
+  double predicted_cost = 0;  // arbitrary units; see predicted_cost()
 };
 
-/// Group the task subrange [begin, end).  Shard boundaries may split a seed
-/// group across shards; that only affects batch composition, and per-cell
-/// results are bit-identical at any batch size.
-std::vector<CellGroup> group_cells(const std::vector<CellTask>& tasks,
+/// Cost of a robot-round under `model` relative to FSYNC.  Measured on a
+/// 4-vCPU AVX-512 KVM guest (gcc 12, Release): CPU time of pef_sweep
+/// --threads 1, pinned to one core, on each perfbench sweep grid cut to one
+/// model, median of 21 runs.  SSYNC read 1.16× / 1.30× / 1.45× FSYNC
+/// (models-mc, wide-batch at 64 seeds, the serve grid at 256 seeds) and
+/// ASYNC 1.20× / 1.46× / 1.56×; the factors are the middle values.
+double model_cost_factor(ExecutionModel model) {
+  switch (model) {
+    case ExecutionModel::kFsync:
+      return 1.0;
+    case ExecutionModel::kSsync:
+      return 1.3;
+    case ExecutionModel::kAsync:
+      return 1.45;
+  }
+  return 1.0;
+}
+
+/// What the spec fixes about a group's cost: cells × horizon × (k + edge
+/// words per row) × model factor.  Only the order of these values matters.
+/// A fast-forwarded cell stops at its first repeated state, a round the
+/// spec does not fix, so a fast_forward sweep predicts nothing and keeps
+/// grid order: on perfbench's longhorizon-ff grid the formula ran the
+/// fifth heaviest group (periodic, n = 64) third from last, and the sweep
+/// took 4–8% longer than in grid order.
+double predicted_cost(const SweepSpec& spec, const CellTask& head,
+                      std::uint32_t cells) {
+  if (spec.fast_forward) return 0;
+  return static_cast<double>(cells) *
+         static_cast<double>(spec.horizon_for(head.nodes)) *
+         (head.robots + edge_word_count(head.nodes)) *
+         model_cost_factor(spec.models[head.model_index]);
+}
+
+/// The run plan: the task subrange [begin, end) cut into seed groups, the
+/// longest predicted first (LPT; ties keep grid order).  Shard boundaries
+/// may split a seed group across shards; that only affects batch
+/// composition, and per-cell results are bit-identical at any batch size.
+std::vector<CellGroup> plan_groups(const SweepSpec& spec,
+                                   const std::vector<CellTask>& tasks,
                                    std::size_t begin, std::size_t end) {
   std::vector<CellGroup> groups;
   for (std::size_t i = begin; i < end;) {
@@ -204,9 +244,14 @@ std::vector<CellGroup> group_cells(const std::vector<CellTask>& tasks,
            tasks[j].robots == tasks[i].robots) {
       ++j;
     }
-    groups.push_back({i, static_cast<std::uint32_t>(j - i)});
+    const auto count = static_cast<std::uint32_t>(j - i);
+    groups.push_back({i, count, predicted_cost(spec, tasks[i], count)});
     i = j;
   }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const CellGroup& a, const CellGroup& b) {
+                     return a.predicted_cost > b.predicted_cost;
+                   });
   return groups;
 }
 
@@ -671,12 +716,18 @@ SweepResult SweepRunner::run(const SweepSpec& spec, SweepShard shard,
   // are independent of the slicing.
   const std::size_t lo = tasks.size() * shard.index / shard.count;
   const std::size_t hi = tasks.size() * (shard.index + 1) / shard.count;
-  const std::vector<CellGroup> groups = group_cells(tasks, lo, hi);
+  const std::vector<CellGroup> groups = plan_groups(spec, tasks, lo, hi);
   SweepContext context = make_context(spec);
   context.engine_threads = engine_threads_;
 
+  // Workers: the requested count, capped by the hardware and by the group
+  // count.  The calling thread is one of them.
+  std::uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware == 0) hardware = 1;
+  const auto workers = static_cast<std::uint32_t>(std::max<std::size_t>(
+      1, std::min<std::size_t>({threads_, hardware, groups.size()})));
+
   SweepResult result;
-  result.threads = threads_;
   result.shard = shard;
   result.first_cell = lo;
   result.total_cells = tasks.size();
@@ -687,23 +738,6 @@ SweepResult SweepRunner::run(const SweepSpec& spec, SweepShard shard,
   const auto slot = [&result, lo](const CellGroup& group) {
     return result.cells.data() + (group.first - lo);
   };
-
-  // Scheduling-only decisions (results are slot-indexed and thus identical
-  // regardless): clamp workers to the hardware, run small grids serially —
-  // thread startup costs more than it saves below ~a million rounds — and
-  // hand out groups in chunks so workers do not ping-pong the cursor cache
-  // line on grids with many tiny groups.
-  constexpr std::uint64_t kSerialThresholdRounds = 1'000'000;
-  std::uint64_t total_rounds = 0;
-  for (std::size_t t = lo; t < hi; ++t) {
-    total_rounds += spec.horizon_for(tasks[t].nodes);
-  }
-  std::uint32_t hardware = std::thread::hardware_concurrency();
-  if (hardware == 0) hardware = 1;
-  std::uint32_t workers = std::min(threads_, hardware);
-  workers = std::min<std::uint32_t>(
-      workers, static_cast<std::uint32_t>(groups.size()));
-  const bool serial = workers <= 1 || total_rounds < kSerialThresholdRounds;
 
   // Cells completed so far (for the progress observer only; results never
   // depend on it).
@@ -735,33 +769,39 @@ SweepResult SweepRunner::run(const SweepSpec& spec, SweepShard shard,
     return false;
   };
 
-  const auto start = std::chrono::steady_clock::now();
-  if (serial) {
-    for (const CellGroup& group : groups) {
-      if (should_stop()) break;
-      run_one(group);
-    }
-  } else {
-    const std::size_t chunk = std::clamp<std::size_t>(
-        groups.size() / (std::size_t{workers} * 8), 1, 32);
-    std::atomic<std::size_t> cursor{0};
-    auto worker = [&] {
-      for (;;) {
-        const std::size_t begin =
-            cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= groups.size()) return;
-        const std::size_t end = std::min(begin + chunk, groups.size());
-        for (std::size_t g = begin; g < end; ++g) {
-          if (should_stop()) return;
-          run_one(groups[g]);
-        }
+  // Workers take the planned groups one at a time, in plan order.  A worker
+  // that throws stops the others at their next group; the first exception
+  // is rethrown once all of them have joined.
+  std::atomic<std::size_t> cursor{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto worker = [&] {
+    try {
+      for (std::size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
+           g < groups.size() && !should_stop();
+           g = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        run_one(groups[g]);
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+      stop_requested.store(true, std::memory_order_relaxed);
+    }
+  };
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  try {
+    for (std::uint32_t t = 1; t < workers; ++t) pool.emplace_back(worker);
+  } catch (const std::system_error&) {
+    // The system refused a thread: the workers already started and the
+    // calling thread share the groups.
   }
+  result.threads = static_cast<std::uint32_t>(pool.size()) + 1;
+  worker();
+  for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
   result.cancelled = stop_requested.load(std::memory_order_relaxed);
   const auto stop = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(stop - start).count();

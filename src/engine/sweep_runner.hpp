@@ -6,12 +6,15 @@
 // one scenario run many times — exactly BatchEngine's shape — so the runner
 // dispatches each such seed group to one replica batch (per-seed results
 // stay bit-identical to solo Engine runs; the differential tests pin this)
-// instead of constructing a fresh Engine per seed.  A fixed-size pool of
-// worker threads pulls seed-group indices in CHUNKS from an atomic cursor
-// (one-group-per-fetch ping-pongs the cursor cache line on small grids),
-// grids below a work threshold skip the pool entirely, and the thread count
-// is clamped to the hardware — while the *results* cannot depend on
-// scheduling:
+// instead of constructing a fresh Engine per seed.  The run plan predicts
+// each seed group's cost from what the spec fixes (cells × horizon ×
+// (k + edge words per row) × a measured per-model factor) and hands the
+// groups out longest predicted first (a fast_forward sweep keeps grid
+// order), one per fetch from an atomic cursor.
+// Workers are the requested count capped by the hardware threads and the
+// group count; the calling thread is one of them, so a 1-worker run starts
+// no thread.  Scheduling moves only wall time — the *results* cannot depend
+// on it:
 //
 //   * every cell derives its own RNG stream deterministically from its grid
 //     coordinates (see effective_seed below), never from thread identity,
@@ -109,6 +112,9 @@ struct SweepResult {
   std::string spec_json;
 
   double wall_seconds = 0;
+  /// Workers the run started, the calling thread among them: the requested
+  /// count capped by the hardware threads and the seed-group count, so 1
+  /// for an inline run.
   std::uint32_t threads = 0;
 
   /// True when a cancel callback stopped the run between seed groups.  The
@@ -209,9 +215,10 @@ class SweepRunner {
 
   /// Progress observer: invoked after each completed seed group with the
   /// cumulative number of finished cells, the shard's cell total, and the
-  /// wall seconds the group just took.  Called from worker threads (under
-  /// no lock), so implementations must be thread-safe; `done` is monotone
-  /// per call site but calls may interleave out of order across groups.
+  /// wall seconds the group just took.  Called from worker threads, the
+  /// calling thread among them (under no lock), so implementations must be
+  /// thread-safe; `done` is monotone per call site but calls may interleave
+  /// out of order across groups, so a caller reporting it keeps the maximum.
   using ProgressFn = std::function<void(
       std::uint64_t done, std::uint64_t total, double group_wall_seconds)>;
 
@@ -223,9 +230,10 @@ class SweepRunner {
   using CancelFn = std::function<bool()>;
 
   /// Run the spec's cells — all of them, or one contiguous shard.  Blocks
-  /// until done.  Aborts on specs that fail validate().  The progress
-  /// observer is purely informational: results are byte-identical with or
-  /// without it.
+  /// until done.  Aborts on specs that fail validate().  An exception from
+  /// a cell stops every worker at its next group and is rethrown here once
+  /// they have all joined.  The progress observer is purely informational:
+  /// results are byte-identical with or without it.
   [[nodiscard]] SweepResult run(const SweepSpec& spec, SweepShard shard = {},
                                 const ProgressFn& progress = nullptr,
                                 const CancelFn& cancel = nullptr) const;

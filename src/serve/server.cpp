@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -627,8 +628,10 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
           job->sweep, {},
           [&job](std::uint64_t done, std::uint64_t total, double wall) {
             {
+              // Callbacks from different workers may arrive out of order;
+              // the count reported to clients never goes back.
               std::lock_guard<std::mutex> lock(job->mutex);
-              job->done_cells = done;
+              job->done_cells = std::max(job->done_cells, done);
               job->total_cells = total;
               job->last_cell_wall = wall;
               ++job->progress_version;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "adversary/confinement.hpp"
 #include "adversary/greedy_blocker.hpp"
 #include "adversary/proof_adversary.hpp"
@@ -228,6 +232,52 @@ TEST(SweepRunnerTest, OutputIsThreadCountInvariant) {
   ASSERT_EQ(serial.cells.size(), parallel.cells.size());
   EXPECT_GT(serial.cells.size(), 0u);
   EXPECT_EQ(serial.to_json(), parallel.to_json());
+  // 2 algorithms x 3 adversaries x 2 ring sizes: 12 seed groups, so the
+  // parallel run starts min(4, hardware threads) workers.
+  std::uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware == 0) hardware = 1;
+  EXPECT_EQ(serial.threads, 1u);
+  EXPECT_EQ(parallel.threads, std::min(4u, hardware));
+}
+
+TEST(SweepRunnerTest, LongestPredictedGroupRunsFirst) {
+  // A horizon_per_node grid: the predicted cost grows with n and with the
+  // model (FSYNC < SSYNC < ASYNC), so the ASYNC n = 10 group, last in grid
+  // order, is the one a 1-worker run starts with.
+  SweepSpec grid;
+  grid.algorithms = {"pef3+"};
+  grid.adversaries = {adversary_config(AdversaryKind::kStatic)};
+  grid.models = {ExecutionModel::kFsync, ExecutionModel::kSsync,
+                 ExecutionModel::kAsync};
+  grid.ring_sizes = {6, 10};
+  grid.robot_counts = {3};
+  grid.seeds = {1, 2};
+  grid.horizon_per_node = 50;
+
+  // The cells a 1-worker run finishes before it is cancelled after its
+  // first group; un-run cells keep their default (empty) coordinates.
+  const auto first_group = [](const SweepSpec& spec) {
+    bool first_group_done = false;
+    const SweepResult result = SweepRunner(1).run(
+        spec, {},
+        [&first_group_done](std::uint64_t, std::uint64_t, double) {
+          first_group_done = true;
+        },
+        [&first_group_done] { return first_group_done; });
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_EQ(result.threads, 1u);
+    std::vector<std::size_t> finished;
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      if (!result.cells[i].algorithm.empty()) finished.push_back(i);
+    }
+    return finished;
+  };
+  // Grid order is model-major, then n, then seed: cells 10 and 11.
+  EXPECT_EQ(first_group(grid), (std::vector<std::size_t>{10, 11}));
+  // A fast-forwarded cell's cost is its cycle, which the spec does not
+  // fix: a fast_forward sweep keeps grid order.
+  grid.fast_forward = true;
+  EXPECT_EQ(first_group(grid), (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(SweepRunnerTest, CellsFollowGridOrderAndSkipIllFormedCells) {

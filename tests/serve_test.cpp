@@ -5,6 +5,7 @@
 // against the golden sweep baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -316,6 +318,36 @@ TEST(ServeEndToEndTest, SubmitComputesThenIdenticalSubmitIsCacheHit) {
   // The hit cost zero engine rounds: only the first submit computed its
   // 1 algo x 1 adversary x 1 model x 1 n x 1 k x 2 seeds = 2 cells.
   EXPECT_EQ(stats.cells_computed, 2u);
+}
+
+TEST(ServeEndToEndTest, ProgressNeverGoesBackwards) {
+  TestServer daemon(base_options("progress"));  // 2 SweepRunner threads
+  ASSERT_TRUE(daemon.started);
+
+  // 48 seed groups on the pool: its workers report progress out of order,
+  // but the progress frames may not count down.
+  const std::string multi_group =
+      R"({"algorithms":["pef3+","bounce"],)"
+      R"("adversaries":[{"kind":"static","params":{}}],)"
+      R"("models":["fsync","ssync","async"],)"
+      R"("ring_sizes":[6,7,8,9,10,11,12,13],"robot_counts":[3],)"
+      R"("seeds":[1,2],"horizon":2000})";
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect_unix(daemon.server.socket_path(), 5, &error))
+      << error;
+  std::vector<std::uint64_t> done;
+  const auto result = client.submit_and_stream(
+      multi_group,
+      [&done](std::uint64_t cells, std::uint64_t total, double) {
+        EXPECT_EQ(total, 96u);
+        done.push_back(cells);
+      },
+      nullptr, nullptr, &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  ASSERT_FALSE(done.empty());
+  EXPECT_TRUE(std::is_sorted(done.begin(), done.end()));
+  EXPECT_EQ(done.back(), 96u);
 }
 
 TEST(ServeEndToEndTest, DisconnectMidStreamStillLandsInCache) {

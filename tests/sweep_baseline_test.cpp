@@ -11,11 +11,13 @@
 // then review and commit the diff of the tests/baselines/*.json files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,8 +110,16 @@ void expect_matches_golden_text(const std::string& json,
          "and commit the diff";
 }
 
+/// Runs on 2 workers, so the golden bytes also pin the pool's output.
 void expect_matches_golden(const SweepSpec& spec, const std::string& name) {
-  expect_matches_golden_text(SweepRunner(2).run(spec).to_json(), name);
+  const SweepResult result = SweepRunner(2).run(spec);
+  // Every seed group of an unsharded run holds one cell per seed.
+  const auto groups =
+      static_cast<std::uint32_t>(result.cells.size() / spec.seeds.size());
+  std::uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware == 0) hardware = 1;
+  EXPECT_EQ(result.threads, std::min({2u, hardware, groups}));
+  expect_matches_golden_text(result.to_json(), name);
 }
 
 /// The scenario grid of battery_small.json: {pef3+, bounce} × (the standard

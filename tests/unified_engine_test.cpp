@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "adversary/greedy_blocker.hpp"
@@ -246,6 +248,12 @@ TEST(UnifiedEngineTest, SweepGridSpansModels) {
   const SweepResult parallel = SweepRunner(4).run(grid);
   ASSERT_EQ(serial.cells.size(), 6u);
   EXPECT_EQ(serial.to_json(), parallel.to_json());
+  // One seed group per model: the parallel run starts min(4, hardware
+  // threads, 3) workers.
+  std::uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware == 0) hardware = 1;
+  EXPECT_EQ(serial.threads, 1u);
+  EXPECT_EQ(parallel.threads, std::min(3u, hardware));
   for (std::size_t i = 0; i < serial.cells.size(); ++i) {
     EXPECT_EQ(serial.cells[i].model, grid.models[i / 2]);
   }
