@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -312,30 +311,12 @@ BatchReplica batch_replica(const Ring& ring, ExecutionModel model,
 EngineStats run_solo_engine(const Ring& ring, ExecutionModel model,
                             std::uint32_t robots, std::uint64_t seed,
                             Time rounds) {
-  auto algorithm = make_algorithm("pef3+", seed);
-  auto adversary = make_oblivious(std::make_shared<StaticSchedule>(ring));
-  const auto placements = random_placements(ring, robots, seed);
-  std::optional<Engine> engine;
-  switch (model) {
-    case ExecutionModel::kFsync:
-      engine.emplace(ring, std::move(algorithm), std::move(adversary),
-                     placements);
-      break;
-    case ExecutionModel::kSsync:
-      engine.emplace(
-          ring, std::move(algorithm),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_ssync_activation(kBatchActivationP, seed), placements);
-      break;
-    case ExecutionModel::kAsync:
-      engine.emplace(
-          ring, std::move(algorithm),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_async_phases(kBatchActivationP, seed), placements);
-      break;
-  }
-  engine->run(rounds);
-  return engine->stats();
+  Engine engine = make_standard_engine(
+      ring, model, make_algorithm("pef3+", seed),
+      make_oblivious(std::make_shared<StaticSchedule>(ring)),
+      random_placements(ring, robots, seed), kBatchActivationP, seed);
+  engine.run(rounds);
+  return engine.stats();
 }
 
 double measure_per_seed_rps(const Ring& ring, ExecutionModel model,

@@ -9,7 +9,6 @@
 // static graph, where the possible cells of Table 1 explore happily.
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
 
     SsyncSimulator ssync(ring, make_algorithm(name, 3),
                          std::make_unique<SsyncBlockingAdversary>(ring),
-                         std::make_unique<RoundRobinActivation>(),
+                         Activation::round_robin(ExecutionModel::kSsync),
                          spread_placements(ring, kRobots));
     ssync.run(kHorizon);
     std::uint64_t moves = 0;
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
     const Ring ring(kNodes);
     AsyncSimulator async(ring, make_algorithm(name, 3),
                          std::make_unique<AsyncMoveBlocker>(ring),
-                         std::make_unique<RoundRobinPhases>(),
+                         Activation::round_robin(ExecutionModel::kAsync),
                          spread_placements(ring, kRobots));
     async.run(kHorizon);
     std::uint64_t moves = 0;
@@ -155,32 +154,26 @@ int main(int argc, char** argv) {
   for (const ExecutionModel model :
        {ExecutionModel::kSsync, ExecutionModel::kAsync}) {
     const Ring ring(kNodes);
-    std::optional<Engine> engine;
-    if (model == ExecutionModel::kSsync) {
-      engine.emplace(ring, make_algorithm("pef3+"),
-                     std::make_unique<SsyncBlockingAdversary>(ring),
-                     std::make_unique<RoundRobinActivation>(),
-                     spread_placements(ring, kRobots));
-    } else {
-      engine.emplace(ring, make_algorithm("pef3+"),
-                     std::make_unique<AsyncMoveBlocker>(ring),
-                     std::make_unique<RoundRobinPhases>(),
-                     spread_placements(ring, kRobots));
-    }
+    // Under ASYNC the blocker sees the robots whose Move fires: it is the
+    // AsyncMoveBlocker.
+    Engine engine(ring, make_algorithm("pef3+"),
+                  std::make_unique<SsyncBlockingAdversary>(ring),
+                  Activation::round_robin(model),
+                  spread_placements(ring, kRobots));
     const auto start = std::chrono::steady_clock::now();
-    engine->run(kEngineHorizon);
+    engine.run(kEngineHorizon);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
     const double rps = static_cast<double>(kEngineHorizon) / secs;
 
-    const bool frozen = engine->stats().total_moves == 0 &&
-                        engine->stats().visited_node_count == kRobots;
+    const bool frozen = engine.stats().total_moves == 0 &&
+                        engine.stats().visited_node_count == kRobots;
     reproduction_holds = reproduction_holds && frozen;
     speed_table.add_row(
         {to_string(model), std::to_string(static_cast<std::uint64_t>(rps)),
-         std::to_string(engine->stats().total_moves),
-         std::to_string(engine->stats().visited_node_count) + "/" +
+         std::to_string(engine.stats().total_moves),
+         std::to_string(engine.stats().visited_node_count) + "/" +
              std::to_string(kNodes)});
     report.add_rounds(kEngineHorizon);
     report.add_cell()
@@ -189,9 +182,9 @@ int main(int argc, char** argv) {
         .param("n", std::uint64_t{kNodes})
         .param("k", std::uint64_t{kRobots})
         .metric("rounds_per_sec", rps)
-        .metric("moves", engine->stats().total_moves)
+        .metric("moves", engine.stats().total_moves)
         .metric("visited_nodes",
-                std::uint64_t{engine->stats().visited_node_count})
+                std::uint64_t{engine.stats().visited_node_count})
         .metric("frozen", frozen);
   }
   speed_table.print(std::cout);

@@ -1,9 +1,40 @@
 #include "common/args.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace pef {
+namespace {
+
+/// The value of flag `key` as an unsigned integer of at most `max`; any
+/// other value exits 2 naming the flag.  Decimal digits only: strtoull
+/// alone would skip leading blanks and take a sign, turning "-1" into
+/// 2^64 - 1.
+std::uint64_t parse_unsigned(const std::string& key, const std::string& value,
+                             std::uint64_t max) {
+  if (value.empty()) {
+    std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
+    std::exit(2);
+  }
+  if (value.find_first_not_of("0123456789") != std::string::npos) {
+    std::fprintf(stderr, "flag %s: '%s' is not an unsigned integer\n",
+                 key.c_str(), value.c_str());
+    std::exit(2);
+  }
+  errno = 0;
+  const std::uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
+  if (errno == ERANGE || parsed > max) {
+    std::fprintf(stderr, "flag %s: %s is out of range (at most %llu)\n",
+                 key.c_str(), value.c_str(),
+                 static_cast<unsigned long long>(max));
+    std::exit(2);
+  }
+  return parsed;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
@@ -62,24 +93,16 @@ std::string ArgParser::get_string(const std::string& key,
 std::uint64_t ArgParser::get_u64(const std::string& key,
                                  std::uint64_t fallback) {
   const auto v = raw(key);
-  if (!v || v->empty()) {
-    if (!v) return fallback;
-    std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-    std::exit(2);
-  }
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(v->c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "flag %s: '%s' is not an integer\n", key.c_str(),
-                 v->c_str());
-    std::exit(2);
-  }
-  return parsed;
+  if (!v) return fallback;
+  return parse_unsigned(key, *v, std::numeric_limits<std::uint64_t>::max());
 }
 
 std::uint32_t ArgParser::get_u32(const std::string& key,
                                  std::uint32_t fallback) {
-  return static_cast<std::uint32_t>(get_u64(key, fallback));
+  const auto v = raw(key);
+  if (!v) return fallback;
+  return static_cast<std::uint32_t>(
+      parse_unsigned(key, *v, std::numeric_limits<std::uint32_t>::max()));
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) {

@@ -23,7 +23,9 @@ class ArgParser {
   /// Flag presence (also marks it used).
   [[nodiscard]] bool has(const std::string& key);
 
-  /// Typed getters with defaults; abort with a message on malformed values.
+  /// Typed getters with defaults; exit(2) naming the flag on a malformed
+  /// value.  The integer getters take decimal digits only and refuse a
+  /// value their type cannot hold.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback);
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace pef {
 
@@ -25,6 +26,13 @@ using Time = std::uint64_t;
 /// Index of a robot, only used by the simulator / adversary; robots cannot
 /// observe each other's identities (anonymity).
 using RobotId = std::uint32_t;
+
+/// Per-robot activation flags for one round (1 = selected): who acts in
+/// an SSYNC round or advances a phase in an ASYNC tick, and who the SSYNC
+/// adversaries see acting.  A plain byte vector rather than vector<bool>:
+/// engines keep one mask alive and refill it in place every round, and
+/// byte loads keep the hot loop branch-free.
+using ActivationMask = std::vector<std::uint8_t>;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr EdgeId kInvalidEdge = std::numeric_limits<EdgeId>::max();

@@ -24,9 +24,9 @@
 #include "core/spec.hpp"
 #include "dynamic_graph/properties.hpp"
 #include "engine/engine.hpp"
+#include "engine/placements.hpp"
 #include "robot/algorithm.hpp"
 #include "robot/robot.hpp"
-#include "scheduler/simulator.hpp"  // the placement helpers
 
 namespace pef {
 

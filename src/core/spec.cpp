@@ -17,7 +17,7 @@
 #include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/markov_schedule.hpp"
 #include "dynamic_graph/schedules.hpp"
-#include "scheduler/simulator.hpp"
+#include "engine/placements.hpp"
 
 namespace pef {
 

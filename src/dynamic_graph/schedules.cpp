@@ -263,35 +263,32 @@ BoundedAbsenceSchedule::BoundedAbsenceSchedule(Ring ring, Time max_absence,
       max_absence_(max_absence),
       max_presence_(max_presence),
       seed_(seed),
-      runs_(ring.edge_count()) {
+      cursors_(ring.edge_count()) {
   PEF_CHECK(max_absence >= 1);
   PEF_CHECK(max_presence >= 1);
+  for (EdgeId e = 0; e < ring_.edge_count(); ++e) restart(e);
+}
+
+void BoundedAbsenceSchedule::restart(EdgeId e) const {
+  EdgeCursor& cursor = cursors_[e];
+  cursor.rng = Xoshiro256(derive_seed(seed_, e));
+  cursor.start = 0;
+  cursor.end = 1 + cursor.rng.next_below(max_presence_);
+  cursor.present = true;
 }
 
 bool BoundedAbsenceSchedule::edge_present(EdgeId e, Time t) const {
-  // Run-length decoding with a lazily extended per-edge boundary cache:
-  // runs alternate present/absent starting with present, lengths drawn from
-  // the edge's own stream.  Amortised O(1) for the simulator's monotone
-  // queries, O(log R) for random access.
-  EdgeRuns& runs = runs_[e];
-  if (!runs.initialised) {
-    runs.rng = Xoshiro256(derive_seed(seed_, e));
-    runs.boundaries.push_back(1 + runs.rng.next_below(max_presence_));
-    runs.initialised = true;
+  // O(1) amortised for the engines' monotone queries; a query before the
+  // cursor's run replays the edge's stream from round 0 (the same draws).
+  if (t < cursors_[e].start) restart(e);
+  EdgeCursor& cursor = cursors_[e];
+  while (cursor.end <= t) {
+    cursor.start = cursor.end;
+    cursor.present = !cursor.present;
+    cursor.end += 1 + cursor.rng.next_below(cursor.present ? max_presence_
+                                                           : max_absence_);
   }
-  while (runs.boundaries.back() <= t) {
-    // Run i covers [boundaries[i-1], boundaries[i]); even i = present run.
-    const bool next_run_absent = runs.boundaries.size() % 2 == 1;
-    const Time span = next_run_absent
-                          ? 1 + runs.rng.next_below(max_absence_)
-                          : 1 + runs.rng.next_below(max_presence_);
-    runs.boundaries.push_back(runs.boundaries.back() + span);
-  }
-  const auto it = std::upper_bound(runs.boundaries.begin(),
-                                   runs.boundaries.end(), t);
-  const auto run_index =
-      static_cast<std::size_t>(it - runs.boundaries.begin());
-  return run_index % 2 == 0;  // even-indexed runs are "present" runs
+  return cursor.present;
 }
 
 void BoundedAbsenceSchedule::edges_into_words(Time t,

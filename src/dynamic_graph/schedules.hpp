@@ -242,16 +242,21 @@ class BoundedAbsenceSchedule final : public EdgeSchedule {
   Time max_presence_;
   std::uint64_t seed_;
 
-  // Lazily-extended run-length decoding per edge.  Runs alternate
-  // present/absent starting with present; `boundaries_[e][i]` is the first
-  // round of run i+1 (cumulative).  Not thread-safe (the whole library is
-  // single-threaded by design; benches parallelise across processes).
-  struct EdgeRuns {
-    std::vector<Time> boundaries;
+  // Run-length decoding per edge, one cursor each: runs alternate
+  // present/absent starting with present, lengths drawn from the edge's
+  // own stream.  The cursor holds the run [start, end) containing the last
+  // query and the generator positioned after that run's draw, so memory
+  // stays O(n) at any horizon.  Not thread-safe: each schedule belongs to
+  // one run.
+  struct EdgeCursor {
+    Time start = 0;
+    Time end = 0;
+    bool present = true;
     Xoshiro256 rng{0};
-    bool initialised = false;
   };
-  mutable std::vector<EdgeRuns> runs_;
+  /// Rewind edge `e`'s cursor to its first run.
+  void restart(EdgeId e) const;
+  mutable std::vector<EdgeCursor> cursors_;
 };
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "scheduler/async.hpp"
-#include "scheduler/ssync.hpp"
-
 #include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 #include "common/isa.hpp"
@@ -1156,21 +1153,15 @@ BatchPlan plan_batch(ExecutionModel model, std::uint32_t n, std::uint32_t k,
 void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            AdversaryPtr adversary, double activation_p,
                            std::uint64_t seed) {
-  switch (model) {
-    case ExecutionModel::kFsync:
-      replica.adversary = std::move(adversary);
-      break;
-    case ExecutionModel::kSsync:
-      replica.ssync_adversary =
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-      replica.activation = standard_ssync_activation(activation_p, seed);
-      break;
-    case ExecutionModel::kAsync:
-      replica.ssync_adversary =
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-      replica.phases = standard_async_phases(activation_p, seed);
-      break;
+  if (model == ExecutionModel::kFsync) {
+    replica.adversary = std::move(adversary);
+    return;
   }
+  replica.ssync_adversary =
+      std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
+  replica.activation = model == ExecutionModel::kSsync
+                           ? standard_ssync_activation(activation_p, seed)
+                           : standard_async_phases(activation_p, seed);
 }
 
 BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
@@ -1199,8 +1190,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   specs_.resize(batch_);
   adversaries_.resize(batch_);
   ssync_advs_.resize(batch_);
-  activations_.resize(batch_);
-  phase_schedulers_.resize(batch_);
   schedules_.assign(batch_, nullptr);
   mirrors_.resize(batch_);
   horizons_.resize(batch_);
@@ -1293,8 +1282,7 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
         }
       }
     }
-    act_kind_.assign(batch_,
-                     static_cast<std::uint8_t>(ActivationBatchKind::kVirtual));
+    act_kind_.assign(batch_, 0);
     act_threshold_.assign(batch_, 0);
     act_rng_.assign(batch_, Xoshiro256(0));
   }
@@ -1384,21 +1372,14 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
       batch_horizon_fits(replica.horizon),
       "batch horizons must fit 32 bits (the visit cells store u32 times)");
 
-  switch (model_) {
-    case ExecutionModel::kFsync:
-      PEF_CHECK(replica.adversary != nullptr);
-      PEF_CHECK(replica.adversary->ring() == ring_);
-      break;
-    case ExecutionModel::kSsync:
-      PEF_CHECK(replica.ssync_adversary != nullptr);
-      PEF_CHECK(replica.ssync_adversary->ring() == ring_);
-      PEF_CHECK(replica.activation != nullptr);
-      break;
-    case ExecutionModel::kAsync:
-      PEF_CHECK(replica.ssync_adversary != nullptr);
-      PEF_CHECK(replica.ssync_adversary->ring() == ring_);
-      PEF_CHECK(replica.phases != nullptr);
-      break;
+  PEF_CHECK_MSG(replica.activation.model == model_,
+                "every replica's activation must drive the batch's model");
+  if (model_ == ExecutionModel::kFsync) {
+    PEF_CHECK(replica.adversary != nullptr);
+    PEF_CHECK(replica.adversary->ring() == ring_);
+  } else {
+    PEF_CHECK(replica.ssync_adversary != nullptr);
+    PEF_CHECK(replica.ssync_adversary->ring() == ring_);
   }
 
   // The paper's well-initiated executions: k < n robots, towerless.
@@ -1415,8 +1396,6 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   specs_[lane] = *kernel;
   adversaries_[lane] = std::move(replica.adversary);
   ssync_advs_[lane] = std::move(replica.ssync_adversary);
-  activations_[lane] = std::move(replica.activation);
-  phase_schedulers_[lane] = std::move(replica.phases);
   horizons_[lane] = replica.horizon;
 
   for (std::uint32_t i = 0; i < robots_; ++i) {
@@ -1435,58 +1414,22 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
 
   // Route the lane's edge sets: schedule-backed lanes fill their plane row
   // in place (E_0 here, then at each next_change; a time-invariant schedule
-  // never again); everything else keeps a per-lane EdgeSet scratch for the
-  // virtual adversary.  Mirrors are lazy — materialized below only if
-  // something on this lane reads gamma.
-  bool needs_mirror = false;
-  switch (model_) {
-    case ExecutionModel::kFsync: {
-      if (const auto* oblivious = dynamic_cast<const ObliviousAdversary*>(
-              adversaries_[lane].get())) {
-        schedules_[lane] = oblivious->schedule().get();
-      } else {
-        needs_mirror = true;
-      }
-      break;
+  // never again); everything else keeps a per-lane EdgeSet scratch and a
+  // gamma mirror for the virtual adversary.
+  if (model_ == ExecutionModel::kFsync) {
+    if (const auto* oblivious = dynamic_cast<const ObliviousAdversary*>(
+            adversaries_[lane].get())) {
+      schedules_[lane] = oblivious->schedule().get();
     }
-    case ExecutionModel::kSsync:
-    case ExecutionModel::kAsync: {
-      schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
-      needs_mirror = schedules_[lane] == nullptr;
-
-      // Devirtualize the activation policy / phase scheduler when it
-      // advertises a batched kernel; Bernoulli lanes additionally seed
-      // their slot of the RNG plane from the policy's own (untouched)
-      // stream so the batched draws replay it bit-for-bit.  A policy whose
-      // batch_kind() lies about its dynamic type falls back to kVirtual.
-      ActivationBatchKind kind = ActivationBatchKind::kVirtual;
-      if (model_ == ExecutionModel::kSsync) {
-        kind = activations_[lane]->batch_kind();
-        if (kind == ActivationBatchKind::kBernoulli) {
-          if (const auto* bernoulli = dynamic_cast<const BernoulliActivation*>(
-                  activations_[lane].get())) {
-            act_threshold_[lane] = activation_threshold(bernoulli->p());
-            act_rng_[lane] = bernoulli->rng();
-          } else {
-            kind = ActivationBatchKind::kVirtual;
-          }
-        }
-      } else {
-        kind = phase_schedulers_[lane]->batch_kind();
-        if (kind == ActivationBatchKind::kBernoulli) {
-          if (const auto* bernoulli = dynamic_cast<const BernoulliPhases*>(
-                  phase_schedulers_[lane].get())) {
-            act_threshold_[lane] = activation_threshold(bernoulli->p());
-            act_rng_[lane] = bernoulli->rng();
-          } else {
-            kind = ActivationBatchKind::kVirtual;
-          }
-        }
-      }
-      act_kind_[lane] = static_cast<std::uint8_t>(kind);
-      needs_mirror = needs_mirror || kind == ActivationBatchKind::kVirtual;
-      break;
-    }
+  } else {
+    schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
+    // The lane's activation as planes: a Bernoulli lane's RNG slot starts
+    // as a copy of the activation's (untouched) generator, so the batched
+    // draws replay its stream bit-for-bit.
+    const Activation& activation = replica.activation;
+    act_kind_[lane] = static_cast<std::uint8_t>(activation.kind);
+    act_threshold_[lane] = activation_threshold(activation.p);
+    act_rng_[lane] = activation.rng;
   }
 
   if (schedules_[lane] != nullptr) {
@@ -1495,8 +1438,6 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     note_absent(lane);
   } else {
     edges_[lane] = EdgeSet(edge_count_);
-  }
-  if (needs_mirror) {
     mirrors_[lane] = std::make_unique<Configuration>(snapshot_lane(lane));
   }
 }
@@ -1685,9 +1626,10 @@ void BatchEngine::run_all() {
   // Temporal tiling: a round touches every live lane's visit/occupancy
   // rows, and at wide B those rows outgrow L2 — per-round sweeps stream
   // from L3 no matter how good the passes are.  Lanes are fully
-  // independent simulations (state, RNG, kernel memory, mirrors, policies,
-  // stamp rows are all lane-indexed), so reorder the time loop instead:
-  // run each tile of tile_lanes_ lanes through a whole EPOCH of rounds
+  // independent simulations (state, RNG, kernel memory, mirrors,
+  // activations, stamp rows are all lane-indexed), so reorder the time
+  // loop instead: run each tile of tile_lanes_ lanes through a whole EPOCH
+  // of rounds
   // while its rows sit in L2, then move to the next tile.  Per-lane
   // results are bit-identical to the round-major order by construction.
   // Epochs end at the nearest horizon so lane retirement (and the dense
@@ -1853,13 +1795,7 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
               words + std::size_t{i} * lw + w1, 0);
   }
 
-  // Per-slice scratch for the virtual policies: members would be shared
-  // across the worker slices.  Constructing the vectors is free; they only
-  // allocate when a virtual lane actually appears in this slice.
-  ActivationMask virt_mask;
-  std::vector<Phase> virt_phases;
-  const auto bernoulli =
-      static_cast<std::uint8_t>(ActivationBatchKind::kBernoulli);
+  const auto bernoulli = static_cast<std::uint8_t>(ActivationKind::kBernoulli);
   std::uint32_t l = l0;
 #ifdef PEF_HAS_ISA_WRAPPERS
   // AVX-512: whole 8-lane groups of Bernoulli lanes step their 8 streams
@@ -1871,9 +1807,7 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
       std::uint64_t kinds = 0;
       std::memcpy(&kinds, act_kind_.data() + l, sizeof kinds);
       if (kinds != kAllBernoulli * bernoulli) {
-        for (std::uint32_t j = l; j < l + 8; ++j) {
-          fill_lane_mask(j, t, virt_mask, virt_phases);
-        }
+        for (std::uint32_t j = l; j < l + 8; ++j) fill_lane_mask(j, t);
         continue;
       }
       const std::uint32_t word = l >> 6;
@@ -1927,35 +1861,32 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
       l += 4;
     }
   }
-  for (; l < l1; ++l) fill_lane_mask(l, t, virt_mask, virt_phases);
+  for (; l < l1; ++l) fill_lane_mask(l, t);
 }
 
-void BatchEngine::fill_lane_mask(std::uint32_t l, Time t,
-                                 ActivationMask& virt_mask,
-                                 std::vector<Phase>& virt_phases) {
+void BatchEngine::fill_lane_mask(std::uint32_t l, Time t) {
   const std::uint32_t k = robots_;
   const std::uint32_t lw = lane_words_;
   std::uint64_t* const words = mask_words_.data();
   const std::uint32_t word = l >> 6;
   const std::uint64_t bit = 1ULL << (l & 63);
-  switch (static_cast<ActivationBatchKind>(act_kind_[l])) {
-    case ActivationBatchKind::kFull:
+  switch (static_cast<ActivationKind>(act_kind_[l])) {
+    case ActivationKind::kFull:
       for (std::uint32_t i = 0; i < k; ++i) {
         words[std::size_t{i} * lw + word] |= bit;
       }
       break;
-    case ActivationBatchKind::kRoundRobin:
+    case ActivationKind::kRoundRobin:
       words[std::size_t{t % k} * lw + word] |= bit;
       break;
-    case ActivationBatchKind::kBernoulli: {
-      // Draw-for-draw replay of BernoulliActivation::activate /
-      // BernoulliPhases::advance: k Bernoulli trials in robot order, then
-      // the forced-nonempty fallback from the same stream.  The RNG runs
-      // on a LOCAL copy (written back after the lane) and the k <= 64
-      // case accumulates into one register: no stores inside the draw
-      // loop, so the generator state stays in registers instead of
-      // round-tripping memory per draw (the plane stores could alias the
-      // rng plane otherwise).
+    case ActivationKind::kBernoulli: {
+      // Draw-for-draw replay of Activation::fill: k Bernoulli trials in
+      // robot order, then the forced-nonempty fallback from the same
+      // stream.  The RNG runs on a LOCAL copy (written back after the
+      // lane) and the k <= 64 case accumulates into one register: no
+      // stores inside the draw loop, so the generator state stays in
+      // registers instead of round-tripping memory per draw (the plane
+      // stores could alias the rng plane otherwise).
       Xoshiro256 rng = act_rng_[l];
       const std::uint64_t threshold = act_threshold_[l];
       if (k <= 64) {
@@ -1983,30 +1914,6 @@ void BatchEngine::fill_lane_mask(std::uint32_t l, Time t,
         }
       }
       act_rng_[l] = rng;
-      break;
-    }
-    case ActivationBatchKind::kVirtual: {
-      if (model_ == ExecutionModel::kSsync) {
-        activations_[l]->activate(t, *mirrors_[l], virt_mask);
-      } else {
-        // Reconstruct the lane's Phase vector from the one-hot planes
-        // for the scheduler's (rarely taken) virtual interface.
-        virt_phases.resize(k);
-        for (std::uint32_t i = 0; i < k; ++i) {
-          const std::size_t at = std::size_t{i} * lw + word;
-          virt_phases[i] = (look_words_[at] >> (l & 63)) & 1ULL
-                               ? Phase::kLook
-                           : (compute_words_[at] >> (l & 63)) & 1ULL
-                               ? Phase::kCompute
-                               : Phase::kMove;
-        }
-        phase_schedulers_[l]->advance(t, *mirrors_[l], virt_phases,
-                                      virt_mask);
-      }
-      PEF_CHECK(virt_mask.size() == k);
-      for (std::uint32_t i = 0; i < k; ++i) {
-        if (virt_mask[i] != 0) words[std::size_t{i} * lw + word] |= bit;
-      }
       break;
     }
   }
@@ -2093,8 +2000,8 @@ void BatchEngine::update_mirrors(std::uint32_t l0, std::uint32_t l1) {
   // Lanes with a gamma mirror get it refreshed from the planes; dirs and
   // positions that did not change are no-op writes (relocate_robot
   // self-checks), so one uniform pass is correct for every model.  Lanes
-  // without a mirror (batchable adversary + devirtualized policy — the
-  // common sweep case) skip this entirely.
+  // without a mirror (a batchable adversary — the common sweep case) skip
+  // this entirely.
   for (std::uint32_t l = l0; l < l1; ++l) {
     Configuration* const mirror = mirrors_[l].get();
     if (mirror == nullptr) continue;
@@ -2125,10 +2032,9 @@ void BatchEngine::init_cycles() {
   bool any = false;
   cycles_.reserve(batch_);
   for (std::uint32_t l = 0; l < batch_; ++l) {
-    const auto activation =
-        model_ == ExecutionModel::kFsync
-            ? ActivationBatchKind::kFull
-            : static_cast<ActivationBatchKind>(act_kind_[l]);
+    const auto activation = model_ == ExecutionModel::kFsync
+                                ? ActivationKind::kFull
+                                : static_cast<ActivationKind>(act_kind_[l]);
     cycles_.emplace_back(options_.fast_forward, /*tracing=*/false,
                          schedules_[l], activation, robots_, nodes_);
     any = any || cycles_.back().eligible();
@@ -2280,8 +2186,6 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(specs_[a], specs_[b]);
   swap(adversaries_[a], adversaries_[b]);
   swap(ssync_advs_[a], ssync_advs_[b]);
-  swap(activations_[a], activations_[b]);
-  swap(phase_schedulers_[a], phase_schedulers_[b]);
   swap(schedules_[a], schedules_[b]);
   swap(mirrors_[a], mirrors_[b]);
   swap(horizons_[a], horizons_[b]);

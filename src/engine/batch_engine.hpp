@@ -78,26 +78,26 @@
 //     ASYNC split only ranges of 32 lanes or more: below that their
 //     per-bit passes over the acting robots cost less.
 //   * SSYNC activation masks and ASYNC advance/move masks are robot-major
-//     uint64 WORD planes (bit = replica).  The common policies — full,
-//     Bernoulli-p, round-robin — are devirtualized (ActivationBatchKind,
-//     enum-dispatched like KernelId): one pass fills every replica's mask
-//     words from a per-replica RNG plane seeded with the policy's own
-//     stream, bit-identical to the virtual calls it replaces (on the
-//     AVX-512 tier, 8 Bernoulli lanes' streams step per zmm).  The
-//     per-bit SSYNC / ASYNC passes then iterate mask words (ctz over set
-//     bits) instead of testing every (robot, replica) byte.
+//     uint64 WORD planes (bit = replica).  Each replica's Activation is
+//     one of three rules — full, round-robin, Bernoulli-p (ActivationKind,
+//     enum-dispatched like KernelId) — copied into per-lane planes at
+//     construction: one pass fills every replica's mask words from a
+//     per-replica RNG plane seeded with the activation's own generator,
+//     draw for draw what Activation::fill draws (on the AVX-512 tier, 8
+//     Bernoulli lanes' streams step per zmm).  The per-bit SSYNC / ASYNC
+//     passes then iterate mask words (ctz over set bits) instead of
+//     testing every (robot, replica) byte.
 //   * Configuration mirrors are materialized LAZILY: only replicas whose
-//     adversary or activation policy actually sees gamma (adaptive
-//     lower-bound families, exotic virtual policies) carry one; everything
-//     else skips the per-round mirror refresh entirely.
+//     adversary actually sees gamma (adaptive lower-bound families) carry
+//     one; everything else skips the per-round mirror refresh entirely.
 //   * replicas that reach their horizon are compacted out (their lane is
 //     swapped with the last live lane), so the inner loops always run over
 //     a dense prefix of live replicas and a ragged batch never idles.
 //
 // Results are BIT-IDENTICAL to B independent Engine runs: per-replica
-// adversaries / activation policies / phase schedulers consume the same
-// streams in the same order as a solo run (batched Bernoulli kernels replay
-// the policy's RNG stream draw-for-draw), and tests/batch_engine_test.cpp
+// adversaries and activations consume the same streams in the same order
+// as a solo run (batched Bernoulli kernels replay the activation's RNG
+// stream draw-for-draw), and tests/batch_engine_test.cpp
 // steps batches in lock-step with solo Engines and pins every replica's
 // configuration each round, plus stats and coverage, across every registry
 // kernel x {FSYNC, SSYNC, ASYNC} x batchable and non-batchable adversaries
@@ -110,15 +110,15 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "adversary/ssync_adversary.hpp"
 #include "analysis/coverage.hpp"
 #include "common/types.hpp"
+#include "engine/activation.hpp"
 #include "engine/engine.hpp"
 #include "engine/topology.hpp"
 #include "robot/algorithm.hpp"
 #include "robot/kernel.hpp"
 #include "robot/robot.hpp"
-#include "scheduler/async.hpp"
-#include "scheduler/ssync.hpp"
 
 namespace pef {
 
@@ -136,10 +136,10 @@ struct BatchReplica {
   /// SSYNC / ASYNC: the per-replica edge adversary (sees the activation /
   /// moving mask).
   std::unique_ptr<SsyncAdversary> ssync_adversary;
-  /// SSYNC: selects the L-C-M subset each round.
-  std::unique_ptr<ActivationPolicy> activation;
-  /// ASYNC: advances the per-robot phase machines each tick.
-  std::unique_ptr<PhaseScheduler> phases;
+  /// Who acts each round; its model must be the batch's (FSYNC keeps the
+  /// default).  SSYNC: the L-C-M subset; ASYNC: the robots that advance a
+  /// phase.
+  Activation activation;
 
   std::vector<RobotPlacement> placements;
 
@@ -151,8 +151,8 @@ struct BatchReplica {
 /// Wire `replica`'s model-specific pieces the way every FSYNC-battery
 /// entry point does it (SweepRunner, pef_run --batch): FSYNC
 /// takes the adversary directly; SSYNC/ASYNC adapt it through
-/// SsyncFromFsyncAdversary and attach the standard seeded Bernoulli
-/// activation / phase scheduler, so batched and solo runs of the same
+/// SsyncFromFsyncAdversary and attach the model's standard seeded
+/// Bernoulli activation, so batched and solo runs of the same
 /// (model, seed) see identical streams.
 void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            AdversaryPtr adversary, double activation_p,
@@ -312,18 +312,14 @@ class BatchEngine {
     return edge_plane_.data() + std::size_t{lane} * edge_words_per_row_;
   }
 
-  /// The batched activation prologue shared by SSYNC (activation policies)
-  /// and ASYNC (phase schedulers): clear the mask word plane, then fill
-  /// the bits of lanes [l0, l1) (a whole-word range) — devirtualized
-  /// kernels (full / round-robin / Bernoulli over the act_rng_ plane)
-  /// inline per lane, 8 Bernoulli lanes per zmm on the AVX-512 tier;
-  /// kVirtual lanes call the policy into a scratch byte mask and
-  /// transpose.
+  /// The batched activation prologue shared by SSYNC and ASYNC: clear the
+  /// mask word plane, then fill the bits of lanes [l0, l1) (a whole-word
+  /// range) from the per-lane activation planes (full / round-robin /
+  /// Bernoulli over the act_rng_ plane), 8 Bernoulli lanes per zmm on the
+  /// AVX-512 tier.
   void fill_mask_words(std::uint32_t l0, std::uint32_t l1, Time t);
-  /// fill_mask_words for the one lane `lane`; the vectors are the
-  /// caller's per-slice scratch for virtual policies.
-  void fill_lane_mask(std::uint32_t lane, Time t, ActivationMask& virt_mask,
-                      std::vector<Phase>& virt_phases);
+  /// fill_mask_words for the one lane `lane`.
+  void fill_lane_mask(std::uint32_t lane, Time t);
   /// ASYNC: moving = advancing AND (phase == Move), word columns [l0, l1).
   void fill_moving_words(std::uint32_t l0, std::uint32_t l1);
   /// Lane `lane`'s column of a mask word plane as a 0/1 byte mask (the
@@ -347,8 +343,8 @@ class BatchEngine {
   /// updates 8 lanes' cells per gather/scatter; the others walk lanes.
   void observe_boundary(Time t, std::uint32_t l0, std::uint32_t l1);
   /// Refresh the gamma mirrors of lanes [l0, l1) from the planes (dirs +
-  /// positions).  Mirrors are lazy: only lanes whose adversary / policy
-  /// sees gamma carry one, everything else is skipped.
+  /// positions).  Mirrors are lazy: only lanes whose adversary sees gamma
+  /// carry one, everything else is skipped.
   void update_mirrors(std::uint32_t l0, std::uint32_t l1);
   /// Per-lane end-of-round bookkeeping for lanes [l0, l1) at round-end
   /// time t1: tower stats, round counters.
@@ -396,8 +392,6 @@ class BatchEngine {
   std::vector<KernelSpec> specs_;
   std::vector<AdversaryPtr> adversaries_;                    // FSYNC
   std::vector<std::unique_ptr<SsyncAdversary>> ssync_advs_;  // SSYNC/ASYNC
-  std::vector<std::unique_ptr<ActivationPolicy>> activations_;
-  std::vector<std::unique_ptr<PhaseScheduler>> phase_schedulers_;
   /// Non-null iff the lane's edge sets are a pure function of time (FSYNC
   /// oblivious adversary, or an SSYNC/ASYNC adversary exposing
   /// oblivious_schedule()): the lane's plane row is filled straight from
@@ -493,10 +487,9 @@ class BatchEngine {
   /// see.  Snapshotted before the tick's phase transitions.
   PlaneVector<std::uint64_t> moving_words_;
 
-  // The devirtualized activation state (SSYNC policies / ASYNC phase
-  // schedulers share ActivationBatchKind): per-lane kind, the Bernoulli
-  // draw threshold (next() >> 11 below it == next_bool(p)) and the
-  // per-replica RNG plane seeded from each policy's own stream.
+  // Each lane's Activation as planes (SSYNC and ASYNC alike): its
+  // ActivationKind, the Bernoulli draw threshold (next() >> 11 below it ==
+  // next_bool(p)) and the RNG plane, a copy of each activation's generator.
   std::vector<std::uint8_t> act_kind_;
   std::vector<std::uint64_t> act_threshold_;
   std::vector<Xoshiro256> act_rng_;

@@ -14,8 +14,8 @@
 //
 // "Environment-aligned" means rounds t with t >= env_start and
 // (t - env_start) % env_period == 0, where env_period is the lcm of the
-// edge schedule's recurrence period (ScheduleRecurrence) and the activation
-// policy's period (FSYNC and full activation: 1; round-robin: its cycle
+// edge schedule's recurrence period (ScheduleRecurrence) and the
+// activation's period (FSYNC and full activation: 1; round-robin: its cycle
 // length).  Sampling on that lattice makes the environment a pure function
 // of the sampled state, so state equality really implies a cycle.
 //
@@ -31,9 +31,8 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "dynamic_graph/schedule.hpp"
+#include "engine/activation.hpp"
 #include "robot/view.hpp"
-#include "scheduler/async.hpp"
-#include "scheduler/ssync.hpp"
 
 namespace pef {
 
@@ -170,18 +169,17 @@ class CycleTracker {
   /// pure function of its packed state: fast-forward on, no trace (a trace
   /// must record each round), an oblivious `schedule` (adaptive adversaries
   /// pass null) with a known recurrence, and a deterministic activation —
-  /// full (FSYNC passes kFull) or round-robin over `robots`.  Bernoulli
-  /// activation consumes an RNG stream that never cycles, and a kVirtual
-  /// policy may read anything.
+  /// full (FSYNC's) or round-robin over `robots`.  Bernoulli activation
+  /// consumes an RNG stream that never cycles.
   CycleTracker(const FastForwardOptions& options, bool tracing,
-               const EdgeSchedule* schedule, ActivationBatchKind activation,
+               const EdgeSchedule* schedule, ActivationKind activation,
                std::uint32_t robots, std::uint32_t nodes)
       : detector_(options.hash_mask), nodes_(nodes) {
     if (!options.enabled || tracing || schedule == nullptr) return;
     Time activation_period = 1;
-    if (activation == ActivationBatchKind::kRoundRobin) {
+    if (activation == ActivationKind::kRoundRobin) {
       activation_period = robots;
-    } else if (activation != ActivationBatchKind::kFull) {
+    } else if (activation != ActivationKind::kFull) {
       return;
     }
     const ScheduleRecurrence recurrence = schedule->recurrence();

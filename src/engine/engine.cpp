@@ -34,35 +34,22 @@ struct KernelCompute {
 
 }  // namespace
 
-std::optional<ExecutionModel> parse_execution_model(const std::string& name) {
-  if (name == "fsync") return ExecutionModel::kFsync;
-  if (name == "ssync") return ExecutionModel::kSsync;
-  if (name == "async") return ExecutionModel::kAsync;
-  return std::nullopt;
-}
-
 Engine make_standard_engine(Ring ring, ExecutionModel model,
                             AlgorithmPtr algorithm, AdversaryPtr adversary,
                             const std::vector<RobotPlacement>& placements,
                             double activation_p, std::uint64_t seed,
                             EngineOptions options) {
-  switch (model) {
-    case ExecutionModel::kFsync:
-      return Engine(ring, std::move(algorithm), std::move(adversary),
-                    placements, options);
-    case ExecutionModel::kSsync:
-      return Engine(
-          ring, std::move(algorithm),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-          standard_ssync_activation(activation_p, seed), placements,
-          options);
-    case ExecutionModel::kAsync:
-      break;
+  if (model == ExecutionModel::kFsync) {
+    return Engine(ring, std::move(algorithm), std::move(adversary),
+                  placements, options);
   }
   return Engine(
       ring, std::move(algorithm),
       std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-      standard_async_phases(activation_p, seed), placements, options);
+      model == ExecutionModel::kSsync
+          ? standard_ssync_activation(activation_p, seed)
+          : standard_async_phases(activation_p, seed),
+      placements, options);
 }
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
@@ -89,41 +76,26 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm,
                std::unique_ptr<SsyncAdversary> adversary,
-               std::unique_ptr<ActivationPolicy> activation,
+               Activation activation,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
     : ring_(ring),
       kernel_(kernel_of(algorithm)),
-      model_(ExecutionModel::kSsync),
+      model_(activation.model),
       options_(options),
       ssync_adversary_(std::move(adversary)),
-      activation_(std::move(activation)) {
+      activation_(activation) {
+  PEF_CHECK_MSG(model_ != ExecutionModel::kFsync,
+                "an SSYNC/ASYNC engine needs an SSYNC or ASYNC activation");
   PEF_CHECK(ssync_adversary_ != nullptr);
-  PEF_CHECK(activation_ != nullptr);
   PEF_CHECK(ssync_adversary_->ring() == ring_);
   init(placements);
-  // Policies and SSYNC adversaries see gamma every round: keep one
-  // persistent mirror, updated in place as robots act.
-  gamma_mirror_ = std::make_unique<Configuration>(snapshot());
-}
-
-Engine::Engine(Ring ring, AlgorithmPtr algorithm,
-               std::unique_ptr<SsyncAdversary> adversary,
-               std::unique_ptr<PhaseScheduler> phases,
-               const std::vector<RobotPlacement>& placements,
-               EngineOptions options)
-    : ring_(ring),
-      kernel_(kernel_of(algorithm)),
-      model_(ExecutionModel::kAsync),
-      options_(options),
-      ssync_adversary_(std::move(adversary)),
-      phase_scheduler_(std::move(phases)) {
-  PEF_CHECK(ssync_adversary_ != nullptr);
-  PEF_CHECK(phase_scheduler_ != nullptr);
-  PEF_CHECK(ssync_adversary_->ring() == ring_);
-  init(placements);
-  phases_.assign(node_.size(), Phase::kLook);
-  pending_views_.assign(node_.size(), View{});
+  if (model_ == ExecutionModel::kAsync) {
+    phases_.assign(node_.size(), Phase::kLook);
+    pending_views_.assign(node_.size(), View{});
+  }
+  // The SSYNC/ASYNC adversary sees gamma every round: keep one persistent
+  // mirror, updated in place as robots act (an oblivious one ignores it).
   gamma_mirror_ = std::make_unique<Configuration>(snapshot());
 }
 
@@ -365,8 +337,7 @@ void Engine::step_fsync() {
 void Engine::step_ssync() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  activation_->activate(now_, *gamma_mirror_, mask_);
-  PEF_CHECK(mask_.size() == k);
+  activation_.fill(now_, k, mask_);
   ssync_adversary_->choose_edges_into(now_, *gamma_mirror_, mask_, edges_);
   PEF_CHECK(edges_.edge_count() == ring_.edge_count());
 
@@ -404,8 +375,8 @@ void Engine::step_ssync() {
                       active_list_);
   });
 
-  // The policies and adversaries only read the gamma mirror at the next
-  // round boundary, so the per-robot dir updates batch up fine here.
+  // The adversaries only read the gamma mirror at the next round
+  // boundary, so the per-robot dir updates batch up fine here.
   for (const std::uint32_t i : active_list_) {
     const auto dir = static_cast<LocalDirection>(dir_[i]);
     gamma_mirror_->set_robot_dir(i, dir);
@@ -428,8 +399,7 @@ void Engine::step_ssync() {
 void Engine::step_async() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  phase_scheduler_->advance(now_, *gamma_mirror_, phases_, mask_);
-  PEF_CHECK(mask_.size() == k);
+  activation_.fill(now_, k, mask_);
 
   // The adversary sees which robots fire their Move phase this tick (the
   // only phase that interacts with edges).  One pass splits the advancing
@@ -511,16 +481,11 @@ void Engine::run(Time rounds) {
   const Time target = now_ + rounds;
   // One tracker per run: the lattice must be sampled at every aligned
   // boundary, so detection never spans a step() made outside run().
-  const EdgeSchedule* schedule = schedule_;
-  ActivationBatchKind activation = ActivationBatchKind::kFull;
-  if (model_ != ExecutionModel::kFsync) {
-    schedule = ssync_adversary_->oblivious_schedule();
-    activation = model_ == ExecutionModel::kSsync
-                     ? activation_->batch_kind()
-                     : phase_scheduler_->batch_kind();
-  }
+  const EdgeSchedule* schedule = model_ == ExecutionModel::kFsync
+                                     ? schedule_
+                                     : ssync_adversary_->oblivious_schedule();
   cycle_ = CycleTracker(options_.fast_forward, trace_ != nullptr, schedule,
-                        activation, robot_count(), ring_.node_count());
+                        activation_.kind, robot_count(), ring_.node_count());
   if (!cycle_.eligible()) {
     while (now_ < target) step();
     return;

@@ -4,9 +4,9 @@
 //
 //   FSYNC - every robot runs an atomic Look-Compute-Move every round
 //           (the paper's model; reference: scheduler/Simulator);
-//   SSYNC - an ActivationPolicy selects a subset each round, only
-//           selected robots run L-C-M (reference: SsyncSimulator);
-//   ASYNC - a PhaseScheduler advances each robot through its own
+//   SSYNC - an Activation selects a subset each round, only selected
+//           robots run L-C-M (reference: SsyncSimulator);
+//   ASYNC - an Activation advances each robot through its own
 //           Look / Compute / Move machine one phase per tick, with
 //           possibly-stale views (reference: AsyncSimulator).
 //
@@ -27,11 +27,11 @@
 //     refills it in place (EdgeSchedule::edges_into, choose_edges_into) —
 //     zero allocation per round, and an oblivious FSYNC schedule refills it
 //     only at the rounds its EdgeSchedule::next_change names;
-//   * reusable activation/phase masks: policies fill a persistent byte
-//     buffer instead of returning a fresh vector<bool> per round;
+//   * one reusable activation mask: the Activation fills a persistent
+//     byte buffer instead of returning a fresh vector<bool> per round;
 //   * one persistent Configuration mirror updated in place (O(moves) per
-//     round) for adaptive adversaries and SSYNC/ASYNC policies, never a
-//     fresh snapshot per round;
+//     round) for adaptive FSYNC adversaries and every SSYNC/ASYNC
+//     adversary, never a fresh snapshot per round;
 //   * snapshot() / trace materialization only on demand — with trace
 //     recording off, the engine keeps only O(n + k) state and a handful of
 //     incrementally maintained aggregates;
@@ -45,40 +45,17 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "adversary/ssync_adversary.hpp"
 #include "analysis/coverage.hpp"
 #include "common/types.hpp"
+#include "engine/activation.hpp"
 #include "engine/cycle.hpp"
 #include "robot/algorithm.hpp"
 #include "robot/kernel.hpp"
 #include "robot/robot.hpp"
-#include "scheduler/async.hpp"
-#include "scheduler/ssync.hpp"
 #include "scheduler/trace.hpp"
 
 namespace pef {
-
-/// The activation model an Engine runs (the paper's Section 1 taxonomy).
-enum class ExecutionModel : std::uint8_t {
-  kFsync = 0,
-  kSsync = 1,
-  kAsync = 2,
-};
-
-[[nodiscard]] constexpr const char* to_string(ExecutionModel m) {
-  switch (m) {
-    case ExecutionModel::kFsync:
-      return "fsync";
-    case ExecutionModel::kSsync:
-      return "ssync";
-    case ExecutionModel::kAsync:
-      return "async";
-  }
-  return "?";
-}
-
-/// Parse "fsync" | "ssync" | "async"; nullopt on anything else.
-[[nodiscard]] std::optional<ExecutionModel> parse_execution_model(
-    const std::string& name);
 
 struct EngineOptions {
   /// Record a full Trace (positions, dirs, edge sets per round).  Off by
@@ -124,19 +101,12 @@ class Engine {
          const std::vector<RobotPlacement>& placements,
          EngineOptions options = {});
 
-  /// SSYNC: `activation` selects the L-C-M subset each round; the adversary
-  /// sees the configuration and the activation mask.
+  /// SSYNC or ASYNC, as `activation.model` names.  SSYNC: the activation
+  /// selects the L-C-M subset each round and the adversary sees it.  ASYNC:
+  /// the activation advances per-robot Look/Compute/Move machines one phase
+  /// per tick and the adversary sees the robots whose Move fires.
   Engine(Ring ring, AlgorithmPtr algorithm,
-         std::unique_ptr<SsyncAdversary> adversary,
-         std::unique_ptr<ActivationPolicy> activation,
-         const std::vector<RobotPlacement>& placements,
-         EngineOptions options = {});
-
-  /// ASYNC: `phases` advances per-robot Look/Compute/Move machines one
-  /// phase per tick; the adversary sees the set of robots whose Move fires.
-  Engine(Ring ring, AlgorithmPtr algorithm,
-         std::unique_ptr<SsyncAdversary> adversary,
-         std::unique_ptr<PhaseScheduler> phases,
+         std::unique_ptr<SsyncAdversary> adversary, Activation activation,
          const std::vector<RobotPlacement>& placements,
          EngineOptions options = {});
 
@@ -257,10 +227,9 @@ class Engine {
 
   // FSYNC adversary (model == kFsync).
   AdversaryPtr adversary_;
-  // SSYNC/ASYNC adversary and schedulers.
+  // SSYNC/ASYNC adversary, and the activation (FSYNC: the default, full).
   std::unique_ptr<SsyncAdversary> ssync_adversary_;
-  std::unique_ptr<ActivationPolicy> activation_;
-  std::unique_ptr<PhaseScheduler> phase_scheduler_;
+  Activation activation_;
 
   // Struct-of-arrays robot state.
   std::vector<NodeId> node_;
@@ -296,7 +265,7 @@ class Engine {
   const EdgeSchedule* schedule_ = nullptr;
   Time refill_at_ = 0;
   // Persistent configuration mirror: FSYNC adaptive adversaries, and every
-  // SSYNC/ASYNC run (policies and adversaries see gamma each round).
+  // SSYNC/ASYNC run (the adversaries see gamma each round).
   std::unique_ptr<Configuration> gamma_mirror_;
 
   // Incremental coverage bookkeeping (analyze_coverage semantics).
@@ -315,7 +284,7 @@ class Engine {
 /// One seeded run wired the way every FSYNC-battery entry point wires it
 /// (run_experiment, SweepRunner, pef_run): FSYNC takes the adversary
 /// directly; SSYNC/ASYNC adapt it through SsyncFromFsyncAdversary under the
-/// standard seeded Bernoulli activation / phase scheduler.  The solo
+/// model's standard seeded Bernoulli activation.  The solo
 /// counterpart of wire_standard_replica (engine/batch_engine.hpp), so solo
 /// and batched runs of the same (model, seed) see identical streams.
 [[nodiscard]] Engine make_standard_engine(

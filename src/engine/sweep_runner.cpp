@@ -15,8 +15,8 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "engine/batch_engine.hpp"
+#include "engine/placements.hpp"
 #include "engine/topology.hpp"
-#include "scheduler/simulator.hpp"
 
 namespace pef {
 namespace {

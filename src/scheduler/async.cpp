@@ -6,15 +6,15 @@ namespace pef {
 
 AsyncSimulator::AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                                std::unique_ptr<SsyncAdversary> adversary,
-                               std::unique_ptr<PhaseScheduler> phases,
+                               Activation activation,
                                const std::vector<RobotPlacement>& placements)
     : ring_(ring),
       algorithm_(std::move(algorithm)),
       adversary_(std::move(adversary)),
-      scheduler_(std::move(phases)) {
+      activation_(activation) {
   PEF_CHECK(algorithm_ != nullptr);
   PEF_CHECK(adversary_ != nullptr);
-  PEF_CHECK(scheduler_ != nullptr);
+  PEF_CHECK(activation_.model == ExecutionModel::kAsync);
   PEF_CHECK(adversary_->ring() == ring_);
   PEF_CHECK(!placements.empty());
   robots_.reserve(placements.size());
@@ -43,8 +43,8 @@ Configuration AsyncSimulator::snapshot() const {
 
 RoundRecord AsyncSimulator::step() {
   const Configuration gamma = snapshot();
-  scheduler_->advance(now_, gamma, phases_, advancing_);
-  PEF_CHECK(advancing_.size() == robots_.size());
+  activation_.fill(now_, static_cast<std::uint32_t>(robots_.size()),
+                   advancing_);
 
   // The adversary sees which robots fire their Move phase this tick (the
   // only phase that interacts with edges).

@@ -14,6 +14,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/types.hpp"
+#include "engine/placements.hpp"  // the placement helpers its users share
 #include "robot/algorithm.hpp"
 #include "robot/robot.hpp"
 #include "scheduler/trace.hpp"
@@ -65,15 +66,5 @@ class Simulator {
   Time now_ = 0;
   std::unique_ptr<Trace> trace_;
 };
-
-/// Convenience: evenly spread, towerless default placements for k robots on
-/// an n-node ring, all with the same chirality.
-[[nodiscard]] std::vector<RobotPlacement> spread_placements(
-    const Ring& ring, std::uint32_t k);
-
-/// Towerless placements on k distinct uniformly random nodes, each robot
-/// with an independent random chirality (seeded, reproducible).
-[[nodiscard]] std::vector<RobotPlacement> random_placements(
-    const Ring& ring, std::uint32_t k, std::uint64_t seed);
 
 }  // namespace pef

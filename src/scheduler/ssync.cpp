@@ -4,42 +4,17 @@
 
 namespace pef {
 
-void BernoulliActivation::activate(Time, const Configuration& gamma,
-                                   ActivationMask& mask) {
-  mask.assign(gamma.robot_count(), 0);
-  bool any = false;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    mask[i] = rng_.next_bool(p_) ? 1 : 0;
-    any = any || mask[i] != 0;
-  }
-  if (!any) {
-    mask[static_cast<std::size_t>(rng_.next_below(mask.size()))] = 1;
-  }
-}
-
-void SsyncBlockingAdversary::choose_edges_into(
-    Time, const Configuration& gamma, const ActivationMask& activated,
-    EdgeSet& out) {
-  out.fill();
-  for (RobotId r = 0; r < gamma.robot_count(); ++r) {
-    if (activated[r] == 0) continue;
-    const NodeId u = gamma.robot(r).node;
-    out.erase(ring_.adjacent_edge(u, GlobalDirection::kClockwise));
-    out.erase(ring_.adjacent_edge(u, GlobalDirection::kCounterClockwise));
-  }
-}
-
 SsyncSimulator::SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
                                std::unique_ptr<SsyncAdversary> adversary,
-                               std::unique_ptr<ActivationPolicy> activation,
+                               Activation activation,
                                const std::vector<RobotPlacement>& placements)
     : ring_(ring),
       algorithm_(std::move(algorithm)),
       adversary_(std::move(adversary)),
-      activation_(std::move(activation)) {
+      activation_(activation) {
   PEF_CHECK(algorithm_ != nullptr);
   PEF_CHECK(adversary_ != nullptr);
-  PEF_CHECK(activation_ != nullptr);
+  PEF_CHECK(activation_.model == ExecutionModel::kSsync);
   PEF_CHECK(adversary_->ring() == ring_);
   PEF_CHECK(!placements.empty());
   robots_.reserve(placements.size());
@@ -66,8 +41,8 @@ Configuration SsyncSimulator::snapshot() const {
 
 RoundRecord SsyncSimulator::step() {
   const Configuration gamma = snapshot();
-  activation_->activate(now_, gamma, activated_);
-  PEF_CHECK(activated_.size() == robots_.size());
+  activation_.fill(now_, static_cast<std::uint32_t>(robots_.size()),
+                   activated_);
   const EdgeSet edges = adversary_->choose_edges(now_, gamma, activated_);
 
   RoundRecord record;

@@ -38,9 +38,8 @@
 #include "dynamic_graph/schedules.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
+#include "engine/placements.hpp"
 #include "engine/sweep_runner.hpp"
-#include "scheduler/simulator.hpp"
-#include "scheduler/ssync.hpp"
 
 namespace pef {
 namespace {

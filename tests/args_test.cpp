@@ -49,14 +49,50 @@ TEST(ArgsTest, UnusedFlagsReported) {
 }
 
 TEST(ArgsTest, U64RoundTrip) {
-  auto args = make({"--horizon", "123456789012"});
+  auto args = make({"--horizon", "123456789012", "--max",
+                    "18446744073709551615", "--nodes", "4294967295", "--seed",
+                    "0"});
   EXPECT_EQ(args.get_u64("--horizon", 0), 123456789012ull);
+  // Each type's largest value and zero are accepted.
+  EXPECT_EQ(args.get_u64("--max", 0), 18446744073709551615ull);
+  EXPECT_EQ(args.get_u32("--nodes", 0), 4294967295u);
+  EXPECT_EQ(args.get_u64("--seed", 7), 0u);
 }
 
 TEST(ArgsDeathTest, RejectsPositionalArguments) {
   EXPECT_DEATH(
       { auto a = make({"positional"}); (void)a; },
       "unexpected positional");
+}
+
+TEST(ArgsDeathTest, RejectsSignedAndNonDecimalIntegers) {
+  // strtoull would negate "-4294967286" into 10 (mod 2^32) and skip the
+  // blank of " 5"; every such value is refused, naming the flag.
+  for (const char* value : {"-4294967286", "-1", "+5", " 5", "0x10", "5k"}) {
+    EXPECT_EXIT(
+        {
+          auto args = make({"--nodes", value});
+          (void)args.get_u32("--nodes", 0);
+        },
+        ::testing::ExitedWithCode(2), "flag --nodes: .* is not an unsigned")
+        << value;
+  }
+}
+
+TEST(ArgsDeathTest, RejectsIntegersOutOfRange) {
+  EXPECT_EXIT(
+      {
+        auto args = make({"--horizon", "99999999999999999999999"});
+        (void)args.get_u64("--horizon", 0);
+      },
+      ::testing::ExitedWithCode(2), "flag --horizon: .* is out of range");
+  // 2^32 + 10 does not fit a u32 flag (a cast would make it 10).
+  EXPECT_EXIT(
+      {
+        auto args = make({"--nodes=4294967306"});
+        (void)args.get_u32("--nodes", 0);
+      },
+      ::testing::ExitedWithCode(2), "flag --nodes: .* is out of range");
 }
 
 TEST(ArgsDeathTest, CheckUnusedExitsOnTypos) {

@@ -25,7 +25,7 @@ TEST(AsyncTest, LockstepOverStaticGraphIsFsyncAtThirdSpeed) {
                   placements);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
                        std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(), placements);
+                       Activation::full(ExecutionModel::kAsync), placements);
   fsync.run(60);
   async.run(180);
   for (Time t = 0; t <= 60; ++t) {
@@ -42,7 +42,7 @@ TEST(AsyncTest, PhasesCycleLookComputeMove) {
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("keep-direction"),
                        std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(),
+                       Activation::full(ExecutionModel::kAsync),
                        {{0, Chirality(true)}});
   EXPECT_EQ(async.phase_of(0), Phase::kLook);
   async.step();
@@ -72,7 +72,7 @@ TEST(AsyncTest, StaleViewMakesRobotChaseVanishedEdge) {
                                                      TailRule::kRepeatLast);
   AsyncSimulator async(ring, make_algorithm("bounce"),
                        std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<LockstepPhases>(),
+                       Activation::full(ExecutionModel::kAsync),
                        {{2, Chirality(true)}});
   // Look at t=0 sees edge 1 present -> bounce keeps pointing at it.
   // Move at t=2 finds it gone: no movement, although behind was open.
@@ -88,7 +88,7 @@ TEST(AsyncTest, MoveBlockerFreezesEveryAlgorithm) {
     const Ring ring(6);
     AsyncSimulator async(ring, make_algorithm(name, 7),
                          std::make_unique<AsyncMoveBlocker>(ring),
-                         std::make_unique<RoundRobinPhases>(),
+                         Activation::round_robin(ExecutionModel::kAsync),
                          spread_placements(ring, 3));
     async.run(900);
     for (RobotId r = 0; r < 3; ++r) {
@@ -105,7 +105,7 @@ TEST(AsyncTest, MoveBlockerKeepsEdgesRecurrent) {
   const Ring ring(6);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
                        std::make_unique<AsyncMoveBlocker>(ring),
-                       std::make_unique<RoundRobinPhases>(),
+                       Activation::round_robin(ExecutionModel::kAsync),
                        spread_placements(ring, 3));
   async.run(900);
   const auto audit =
@@ -122,7 +122,7 @@ TEST(AsyncTest, BenignAsyncStillExplores) {
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
                        std::make_unique<SsyncObliviousAdversary>(schedule),
-                       std::make_unique<BernoulliPhases>(0.6, 9),
+                       Activation::bernoulli(ExecutionModel::kAsync, 0.6, 9),
                        spread_placements(ring, 3));
   async.run(4000);
   EXPECT_EQ(analyze_coverage(async.trace()).visited_node_count, 6u);

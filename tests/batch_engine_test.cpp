@@ -275,14 +275,14 @@ struct SsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<ActivationPolicy>(std::uint64_t)>
-      make_activation;
+  std::function<Activation(std::uint64_t)> make_activation;
   PlaceFn place = anywhere;
   std::uint32_t lanes = kBatch;
 };
 
-std::unique_ptr<ActivationPolicy> bernoulli_activation(std::uint64_t seed) {
-  return std::make_unique<BernoulliActivation>(0.6, derive_seed(seed, 0xac));
+Activation bernoulli_activation(std::uint64_t seed) {
+  return Activation::bernoulli(ExecutionModel::kSsync, 0.6,
+                               derive_seed(seed, 0xac));
 }
 
 std::unique_ptr<SsyncAdversary> oblivious(SchedulePtr schedule) {
@@ -300,23 +300,22 @@ std::vector<SsyncScenario> ssync_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncBlockingAdversary>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); }},
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kSsync);
+       }},
       {"bernoulli-schedule+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
          return std::make_unique<SsyncObliviousAdversary>(
              std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
        },
-       [](std::uint64_t seed) {
-         return std::make_unique<BernoulliActivation>(0.6,
-                                                      derive_seed(seed, 0xac));
-       }},
+       bernoulli_activation},
       {"adaptive-greedy+full",
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncFromFsyncAdversary>(
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<FullActivation>(); }},
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); }},
       {"t-interval+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
          return oblivious(t_interval(ring, seed));
@@ -326,13 +325,15 @@ std::vector<SsyncScenario> ssync_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return oblivious(static_chain(ring));
        },
-       [](std::uint64_t) { return std::make_unique<FullActivation>(); },
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); },
        anywhere, kWideBatch},
       {"chain-t-interval+round-robin",
        [](const Ring& ring, std::uint64_t seed) {
          return oblivious(chain_t_interval(ring, seed));
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); },
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kSsync);
+       },
        anywhere, kWideBatch},
       {"bounded-absence+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
@@ -373,19 +374,20 @@ TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
 }
 
 // ---------------------------------------------------------------------------
-// ASYNC: the same families under phase schedulers.
+// ASYNC: the same families under ASYNC activations.
 
 struct AsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<PhaseScheduler>(std::uint64_t)> make_phases;
+  std::function<Activation(std::uint64_t)> make_activation;
   PlaceFn place = anywhere;
   std::uint32_t lanes = kBatch;
 };
 
-std::unique_ptr<PhaseScheduler> bernoulli_phases(std::uint64_t seed) {
-  return std::make_unique<BernoulliPhases>(0.6, derive_seed(seed, 0xa5));
+Activation bernoulli_phases(std::uint64_t seed) {
+  return Activation::bernoulli(ExecutionModel::kAsync, 0.6,
+                               derive_seed(seed, 0xa5));
 }
 
 std::vector<AsyncScenario> async_scenarios() {
@@ -394,23 +396,22 @@ std::vector<AsyncScenario> async_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<AsyncMoveBlocker>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); }},
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kAsync);
+       }},
       {"bernoulli-schedule+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
          return std::make_unique<SsyncObliviousAdversary>(
              std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
        },
-       [](std::uint64_t seed) {
-         return std::make_unique<BernoulliPhases>(0.6,
-                                                  derive_seed(seed, 0xa5));
-       }},
+       bernoulli_phases},
       {"adaptive-greedy+lockstep",
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncFromFsyncAdversary>(
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); }},
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); }},
       {"t-interval+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
          return oblivious(t_interval(ring, seed));
@@ -420,13 +421,15 @@ std::vector<AsyncScenario> async_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return oblivious(static_chain(ring));
        },
-       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); },
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); },
        anywhere, kWideBatch},
       {"chain-t-interval+round-robin",
        [](const Ring& ring, std::uint64_t seed) {
          return oblivious(chain_t_interval(ring, seed));
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); },
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kAsync);
+       },
        anywhere, kWideBatch},
       {"bounded-absence+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
@@ -448,7 +451,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             BatchReplica replica;
             replica.algorithm = make_algorithm(algorithm, seed);
             replica.ssync_adversary = scenario.make_adversary(ring, seed);
-            replica.phases = scenario.make_phases(seed);
+            replica.activation = scenario.make_activation(seed);
             replica.placements = scenario.place(ring, seed);
             replica.horizon = horizon_of(b);
             return replica;
@@ -457,7 +460,7 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
             const std::uint64_t seed = b + 1;
             return Engine(ring, make_algorithm(algorithm, seed),
                           scenario.make_adversary(ring, seed),
-                          scenario.make_phases(seed),
+                          scenario.make_activation(seed),
                           scenario.place(ring, seed));
           },
           ExecutionModel::kAsync, scenario.lanes);
@@ -555,87 +558,25 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
 // The activation fill's edge cases through run_all() at 1 and 3 threads:
 // robot counts 1-3, where a Bernoulli lane often draws no robot
 // and takes the forced-nonempty next_below(k) fallback; p in {0, 0.5, 1};
-// and one 77-lane batch mixing Bernoulli lanes with round-robin, full and
-// virtual (no batched kernel) lanes, so 8-lane groups of Bernoulli lanes
-// break in the middle of a slice.
+// and one 77-lane batch mixing Bernoulli lanes with round-robin and full
+// lanes, so 8-lane groups of Bernoulli lanes break in the middle of a
+// slice.
 
-/// A Bernoulli policy that hides its batched kernel: its lanes take the
-/// virtual path while drawing the same stream as BernoulliActivation.
-class OpaqueBernoulliActivation final : public ActivationPolicy {
- public:
-  OpaqueBernoulliActivation(double p, std::uint64_t seed) : inner_(p, seed) {}
-  void activate(Time t, const Configuration& gamma,
-                ActivationMask& mask) override {
-    inner_.activate(t, gamma, mask);
-  }
-  [[nodiscard]] std::string name() const override { return "opaque"; }
-
- private:
-  BernoulliActivation inner_;
-};
-
-class OpaqueBernoulliPhases final : public PhaseScheduler {
- public:
-  OpaqueBernoulliPhases(double p, std::uint64_t seed) : inner_(p, seed) {}
-  void advance(Time t, const Configuration& gamma,
-               const std::vector<Phase>& phases,
-               ActivationMask& mask) override {
-    inner_.advance(t, gamma, phases, mask);
-  }
-  [[nodiscard]] std::string name() const override { return "opaque"; }
-
- private:
-  BernoulliPhases inner_;
-};
-
-/// Lane roles of the mixed batch: mostly Bernoulli, with a round-robin,
-/// full or virtual lane inside some 8-lane groups.
-enum class LaneActivation { kBernoulli, kRoundRobin, kFull, kVirtual };
-
-LaneActivation lane_activation(std::uint32_t replica) {
+/// Lane roles of the mixed batch: mostly Bernoulli, with a round-robin or
+/// full lane inside some 8-lane groups.
+Activation mixed_activation(ExecutionModel model, std::uint32_t replica,
+                            double p, std::uint64_t seed) {
   switch (replica) {
     case 11:
-    case 70:
-      return LaneActivation::kRoundRobin;
-    case 19:
-      return LaneActivation::kFull;
     case 30:
+    case 70:
+      return Activation::round_robin(model);
+    case 19:
     case 66:
-      return LaneActivation::kVirtual;
+      return Activation::full(model);
     default:
-      return LaneActivation::kBernoulli;
+      return Activation::bernoulli(model, p, seed);
   }
-}
-
-std::unique_ptr<ActivationPolicy> mixed_activation(std::uint32_t replica,
-                                                   double p,
-                                                   std::uint64_t seed) {
-  switch (lane_activation(replica)) {
-    case LaneActivation::kRoundRobin:
-      return std::make_unique<RoundRobinActivation>();
-    case LaneActivation::kFull:
-      return std::make_unique<FullActivation>();
-    case LaneActivation::kVirtual:
-      return std::make_unique<OpaqueBernoulliActivation>(p, seed);
-    case LaneActivation::kBernoulli:
-      break;
-  }
-  return std::make_unique<BernoulliActivation>(p, seed);
-}
-
-std::unique_ptr<PhaseScheduler> mixed_phases(std::uint32_t replica, double p,
-                                             std::uint64_t seed) {
-  switch (lane_activation(replica)) {
-    case LaneActivation::kRoundRobin:
-      return std::make_unique<RoundRobinPhases>();
-    case LaneActivation::kFull:
-      return std::make_unique<LockstepPhases>();
-    case LaneActivation::kVirtual:
-      return std::make_unique<OpaqueBernoulliPhases>(p, seed);
-    case LaneActivation::kBernoulli:
-      break;
-  }
-  return std::make_unique<BernoulliPhases>(p, seed);
 }
 
 TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
@@ -664,16 +605,10 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
           std::vector<std::unique_ptr<Engine>> solo;
           for (std::uint32_t b = 0; b < kLanes; ++b) {
             const std::uint64_t seed = b + 1;
-            solo.push_back(
-                model == ExecutionModel::kSsync
-                    ? std::make_unique<Engine>(
-                          ring, make_algorithm("pef3+", seed), adversary(seed),
-                          mixed_activation(b, p, activation_seed(b)),
-                          random_placements(ring, robots, seed))
-                    : std::make_unique<Engine>(
-                          ring, make_algorithm("pef3+", seed), adversary(seed),
-                          mixed_phases(b, p, activation_seed(b)),
-                          random_placements(ring, robots, seed)));
+            solo.push_back(std::make_unique<Engine>(
+                ring, make_algorithm("pef3+", seed), adversary(seed),
+                mixed_activation(model, b, p, activation_seed(b)),
+                random_placements(ring, robots, seed)));
             solo.back()->run(horizon_of(b));
           }
           for (const std::uint32_t threads : {1u, 3u}) {
@@ -684,11 +619,8 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
               BatchReplica& replica = replicas[b];
               replica.algorithm = make_algorithm("pef3+", seed);
               replica.ssync_adversary = adversary(seed);
-              if (model == ExecutionModel::kSsync) {
-                replica.activation = mixed_activation(b, p, activation_seed(b));
-              } else {
-                replica.phases = mixed_phases(b, p, activation_seed(b));
-              }
+              replica.activation =
+                  mixed_activation(model, b, p, activation_seed(b));
               replica.placements = random_placements(ring, robots, seed);
               replica.horizon = horizon_of(b);
             }

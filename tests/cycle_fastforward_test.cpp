@@ -18,8 +18,7 @@
 #include "dynamic_graph/schedules.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/simulator.hpp"
-#include "scheduler/ssync.hpp"
+#include "engine/placements.hpp"
 
 namespace pef {
 namespace {
@@ -246,12 +245,12 @@ TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
     Engine ff(ring, make_algorithm("pef3+", 7),
               std::make_unique<SsyncObliviousAdversary>(
                   make_schedule(ring, Topo::kRing, true)),
-              std::make_unique<RoundRobinActivation>(),
+              Activation::round_robin(ExecutionModel::kSsync),
               spread_placements(ring, 3), options);
     Engine plain(ring, make_algorithm("pef3+", 7),
                  std::make_unique<SsyncObliviousAdversary>(
                      make_schedule(ring, Topo::kRing, true)),
-                 std::make_unique<RoundRobinActivation>(),
+                 Activation::round_robin(ExecutionModel::kSsync),
                  spread_placements(ring, 3), EngineOptions{});
     ff.run(horizon);
     plain.run(horizon);
@@ -285,41 +284,21 @@ TEST(CycleFastForwardTest, BernoulliScheduleRefusesEligibility) {
 // Batch engine differentials: lanes detect independently, retire through
 // ragged-horizon compaction, and must still match solo PLAIN engines.
 
-/// One deterministic activation regime of the batch differential.  FSYNC
-/// has no policy; SSYNC lanes take an activation policy and ASYNC lanes a
-/// phase scheduler (round-robin multiplies the sampling lattice by k, and
-/// ASYNC adds the phase planes and pending views to the packed state).
+/// One deterministic activation regime of the batch differential: FSYNC's
+/// default, or a full or round-robin SSYNC / ASYNC activation (round-robin
+/// multiplies the sampling lattice by k, and ASYNC adds the phase planes
+/// and pending views to the packed state).
 struct LanePolicy {
   const char* name;
-  ExecutionModel model;
-  std::unique_ptr<ActivationPolicy> (*activation)();
-  std::unique_ptr<PhaseScheduler> (*phases)();
+  Activation activation;
 };
 
 const LanePolicy kLanePolicies[] = {
-    {"fsync", ExecutionModel::kFsync, nullptr, nullptr},
-    {"ssync round-robin", ExecutionModel::kSsync,
-     [] {
-       return std::unique_ptr<ActivationPolicy>(
-           std::make_unique<RoundRobinActivation>());
-     },
-     nullptr},
-    {"ssync full", ExecutionModel::kSsync,
-     [] {
-       return std::unique_ptr<ActivationPolicy>(
-           std::make_unique<FullActivation>());
-     },
-     nullptr},
-    {"async lockstep", ExecutionModel::kAsync, nullptr,
-     [] {
-       return std::unique_ptr<PhaseScheduler>(
-           std::make_unique<LockstepPhases>());
-     }},
-    {"async round-robin", ExecutionModel::kAsync, nullptr,
-     [] {
-       return std::unique_ptr<PhaseScheduler>(
-           std::make_unique<RoundRobinPhases>());
-     }},
+    {"fsync", Activation{}},
+    {"ssync round-robin", Activation::round_robin(ExecutionModel::kSsync)},
+    {"ssync full", Activation::full(ExecutionModel::kSsync)},
+    {"async lockstep", Activation::full(ExecutionModel::kAsync)},
+    {"async round-robin", Activation::round_robin(ExecutionModel::kAsync)},
 };
 
 constexpr std::uint32_t kLaneRobots = 3;
@@ -344,21 +323,14 @@ Engine make_lane_engine(const Ring& ring, const LaneGraph& graph,
                         std::uint32_t b, const EngineOptions& options) {
   const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
   const auto placements = random_placements(ring, kLaneRobots, b + 1);
-  switch (policy.model) {
-    case ExecutionModel::kFsync:
-      break;
-    case ExecutionModel::kSsync:
-      return Engine(ring, make_algorithm(algorithm, b + 1),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    policy.activation(), placements, options);
-    case ExecutionModel::kAsync:
-      return Engine(ring, make_algorithm(algorithm, b + 1),
-                    std::make_unique<SsyncObliviousAdversary>(schedule),
-                    policy.phases(), placements, options);
+  if (policy.activation.model == ExecutionModel::kFsync) {
+    return Engine(ring, make_algorithm(algorithm, b + 1),
+                  std::make_unique<ObliviousAdversary>(schedule), placements,
+                  options);
   }
   return Engine(ring, make_algorithm(algorithm, b + 1),
-                std::make_unique<ObliviousAdversary>(schedule), placements,
-                options);
+                std::make_unique<SsyncObliviousAdversary>(schedule),
+                policy.activation, placements, options);
 }
 
 /// The same scenario as one batch replica.
@@ -371,16 +343,12 @@ BatchReplica make_lane_replica(const Ring& ring, const LaneGraph& graph,
   replica.placements = random_placements(ring, kLaneRobots, b + 1);
   replica.horizon = horizon;
   const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
-  if (policy.model == ExecutionModel::kFsync) {
+  replica.activation = policy.activation;
+  if (policy.activation.model == ExecutionModel::kFsync) {
     replica.adversary = std::make_unique<ObliviousAdversary>(schedule);
-    return replica;
-  }
-  replica.ssync_adversary =
-      std::make_unique<SsyncObliviousAdversary>(schedule);
-  if (policy.model == ExecutionModel::kSsync) {
-    replica.activation = policy.activation();
   } else {
-    replica.phases = policy.phases();
+    replica.ssync_adversary =
+        std::make_unique<SsyncObliviousAdversary>(schedule);
   }
   return replica;
 }
@@ -405,7 +373,8 @@ TEST(CycleFastForwardBatchTest, RaggedHorizonsMatchSoloPlainEngines) {
         }
         BatchEngineOptions options;
         options.fast_forward.enabled = true;
-        BatchEngine batch(ring, policy.model, std::move(replicas), options);
+        BatchEngine batch(ring, policy.activation.model, std::move(replicas),
+                          options);
         batch.run_all();
 
         for (std::uint32_t b = 0; b < graph.lanes; ++b) {

@@ -355,6 +355,24 @@ TEST(BoundedAbsenceTest, RandomAccessMatchesSequential) {
   for (Time t = 100; t-- > 0;) {
     EXPECT_EQ(rnd.edges_at(t), expected[static_cast<std::size_t>(t)]);
   }
+
+  // A forward run of 10^5 rounds, then jumps back and forth: a query
+  // before the edge's current run replays its stream from round 0.
+  constexpr Time kLong = 100000;
+  const BoundedAbsenceSchedule forward(Ring(4), 3, 5, 21);
+  const BoundedAbsenceSchedule jumper(Ring(4), 3, 5, 21);
+  std::vector<std::uint64_t> rows(kLong);
+  std::uint64_t row = 0;
+  for (Time t = 0; t < kLong; ++t) {
+    forward.edges_into_words(t, &rows[t]);
+    jumper.edges_into_words(t, &row);
+    ASSERT_EQ(row, rows[t]) << "t=" << t;
+  }
+  for (const Time t : {Time{17}, kLong - 1, Time{54321}, Time{54320},
+                       Time{0}, kLong - 2, Time{99}}) {
+    jumper.edges_into_words(t, &row);
+    EXPECT_EQ(row, rows[t]) << "t=" << t;
+  }
 }
 
 TEST(SurgeryScheduleTest, RemovesDuringIntervals) {

@@ -2,7 +2,7 @@
 // Engine (which always runs the devirtualized kernels) must reproduce the
 // reference SsyncSimulator / AsyncSimulator (which run the virtual
 // Algorithm classes) round-by-round, across every registry algorithm,
-// activation policies / phase schedulers, adversaries and seeds.  FSYNC is
+// activations (full, round-robin, Bernoulli), adversaries and seeds.  FSYNC is
 // pinned to Simulator in fast_engine_test.cpp.
 #include "engine/engine.hpp"
 
@@ -74,8 +74,7 @@ struct SsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<ActivationPolicy>(std::uint64_t)>
-      make_activation;
+  std::function<Activation(std::uint64_t)> make_activation;
 };
 
 std::vector<SsyncScenario> ssync_scenarios() {
@@ -84,15 +83,17 @@ std::vector<SsyncScenario> ssync_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<SsyncBlockingAdversary>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinActivation>(); }},
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kSsync);
+       }},
       {"bernoulli-schedule+bernoulli-activation",
        [](const Ring& ring, std::uint64_t seed) {
          return std::make_unique<SsyncObliviousAdversary>(
              std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliActivation>(0.6,
-                                                      derive_seed(seed, 0xac));
+         return Activation::bernoulli(ExecutionModel::kSsync, 0.6,
+                                      derive_seed(seed, 0xac));
        }},
       {"adaptive-greedy+full",
        [](const Ring& ring, std::uint64_t) {
@@ -100,7 +101,7 @@ std::vector<SsyncScenario> ssync_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<FullActivation>(); }},
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); }},
   };
 }
 
@@ -141,7 +142,7 @@ struct AsyncScenario {
   const char* name;
   std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
       make_adversary;
-  std::function<std::unique_ptr<PhaseScheduler>(std::uint64_t)> make_phases;
+  std::function<Activation(std::uint64_t)> make_activation;
 };
 
 std::vector<AsyncScenario> async_scenarios() {
@@ -150,15 +151,17 @@ std::vector<AsyncScenario> async_scenarios() {
        [](const Ring& ring, std::uint64_t) {
          return std::make_unique<AsyncMoveBlocker>(ring);
        },
-       [](std::uint64_t) { return std::make_unique<RoundRobinPhases>(); }},
+       [](std::uint64_t) {
+         return Activation::round_robin(ExecutionModel::kAsync);
+       }},
       {"bernoulli-schedule+bernoulli-phases",
        [](const Ring& ring, std::uint64_t seed) {
          return std::make_unique<SsyncObliviousAdversary>(
              std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
        },
        [](std::uint64_t seed) {
-         return std::make_unique<BernoulliPhases>(0.6,
-                                                  derive_seed(seed, 0xa5));
+         return Activation::bernoulli(ExecutionModel::kAsync, 0.6,
+                                      derive_seed(seed, 0xa5));
        }},
       {"adaptive-greedy+lockstep",
        [](const Ring& ring, std::uint64_t) {
@@ -166,7 +169,7 @@ std::vector<AsyncScenario> async_scenarios() {
              std::make_unique<GreedyBlockerAdversary>(ring,
                                                       /*max_absence=*/4));
        },
-       [](std::uint64_t) { return std::make_unique<LockstepPhases>(); }},
+       [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); }},
   };
 }
 
@@ -181,12 +184,12 @@ TEST(UnifiedAsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
 
         AsyncSimulator reference(ring, make_algorithm(algorithm, seed),
                                  scenario.make_adversary(ring, seed),
-                                 scenario.make_phases(seed), placements);
+                                 scenario.make_activation(seed), placements);
         EngineOptions options;
         options.record_trace = true;
         Engine engine(ring, make_algorithm(algorithm, seed),
                       scenario.make_adversary(ring, seed),
-                      scenario.make_phases(seed), placements, options);
+                      scenario.make_activation(seed), placements, options);
         EXPECT_EQ(engine.model(), ExecutionModel::kAsync);
         engine.run(kRounds);
         reference.run(kRounds);
@@ -212,7 +215,7 @@ TEST(UnifiedEngineTest, SsyncStatsAccumulateWithoutTrace) {
   const Ring ring(6);
   Engine engine(ring, make_algorithm("pef3+"),
                 std::make_unique<SsyncBlockingAdversary>(ring),
-                std::make_unique<RoundRobinActivation>(),
+                Activation::round_robin(ExecutionModel::kSsync),
                 spread_placements(ring, 3));
   EXPECT_FALSE(engine.recording_trace());
   engine.run(600);
@@ -226,7 +229,7 @@ TEST(UnifiedEngineTest, AsyncStatsAccumulateWithoutTrace) {
   const Ring ring(6);
   Engine engine(ring, make_algorithm("pef3+"),
                 std::make_unique<AsyncMoveBlocker>(ring),
-                std::make_unique<RoundRobinPhases>(),
+                Activation::round_robin(ExecutionModel::kAsync),
                 spread_placements(ring, 3));
   engine.run(900);
   EXPECT_EQ(engine.stats().total_moves, 0u);

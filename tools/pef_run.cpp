@@ -37,7 +37,7 @@
 #include "dynamic_graph/properties.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/engine.hpp"
-#include "scheduler/simulator.hpp"  // the placement helpers
+#include "engine/placements.hpp"
 
 namespace pef {
 namespace {
