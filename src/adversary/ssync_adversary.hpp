@@ -48,6 +48,13 @@ class SsyncAdversary {
   [[nodiscard]] virtual const EdgeSchedule* oblivious_schedule() const {
     return nullptr;
   }
+  /// Non-null iff this adversary adapts an FSYNC Adversary that ignores
+  /// the activation mask: the wrapped adversary.  BatchEngine reaches a
+  /// wrapped greedy blocker through it, as it reaches a wrapped schedule
+  /// through oblivious_schedule().  Conservative default: nullptr.
+  [[nodiscard]] virtual const Adversary* fsync_adversary() const {
+    return nullptr;
+  }
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -115,6 +122,9 @@ class SsyncFromFsyncAdversary final : public SsyncAdversary {
   }
   [[nodiscard]] const EdgeSchedule* oblivious_schedule() const override {
     return schedule_;
+  }
+  [[nodiscard]] const Adversary* fsync_adversary() const override {
+    return inner_.get();
   }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 

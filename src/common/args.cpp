@@ -61,24 +61,25 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
-bool ArgParser::has(const std::string& key) {
+ArgParser::Entry* ArgParser::find(const std::string& key) {
+  Entry* found = nullptr;
   for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.used = true;
-      return true;
+    if (e.key != key) continue;
+    if (found != nullptr) {
+      std::fprintf(stderr, "flag %s given more than once\n", key.c_str());
+      std::exit(2);
     }
+    found = &e;
   }
-  return false;
+  if (found != nullptr) found->used = true;
+  return found;
 }
 
+bool ArgParser::has(const std::string& key) { return find(key) != nullptr; }
+
 std::optional<std::string> ArgParser::raw(const std::string& key) {
-  for (Entry& e : entries_) {
-    if (e.key == key) {
-      e.used = true;
-      return e.value;
-    }
-  }
-  return std::nullopt;
+  const Entry* const e = find(key);
+  return e != nullptr ? e->value : std::nullopt;
 }
 
 std::string ArgParser::get_string(const std::string& key,

@@ -44,13 +44,17 @@ class ArgParser {
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
-  [[nodiscard]] std::optional<std::string> raw(const std::string& key);
-
   struct Entry {
     std::string key;
     std::optional<std::string> value;
     bool used = false;
   };
+
+  /// The entry of flag `key`, marked used, or nullptr when it is absent.
+  /// A flag given more than once exits 2 naming it.
+  [[nodiscard]] Entry* find(const std::string& key);
+  [[nodiscard]] std::optional<std::string> raw(const std::string& key);
+
   std::string program_;
   std::vector<Entry> entries_;
 };

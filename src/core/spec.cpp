@@ -490,7 +490,15 @@ std::optional<std::string> validate_adversary(const AdversaryConfig& config) {
     }
     case AdversaryKind::kMarkov: {
       if (auto err = check_probability(config, "p_fail")) return err;
-      return check_probability(config, "p_recover");
+      // An absent edge that never recovers is not recurrent, and
+      // MarkovSchedule refuses it.
+      const double recover = config.param("p_recover");
+      if (!(recover > 0.0 && recover <= 1.0)) {
+        return adversary_prefix(config) +
+               "param \"p_recover\" must be in (0, 1] (got " +
+               format_value(recover) + ")";
+      }
+      return std::nullopt;
     }
     case AdversaryKind::kGreedyBlocker:
       return check_positive_int(config, "max_absence", kMaxTimeParam);

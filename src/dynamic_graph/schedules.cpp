@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/isa.hpp"
 #include "common/table.hpp"
+#include "dynamic_graph/bernoulli_draw.hpp"
 
 namespace pef {
 
@@ -49,6 +50,8 @@ void RecordedSchedule::edges_into_words(Time t, std::uint64_t* words) const {
 //     SplitMix64 output of its seed (xoshiro256_first_output);
 //   * next_bool(p) is an integer compare of the output's top 53 bits
 //     against bernoulli_threshold(p).
+// The draw itself is bernoulli_present (bernoulli_draw.hpp), which
+// BatchEngine also calls for the edges beside its lanes' robots.
 
 namespace {
 
@@ -59,27 +62,14 @@ void bernoulli_words_portable(const std::uint64_t* keys, std::uint32_t n,
     const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
     std::uint64_t word = 0;
     for (std::uint32_t b = 0; b < bits; ++b) {
-      const std::uint64_t out =
-          xoshiro256_first_output(derive_seed_from_key(keys[base + b], t));
-      word |= std::uint64_t{(out >> 11) < threshold} << b;
+      word |= std::uint64_t{bernoulli_present(keys[base + b], t, threshold)}
+              << b;
     }
     words[base >> 6] = word;
   }
 }
 
 #ifdef PEF_HAS_ISA_WRAPPERS
-// splitmix64_finalize on 8 lanes.
-__attribute__((target(PEF_AVX512_TARGET))) [[gnu::always_inline]] inline
-__m512i splitmix64_finalize_x8(__m512i z) {
-  z = _mm512_mullo_epi64(
-      _mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
-      _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
-  z = _mm512_mullo_epi64(
-      _mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
-      _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
-  return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
-}
-
 // bernoulli_words_portable, 8 edges per step.  Reads whole 8-key chunks
 // (keys are padded) and masks the bits past n off the last word.
 __attribute__((target(PEF_AVX512_TARGET))) void bernoulli_words_avx512(
@@ -87,25 +77,13 @@ __attribute__((target(PEF_AVX512_TARGET))) void bernoulli_words_avx512(
     std::uint64_t threshold, std::uint64_t* words) {
   const __m512i tb =
       _mm512_set1_epi64(static_cast<long long>(t * kDeriveSeedB));
-  const __m512i gamma =
-      _mm512_set1_epi64(static_cast<long long>(kSplitMix64Gamma));
-  const __m512i gamma2 =
-      _mm512_set1_epi64(static_cast<long long>(2 * kSplitMix64Gamma));
   const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
   for (std::uint32_t base = 0; base < n; base += 64) {
     const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
     std::uint64_t word = 0;
     for (std::uint32_t j = 0; j < bits; j += 8) {
-      const __m512i key = _mm512_loadu_si512(keys + base + j);
-      const __m512i seed = splitmix64_finalize_x8(
-          _mm512_add_epi64(_mm512_xor_si512(key, tb), gamma));
-      const __m512i s1 = splitmix64_finalize_x8(_mm512_add_epi64(seed, gamma2));
-      // rotl(s1 * 5, 7) * 9, the multiplies as shift-and-add.
-      const __m512i x = _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2));
-      const __m512i r = _mm512_rol_epi64(x, 7);
-      const __m512i out = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
-      const __mmask8 hit =
-          _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), limit);
+      const __mmask8 hit = bernoulli_present_x8(
+          _mm512_loadu_si512(keys + base + j), tb, limit);
       word |= std::uint64_t{_cvtmask8_u32(hit)} << j;
     }
     words[base >> 6] =

@@ -6,9 +6,12 @@
 #include <type_traits>
 #include <utility>
 
+#include "adversary/greedy_blocker.hpp"
 #include "algorithms/kernels.hpp"
 #include "common/check.hpp"
 #include "common/isa.hpp"
+#include "dynamic_graph/bernoulli_draw.hpp"
+#include "dynamic_graph/schedules.hpp"
 
 namespace pef {
 namespace {
@@ -1099,6 +1102,129 @@ bernoulli_masks_x8_avx512(Xoshiro256* rng, const std::uint64_t* threshold,
 }
 #endif
 
+/// What the Bernoulli neighbourhood draw reads and writes.  Lane l is drawn
+/// iff source[l] == bernoulli; keys[l] and threshold[l] are its schedule's
+/// key table and threshold, and absent[l] receives its row's pass class:
+/// `dense` if an edge beside a robot is absent, else 0.  Edge rows are
+/// `ewpr` words apart from `edges`; node rows `stride` lanes apart.
+struct BernoulliRows {
+  const NodeId* node = nullptr;
+  std::uint32_t stride = 0;
+  std::uint32_t k = 0;
+  std::uint32_t n = 0;
+  const std::uint8_t* source = nullptr;
+  std::uint8_t bernoulli = 0;
+  const std::uint64_t* const* keys = nullptr;
+  const std::uint64_t* threshold = nullptr;
+  std::uint64_t* edges = nullptr;
+  std::uint32_t ewpr = 0;
+  std::uint8_t* absent = nullptr;
+  std::uint8_t dense = 0;
+};
+
+/// The neighbourhood draw one lane at a time (the portable and AVX2
+/// tiers): every edge present, then each robot's two edges drawn and the
+/// absent ones cleared.
+void bernoulli_rows_scalar(const BernoulliRows& a, std::uint32_t l0,
+                           std::uint32_t l1, Time t) {
+  for (std::uint32_t l = l0; l < l1; ++l) {
+    if (a.source[l] != a.bernoulli) continue;
+    const std::uint64_t* const keys = a.keys[l];
+    const std::uint64_t threshold = a.threshold[l];
+    std::uint64_t* const row = a.edges + std::size_t{l} * a.ewpr;
+    fill_edge_words(row, a.n);
+    bool any = false;
+    for (std::uint32_t i = 0; i < a.k; ++i) {
+      const NodeId u = a.node[std::size_t{i} * a.stride + l];
+      for (const EdgeId e : {u, u == 0 ? a.n - 1 : u - 1}) {
+        const bool gone = !bernoulli_present(keys[e], t, threshold);
+        row[e >> 6] &= ~(std::uint64_t{gone} << (e & 63));
+        any = any || gone;
+      }
+    }
+    a.absent[l] = any ? a.dense : 0;
+  }
+}
+
+#ifdef PEF_HAS_ISA_WRAPPERS
+// The neighbourhood draw, 8 lanes per step: one zmm holds one (robot,
+// side) pair of lanes [l, l + 8).  The 8 keys are gathered from the 8
+// lanes' key tables and drawn by bernoulli_present_x8 against the lanes'
+// thresholds; the absent draws clear their bits by gathering the 8 lanes'
+// row words, and-not, and scattering them back.  The lanes of one vector
+// are distinct rows, so a scatter never collides with itself, and robot
+// i + 1's gather sees robot i's scatter.  One-word rows (n <= 64) are 8
+// consecutive words, so they stay in one register through the chunk and
+// are stored once.  Lanes that are not Bernoulli are masked out.
+__attribute__((target(PEF_AVX512_TARGET))) void bernoulli_rows_avx512(
+    const BernoulliRows& a, std::uint32_t l0, std::uint32_t l1, Time t) {
+  const auto ewpr = static_cast<long long>(a.ewpr);
+  const __m512i lane_rows =
+      _mm512_set_epi64(7 * ewpr, 6 * ewpr, 5 * ewpr, 4 * ewpr, 3 * ewpr,
+                       2 * ewpr, ewpr, 0);
+  const __m512i tb =
+      _mm512_set1_epi64(static_cast<long long>(t * kDeriveSeedB));
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i low6 = _mm512_set1_epi64(63);
+  const __m512i last = _mm512_set1_epi64(a.n - 1);
+  const std::uint32_t tail_bits = a.n - (a.ewpr - 1) * 64;
+  const __m512i tail = _mm512_set1_epi64(static_cast<long long>(
+      tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1));
+  const __m128i bernoulli = _mm_set1_epi8(static_cast<char>(a.bernoulli));
+  for (std::uint32_t l = l0; l < l1; l += 8) {
+    const auto live = static_cast<__mmask16>(
+        l1 - l >= 8 ? 0xffu : (1u << (l1 - l)) - 1u);
+    const auto drawn = static_cast<__mmask8>(_mm_mask_cmpeq_epi8_mask(
+        live, _mm_maskz_loadu_epi8(live, a.source + l), bernoulli));
+    if (drawn == 0) continue;
+    const __m512i rows = _mm512_add_epi64(
+        lane_rows, _mm512_set1_epi64(static_cast<long long>(l) * ewpr));
+    // Every edge present: one-word rows in the register, wider ones in
+    // place.
+    __m512i one_word = tail;
+    if (a.ewpr > 1) {
+      for (std::uint32_t w = 0; w < a.ewpr; ++w) {
+        _mm512_mask_i64scatter_epi64(
+            a.edges, drawn, _mm512_add_epi64(rows, _mm512_set1_epi64(w)),
+            w + 1 == a.ewpr ? tail : _mm512_set1_epi64(-1), 8);
+      }
+    }
+    const __m512i keys = _mm512_maskz_loadu_epi64(drawn, a.keys + l);
+    const __m512i limit = _mm512_maskz_loadu_epi64(drawn, a.threshold + l);
+    __mmask8 any = 0;
+    for (std::uint32_t i = 0; i < a.k; ++i) {
+      const __m512i cw = _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(
+          drawn, a.node + std::size_t{i} * a.stride + l));
+      const __m512i ccw = _mm512_mask_blend_epi64(
+          _mm512_cmpeq_epi64_mask(cw, zero), _mm512_sub_epi64(cw, one), last);
+      for (const __m512i e : {cw, ccw}) {
+        const __m512i key = _mm512_mask_i64gather_epi64(
+            zero, drawn, _mm512_add_epi64(keys, _mm512_slli_epi64(e, 3)),
+            nullptr, 1);
+        const __mmask8 gone = static_cast<__mmask8>(
+            drawn & ~bernoulli_present_x8(key, tb, limit));
+        any = static_cast<__mmask8>(any | gone);
+        const __m512i bit =
+            _mm512_sllv_epi64(one, _mm512_and_si512(e, low6));
+        if (a.ewpr == 1) {
+          one_word = _mm512_mask_andnot_epi64(one_word, gone, bit, one_word);
+          continue;
+        }
+        const __m512i at = _mm512_add_epi64(rows, _mm512_srli_epi64(e, 6));
+        const __m512i word =
+            _mm512_mask_i64gather_epi64(zero, gone, at, a.edges, 8);
+        _mm512_mask_i64scatter_epi64(a.edges, gone, at,
+                                     _mm512_andnot_si512(bit, word), 8);
+      }
+    }
+    if (a.ewpr == 1) _mm512_mask_storeu_epi64(a.edges + l, drawn, one_word);
+    _mm_mask_storeu_epi8(a.absent + l, drawn,
+                         _mm_maskz_set1_epi8(any, static_cast<char>(a.dense)));
+  }
+}
+#endif
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1250,7 +1376,10 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
 
   edge_words_per_row_ = edge_word_count(edge_count_);
   edge_plane_.assign(std::size_t{batch_} * edge_words_per_row_, 0);
+  edge_source_.assign(batch_, static_cast<std::uint8_t>(EdgeSource::kMirror));
   edges_.resize(batch_);
+  bernoulli_keys_.assign(batch_, nullptr);
+  bernoulli_threshold_.assign(batch_, 0);
   refill_at_.assign(batch_, 0);
   absent_.assign(batch_, 0);
   absent_ends_.assign(std::size_t{kAbsentEnds} * batch_, nodes_);
@@ -1297,8 +1426,10 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   // Monte-Carlo case) the per-round edge prologue has nothing to do.
   edge_refill_needed_ = false;
   for (std::uint32_t l = 0; l < batch_; ++l) {
-    edge_refill_needed_ = edge_refill_needed_ || schedules_[l] == nullptr ||
-                          refill_at_[l] != kTimeInfinity;
+    edge_refill_needed_ =
+        edge_refill_needed_ ||
+        edge_source_[l] != static_cast<std::uint8_t>(EdgeSource::kSchedule) ||
+        refill_at_[l] != kTimeInfinity;
   }
 
   init_cycles();
@@ -1320,7 +1451,7 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
 }
 
 // Inline: it runs once per lane per refilled round, every round for
-// Bernoulli and adaptive rows.
+// greedy-blocker and mirror-path rows.
 [[gnu::always_inline]] inline void BatchEngine::note_absent(
     std::uint32_t lane) {
   // Count first (a popcount per word), so a dense row — which no split
@@ -1342,7 +1473,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   absent_[lane] = static_cast<std::uint8_t>(count);
   // Only the split passes read the endpoints, and SSYNC and ASYNC split no
   // range narrower than kSplitMinLanes: a narrower batch, which refills
-  // its Bernoulli and greedy-blocker rows every round, skips the listing.
+  // its greedy-blocker and mirror-path rows every round, skips the
+  // listing.
   if (model_ != ExecutionModel::kFsync && batch_ < kSplitMinLanes) return;
   // Edge e joins nodes e and e + 1 mod n, so those two are the only robot
   // positions whose view an absent e changes.  Unused slots hold n, a node
@@ -1412,16 +1544,21 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
             kcounter_[at], khas_moved_[at]});
   }
 
-  // Route the lane's edge sets: schedule-backed lanes fill their plane row
-  // in place (E_0 here, then at each next_change; a time-invariant schedule
-  // never again); everything else keeps a per-lane EdgeSet scratch and a
-  // gamma mirror for the virtual adversary.
+  // Route the lane's edge rows (EdgeSource): schedule-backed lanes fill
+  // their plane row in place (E_0 here, then at each next_change; a
+  // time-invariant schedule never again); Bernoulli and greedy-blocker
+  // lanes start full and are filled every round from t = 0; everything
+  // else keeps a per-lane EdgeSet scratch and a gamma mirror for the
+  // virtual adversary.
+  const Adversary* fsync_adversary = nullptr;
   if (model_ == ExecutionModel::kFsync) {
-    if (const auto* oblivious = dynamic_cast<const ObliviousAdversary*>(
-            adversaries_[lane].get())) {
+    fsync_adversary = adversaries_[lane].get();
+    if (const auto* oblivious =
+            dynamic_cast<const ObliviousAdversary*>(fsync_adversary)) {
       schedules_[lane] = oblivious->schedule().get();
     }
   } else {
+    fsync_adversary = ssync_advs_[lane]->fsync_adversary();
     schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
     // The lane's activation as planes: a Bernoulli lane's RNG slot starts
     // as a copy of the activation's (untouched) generator, so the batched
@@ -1432,14 +1569,43 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     act_rng_[lane] = activation.rng;
   }
 
-  if (schedules_[lane] != nullptr) {
+  // A crowded batch (2k >= n) would draw at least a whole row's worth of
+  // edges beside its robots, so its Bernoulli lanes fill the whole row
+  // like any schedule (n = 16, k = 12: the neighbourhood draw measured 11%
+  // slower).
+  const auto* bernoulli =
+      2 * robots_ < edge_count_
+          ? dynamic_cast<const BernoulliSchedule*>(schedules_[lane])
+          : nullptr;
+  const auto* blocker =
+      dynamic_cast<const GreedyBlockerAdversary*>(fsync_adversary);
+  EdgeSource source = EdgeSource::kMirror;
+  if (bernoulli != nullptr) {
+    source = EdgeSource::kBernoulli;
+    bernoulli_lanes_ = true;
+    bernoulli_keys_[lane] = bernoulli->keys();
+    bernoulli_threshold_[lane] = bernoulli->threshold();
+    fill_edge_words(edge_row(lane), edge_count_);
+  } else if (schedules_[lane] != nullptr) {
+    source = EdgeSource::kSchedule;
     schedules_[lane]->edges_into_words(0, edge_row(lane));
     refill_at_[lane] = schedules_[lane]->next_change(0);
     note_absent(lane);
+  } else if (blocker != nullptr) {
+    source = EdgeSource::kBlocker;
+    if (block_run_.empty()) {
+      block_max_.assign(batch_, 0);
+      block_run_.assign(std::size_t{batch_} * edge_count_, 0);
+      block_absent_.assign(std::size_t{batch_} * 2 * robots_, 0);
+      block_count_.assign(std::size_t{batch_} * 2, 0);
+    }
+    block_max_[lane] = blocker->max_absence();
+    fill_edge_words(edge_row(lane), edge_count_);
   } else {
     edges_[lane] = EdgeSet(edge_count_);
     mirrors_[lane] = std::make_unique<Configuration>(snapshot_lane(lane));
   }
+  edge_source_[lane] = static_cast<std::uint8_t>(source);
 }
 
 template <typename Fn>
@@ -1668,21 +1834,33 @@ void BatchEngine::run_all() {
 
 void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
   // E_t per lane of [l0, l1), written into the lane's edge-plane row.
-  // Oblivious lanes refill the row in place once they reach the round
-  // their schedule's next_change named (time-invariant ones never); adaptive
-  // lanes see their gamma mirror (and, off-FSYNC, their own lane's mask
-  // column), fill the lane's scratch set in place and copy its words over.
-  // The byte-mask scratch is local: a member would be shared across worker
-  // slices.
+  // Bernoulli lanes draw the edges beside their robots, all lanes of the
+  // range at once.  Oblivious lanes refill the row in place once they
+  // reach the round their schedule's next_change named (time-invariant
+  // ones never); greedy-blocker lanes apply the rule to the planes;
+  // mirror-path lanes see their gamma mirror (and, off-FSYNC, their own
+  // lane's mask column), fill the lane's scratch set in place and copy its
+  // words over.  The byte-mask scratch is local: a member would be shared
+  // across worker slices.
+  if (bernoulli_lanes_) draw_bernoulli_rows(l0, l1, t);
   ActivationMask virt_mask;
   for (std::uint32_t l = l0; l < l1; ++l) {
-    if (schedules_[l] != nullptr) {
-      if (t >= refill_at_[l]) {
-        schedules_[l]->edges_into_words(t, edge_row(l));
-        refill_at_[l] = schedules_[l]->next_change(t);
+    switch (static_cast<EdgeSource>(edge_source_[l])) {
+      case EdgeSource::kBernoulli:
+        continue;
+      case EdgeSource::kSchedule:
+        if (t >= refill_at_[l]) {
+          schedules_[l]->edges_into_words(t, edge_row(l));
+          refill_at_[l] = schedules_[l]->next_change(t);
+          note_absent(l);
+        }
+        continue;
+      case EdgeSource::kBlocker:
+        block_row(l, t);
         note_absent(l);
-      }
-      continue;
+        continue;
+      case EdgeSource::kMirror:
+        break;
     }
     switch (model_) {
       case ExecutionModel::kFsync:
@@ -1704,6 +1882,59 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
     std::copy_n(edges_[l].words(), edge_words_per_row_, edge_row(l));
     note_absent(l);
   }
+}
+
+void BatchEngine::draw_bernoulli_rows(std::uint32_t l0, std::uint32_t l1,
+                                      Time t) {
+  BernoulliRows rows;
+  rows.node = node_.data();
+  rows.stride = batch_;
+  rows.k = robots_;
+  rows.n = edge_count_;
+  rows.source = edge_source_.data();
+  rows.bernoulli = static_cast<std::uint8_t>(EdgeSource::kBernoulli);
+  rows.keys = bernoulli_keys_.data();
+  rows.threshold = bernoulli_threshold_.data();
+  rows.edges = edge_plane_.data();
+  rows.ewpr = edge_words_per_row_;
+  rows.absent = absent_.data();
+  rows.dense = kSparseAbsent + 1;
+#ifdef PEF_HAS_ISA_WRAPPERS
+  if (active_isa() == IsaTier::kAvx512) {
+    bernoulli_rows_avx512(rows, l0, l1, t);
+    return;
+  }
+#endif
+  bernoulli_rows_scalar(rows, l0, l1, t);
+}
+
+void BatchEngine::block_row(std::uint32_t lane, Time t) {
+  // The row still holds last round's E_t: put back its removals, then
+  // apply the rule.  Both lists are the lane's own, so worker slices share
+  // no scratch.
+  const std::uint32_t k = robots_;
+  const std::uint32_t now = t & 1;
+  const std::uint32_t before = now ^ 1;
+  EdgeId* const lists = block_absent_.data() + std::size_t{lane} * 2 * k;
+  const EdgeId* const previous = lists + std::size_t{before} * k;
+  const std::uint32_t previous_count = block_count_[2 * lane + before];
+  std::uint64_t* const row = edge_row(lane);
+  for (std::uint32_t j = 0; j < previous_count; ++j) {
+    row[previous[j] >> 6] |= std::uint64_t{1} << (previous[j] & 63);
+  }
+  EdgeId* const removed = lists + std::size_t{now} * k;
+  std::uint32_t count = 0;
+  greedy_block(
+      k,
+      [&](std::uint32_t i) {
+        const std::size_t at = std::size_t{i} * batch_ + lane;
+        return adjacent_edges(node_[at], dir_[at] == right_cw_[at], nodes_)
+            .first;
+      },
+      block_max_[lane], row,
+      block_run_.data() + std::size_t{lane} * edge_count_, previous,
+      previous_count, [&](EdgeId e) { removed[count++] = e; });
+  block_count_[2 * lane + now] = count;
 }
 
 std::uint8_t BatchEngine::max_absent(std::uint32_t l0,
@@ -2180,6 +2411,21 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   for (std::uint32_t j = 0; j < kAbsentEnds; ++j) {
     swap(absent_ends_[std::size_t{j} * batch_ + a],
          absent_ends_[std::size_t{j} * batch_ + b]);
+  }
+  swap(edge_source_[a], edge_source_[b]);
+  swap(bernoulli_keys_[a], bernoulli_keys_[b]);
+  swap(bernoulli_threshold_[a], bernoulli_threshold_[b]);
+  if (!block_run_.empty()) {
+    swap(block_max_[a], block_max_[b]);
+    std::swap_ranges(block_run_.begin() + std::size_t{a} * edge_count_,
+                     block_run_.begin() + std::size_t{a + 1} * edge_count_,
+                     block_run_.begin() + std::size_t{b} * edge_count_);
+    const std::size_t lists = 2 * std::size_t{robots_};
+    std::swap_ranges(block_absent_.begin() + a * lists,
+                     block_absent_.begin() + (a + 1) * lists,
+                     block_absent_.begin() + b * lists);
+    swap(block_count_[2 * a], block_count_[2 * b]);
+    swap(block_count_[2 * a + 1], block_count_[2 * b + 1]);
   }
 
   swap(algorithms_[a], algorithms_[b]);

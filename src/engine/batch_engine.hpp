@@ -46,16 +46,30 @@
 // too — SSYNC and ASYNC are first-class citizens of the planes, not a
 // scalar per-replica preamble:
 //
-//   * edge words live in ONE contiguous plane, one row per replica.
-//     Replicas whose adversary is per-replica-independent (an oblivious
-//     schedule — every `batchable` registry kind) fill their row in place
-//     via EdgeSchedule::edges_into_words, with no EdgeSet and no
-//     Configuration mirror, and only at the rounds the schedule's
-//     next_change names (a time-invariant schedule fills once, at
-//     construction; t-interval once per interval).  One scan of each
-//     refilled row counts its absent edges and, for at most
-//     kSparseAbsent of them, lists their endpoint nodes (for the split
-//     passes below; an SSYNC or ASYNC batch too narrow for them skips it).
+//   * edge words live in ONE contiguous plane, one row per replica.  A
+//     Look sees only the two edges beside its robot, so a row need only
+//     hold E_t on the edges beside the lane's robots; every pass tests
+//     edges at robot nodes only.  Replicas whose adversary is
+//     per-replica-independent (an oblivious schedule — every `batchable`
+//     registry kind) fill their row in place via
+//     EdgeSchedule::edges_into_words, with no EdgeSet and no Configuration
+//     mirror, and only at the rounds the schedule's next_change names (a
+//     time-invariant schedule fills once, at construction; t-interval once
+//     per interval).  A Bernoulli lane draws only the edges beside its
+//     robots, every round, and reads "present" everywhere else: on the
+//     AVX-512 tier one zmm draws one (robot, side) pair of 8 lanes, keys
+//     gathered from each lane's key table, absent bits cleared by a
+//     gather / and-not / scatter of the 8 rows' words (one-word rows stay
+//     in a register).  A crowded batch (2k >= n) fills its Bernoulli rows
+//     whole instead, like any schedule.  A greedy-blocker
+//     lane computes its row straight from the node and direction planes,
+//     through the adversary's own rule (greedy_block), with its absence
+//     runs in a lane plane.  One scan of each refilled schedule or blocker
+//     row counts its absent edges and, for at most kSparseAbsent of them,
+//     lists their endpoint nodes (for the split passes below; an SSYNC or
+//     ASYNC batch too narrow for them skips it).  A Bernoulli row with any
+//     absent edge counts as dense: each of its absent edges touches a
+//     robot, so a split pass could skip nothing.
 //   * the pass body is chosen per lane range by its densest row.  A range
 //     whose rows are all full runs FSYNC's AllFull instantiation with no
 //     edge tests at all.  A range whose rows miss at most kSparseAbsent
@@ -88,8 +102,10 @@
 //     passes then iterate mask words (ctz over set bits) instead of
 //     testing every (robot, replica) byte.
 //   * Configuration mirrors are materialized LAZILY: only replicas whose
-//     adversary actually sees gamma (adaptive lower-bound families) carry
-//     one; everything else skips the per-round mirror refresh entirely.
+//     adversary sees gamma through the virtual call (adaptive-missing, the
+//     cage and proof adversaries, the SSYNC / ASYNC blockers) carry one;
+//     schedule, Bernoulli and greedy-blocker lanes skip the per-round
+//     mirror refresh entirely.
 //   * replicas that reach their horizon are compacted out (their lane is
 //     swapped with the last live lane), so the inner loops always run over
 //     a dense prefix of live replicas and a ragged batch never idles.
@@ -287,11 +303,23 @@ class BatchEngine {
   /// pointers and run on the active ISA tier.
   template <typename Pass>
   void run_pass(std::uint32_t l0, std::uint32_t l1);
-  /// E_t for lanes [l0, l1) at time t: schedule-backed lanes refill their
-  /// edge row in place once t reaches refill_at_, mirror-path lanes go
-  /// through the virtual adversary every round (reading only their own
-  /// lane's mask columns / gamma mirror).  Every refilled row is noted.
+  /// E_t for lanes [l0, l1) at time t, by each lane's EdgeSource:
+  /// schedule-backed lanes refill their edge row in place once t reaches
+  /// refill_at_, Bernoulli lanes draw the edges beside their robots
+  /// (draw_bernoulli_rows), greedy-blocker lanes apply the rule to the
+  /// planes (block_row), and mirror-path lanes go through the virtual
+  /// adversary every round (reading only their own lane's mask columns /
+  /// gamma mirror).  Every refilled row is noted.
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// The Bernoulli lanes of [l0, l1) at round t: each row reset to every
+  /// edge present, then the draws of the two edges beside each robot, and
+  /// absent_ full or dense.  8 lanes per zmm on the AVX-512 tier, one lane
+  /// at a time below it.
+  void draw_bernoulli_rows(std::uint32_t l0, std::uint32_t l1, Time t);
+  /// Greedy-blocker lane `lane` at round t: restore last round's removals,
+  /// then greedy_block over the lane's robots, its absence-run row and its
+  /// removal lists.
+  void block_row(std::uint32_t lane, Time t);
   /// One scan of `lane`'s edge row: its absent count (capped at
   /// kSparseAbsent + 1, "dense") and, for a sparse row of a batch that can
   /// split, both endpoints of each absent edge in the lane's column of
@@ -401,6 +429,15 @@ class BatchEngine {
   std::vector<std::unique_ptr<Configuration>> mirrors_;
   std::vector<Time> horizons_;
 
+  /// Where a lane's edge row comes from (edge_source_, one byte per lane).
+  enum class EdgeSource : std::uint8_t {
+    kSchedule,   // schedules_ refills the row at its next_change
+    kBernoulli,  // the edges beside the robots, drawn every round
+    kBlocker,    // greedy_block over the planes, every round
+    kMirror,     // the virtual adversary on the gamma mirror
+  };
+  std::vector<std::uint8_t> edge_source_;
+
   // Intra-cell threading (options_.threads resolved against HwTopology at
   // construction): the team exists only when threads_ > 1 AND the batch is
   // wide enough to slice (>= 2 blocks of 64 lanes).
@@ -448,20 +485,40 @@ class BatchEngine {
   /// write disjoint entries.
   std::vector<std::uint32_t> fresh_visits_;
 
-  // The edge-word plane: E_t of lane l is the row of edge_words_per_row_
-  // words at l * edge_words_per_row_ (EdgeSet::words() bit layout).
-  // Schedule-backed lanes are filled in place by edges_into_words;
-  // mirror-path lanes fill their per-lane EdgeSet scratch (edges_) through
-  // the virtual adversary and copy the words over (a few words per round,
-  // dwarfed by the adversary itself).
+  // The edge-word plane: lane l's row of edge_words_per_row_ words at
+  // l * edge_words_per_row_ (EdgeSet::words() bit layout) holds E_t on
+  // every edge beside one of the lane's robots; a Bernoulli row reads
+  // "present" everywhere else, the other rows hold all of E_t.
+  // Schedule-backed lanes are filled in place by edges_into_words,
+  // Bernoulli and greedy-blocker lanes by the batch itself; mirror-path
+  // lanes fill their per-lane EdgeSet scratch (edges_) through the virtual
+  // adversary and copy the words over (a few words per round, dwarfed by
+  // the adversary itself).
   std::uint32_t edge_words_per_row_ = 0;
   PlaneVector<std::uint64_t> edge_plane_;
   std::vector<EdgeSet> edges_;            // mirror-path scratch only
+  /// Some lane draws Bernoulli rows (monotone under retirement).
+  bool bernoulli_lanes_ = false;
+  /// Bernoulli lanes: the schedule's key table and draw threshold
+  /// (BernoulliSchedule::keys() / threshold()).
+  std::vector<const std::uint64_t*> bernoulli_keys_;
+  std::vector<std::uint64_t> bernoulli_threshold_;
+  /// Greedy-blocker lanes, allocated when some lane is one: the blocker's
+  /// max_absence, each edge's absence run (a lane-major row of edge_count_
+  /// per lane; u32 suffices because no run outlasts a batch horizon), and
+  /// two lists of robots_ slots per lane holding the edges removed at the
+  /// last two rounds (the list of round t is the one at t & 1), with their
+  /// counts at 2 * lane + (t & 1).
+  std::vector<Time> block_max_;
+  PlaneVector<std::uint32_t> block_run_;
+  std::vector<EdgeId> block_absent_;
+  std::vector<std::uint32_t> block_count_;
   /// Schedule-backed lanes: the round their row is next refilled (the
   /// schedule's next_change of the last fill; kTimeInfinity = never).
   std::vector<Time> refill_at_;
   /// Absent edges of each lane's row, 0..kSparseAbsent, or
-  /// kSparseAbsent + 1 for a dense row (any model).
+  /// kSparseAbsent + 1 for a dense row (any model).  A Bernoulli row is 0
+  /// or dense.
   std::vector<std::uint8_t> absent_;
   /// The endpoint nodes of a sparse row's absent edges: 2 * kSparseAbsent
   /// slot-major planes of batch_ nodes (slot j of lane l at j * batch_ + l),
@@ -511,9 +568,9 @@ class BatchEngine {
   PlaneVector<std::uint8_t> pending_mult_;
 
   /// False once every live lane's edge row is filled for good (all
-  /// schedule-backed, all with next_change(0) == kTimeInfinity): the
-  /// per-round edge prologue is skipped entirely.  Monotone under lane
-  /// retirement.
+  /// schedule-backed, none Bernoulli, all with next_change(0) ==
+  /// kTimeInfinity): the per-round edge prologue is skipped entirely.
+  /// Monotone under lane retirement.
   bool edge_refill_needed_ = true;
 
   // Multiplicity scratch.  The compare path accumulates per-robot node

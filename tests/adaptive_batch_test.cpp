@@ -130,8 +130,10 @@ struct WideScenario {
 /// with no robot touched), t-interval and eventual-missing (at most one
 /// absent edge per row) and a chain under t-interval (at most two: the
 /// split passes, with crowded words at k = n/2), Bernoulli (dense rows:
-/// the generic FSYNC body and the per-bit SSYNC and ASYNC passes) and the
-/// adaptive greedy-blocker (mirror path).
+/// the generic FSYNC body and the per-bit SSYNC and ASYNC passes; drawn
+/// beside the robots in multi-word rows at n = 2048, the whole row in the
+/// crowded batch) and the adaptive greedy-blocker (rows computed from the
+/// planes).
 std::vector<WideScenario> wide_scenarios(bool adaptive) {
   std::vector<WideScenario> scenarios = {
       {"static", adversary_config(AdversaryKind::kStatic)},

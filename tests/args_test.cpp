@@ -105,6 +105,29 @@ TEST(ArgsDeathTest, CheckUnusedExitsOnTypos) {
       ::testing::ExitedWithCode(2), "unknown flag --typo-flag");
 }
 
+TEST(ArgsDeathTest, NamesARepeatedFlag) {
+  // Both forms, and a presence-only flag: the second occurrence is named
+  // as a repeat, not reported as an unknown flag.
+  EXPECT_EXIT(
+      {
+        auto args = make({"--horizon", "0", "--horizon", "50"});
+        (void)args.get_u64("--horizon", 0);
+      },
+      ::testing::ExitedWithCode(2), "flag --horizon given more than once");
+  EXPECT_EXIT(
+      {
+        auto args = make({"--horizon=0", "--horizon", "50"});
+        (void)args.get_u64("--horizon", 0);
+      },
+      ::testing::ExitedWithCode(2), "flag --horizon given more than once");
+  EXPECT_EXIT(
+      {
+        auto args = make({"--batch", "--batch"});
+        (void)args.has("--batch");
+      },
+      ::testing::ExitedWithCode(2), "flag --batch given more than once");
+}
+
 TEST(ArgsTest, CheckUnusedPassesWhenEverythingConsumed) {
   auto args = make({"--nodes", "5"});
   EXPECT_EQ(args.get_u32("--nodes", 0), 5u);

@@ -6,7 +6,9 @@
 // lanes out mid-run; the survivors must not notice).  The families whose
 // rows miss a few edges (t-interval, chains, bounded-absence, the cage) run
 // kWideBatch lanes, so SSYNC and ASYNC take their split passes until
-// retirements narrow the batch and their per-bit passes after.
+// retirements narrow the batch and their per-bit passes after.  So does one
+// mixed batch per model whose lanes cycle through static, t-interval,
+// greedy-blocker and Bernoulli rows (mixed_family).
 #include "engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -70,6 +72,28 @@ SchedulePtr chain_t_interval(const Ring& ring, std::uint64_t seed) {
 /// absent edges and more from round to round.
 SchedulePtr bounded_absence(const Ring& ring, std::uint64_t seed) {
   return std::make_shared<BoundedAbsenceSchedule>(ring, 2, 8, seed);
+}
+
+/// Lane b = seed - 1 of a mixed batch, by b % 4: static, t-interval,
+/// greedy-blocker or Bernoulli.  Every 8-lane chunk mixes the four edge
+/// sources, and horizon_of retires them in that order, so compaction
+/// moves live blocker and Bernoulli lanes (with their absence runs and
+/// key tables) into the slots of retired ones.  At p = 0.95 most
+/// Bernoulli lanes see every edge beside their robots present, so in
+/// some rounds all of them are full and the other lanes' rows pick the
+/// pass.
+AdversaryPtr mixed_family(const Ring& ring, std::uint64_t seed) {
+  switch ((seed - 1) % 4) {
+    case 0:
+      return make_oblivious(std::make_shared<StaticSchedule>(ring));
+    case 1:
+      return make_oblivious(t_interval(ring, seed));
+    case 2:
+      return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
+    default:
+      return make_oblivious(
+          std::make_shared<BernoulliSchedule>(ring, 0.95, seed));
+  }
 }
 
 /// Every robot's node, local direction and chirality agree.  Replica and
@@ -239,6 +263,7 @@ std::vector<FsyncFamily> fsync_families() {
              std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
        },
        in_cage, kWideBatch},
+      {"mixed families", mixed_family, anywhere, kWideBatch},
   };
 }
 
@@ -294,6 +319,11 @@ std::unique_ptr<SsyncAdversary> cage(const Ring& ring, std::uint64_t) {
       std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
 }
 
+/// mixed_family through the adapter the sweep wiring uses.
+std::unique_ptr<SsyncAdversary> mixed(const Ring& ring, std::uint64_t seed) {
+  return std::make_unique<SsyncFromFsyncAdversary>(mixed_family(ring, seed));
+}
+
 std::vector<SsyncScenario> ssync_scenarios() {
   return {
       {"blocker+round-robin",
@@ -342,6 +372,8 @@ std::vector<SsyncScenario> ssync_scenarios() {
        bernoulli_activation, anywhere, kWideBatch},
       {"cage+bernoulli-activation", cage, bernoulli_activation, in_cage,
        kWideBatch},
+      {"mixed-families+bernoulli-activation", mixed, bernoulli_activation,
+       anywhere, kWideBatch},
   };
 }
 
@@ -437,6 +469,8 @@ std::vector<AsyncScenario> async_scenarios() {
        },
        bernoulli_phases, anywhere, kWideBatch},
       {"cage+bernoulli-phases", cage, bernoulli_phases, in_cage, kWideBatch},
+      {"mixed-families+bernoulli-phases", mixed, bernoulli_phases, anywhere,
+       kWideBatch},
   };
 }
 

@@ -241,6 +241,25 @@ TEST(AdversaryConfigTest, ValidationExplainsWhatIsWrong) {
     EXPECT_NE(bad->find("(got nan)"), std::string::npos) << *bad;
   }
 
+  // A markov edge must recover: MarkovSchedule's constructor refuses
+  // p_recover <= 0, so validate() names the param instead of the run
+  // aborting.
+  for (const auto& [recover, got] :
+       {std::pair{0.0, "(got 0)"}, std::pair{-0.25, "(got -0.25)"}}) {
+    const auto bad = validate_adversary(
+        adversary_config(AdversaryKind::kMarkov, {{"p_recover", recover}}));
+    ASSERT_TRUE(bad.has_value()) << recover;
+    EXPECT_NE(bad->find("\"p_recover\" must be in (0, 1]"), std::string::npos)
+        << *bad;
+    EXPECT_NE(bad->find(got), std::string::npos) << *bad;
+  }
+  EXPECT_FALSE(validate_adversary(adversary_config(AdversaryKind::kMarkov,
+                                                   {{"p_recover", 1e-9}}))
+                   .has_value());
+  EXPECT_FALSE(validate_adversary(adversary_config(AdversaryKind::kMarkov,
+                                                   {{"p_fail", 0.0}}))
+                   .has_value());
+
   // Integer params must fit their destination: std::uint32_t for periodic
   // patterns, node ids and widths, 2^53 for round counts.  A period of 2^32
   // would narrow to 0, and 2^32 + 5 to 5.

@@ -61,14 +61,10 @@ SweepSpec chain_grid() {
   return spec;
 }
 
-/// examples/specs/sweep_longhorizon.json: the one checked-in spec with
-/// periodic cells.  All 32 of its cells fast-forward through a cycle, so
-/// its golden file pins the periodic edge fill and the cycle layer's
-/// rounds_simulated / rounds_covered together.
-SweepSpec longhorizon_grid() {
-  std::ifstream in(std::string(PEF_SPEC_DIR) + "/sweep_longhorizon.json",
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing examples/specs/sweep_longhorizon.json";
+/// The checked-in sweep spec examples/specs/`name`.
+SweepSpec spec_file_grid(const std::string& name) {
+  std::ifstream in(std::string(PEF_SPEC_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing examples/specs/" << name;
   std::ostringstream text;
   text << in.rdbuf();
   std::string error;
@@ -250,8 +246,23 @@ TEST(SweepBaselineTest, ChainGridMatchesGoldenJson) {
   expect_matches_golden(chain_grid(), "sweep_chain_small.json");
 }
 
+/// examples/specs/sweep_longhorizon.json: the one checked-in spec with
+/// periodic cells.  All 32 of its cells fast-forward through a cycle, so
+/// its golden file pins the periodic edge fill and the cycle layer's
+/// rounds_simulated / rounds_covered together.
 TEST(SweepBaselineTest, LongHorizonGridMatchesGoldenJson) {
-  expect_matches_golden(longhorizon_grid(), "sweep_longhorizon.json");
+  expect_matches_golden(spec_file_grid("sweep_longhorizon.json"),
+                        "sweep_longhorizon.json");
+}
+
+/// examples/specs/sweep_models.json: 8-seed groups of Bernoulli, t-interval
+/// and greedy-blocker cells in every model, so every group runs as one
+/// 8-lane BatchEngine.  The only golden file whose Bernoulli and
+/// greedy-blocker cells run batched (the small grids have 2 seeds per
+/// group and run solo).
+TEST(SweepBaselineTest, ModelsGridMatchesGoldenJson) {
+  expect_matches_golden(spec_file_grid("sweep_models.json"),
+                        "sweep_models.json");
 }
 
 TEST(SweepBaselineTest, BatteryMatchesGoldenJsonThroughEveryEntryPoint) {
