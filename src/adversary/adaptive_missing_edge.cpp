@@ -5,7 +5,7 @@
 namespace pef {
 
 void AdaptiveMissingEdgeAdversary::choose_edges_into(
-    Time t, const Configuration& gamma, EdgeSet& out) {
+    Time t, const Configuration& gamma, const ActivationMask&, EdgeSet& out) {
   out.fill();
   if (t < trigger_time_) return;
 

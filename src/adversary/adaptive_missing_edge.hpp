@@ -23,6 +23,7 @@ class AdaptiveMissingEdgeAdversary final : public Adversary {
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
   void choose_edges_into(Time t, const Configuration& gamma,
+                         const ActivationMask& activated,
                          EdgeSet& out) override;
   [[nodiscard]] std::string name() const override {
     return "adaptive-missing(t=" + std::to_string(trigger_time_) + ")";

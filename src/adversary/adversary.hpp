@@ -5,6 +5,11 @@
 // stability/recurrence/periodicity obligation beyond connected-over-time.
 // Oblivious schedules (functions of time only) are wrapped by
 // ObliviousAdversary; the lower-bound constructions are genuinely adaptive.
+//
+// One interface serves all three execution models: the adversary also sees
+// which robots act this round.  FSYNC activates every robot every round, so
+// its mask is always full; only the SSYNC / ASYNC blocker of Di Luna et
+// al.'s impossibility (SsyncBlockingAdversary) reads it.
 #pragma once
 
 #include <memory>
@@ -28,15 +33,19 @@ class Adversary {
   /// ring().edge_count() whose stale contents are overwritten: the one fill
   /// every adversary implements, which the engines call on their scratch
   /// set.  Called exactly once per round, in increasing `t` order, with the
-  /// configuration *before* the round's Look phase (the paper's gamma_t).
-  /// Implementations may keep internal state.
+  /// configuration *before* the round's Look phase (the paper's gamma_t)
+  /// and `activated`, one byte per robot: every robot under FSYNC, the
+  /// round's actors under SSYNC, the robots whose Move phase fires under
+  /// ASYNC.  Implementations may keep internal state.
   virtual void choose_edges_into(Time t, const Configuration& gamma,
+                                 const ActivationMask& activated,
                                  EdgeSet& out) = 0;
 
   /// E_t as a fresh set, for the reference simulators and tests.
-  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma) {
+  [[nodiscard]] EdgeSet choose_edges(Time t, const Configuration& gamma,
+                                     const ActivationMask& activated) {
     EdgeSet edges(ring().edge_count());
-    choose_edges_into(t, gamma, edges);
+    choose_edges_into(t, gamma, activated, edges);
     return edges;
   }
 
@@ -54,7 +63,8 @@ class ObliviousAdversary final : public Adversary {
   [[nodiscard]] const Ring& ring() const override {
     return schedule_->ring();
   }
-  void choose_edges_into(Time t, const Configuration&, EdgeSet& out) override {
+  void choose_edges_into(Time t, const Configuration&, const ActivationMask&,
+                         EdgeSet& out) override {
     schedule_->edges_into(t, out);
   }
   [[nodiscard]] std::string name() const override {

@@ -28,6 +28,7 @@ EdgeId ConfinementAdversary::right_boundary_edge() const {
 }
 
 void ConfinementAdversary::choose_edges_into(Time, const Configuration& gamma,
+                                             const ActivationMask&,
                                              EdgeSet& out) {
   out.fill();
   const NodeId left_node = anchor_;

@@ -28,6 +28,7 @@ class ConfinementAdversary final : public Adversary {
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
   void choose_edges_into(Time t, const Configuration& gamma,
+                         const ActivationMask& activated,
                          EdgeSet& out) override;
   [[nodiscard]] std::string name() const override;
 

@@ -13,6 +13,7 @@ GreedyBlockerAdversary::GreedyBlockerAdversary(Ring ring, Time max_absence)
 
 void GreedyBlockerAdversary::choose_edges_into(Time,
                                                const Configuration& gamma,
+                                               const ActivationMask&,
                                                EdgeSet& out) {
   // Runs every round of an adaptive cell, so it indexes the edge words and
   // runs directly: robots stand on ring nodes, so Ring::adjacent_edge's

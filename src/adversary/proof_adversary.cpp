@@ -82,6 +82,7 @@ void StagedProofAdversary::assemble_edges(const Configuration& gamma,
 
 void StagedProofAdversary::choose_edges_into(Time t,
                                              const Configuration& gamma,
+                                             const ActivationMask&,
                                              EdgeSet& out) {
   PEF_CHECK(gamma.robot_count() >= 1);
 

@@ -77,9 +77,9 @@ struct ExperimentConfig {
   Time audit_patience = 0;  // 0 => horizon / 4
   /// Activation model.  SSYNC runs under seeded Bernoulli activation and
   /// ASYNC under seeded Bernoulli phase advancement (probability
-  /// `activation_p`, same default as SweepGrid and pef_run); the adversary
-  /// is adapted through SsyncFromFsyncAdversary and ignores the activation
-  /// mask.
+  /// `activation_p`, same default as SweepGrid and pef_run).  The adversary
+  /// runs as it is in every model; no registry kind reads the activation
+  /// mask it is handed.
   ExecutionModel model = ExecutionModel::kFsync;
   double activation_p = 0.5;
 };

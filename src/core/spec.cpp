@@ -251,8 +251,9 @@ class ChainAdversary final : public Adversary {
 
   [[nodiscard]] const Ring& ring() const override { return inner_->ring(); }
   void choose_edges_into(Time t, const Configuration& gamma,
+                         const ActivationMask& activated,
                          EdgeSet& out) override {
-    inner_->choose_edges_into(t, gamma, out);
+    inner_->choose_edges_into(t, gamma, activated, out);
     out.erase(cut_);
   }
   [[nodiscard]] std::string name() const override {

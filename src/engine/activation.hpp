@@ -114,4 +114,20 @@ struct Activation {
                                derive_seed(seed, 0xa5fc));
 }
 
+/// The activation every such entry point gives `model`: FSYNC's default
+/// value, or the standard seeded one of SSYNC or ASYNC.
+[[nodiscard]] inline Activation standard_activation(ExecutionModel model,
+                                                    double p,
+                                                    std::uint64_t seed) {
+  switch (model) {
+    case ExecutionModel::kFsync:
+      break;
+    case ExecutionModel::kSsync:
+      return standard_ssync_activation(p, seed);
+    case ExecutionModel::kAsync:
+      return standard_async_phases(p, seed);
+  }
+  return {};
+}
+
 }  // namespace pef

@@ -1279,15 +1279,8 @@ BatchPlan plan_batch(ExecutionModel model, std::uint32_t n, std::uint32_t k,
 void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            AdversaryPtr adversary, double activation_p,
                            std::uint64_t seed) {
-  if (model == ExecutionModel::kFsync) {
-    replica.adversary = std::move(adversary);
-    return;
-  }
-  replica.ssync_adversary =
-      std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary));
-  replica.activation = model == ExecutionModel::kSsync
-                           ? standard_ssync_activation(activation_p, seed)
-                           : standard_async_phases(activation_p, seed);
+  replica.adversary = std::move(adversary);
+  replica.activation = standard_activation(model, activation_p, seed);
 }
 
 BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
@@ -1315,7 +1308,6 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   algorithms_.resize(batch_);
   specs_.resize(batch_);
   adversaries_.resize(batch_);
-  ssync_advs_.resize(batch_);
   schedules_.assign(batch_, nullptr);
   mirrors_.resize(batch_);
   horizons_.resize(batch_);
@@ -1506,13 +1498,8 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
 
   PEF_CHECK_MSG(replica.activation.model == model_,
                 "every replica's activation must drive the batch's model");
-  if (model_ == ExecutionModel::kFsync) {
-    PEF_CHECK(replica.adversary != nullptr);
-    PEF_CHECK(replica.adversary->ring() == ring_);
-  } else {
-    PEF_CHECK(replica.ssync_adversary != nullptr);
-    PEF_CHECK(replica.ssync_adversary->ring() == ring_);
-  }
+  PEF_CHECK(replica.adversary != nullptr);
+  PEF_CHECK(replica.adversary->ring() == ring_);
 
   // The paper's well-initiated executions: k < n robots, towerless.
   PEF_CHECK_MSG(replica.placements.size() < nodes_,
@@ -1527,7 +1514,6 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   algorithms_[lane] = replica.algorithm;
   specs_[lane] = *kernel;
   adversaries_[lane] = std::move(replica.adversary);
-  ssync_advs_[lane] = std::move(replica.ssync_adversary);
   horizons_[lane] = replica.horizon;
 
   for (std::uint32_t i = 0; i < robots_; ++i) {
@@ -1544,29 +1530,27 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
             kcounter_[at], khas_moved_[at]});
   }
 
-  // Route the lane's edge rows (EdgeSource): schedule-backed lanes fill
-  // their plane row in place (E_0 here, then at each next_change; a
-  // time-invariant schedule never again); Bernoulli and greedy-blocker
-  // lanes start full and are filled every round from t = 0; everything
-  // else keeps a per-lane EdgeSet scratch and a gamma mirror for the
-  // virtual adversary.
-  const Adversary* fsync_adversary = nullptr;
-  if (model_ == ExecutionModel::kFsync) {
-    fsync_adversary = adversaries_[lane].get();
-    if (const auto* oblivious =
-            dynamic_cast<const ObliviousAdversary*>(fsync_adversary)) {
-      schedules_[lane] = oblivious->schedule().get();
-    }
-  } else {
-    fsync_adversary = ssync_advs_[lane]->fsync_adversary();
-    schedules_[lane] = ssync_advs_[lane]->oblivious_schedule();
-    // The lane's activation as planes: a Bernoulli lane's RNG slot starts
-    // as a copy of the activation's (untouched) generator, so the batched
-    // draws replay its stream bit-for-bit.
+  // The lane's activation as planes (SSYNC and ASYNC; FSYNC's is full): a
+  // Bernoulli lane's RNG slot starts as a copy of the activation's
+  // (untouched) generator, so the batched draws replay its stream
+  // bit-for-bit.
+  if (model_ != ExecutionModel::kFsync) {
     const Activation& activation = replica.activation;
     act_kind_[lane] = static_cast<std::uint8_t>(activation.kind);
     act_threshold_[lane] = activation_threshold(activation.p);
     act_rng_[lane] = activation.rng;
+  }
+
+  // Route the lane's edge rows (EdgeSource), the same way in every model:
+  // schedule-backed lanes fill their plane row in place (E_0 here, then at
+  // each next_change; a time-invariant schedule never again); Bernoulli
+  // and greedy-blocker lanes start full and are filled every round from
+  // t = 0; everything else keeps a per-lane EdgeSet scratch and a gamma
+  // mirror for the virtual adversary.
+  const Adversary* const adversary = adversaries_[lane].get();
+  if (const auto* oblivious =
+          dynamic_cast<const ObliviousAdversary*>(adversary)) {
+    schedules_[lane] = oblivious->schedule().get();
   }
 
   // A crowded batch (2k >= n) would draw at least a whole row's worth of
@@ -1577,8 +1561,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
       2 * robots_ < edge_count_
           ? dynamic_cast<const BernoulliSchedule*>(schedules_[lane])
           : nullptr;
-  const auto* blocker =
-      dynamic_cast<const GreedyBlockerAdversary*>(fsync_adversary);
+  const auto* blocker = dynamic_cast<const GreedyBlockerAdversary*>(adversary);
   EdgeSource source = EdgeSource::kMirror;
   if (bernoulli != nullptr) {
     source = EdgeSource::kBernoulli;
@@ -1838,11 +1821,16 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
   // range at once.  Oblivious lanes refill the row in place once they
   // reach the round their schedule's next_change named (time-invariant
   // ones never); greedy-blocker lanes apply the rule to the planes;
-  // mirror-path lanes see their gamma mirror (and, off-FSYNC, their own
-  // lane's mask column), fill the lane's scratch set in place and copy its
+  // mirror-path lanes see their gamma mirror and their own lane's mask
+  // column (every robot under FSYNC, the actors under SSYNC, the firing
+  // Moves under ASYNC), fill the lane's scratch set in place and copy its
   // words over.  The byte-mask scratch is local: a member would be shared
   // across worker slices.
   if (bernoulli_lanes_) draw_bernoulli_rows(l0, l1, t);
+  const std::uint64_t* const mask_plane =
+      model_ == ExecutionModel::kSsync   ? mask_words_.data()
+      : model_ == ExecutionModel::kAsync ? moving_words_.data()
+                                         : nullptr;
   ActivationMask virt_mask;
   for (std::uint32_t l = l0; l < l1; ++l) {
     switch (static_cast<EdgeSource>(edge_source_[l])) {
@@ -1862,22 +1850,12 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
       case EdgeSource::kMirror:
         break;
     }
-    switch (model_) {
-      case ExecutionModel::kFsync:
-        adversaries_[l]->choose_edges_into(t, *mirrors_[l], edges_[l]);
-        break;
-      case ExecutionModel::kSsync:
-        extract_lane_mask(mask_words_.data(), l, virt_mask);
-        ssync_advs_[l]->choose_edges_into(t, *mirrors_[l], virt_mask,
-                                          edges_[l]);
-        break;
-      case ExecutionModel::kAsync:
-        // The adversary sees which robots fire their Move phase this tick.
-        extract_lane_mask(moving_words_.data(), l, virt_mask);
-        ssync_advs_[l]->choose_edges_into(t, *mirrors_[l], virt_mask,
-                                          edges_[l]);
-        break;
+    if (mask_plane != nullptr) {
+      extract_lane_mask(mask_plane, l, virt_mask);
+    } else {
+      virt_mask.assign(robots_, 1);
     }
+    adversaries_[l]->choose_edges_into(t, *mirrors_[l], virt_mask, edges_[l]);
     PEF_CHECK(edges_[l].edge_count() == edge_count_);
     std::copy_n(edges_[l].words(), edge_words_per_row_, edge_row(l));
     note_absent(l);
@@ -2431,7 +2409,6 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(algorithms_[a], algorithms_[b]);
   swap(specs_[a], specs_[b]);
   swap(adversaries_[a], adversaries_[b]);
-  swap(ssync_advs_[a], ssync_advs_[b]);
   swap(schedules_[a], schedules_[b]);
   swap(mirrors_[a], mirrors_[b]);
   swap(horizons_[a], horizons_[b]);

@@ -49,7 +49,8 @@
 //   * edge words live in ONE contiguous plane, one row per replica.  A
 //     Look sees only the two edges beside its robot, so a row need only
 //     hold E_t on the edges beside the lane's robots; every pass tests
-//     edges at robot nodes only.  Replicas whose adversary is
+//     edges at robot nodes only.  Each lane's row source is picked the
+//     same way in every model.  Replicas whose adversary is
 //     per-replica-independent (an oblivious schedule — every `batchable`
 //     registry kind) fill their row in place via
 //     EdgeSchedule::edges_into_words, with no EdgeSet and no Configuration
@@ -105,7 +106,9 @@
 //     adversary sees gamma through the virtual call (adaptive-missing, the
 //     cage and proof adversaries, the SSYNC / ASYNC blockers) carry one;
 //     schedule, Bernoulli and greedy-blocker lanes skip the per-round
-//     mirror refresh entirely.
+//     mirror refresh entirely.  The virtual call gets the lane's mask
+//     column: every robot under FSYNC, the actors under SSYNC, the firing
+//     Moves under ASYNC.
 //   * replicas that reach their horizon are compacted out (their lane is
 //     swapped with the last live lane), so the inner loops always run over
 //     a dense prefix of live replicas and a ragged batch never idles.
@@ -126,7 +129,6 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
-#include "adversary/ssync_adversary.hpp"
 #include "analysis/coverage.hpp"
 #include "common/types.hpp"
 #include "engine/activation.hpp"
@@ -147,11 +149,9 @@ struct BatchReplica {
   /// streams), the KernelId may not.
   AlgorithmPtr algorithm;
 
-  /// FSYNC: the per-replica edge adversary.
+  /// The per-replica edge adversary (sees the activation mask: full under
+  /// FSYNC, the actors under SSYNC, the moving robots under ASYNC).
   AdversaryPtr adversary;
-  /// SSYNC / ASYNC: the per-replica edge adversary (sees the activation /
-  /// moving mask).
-  std::unique_ptr<SsyncAdversary> ssync_adversary;
   /// Who acts each round; its model must be the batch's (FSYNC keeps the
   /// default).  SSYNC: the L-C-M subset; ASYNC: the robots that advance a
   /// phase.
@@ -164,12 +164,10 @@ struct BatchReplica {
   Time horizon = 0;
 };
 
-/// Wire `replica`'s model-specific pieces the way every FSYNC-battery
-/// entry point does it (SweepRunner, pef_run --batch): FSYNC
-/// takes the adversary directly; SSYNC/ASYNC adapt it through
-/// SsyncFromFsyncAdversary and attach the model's standard seeded
-/// Bernoulli activation, so batched and solo runs of the same
-/// (model, seed) see identical streams.
+/// Wire `replica`'s adversary and activation the way every FSYNC-battery
+/// entry point does it (SweepRunner, pef_run --batch): the adversary as it
+/// is, under the model's standard_activation, so batched and solo runs of
+/// the same (model, seed) see identical streams.
 void wire_standard_replica(BatchReplica& replica, ExecutionModel model,
                            AdversaryPtr adversary, double activation_p,
                            std::uint64_t seed);
@@ -308,8 +306,9 @@ class BatchEngine {
   /// refill_at_, Bernoulli lanes draw the edges beside their robots
   /// (draw_bernoulli_rows), greedy-blocker lanes apply the rule to the
   /// planes (block_row), and mirror-path lanes go through the virtual
-  /// adversary every round (reading only their own lane's mask columns /
-  /// gamma mirror).  Every refilled row is noted.
+  /// adversary every round (reading only their own lane's gamma mirror and
+  /// mask column, which is full under FSYNC).  Every refilled row is
+  /// noted.
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
   /// The Bernoulli lanes of [l0, l1) at round t: each row reset to every
   /// edge present, then the draws of the two edges beside each robot, and
@@ -418,12 +417,10 @@ class BatchEngine {
   // Per-lane scenario objects.
   std::vector<AlgorithmPtr> algorithms_;
   std::vector<KernelSpec> specs_;
-  std::vector<AdversaryPtr> adversaries_;                    // FSYNC
-  std::vector<std::unique_ptr<SsyncAdversary>> ssync_advs_;  // SSYNC/ASYNC
-  /// Non-null iff the lane's edge sets are a pure function of time (FSYNC
-  /// oblivious adversary, or an SSYNC/ASYNC adversary exposing
-  /// oblivious_schedule()): the lane's plane row is filled straight from
-  /// the schedule, no EdgeSet, no mirror.
+  std::vector<AdversaryPtr> adversaries_;
+  /// Non-null iff the lane's edge sets are a pure function of time (an
+  /// ObliviousAdversary, in any model): the lane's plane row is filled
+  /// straight from the schedule, no EdgeSet, no mirror.
   std::vector<const EdgeSchedule*> schedules_;
   /// Lazy gamma mirrors: null for lanes nothing looks at.
   std::vector<std::unique_ptr<Configuration>> mirrors_;

@@ -39,43 +39,12 @@ Engine make_standard_engine(Ring ring, ExecutionModel model,
                             const std::vector<RobotPlacement>& placements,
                             double activation_p, std::uint64_t seed,
                             EngineOptions options) {
-  if (model == ExecutionModel::kFsync) {
-    return Engine(ring, std::move(algorithm), std::move(adversary),
-                  placements, options);
-  }
-  return Engine(
-      ring, std::move(algorithm),
-      std::make_unique<SsyncFromFsyncAdversary>(std::move(adversary)),
-      model == ExecutionModel::kSsync
-          ? standard_ssync_activation(activation_p, seed)
-          : standard_async_phases(activation_p, seed),
-      placements, options);
+  return Engine(ring, std::move(algorithm), std::move(adversary),
+                standard_activation(model, activation_p, seed), placements,
+                options);
 }
 
 Engine::Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
-               const std::vector<RobotPlacement>& placements,
-               EngineOptions options)
-    : ring_(ring),
-      kernel_(kernel_of(algorithm)),
-      model_(ExecutionModel::kFsync),
-      options_(options),
-      adversary_(std::move(adversary)) {
-  PEF_CHECK(adversary_ != nullptr);
-  PEF_CHECK(adversary_->ring() == ring_);
-  init(placements);
-
-  // Oblivious adversaries never look at gamma: bypass the Configuration
-  // mirror entirely and fill the scratch EdgeSet in place each round.
-  if (const auto* oblivious =
-          dynamic_cast<const ObliviousAdversary*>(adversary_.get())) {
-    schedule_ = oblivious->schedule().get();
-  } else {
-    gamma_mirror_ = std::make_unique<Configuration>(snapshot());
-  }
-}
-
-Engine::Engine(Ring ring, AlgorithmPtr algorithm,
-               std::unique_ptr<SsyncAdversary> adversary,
                Activation activation,
                const std::vector<RobotPlacement>& placements,
                EngineOptions options)
@@ -83,20 +52,29 @@ Engine::Engine(Ring ring, AlgorithmPtr algorithm,
       kernel_(kernel_of(algorithm)),
       model_(activation.model),
       options_(options),
-      ssync_adversary_(std::move(adversary)),
+      adversary_(std::move(adversary)),
       activation_(activation) {
-  PEF_CHECK_MSG(model_ != ExecutionModel::kFsync,
-                "an SSYNC/ASYNC engine needs an SSYNC or ASYNC activation");
-  PEF_CHECK(ssync_adversary_ != nullptr);
-  PEF_CHECK(ssync_adversary_->ring() == ring_);
+  PEF_CHECK_MSG(model_ != ExecutionModel::kFsync ||
+                    activation_.kind == ActivationKind::kFull,
+                "FSYNC activates every robot every round");
+  PEF_CHECK(adversary_ != nullptr);
+  PEF_CHECK(adversary_->ring() == ring_);
   init(placements);
-  if (model_ == ExecutionModel::kAsync) {
+  if (model_ == ExecutionModel::kFsync) {
+    activation_.fill(0, robot_count(), mask_);
+  } else if (model_ == ExecutionModel::kAsync) {
     phases_.assign(node_.size(), Phase::kLook);
     pending_views_.assign(node_.size(), View{});
   }
-  // The SSYNC/ASYNC adversary sees gamma every round: keep one persistent
-  // mirror, updated in place as robots act (an oblivious one ignores it).
-  gamma_mirror_ = std::make_unique<Configuration>(snapshot());
+
+  // A schedule-backed adversary never looks at gamma: bypass the
+  // Configuration mirror entirely and fill the scratch EdgeSet in place.
+  if (const auto* oblivious =
+          dynamic_cast<const ObliviousAdversary*>(adversary_.get())) {
+    schedule_ = oblivious->schedule().get();
+  } else {
+    gamma_mirror_ = std::make_unique<Configuration>(snapshot());
+  }
 }
 
 void Engine::init(const std::vector<RobotPlacement>& placements) {
@@ -122,7 +100,6 @@ void Engine::init(const std::vector<RobotPlacement>& placements) {
   node_.reserve(k);
   dir_.reserve(k);
   right_cw_.reserve(k);
-  moved_.assign(k, 0);
   kstates_.resize(k);
   for (std::uint32_t i = 0; i < k; ++i) {
     PEF_CHECK(ring_.is_valid_node(placements[i].node));
@@ -143,12 +120,6 @@ Phase Engine::phase_of(RobotId r) const {
   PEF_CHECK_MSG(model_ == ExecutionModel::kAsync,
                 "phase_of() is only available on ASYNC engines");
   return phases_[r];
-}
-
-Adversary& Engine::adversary() {
-  PEF_CHECK_MSG(model_ == ExecutionModel::kFsync,
-                "adversary() is only available on FSYNC engines");
-  return *adversary_;
 }
 
 Configuration Engine::snapshot() const {
@@ -220,6 +191,29 @@ bool Engine::apply_move(RobotId i, bool ahead_cw, EdgeId pointed) {
   return true;
 }
 
+void Engine::refill_edges(const ActivationMask& activated) {
+  // A fast-forward skip lands past refill_at_ or inside the same unchanged
+  // span, so the schedule-backed fill stays exact across it.
+  if (schedule_ != nullptr) {
+    if (now_ >= refill_at_) {
+      schedule_->edges_into(now_, edges_);
+      refill_at_ = schedule_->next_change(now_);
+    }
+    return;
+  }
+  adversary_->choose_edges_into(now_, *gamma_mirror_, activated, edges_);
+  PEF_CHECK(edges_.edge_count() == ring_.edge_count());
+}
+
+void Engine::refresh_mirror() {
+  // Unchanged robots are no-op writes (relocate_robot self-checks), so one
+  // pass over every robot serves every model.
+  for (std::uint32_t i = 0; i < robot_count(); ++i) {
+    gamma_mirror_->set_robot_dir(i, static_cast<LocalDirection>(dir_[i]));
+    gamma_mirror_->relocate_robot(i, node_[i]);
+  }
+}
+
 void Engine::step() {
   switch (model_) {
     case ExecutionModel::kFsync:
@@ -232,6 +226,7 @@ void Engine::step() {
       step_async();
       break;
   }
+  if (gamma_mirror_) refresh_mirror();
   ++now_;
   stats_.rounds = now_;
   observe_boundary(now_);
@@ -273,18 +268,7 @@ void Engine::compute_pending_list(const ComputeFn& compute_fn,
 void Engine::step_fsync() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
-  // Adversary: E_t.  Oblivious schedules refill the scratch set in place,
-  // and only once E_t may have changed (a fast-forward skip lands past
-  // refill_at_ or inside the same unchanged span).
-  if (schedule_ != nullptr) {
-    if (now_ >= refill_at_) {
-      schedule_->edges_into(now_, edges_);
-      refill_at_ = schedule_->next_change(now_);
-    }
-  } else {
-    adversary_->choose_edges_into(now_, *gamma_mirror_, edges_);
-    PEF_CHECK(edges_.edge_count() == ring_.edge_count());
-  }
+  refill_edges(mask_);  // every robot acts
 
   RoundRecord record;
   const bool tracing = trace_ != nullptr;
@@ -314,20 +298,10 @@ void Engine::step_fsync() {
   for (std::uint32_t i = 0; i < k; ++i) {
     const RobotFrame frame = frame_of(i);
     const bool moved = apply_move(i, frame.ahead_cw, frame.ahead);
-    moved_[i] = moved ? 1 : 0;
     if (tracing) {
       record.robots[i].dir_after = static_cast<LocalDirection>(dir_[i]);
       record.robots[i].moved = moved;
       record.robots[i].node_after = node_[i];
-    }
-  }
-
-  // Keep the adaptive adversary's gamma mirror current (it must equal the
-  // configuration at the start of the next round).
-  if (gamma_mirror_) {
-    for (std::uint32_t i = 0; i < k; ++i) {
-      gamma_mirror_->set_robot_dir(i, static_cast<LocalDirection>(dir_[i]));
-      if (moved_[i]) gamma_mirror_->relocate_robot(i, node_[i]);
     }
   }
 
@@ -338,8 +312,7 @@ void Engine::step_ssync() {
   const auto k = static_cast<std::uint32_t>(node_.size());
 
   activation_.fill(now_, k, mask_);
-  ssync_adversary_->choose_edges_into(now_, *gamma_mirror_, mask_, edges_);
-  PEF_CHECK(edges_.edge_count() == ring_.edge_count());
+  refill_edges(mask_);
 
   // Compact the activation mask once, so the Look+Compute and Move loops
   // iterate dense indices instead of re-testing (and mispredicting) the
@@ -375,22 +348,15 @@ void Engine::step_ssync() {
                       active_list_);
   });
 
-  // The adversaries only read the gamma mirror at the next round
-  // boundary, so the per-robot dir updates batch up fine here.
-  for (const std::uint32_t i : active_list_) {
-    const auto dir = static_cast<LocalDirection>(dir_[i]);
-    gamma_mirror_->set_robot_dir(i, dir);
-    if (tracing) record.robots[i].dir_after = dir;
-  }
-
   // Move for the activated subset.
   for (const std::uint32_t i : active_list_) {
     const RobotFrame frame = frame_of(i);
-    if (apply_move(i, frame.ahead_cw, frame.ahead)) {
-      gamma_mirror_->relocate_robot(i, node_[i]);
-      if (tracing) record.robots[i].moved = true;
+    const bool moved = apply_move(i, frame.ahead_cw, frame.ahead);
+    if (tracing) {
+      record.robots[i].dir_after = static_cast<LocalDirection>(dir_[i]);
+      record.robots[i].moved = moved;
+      record.robots[i].node_after = node_[i];
     }
-    if (tracing) record.robots[i].node_after = node_[i];
   }
 
   if (tracing) trace_->append(std::move(record));
@@ -423,8 +389,7 @@ void Engine::step_async() {
         break;
     }
   }
-  ssync_adversary_->choose_edges_into(now_, *gamma_mirror_, moving_, edges_);
-  PEF_CHECK(edges_.edge_count() == ring_.edge_count());
+  refill_edges(moving_);
 
   RoundRecord record;
   const bool tracing = trace_ != nullptr;
@@ -457,20 +422,20 @@ void Engine::step_async() {
     compute_pending_list(KernelCompute<Id>{&kernel_, kstates_.data()},
                          compute_list_);
   });
-  for (const std::uint32_t i : compute_list_) {
-    const auto dir = static_cast<LocalDirection>(dir_[i]);
-    gamma_mirror_->set_robot_dir(i, dir);
-    if (tracing) record.robots[i].dir_after = dir;
+  if (tracing) {
+    for (const std::uint32_t i : compute_list_) {
+      record.robots[i].dir_after = static_cast<LocalDirection>(dir_[i]);
+    }
   }
 
   // Pass 2: Move phases.
   for (const std::uint32_t i : move_list_) {
     const RobotFrame frame = frame_of(i);
-    if (apply_move(i, frame.ahead_cw, frame.ahead)) {
-      gamma_mirror_->relocate_robot(i, node_[i]);
-      if (tracing) record.robots[i].moved = true;
+    const bool moved = apply_move(i, frame.ahead_cw, frame.ahead);
+    if (tracing) {
+      record.robots[i].moved = moved;
+      record.robots[i].node_after = node_[i];
     }
-    if (tracing) record.robots[i].node_after = node_[i];
     phases_[i] = Phase::kLook;
   }
 
@@ -481,10 +446,7 @@ void Engine::run(Time rounds) {
   const Time target = now_ + rounds;
   // One tracker per run: the lattice must be sampled at every aligned
   // boundary, so detection never spans a step() made outside run().
-  const EdgeSchedule* schedule = model_ == ExecutionModel::kFsync
-                                     ? schedule_
-                                     : ssync_adversary_->oblivious_schedule();
-  cycle_ = CycleTracker(options_.fast_forward, trace_ != nullptr, schedule,
+  cycle_ = CycleTracker(options_.fast_forward, trace_ != nullptr, schedule_,
                         activation_.kind, robot_count(), ring_.node_count());
   if (!cycle_.eligible()) {
     while (now_ < target) step();

@@ -23,15 +23,17 @@
 //     chirality and POD kernel memory;
 //   * a per-node occupancy histogram maintained incrementally, making the
 //     Look phase's multiplicity predicate O(1) per robot;
-//   * a reusable EdgeSet scratch buffer: every schedule and adversary
-//     refills it in place (EdgeSchedule::edges_into, choose_edges_into) —
-//     zero allocation per round, and an oblivious FSYNC schedule refills it
-//     only at the rounds its EdgeSchedule::next_change names;
+//   * one adversary interface in every model, and one rule for it: a
+//     schedule-backed adversary (ObliviousAdversary) refills a reusable
+//     EdgeSet scratch buffer in place (EdgeSchedule::edges_into) only at
+//     the rounds its EdgeSchedule::next_change names; any other adversary
+//     refills it every round through choose_edges_into, seeing the model's
+//     activation mask (full under FSYNC) — zero allocation per round;
 //   * one reusable activation mask: the Activation fills a persistent
 //     byte buffer instead of returning a fresh vector<bool> per round;
-//   * one persistent Configuration mirror updated in place (O(moves) per
-//     round) for adaptive FSYNC adversaries and every SSYNC/ASYNC
-//     adversary, never a fresh snapshot per round;
+//   * one persistent Configuration mirror, kept only for an adversary that
+//     is not schedule-backed and refreshed in place (O(k) per round, in
+//     every model), never a fresh snapshot per round;
 //   * snapshot() / trace materialization only on demand — with trace
 //     recording off, the engine keeps only O(n + k) state and a handful of
 //     incrementally maintained aggregates;
@@ -45,7 +47,6 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
-#include "adversary/ssync_adversary.hpp"
 #include "analysis/coverage.hpp"
 #include "common/types.hpp"
 #include "engine/activation.hpp"
@@ -92,23 +93,25 @@ struct EngineStats {
 
 class Engine {
  public:
-  /// Every constructor requires `algorithm` to provide a kernel
-  /// (Algorithm::kernel()); every registry algorithm does.
+  /// Requires `algorithm` to provide a kernel (Algorithm::kernel());
+  /// every registry algorithm does.
   ///
-  /// FSYNC: every robot, every round, against a (possibly adaptive)
-  /// FSYNC adversary.
+  /// The model is the one `activation.model` names.  FSYNC (the default
+  /// Activation): every robot, every round, and the adversary sees the full
+  /// mask.  SSYNC: the activation selects the L-C-M subset each round and
+  /// the adversary sees it.  ASYNC: the activation advances per-robot
+  /// Look/Compute/Move machines one phase per tick and the adversary sees
+  /// the robots whose Move fires.
   Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
-         const std::vector<RobotPlacement>& placements,
+         Activation activation, const std::vector<RobotPlacement>& placements,
          EngineOptions options = {});
 
-  /// SSYNC or ASYNC, as `activation.model` names.  SSYNC: the activation
-  /// selects the L-C-M subset each round and the adversary sees it.  ASYNC:
-  /// the activation advances per-robot Look/Compute/Move machines one phase
-  /// per tick and the adversary sees the robots whose Move fires.
-  Engine(Ring ring, AlgorithmPtr algorithm,
-         std::unique_ptr<SsyncAdversary> adversary, Activation activation,
+  /// FSYNC.
+  Engine(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
          const std::vector<RobotPlacement>& placements,
-         EngineOptions options = {});
+         EngineOptions options = {})
+      : Engine(ring, std::move(algorithm), std::move(adversary), Activation{},
+               placements, options) {}
 
   /// Execute one round (FSYNC/SSYNC) or one scheduler tick (ASYNC).
   void step();
@@ -167,9 +170,6 @@ class Engine {
   [[nodiscard]] const Trace& trace() const { return *trace_; }
   [[nodiscard]] bool recording_trace() const { return trace_ != nullptr; }
 
-  /// The FSYNC adversary — FSYNC model only.
-  [[nodiscard]] Adversary& adversary();
-
  private:
   void init(const std::vector<RobotPlacement>& placements);
   void observe_boundary(Time t);  // visit/tower bookkeeping at config time t
@@ -177,6 +177,13 @@ class Engine {
   /// when the tracker arms, apply the skip at once.  Returns true iff the
   /// clock jumped.
   bool advance_cycle(Time target);
+  /// E_t into edges_: a schedule-backed adversary refills it once now_
+  /// reaches refill_at_, any other adversary every round, seeing the gamma
+  /// mirror and `activated`.
+  void refill_edges(const ActivationMask& activated);
+  /// Copy every robot's dir and node into the gamma mirror (which must
+  /// equal the configuration at the start of the next round).
+  void refresh_mirror();
   /// The step_* entry points dispatch ONCE per round on the kernel id, and
   /// ONLY the fused Look+Compute loops are instantiated per kernel, so the
   /// kernel's compute inlines into the loop body (no per-robot branch or
@@ -225,11 +232,8 @@ class Engine {
   EngineOptions options_;
   Time now_ = 0;
 
-  // FSYNC adversary (model == kFsync).
   AdversaryPtr adversary_;
-  // SSYNC/ASYNC adversary, and the activation (FSYNC: the default, full).
-  std::unique_ptr<SsyncAdversary> ssync_adversary_;
-  Activation activation_;
+  Activation activation_;  // FSYNC: the default, full
 
   // Struct-of-arrays robot state.
   std::vector<NodeId> node_;
@@ -247,10 +251,10 @@ class Engine {
   bool prev_had_tower_ = false;
 
   // Reused per-round scratch.
-  EdgeSet edges_;                    // E_t
-  std::vector<std::uint8_t> moved_;  // per-robot moved flag (trace path)
-  ActivationMask mask_;              // SSYNC activation / ASYNC advancing
-  ActivationMask moving_;            // ASYNC: Move phases firing this tick
+  EdgeSet edges_;          // E_t
+  ActivationMask mask_;    // FSYNC: full, set once; SSYNC activation /
+                           // ASYNC advancing, filled each round
+  ActivationMask moving_;  // ASYNC: Move phases firing this tick
   // Compacted per-round index lists (built once per round from the masks so
   // the hot loops iterate dense indices instead of branching per robot).
   std::vector<std::uint32_t> active_list_;   // SSYNC: activated robots
@@ -258,14 +262,14 @@ class Engine {
   std::vector<std::uint32_t> compute_list_;  // ASYNC: Compute phases firing
   std::vector<std::uint32_t> move_list_;     // ASYNC: Move phases firing
 
-  // Oblivious FSYNC fast path: when the adversary is an ObliviousAdversary
-  // we call the schedule's in-place fill directly and never touch
-  // gamma_mirror_, and only from round refill_at_ on (the schedule's
-  // next_change of the last fill; E_t holds until then).
+  // Schedule-backed fast path, in every model: when the adversary is an
+  // ObliviousAdversary we call the schedule's in-place fill directly and
+  // keep no gamma_mirror_, and only from round refill_at_ on (the
+  // schedule's next_change of the last fill; E_t holds until then).
   const EdgeSchedule* schedule_ = nullptr;
   Time refill_at_ = 0;
-  // Persistent configuration mirror: FSYNC adaptive adversaries, and every
-  // SSYNC/ASYNC run (the adversaries see gamma each round).
+  // Persistent configuration mirror: every other adversary sees gamma each
+  // round.
   std::unique_ptr<Configuration> gamma_mirror_;
 
   // Incremental coverage bookkeeping (analyze_coverage semantics).
@@ -282,11 +286,11 @@ class Engine {
 };
 
 /// One seeded run wired the way every FSYNC-battery entry point wires it
-/// (run_experiment, SweepRunner, pef_run): FSYNC takes the adversary
-/// directly; SSYNC/ASYNC adapt it through SsyncFromFsyncAdversary under the
-/// model's standard seeded Bernoulli activation.  The solo
-/// counterpart of wire_standard_replica (engine/batch_engine.hpp), so solo
-/// and batched runs of the same (model, seed) see identical streams.
+/// (run_experiment, SweepRunner, pef_run): the adversary as it is, under
+/// the model's standard_activation (FSYNC: full; SSYNC/ASYNC: seeded
+/// Bernoulli).  The solo counterpart of wire_standard_replica
+/// (engine/batch_engine.hpp), so solo and batched runs of the same
+/// (model, seed) see identical streams.
 [[nodiscard]] Engine make_standard_engine(
     Ring ring, ExecutionModel model, AlgorithmPtr algorithm,
     AdversaryPtr adversary, const std::vector<RobotPlacement>& placements,

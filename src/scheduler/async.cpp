@@ -5,7 +5,7 @@
 namespace pef {
 
 AsyncSimulator::AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
-                               std::unique_ptr<SsyncAdversary> adversary,
+                               AdversaryPtr adversary,
                                Activation activation,
                                const std::vector<RobotPlacement>& placements)
     : ring_(ring),

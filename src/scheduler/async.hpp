@@ -24,7 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "adversary/ssync_adversary.hpp"
+#include "adversary/ssync_adversary.hpp"  // the blocker its users share
 #include "common/types.hpp"
 #include "engine/activation.hpp"
 #include "robot/algorithm.hpp"
@@ -33,13 +33,12 @@
 
 namespace pef {
 
-/// The ASYNC reference engine.  Reuses the SsyncAdversary interface (the
-/// edge adversary sees the configuration and the set of robots whose Move
-/// fires each tick).
+/// The ASYNC reference engine.  Its edge adversary sees the configuration
+/// and, as its activation mask, the set of robots whose Move fires each
+/// tick.
 class AsyncSimulator {
  public:
-  AsyncSimulator(Ring ring, AlgorithmPtr algorithm,
-                 std::unique_ptr<SsyncAdversary> adversary,
+  AsyncSimulator(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
                  Activation activation,
                  const std::vector<RobotPlacement>& placements);
 
@@ -55,7 +54,7 @@ class AsyncSimulator {
  private:
   Ring ring_;
   AlgorithmPtr algorithm_;
-  std::unique_ptr<SsyncAdversary> adversary_;
+  AdversaryPtr adversary_;
   Activation activation_;
   std::vector<Robot> robots_;
   std::vector<Phase> phases_;

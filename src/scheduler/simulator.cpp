@@ -33,6 +33,7 @@ Simulator::Simulator(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
     robots_.emplace_back(static_cast<RobotId>(i), placements[i],
                          algorithm_->make_state(static_cast<RobotId>(i)));
   }
+  activated_.assign(robots_.size(), 1);
 
   trace_ = std::make_unique<Trace>(ring_, snapshot());
 }
@@ -52,7 +53,7 @@ Configuration Simulator::snapshot() const {
 
 RoundRecord Simulator::step() {
   const Configuration gamma = snapshot();
-  const EdgeSet edges = adversary_->choose_edges(now_, gamma);
+  const EdgeSet edges = adversary_->choose_edges(now_, gamma, activated_);
   PEF_CHECK(edges.edge_count() == ring_.edge_count());
 
   RoundRecord record;

@@ -6,7 +6,8 @@
 //   Compute - each robot runs the algorithm, possibly flipping `dir`;
 //   Move    - each robot crosses the edge it points to iff that edge is in
 //             E_t, else stays put.
-// The adversary supplies E_t at the start of the round, seeing gamma_t.
+// The adversary supplies E_t at the start of the round, seeing gamma_t and
+// the full activation mask.
 #pragma once
 
 #include <memory>
@@ -55,7 +56,6 @@ class Simulator {
   [[nodiscard]] Configuration snapshot() const;
 
   [[nodiscard]] const Trace& trace() const { return *trace_; }
-  [[nodiscard]] Adversary& adversary() { return *adversary_; }
 
  private:
   Ring ring_;
@@ -63,6 +63,7 @@ class Simulator {
   AdversaryPtr adversary_;
   SimulatorOptions options_;
   std::vector<Robot> robots_;
+  ActivationMask activated_;  // every robot, every round
   Time now_ = 0;
   std::unique_ptr<Trace> trace_;
 };

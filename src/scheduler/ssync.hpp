@@ -11,9 +11,9 @@
 //
 // Model: at each round a fair Activation (engine/activation.hpp) selects a
 // subset of robots; selected robots perform an atomic Look-Compute-Move
-// against the round's edge set, chosen by an SsyncAdversary
-// (adversary/ssync_adversary.hpp); the others do nothing (and keep their
-// state).
+// against the round's edge set, chosen by an Adversary that sees the
+// selection (SsyncBlockingAdversary reads it); the others do nothing (and
+// keep their state).
 //
 // Two engines run this model: SsyncSimulator below (the canonical
 // reference) and the unified Engine (src/engine/engine.hpp) with
@@ -24,7 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "adversary/ssync_adversary.hpp"
+#include "adversary/ssync_adversary.hpp"  // the blocker its users share
 #include "common/types.hpp"
 #include "engine/activation.hpp"
 #include "robot/algorithm.hpp"
@@ -37,8 +37,7 @@ namespace pef {
 /// cycle only to activated robots.
 class SsyncSimulator {
  public:
-  SsyncSimulator(Ring ring, AlgorithmPtr algorithm,
-                 std::unique_ptr<SsyncAdversary> adversary,
+  SsyncSimulator(Ring ring, AlgorithmPtr algorithm, AdversaryPtr adversary,
                  Activation activation,
                  const std::vector<RobotPlacement>& placements);
 
@@ -52,7 +51,7 @@ class SsyncSimulator {
  private:
   Ring ring_;
   AlgorithmPtr algorithm_;
-  std::unique_ptr<SsyncAdversary> adversary_;
+  AdversaryPtr adversary_;
   Activation activation_;
   std::vector<Robot> robots_;
   ActivationMask activated_;  // reused across rounds

@@ -163,31 +163,12 @@ std::unique_ptr<Engine> solo_run(const Ring& ring, const std::string& algorithm,
                                  const WideScenario& scenario,
                                  std::uint32_t robots, std::uint32_t replica) {
   const std::uint64_t seed = replica + 1;
-  auto fsync = adversary_from_config(scenario.adversary, ring, seed, robots,
-                                     scenario.topology);
-  const auto placements = random_placements(ring, robots, seed);
-  std::unique_ptr<Engine> engine;
-  switch (model) {
-    case ExecutionModel::kFsync:
-      engine = std::make_unique<Engine>(ring, make_algorithm(algorithm, seed),
-                                        std::move(fsync), placements,
-                                        EngineOptions{});
-      break;
-    case ExecutionModel::kSsync:
-      engine = std::make_unique<Engine>(
-          ring, make_algorithm(algorithm, seed),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(fsync)),
-          standard_ssync_activation(kActivationP, seed), placements,
-          EngineOptions{});
-      break;
-    case ExecutionModel::kAsync:
-      engine = std::make_unique<Engine>(
-          ring, make_algorithm(algorithm, seed),
-          std::make_unique<SsyncFromFsyncAdversary>(std::move(fsync)),
-          standard_async_phases(kActivationP, seed), placements,
-          EngineOptions{});
-      break;
-  }
+  auto engine = std::make_unique<Engine>(
+      ring, make_algorithm(algorithm, seed),
+      adversary_from_config(scenario.adversary, ring, seed, robots,
+                            scenario.topology),
+      standard_activation(model, kActivationP, seed),
+      random_placements(ring, robots, seed));
   engine->run(wide_horizon(replica));
   return engine;
 }

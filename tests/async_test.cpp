@@ -24,7 +24,7 @@ TEST(AsyncTest, LockstepOverStaticGraphIsFsyncAtThirdSpeed) {
   Simulator fsync(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                   placements);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
+                       make_oblivious(schedule),
                        Activation::full(ExecutionModel::kAsync), placements);
   fsync.run(60);
   async.run(180);
@@ -41,7 +41,7 @@ TEST(AsyncTest, PhasesCycleLookComputeMove) {
   const Ring ring(4);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("keep-direction"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
+                       make_oblivious(schedule),
                        Activation::full(ExecutionModel::kAsync),
                        {{0, Chirality(true)}});
   EXPECT_EQ(async.phase_of(0), Phase::kLook);
@@ -71,7 +71,7 @@ TEST(AsyncTest, StaleViewMakesRobotChaseVanishedEdge) {
   auto schedule = std::make_shared<RecordedSchedule>(ring, rounds,
                                                      TailRule::kRepeatLast);
   AsyncSimulator async(ring, make_algorithm("bounce"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
+                       make_oblivious(schedule),
                        Activation::full(ExecutionModel::kAsync),
                        {{2, Chirality(true)}});
   // Look at t=0 sees edge 1 present -> bounce keeps pointing at it.
@@ -121,7 +121,7 @@ TEST(AsyncTest, BenignAsyncStillExplores) {
   const Ring ring(6);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   AsyncSimulator async(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
+                       make_oblivious(schedule),
                        Activation::bernoulli(ExecutionModel::kAsync, 0.6, 9),
                        spread_placements(ring, 3));
   async.run(4000);

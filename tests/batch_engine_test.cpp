@@ -19,6 +19,7 @@
 
 #include "adversary/confinement.hpp"
 #include "adversary/greedy_blocker.hpp"
+#include "adversary/ssync_adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "common/rng.hpp"
 #include "core/spec.hpp"
@@ -74,6 +75,17 @@ SchedulePtr bounded_absence(const Ring& ring, std::uint64_t seed) {
   return std::make_shared<BoundedAbsenceSchedule>(ring, 2, 8, seed);
 }
 
+/// The adaptive adversaries.
+AdversaryPtr greedy(const Ring& ring, std::uint64_t) {
+  return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
+}
+AdversaryPtr cage(const Ring& ring, std::uint64_t) {
+  return std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth);
+}
+AdversaryPtr blocker(const Ring& ring, std::uint64_t) {
+  return std::make_unique<SsyncBlockingAdversary>(ring);
+}
+
 /// Lane b = seed - 1 of a mixed batch, by b % 4: static, t-interval,
 /// greedy-blocker or Bernoulli.  Every 8-lane chunk mixes the four edge
 /// sources, and horizon_of retires them in that order, so compaction
@@ -89,7 +101,7 @@ AdversaryPtr mixed_family(const Ring& ring, std::uint64_t seed) {
     case 1:
       return make_oblivious(t_interval(ring, seed));
     case 2:
-      return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
+      return greedy(ring, seed);
     default:
       return make_oblivious(
           std::make_shared<BernoulliSchedule>(ring, 0.95, seed));
@@ -195,7 +207,8 @@ void run_differential(
 // ---------------------------------------------------------------------------
 // FSYNC: oblivious (static, Bernoulli, eventual-missing, t-interval, static
 // chain, chain under t-interval, bounded-absence) and adaptive
-// (greedy-blocker, cage) adversaries.
+// (greedy-blocker, cage, and the SSYNC blocker, which the full mask
+// freezes) adversaries.
 
 struct FsyncFamily {
   const char* name;
@@ -221,11 +234,8 @@ std::vector<FsyncFamily> fsync_families() {
              std::make_shared<StaticSchedule>(ring),
              static_cast<EdgeId>(seed % ring.edge_count()), /*vanish=*/5));
        }},
-      {"greedy-blocker",
-       [](const Ring& ring, std::uint64_t) {
-         return AdversaryPtr(
-             std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4));
-       }},
+      {"greedy-blocker", greedy},
+      {"ssync-blocker", blocker},
       {"t-interval",
        [](const Ring& ring, std::uint64_t seed) {
          return make_oblivious(t_interval(ring, seed));
@@ -257,12 +267,7 @@ std::vector<FsyncFamily> fsync_families() {
          return make_oblivious(bounded_absence(ring, seed));
        },
        anywhere, kWideBatch},
-      {"cage",
-       [](const Ring& ring, std::uint64_t) {
-         return AdversaryPtr(
-             std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
-       },
-       in_cage, kWideBatch},
+      {"cage", cage, in_cage, kWideBatch},
       {"mixed families", mixed_family, anywhere, kWideBatch},
   };
 }
@@ -293,213 +298,100 @@ TEST(BatchEngineFsyncTest, MatchesSoloEnginesAcrossRegistryAndAdversaries) {
 }
 
 // ---------------------------------------------------------------------------
-// SSYNC: blocking, oblivious and adaptive adversaries under round-robin,
-// Bernoulli and full activation.
+// SSYNC and ASYNC: blocking, oblivious and adaptive adversaries under
+// round-robin, Bernoulli and full activation.
 
-struct SsyncScenario {
+struct Scenario {
   const char* name;
-  std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
-      make_adversary;
+  std::function<AdversaryPtr(const Ring&, std::uint64_t)> make_adversary;
   std::function<Activation(std::uint64_t)> make_activation;
   PlaceFn place = anywhere;
   std::uint32_t lanes = kBatch;
 };
 
-Activation bernoulli_activation(std::uint64_t seed) {
-  return Activation::bernoulli(ExecutionModel::kSsync, 0.6,
-                               derive_seed(seed, 0xac));
-}
-
-std::unique_ptr<SsyncAdversary> oblivious(SchedulePtr schedule) {
-  return std::make_unique<SsyncObliviousAdversary>(std::move(schedule));
-}
-
-std::unique_ptr<SsyncAdversary> cage(const Ring& ring, std::uint64_t) {
-  return std::make_unique<SsyncFromFsyncAdversary>(
-      std::make_unique<ConfinementAdversary>(ring, 0, kCageWidth));
-}
-
-/// mixed_family through the adapter the sweep wiring uses.
-std::unique_ptr<SsyncAdversary> mixed(const Ring& ring, std::uint64_t seed) {
-  return std::make_unique<SsyncFromFsyncAdversary>(mixed_family(ring, seed));
-}
-
-std::vector<SsyncScenario> ssync_scenarios() {
+/// The scenarios of one model: the same families, each under the
+/// activation its name gives ("full" is SSYNC's lockstep; under ASYNC it
+/// advances every robot one phase per tick).
+std::vector<Scenario> scenarios(ExecutionModel model) {
+  const std::uint64_t salt = model == ExecutionModel::kSsync ? 0xac : 0xa5;
+  const auto bernoulli = [model, salt](std::uint64_t seed) {
+    return Activation::bernoulli(model, 0.6, derive_seed(seed, salt));
+  };
+  const auto round_robin = [model](std::uint64_t) {
+    return Activation::round_robin(model);
+  };
+  const auto full = [model](std::uint64_t) { return Activation::full(model); };
   return {
-      {"blocker+round-robin",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncBlockingAdversary>(ring);
-       },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kSsync);
-       }},
-      {"bernoulli-schedule+bernoulli-activation",
+      {"blocker+round-robin", blocker, round_robin},
+      {"bernoulli-schedule+bernoulli",
        [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
+         return make_oblivious(
              std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
        },
-       bernoulli_activation},
-      {"adaptive-greedy+full",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncFromFsyncAdversary>(
-             std::make_unique<GreedyBlockerAdversary>(ring,
-                                                      /*max_absence=*/4));
-       },
-       [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); }},
-      {"t-interval+bernoulli-activation",
+       bernoulli},
+      {"adaptive-greedy+full", greedy, full},
+      {"t-interval+bernoulli",
        [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(t_interval(ring, seed));
+         return make_oblivious(t_interval(ring, seed));
        },
-       bernoulli_activation, anywhere, kWideBatch},
+       bernoulli, anywhere, kWideBatch},
       {"static-chain+full",
        [](const Ring& ring, std::uint64_t) {
-         return oblivious(static_chain(ring));
+         return make_oblivious(static_chain(ring));
        },
-       [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); },
-       anywhere, kWideBatch},
+       full, anywhere, kWideBatch},
       {"chain-t-interval+round-robin",
        [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(chain_t_interval(ring, seed));
+         return make_oblivious(chain_t_interval(ring, seed));
        },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kSsync);
-       },
-       anywhere, kWideBatch},
-      {"bounded-absence+bernoulli-activation",
+       round_robin, anywhere, kWideBatch},
+      {"bounded-absence+bernoulli",
        [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(bounded_absence(ring, seed));
+         return make_oblivious(bounded_absence(ring, seed));
        },
-       bernoulli_activation, anywhere, kWideBatch},
-      {"cage+bernoulli-activation", cage, bernoulli_activation, in_cage,
+       bernoulli, anywhere, kWideBatch},
+      {"cage+bernoulli", cage, bernoulli, in_cage, kWideBatch},
+      {"mixed-families+bernoulli", mixed_family, bernoulli, anywhere,
        kWideBatch},
-      {"mixed-families+bernoulli-activation", mixed, bernoulli_activation,
-       anywhere, kWideBatch},
   };
+}
+
+/// Every scenario of `model` against its solo Engines, for every registry
+/// algorithm.
+void run_scenarios(ExecutionModel model) {
+  const Ring ring(kNodes);
+  for (const std::string& algorithm : algorithm_names()) {
+    for (const Scenario& scenario : scenarios(model)) {
+      run_differential(
+          algorithm + " vs " + scenario.name,
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            BatchReplica replica;
+            replica.algorithm = make_algorithm(algorithm, seed);
+            replica.adversary = scenario.make_adversary(ring, seed);
+            replica.activation = scenario.make_activation(seed);
+            replica.placements = scenario.place(ring, seed);
+            replica.horizon = horizon_of(b);
+            return replica;
+          },
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            return Engine(ring, make_algorithm(algorithm, seed),
+                          scenario.make_adversary(ring, seed),
+                          scenario.make_activation(seed),
+                          scenario.place(ring, seed));
+          },
+          model, scenario.lanes);
+    }
+  }
 }
 
 TEST(BatchEngineSsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
-  const Ring ring(kNodes);
-  for (const std::string& algorithm : algorithm_names()) {
-    for (const SsyncScenario& scenario : ssync_scenarios()) {
-      run_differential(
-          algorithm + " vs " + scenario.name,
-          [&](std::uint32_t b) {
-            const std::uint64_t seed = b + 1;
-            BatchReplica replica;
-            replica.algorithm = make_algorithm(algorithm, seed);
-            replica.ssync_adversary = scenario.make_adversary(ring, seed);
-            replica.activation = scenario.make_activation(seed);
-            replica.placements = scenario.place(ring, seed);
-            replica.horizon = horizon_of(b);
-            return replica;
-          },
-          [&](std::uint32_t b) {
-            const std::uint64_t seed = b + 1;
-            return Engine(ring, make_algorithm(algorithm, seed),
-                          scenario.make_adversary(ring, seed),
-                          scenario.make_activation(seed),
-                          scenario.place(ring, seed));
-          },
-          ExecutionModel::kSsync, scenario.lanes);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ASYNC: the same families under ASYNC activations.
-
-struct AsyncScenario {
-  const char* name;
-  std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
-      make_adversary;
-  std::function<Activation(std::uint64_t)> make_activation;
-  PlaceFn place = anywhere;
-  std::uint32_t lanes = kBatch;
-};
-
-Activation bernoulli_phases(std::uint64_t seed) {
-  return Activation::bernoulli(ExecutionModel::kAsync, 0.6,
-                               derive_seed(seed, 0xa5));
-}
-
-std::vector<AsyncScenario> async_scenarios() {
-  return {
-      {"move-blocker+round-robin",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<AsyncMoveBlocker>(ring);
-       },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kAsync);
-       }},
-      {"bernoulli-schedule+bernoulli-phases",
-       [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
-       },
-       bernoulli_phases},
-      {"adaptive-greedy+lockstep",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncFromFsyncAdversary>(
-             std::make_unique<GreedyBlockerAdversary>(ring,
-                                                      /*max_absence=*/4));
-       },
-       [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); }},
-      {"t-interval+bernoulli-phases",
-       [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(t_interval(ring, seed));
-       },
-       bernoulli_phases, anywhere, kWideBatch},
-      {"static-chain+lockstep",
-       [](const Ring& ring, std::uint64_t) {
-         return oblivious(static_chain(ring));
-       },
-       [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); },
-       anywhere, kWideBatch},
-      {"chain-t-interval+round-robin",
-       [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(chain_t_interval(ring, seed));
-       },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kAsync);
-       },
-       anywhere, kWideBatch},
-      {"bounded-absence+bernoulli-phases",
-       [](const Ring& ring, std::uint64_t seed) {
-         return oblivious(bounded_absence(ring, seed));
-       },
-       bernoulli_phases, anywhere, kWideBatch},
-      {"cage+bernoulli-phases", cage, bernoulli_phases, in_cage, kWideBatch},
-      {"mixed-families+bernoulli-phases", mixed, bernoulli_phases, anywhere,
-       kWideBatch},
-  };
+  run_scenarios(ExecutionModel::kSsync);
 }
 
 TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
-  const Ring ring(kNodes);
-  for (const std::string& algorithm : algorithm_names()) {
-    for (const AsyncScenario& scenario : async_scenarios()) {
-      run_differential(
-          algorithm + " vs " + scenario.name,
-          [&](std::uint32_t b) {
-            const std::uint64_t seed = b + 1;
-            BatchReplica replica;
-            replica.algorithm = make_algorithm(algorithm, seed);
-            replica.ssync_adversary = scenario.make_adversary(ring, seed);
-            replica.activation = scenario.make_activation(seed);
-            replica.placements = scenario.place(ring, seed);
-            replica.horizon = horizon_of(b);
-            return replica;
-          },
-          [&](std::uint32_t b) {
-            const std::uint64_t seed = b + 1;
-            return Engine(ring, make_algorithm(algorithm, seed),
-                          scenario.make_adversary(ring, seed),
-                          scenario.make_activation(seed),
-                          scenario.place(ring, seed));
-          },
-          ExecutionModel::kAsync, scenario.lanes);
-    }
-  }
+  run_scenarios(ExecutionModel::kAsync);
 }
 
 // ---------------------------------------------------------------------------
@@ -569,17 +461,10 @@ TEST(BatchEngineModelMatrixTest, RegistryKernelsAcrossModelsAndAdversaries) {
             },
             [&](std::uint32_t b) {
               const std::uint64_t seed = b + 1;
-              auto adversary = std::make_unique<SsyncFromFsyncAdversary>(
-                  adversary_from_config(config, ring, seed, kRobots));
-              if (mc.model == ExecutionModel::kSsync) {
-                return Engine(ring, make_algorithm(algorithm, seed),
-                              std::move(adversary),
-                              standard_ssync_activation(mc.activation_p, seed),
-                              random_placements(ring, kRobots, seed));
-              }
               return Engine(ring, make_algorithm(algorithm, seed),
-                            std::move(adversary),
-                            standard_async_phases(mc.activation_p, seed),
+                            adversary_from_config(config, ring, seed, kRobots),
+                            standard_activation(mc.model, mc.activation_p,
+                                                seed),
                             random_placements(ring, kRobots, seed));
             },
             mc.model);
@@ -624,13 +509,11 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
           SCOPED_TRACE(std::string(to_string(model)) + " k=" +
                        std::to_string(robots) + " p=" + std::to_string(p) +
                        (full_edges ? " static" : " bernoulli edges"));
-          const auto adversary = [&](std::uint64_t seed)
-              -> std::unique_ptr<SsyncAdversary> {
+          const auto adversary = [&](std::uint64_t seed) {
             if (full_edges) {
-              return std::make_unique<SsyncObliviousAdversary>(
-                  std::make_shared<StaticSchedule>(ring));
+              return make_oblivious(std::make_shared<StaticSchedule>(ring));
             }
-            return std::make_unique<SsyncObliviousAdversary>(
+            return make_oblivious(
                 std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
           };
           const auto activation_seed = [](std::uint32_t b) {
@@ -652,7 +535,7 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
               const std::uint64_t seed = b + 1;
               BatchReplica& replica = replicas[b];
               replica.algorithm = make_algorithm("pef3+", seed);
-              replica.ssync_adversary = adversary(seed);
+              replica.adversary = adversary(seed);
               replica.activation =
                   mixed_activation(model, b, p, activation_seed(b));
               replica.placements = random_placements(ring, robots, seed);

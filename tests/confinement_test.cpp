@@ -37,17 +37,18 @@ TEST(ConfinementTest, RemovesBoundaryOnlyWhenOccupied) {
   const Ring ring(8);
   ConfinementAdversary cage(ring, 2, 3);
   std::vector<RobotSnapshot> snaps(1);
+  const ActivationMask all(1, 1);
   snaps[0].node = 3;  // mid-window
-  const EdgeSet mid = cage.choose_edges(0, Configuration(ring, snaps));
+  const EdgeSet mid = cage.choose_edges(0, Configuration(ring, snaps), all);
   EXPECT_TRUE(mid.full());
 
   snaps[0].node = 2;  // left boundary node
-  const EdgeSet left = cage.choose_edges(1, Configuration(ring, snaps));
+  const EdgeSet left = cage.choose_edges(1, Configuration(ring, snaps), all);
   EXPECT_FALSE(left.contains(1));
   EXPECT_EQ(left.size(), 7u);
 
   snaps[0].node = 4;  // right boundary node
-  const EdgeSet right = cage.choose_edges(2, Configuration(ring, snaps));
+  const EdgeSet right = cage.choose_edges(2, Configuration(ring, snaps), all);
   EXPECT_FALSE(right.contains(4));
   EXPECT_EQ(right.size(), 7u);
 }

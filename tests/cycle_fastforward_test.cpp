@@ -243,13 +243,11 @@ TEST(CycleFastForwardTest, SsyncRoundRobinActivation) {
     EngineOptions options;
     options.fast_forward.enabled = true;
     Engine ff(ring, make_algorithm("pef3+", 7),
-              std::make_unique<SsyncObliviousAdversary>(
-                  make_schedule(ring, Topo::kRing, true)),
+              make_oblivious(make_schedule(ring, Topo::kRing, true)),
               Activation::round_robin(ExecutionModel::kSsync),
               spread_placements(ring, 3), options);
     Engine plain(ring, make_algorithm("pef3+", 7),
-                 std::make_unique<SsyncObliviousAdversary>(
-                     make_schedule(ring, Topo::kRing, true)),
+                 make_oblivious(make_schedule(ring, Topo::kRing, true)),
                  Activation::round_robin(ExecutionModel::kSsync),
                  spread_placements(ring, 3), EngineOptions{});
     ff.run(horizon);
@@ -321,16 +319,10 @@ const LaneGraph kLaneGraphs[] = {{"rotating ring", Topo::kRing, true, 8},
 Engine make_lane_engine(const Ring& ring, const LaneGraph& graph,
                         const LanePolicy& policy, const std::string& algorithm,
                         std::uint32_t b, const EngineOptions& options) {
-  const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
-  const auto placements = random_placements(ring, kLaneRobots, b + 1);
-  if (policy.activation.model == ExecutionModel::kFsync) {
-    return Engine(ring, make_algorithm(algorithm, b + 1),
-                  std::make_unique<ObliviousAdversary>(schedule), placements,
-                  options);
-  }
   return Engine(ring, make_algorithm(algorithm, b + 1),
-                std::make_unique<SsyncObliviousAdversary>(schedule),
-                policy.activation, placements, options);
+                make_oblivious(make_schedule(ring, graph.topo, graph.rotating)),
+                policy.activation, random_placements(ring, kLaneRobots, b + 1),
+                options);
 }
 
 /// The same scenario as one batch replica.
@@ -342,14 +334,9 @@ BatchReplica make_lane_replica(const Ring& ring, const LaneGraph& graph,
   replica.algorithm = make_algorithm(algorithm, b + 1);
   replica.placements = random_placements(ring, kLaneRobots, b + 1);
   replica.horizon = horizon;
-  const SchedulePtr schedule = make_schedule(ring, graph.topo, graph.rotating);
+  replica.adversary =
+      make_oblivious(make_schedule(ring, graph.topo, graph.rotating));
   replica.activation = policy.activation;
-  if (policy.activation.model == ExecutionModel::kFsync) {
-    replica.adversary = std::make_unique<ObliviousAdversary>(schedule);
-  } else {
-    replica.ssync_adversary =
-        std::make_unique<SsyncObliviousAdversary>(schedule);
-  }
   return replica;
 }
 

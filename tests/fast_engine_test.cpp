@@ -13,6 +13,7 @@
 #include "adversary/confinement.hpp"
 #include "adversary/greedy_blocker.hpp"
 #include "adversary/proof_adversary.hpp"
+#include "adversary/ssync_adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
 #include "common/rng.hpp"
@@ -69,6 +70,11 @@ AdversaryPtr make_cage(const Ring& ring, std::uint32_t k, std::uint64_t) {
   return std::make_unique<ConfinementAdversary>(ring, 0, width);
 }
 
+/// The SSYNC blocker under FSYNC's full mask: no robot ever moves.
+AdversaryPtr make_blocker(const Ring& ring, std::uint32_t, std::uint64_t) {
+  return std::make_unique<SsyncBlockingAdversary>(ring);
+}
+
 const AdversaryFamily kFamilies[] = {
     {"all-edges", make_all_edges},
     {"bernoulli", make_bernoulli},
@@ -76,6 +82,7 @@ const AdversaryFamily kFamilies[] = {
     {"proof", make_proof, /*window_placements=*/true},
     {"greedy-blocker", make_greedy},
     {"confinement", make_cage, /*window_placements=*/true},
+    {"ssync-blocker", make_blocker},
 };
 
 /// Towerless placements on nodes {0, ..., k-1} (inside every window-based

@@ -95,7 +95,7 @@ TEST(AdversaryRegistryTest, BatchableFlagMatchesResolutionForEveryKind) {
   // actually resolves to, for EVERY registry kind: batchable == the live
   // adversary is an oblivious schedule (a pure function of time), which is
   // exactly the property BatchEngine's plane-fill path detects at runtime
-  // (ObliviousAdversary / SsyncAdversary::oblivious_schedule()).  A kind
+  // (ObliviousAdversary, in every model).  A kind
   // whose resolution changes without its flag becomes stale metadata —
   // this pin makes that a test failure instead.
   const Ring ring(12);
@@ -155,13 +155,14 @@ TEST(AdversaryRegistryTest, ConfigMatchesFactoryDraws) {
       ring, {{0, LocalDirection::kRight, Chirality(true)},
              {3, LocalDirection::kLeft, Chirality(true)},
              {6, LocalDirection::kRight, Chirality(false)}});
+  const ActivationMask all(3, 1);
   for (const AdversaryConfig& config : standard_battery_configs()) {
     const AdversarySpec factory = spec_from_config(config);
     AdversaryPtr a = adversary_from_config(config, ring, 42);
     AdversaryPtr b = factory.make(ring, 42);
     for (Time t = 0; t < 64; ++t) {
-      const EdgeSet ea = a->choose_edges(t, gamma);
-      const EdgeSet eb = b->choose_edges(t, gamma);
+      const EdgeSet ea = a->choose_edges(t, gamma, all);
+      const EdgeSet eb = b->choose_edges(t, gamma, all);
       for (EdgeId e = 0; e < ring.edge_count(); ++e) {
         ASSERT_EQ(ea.contains(e), eb.contains(e))
             << adversary_display_name(config) << " diverged at t=" << t
@@ -177,6 +178,7 @@ TEST(AdversaryRegistryTest, EveryKindOverwritesStaleEdges) {
   // one into an empty set must agree.  Three robots step around nodes 0..3,
   // inside the cage and proof windows.
   const Ring ring(9);
+  const ActivationMask all(3, 1);
   for (const AdversaryKindInfo& info : adversary_registry()) {
     for (const Topology topology : {Topology::kRing, Topology::kChain}) {
       const AdversaryConfig config = adversary_config(info.kind);
@@ -194,8 +196,8 @@ TEST(AdversaryRegistryTest, EveryKindOverwritesStaleEdges) {
                    {shift + 2, LocalDirection::kRight, Chirality(false)}});
         full.fill();
         empty.clear();
-        on_full->choose_edges_into(t, gamma, full);
-        on_empty->choose_edges_into(t, gamma, empty);
+        on_full->choose_edges_into(t, gamma, all, full);
+        on_empty->choose_edges_into(t, gamma, all, empty);
         ASSERT_EQ(full, empty) << info.name << " on a " << to_string(topology)
                                << " at t=" << t;
       }

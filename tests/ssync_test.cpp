@@ -26,7 +26,7 @@ TEST(SsyncTest, FullActivationMatchesFsyncEngine) {
   Simulator fsync(ring, make_algorithm("pef3+"), make_oblivious(schedule),
                   placements);
   SsyncSimulator ssync(ring, make_algorithm("pef3+"),
-                       std::make_unique<SsyncObliviousAdversary>(schedule),
+                       make_oblivious(schedule),
                        Activation::full(ExecutionModel::kSsync), placements);
   fsync.run(300);
   ssync.run(300);
@@ -185,7 +185,7 @@ TEST(SsyncTest, PefThreePlusSurvivesFairSsyncWithoutEdgeAdversary) {
   const Ring ring(6);
   auto schedule = std::make_shared<StaticSchedule>(ring);
   SsyncSimulator sim(ring, make_algorithm("pef3+"),
-                     std::make_unique<SsyncObliviousAdversary>(schedule),
+                     make_oblivious(schedule),
                      Activation::bernoulli(ExecutionModel::kSsync, 0.7, 11),
                      spread_placements(ring, 3));
   sim.run(2000);

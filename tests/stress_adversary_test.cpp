@@ -21,7 +21,7 @@ TEST(GreedyBlockerTest, RemovesPointedEdges) {
   snaps[1].node = 3;
   snaps[1].dir = LocalDirection::kRight;  // cw
   const Configuration gamma(ring, snaps);
-  const EdgeSet edges = blocker.choose_edges(0, gamma);
+  const EdgeSet edges = blocker.choose_edges(0, gamma, ActivationMask(2, 1));
   // Robot 0 points at edge 5 (ccw of node 0); robot 1 at edge 3.
   EXPECT_FALSE(edges.contains(5));
   EXPECT_FALSE(edges.contains(3));
@@ -44,8 +44,9 @@ TEST(GreedyBlockerTest, AbsenceBudgetForcesReopening) {
       snaps[1].dir = LocalDirection::kRight;  // so does this one
     }
     const Configuration gamma(ring, snaps);
+    const ActivationMask all(campers, 1);
     for (Time t = 0; t < 50; ++t) {
-      const EdgeSet edges = blocker.choose_edges(t, gamma);
+      const EdgeSet edges = blocker.choose_edges(t, gamma, all);
       EXPECT_EQ(edges.contains(1), t % (budget + 1) == budget)
           << "campers=" << campers << " t=" << t;
       EXPECT_EQ(edges.size(), edges.contains(1) ? 5u : 4u);

@@ -2,8 +2,10 @@
 // Engine (which always runs the devirtualized kernels) must reproduce the
 // reference SsyncSimulator / AsyncSimulator (which run the virtual
 // Algorithm classes) round-by-round, across every registry algorithm,
-// activations (full, round-robin, Bernoulli), adversaries and seeds.  FSYNC is
-// pinned to Simulator in fast_engine_test.cpp.
+// activations (full, round-robin, Bernoulli), adversaries and seeds.  The
+// schedules include t-interval and eventual-missing, whose rows the Engine
+// refills only at EdgeSchedule::next_change while the references ask every
+// round.  FSYNC is pinned to Simulator in fast_engine_test.cpp.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -70,44 +72,58 @@ TEST(KernelDispatchTest, EveryRegistryAlgorithmHasAKernel) {
 // ---------------------------------------------------------------------------
 // SSYNC: unified Engine vs SsyncSimulator.
 
-struct SsyncScenario {
+struct Scenario {
   const char* name;
-  std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
-      make_adversary;
+  std::function<AdversaryPtr(const Ring&, std::uint64_t)> make_adversary;
   std::function<Activation(std::uint64_t)> make_activation;
 };
 
-std::vector<SsyncScenario> ssync_scenarios() {
+AdversaryPtr blocker(const Ring& ring, std::uint64_t) {
+  return std::make_unique<SsyncBlockingAdversary>(ring);
+}
+
+AdversaryPtr bernoulli_schedule(const Ring& ring, std::uint64_t seed) {
+  return make_oblivious(std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
+}
+
+AdversaryPtr t_interval(const Ring& ring, std::uint64_t seed) {
+  return make_oblivious(
+      std::make_shared<TIntervalConnectedSchedule>(ring, 4, seed));
+}
+
+/// Vanish times spread over the run, one per seed.
+AdversaryPtr eventual_missing(const Ring& ring, std::uint64_t seed) {
+  return make_oblivious(std::make_shared<EventualMissingEdgeSchedule>(
+      std::make_shared<StaticSchedule>(ring),
+      static_cast<EdgeId>(seed % ring.edge_count()),
+      /*vanish=*/20 * seed));
+}
+
+AdversaryPtr greedy(const Ring& ring, std::uint64_t) {
+  return std::make_unique<GreedyBlockerAdversary>(ring, /*max_absence=*/4);
+}
+
+std::vector<Scenario> ssync_scenarios() {
+  const auto round_robin = [](std::uint64_t) {
+    return Activation::round_robin(ExecutionModel::kSsync);
+  };
   return {
-      {"blocker+round-robin",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncBlockingAdversary>(ring);
-       },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kSsync);
-       }},
-      {"bernoulli-schedule+bernoulli-activation",
-       [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
-       },
+      {"blocker+round-robin", blocker, round_robin},
+      {"bernoulli-schedule+bernoulli-activation", bernoulli_schedule,
        [](std::uint64_t seed) {
          return Activation::bernoulli(ExecutionModel::kSsync, 0.6,
                                       derive_seed(seed, 0xac));
        }},
-      {"adaptive-greedy+full",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncFromFsyncAdversary>(
-             std::make_unique<GreedyBlockerAdversary>(ring,
-                                                      /*max_absence=*/4));
-       },
+      {"t-interval+round-robin", t_interval, round_robin},
+      {"eventual-missing+round-robin", eventual_missing, round_robin},
+      {"adaptive-greedy+full", greedy,
        [](std::uint64_t) { return Activation::full(ExecutionModel::kSsync); }},
   };
 }
 
 TEST(UnifiedSsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
   for (const std::string& algorithm : algorithm_names()) {
-    for (const SsyncScenario& scenario : ssync_scenarios()) {
+    for (const Scenario& scenario : ssync_scenarios()) {
       for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         SCOPED_TRACE(algorithm + " vs " + scenario.name + " seed " +
                      std::to_string(seed));
@@ -138,44 +154,27 @@ TEST(UnifiedSsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
 // ---------------------------------------------------------------------------
 // ASYNC: unified Engine vs AsyncSimulator.
 
-struct AsyncScenario {
-  const char* name;
-  std::function<std::unique_ptr<SsyncAdversary>(const Ring&, std::uint64_t)>
-      make_adversary;
-  std::function<Activation(std::uint64_t)> make_activation;
-};
-
-std::vector<AsyncScenario> async_scenarios() {
+std::vector<Scenario> async_scenarios() {
+  const auto round_robin = [](std::uint64_t) {
+    return Activation::round_robin(ExecutionModel::kAsync);
+  };
   return {
-      {"move-blocker+round-robin",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<AsyncMoveBlocker>(ring);
-       },
-       [](std::uint64_t) {
-         return Activation::round_robin(ExecutionModel::kAsync);
-       }},
-      {"bernoulli-schedule+bernoulli-phases",
-       [](const Ring& ring, std::uint64_t seed) {
-         return std::make_unique<SsyncObliviousAdversary>(
-             std::make_shared<BernoulliSchedule>(ring, 0.6, seed));
-       },
+      {"move-blocker+round-robin", blocker, round_robin},
+      {"bernoulli-schedule+bernoulli-phases", bernoulli_schedule,
        [](std::uint64_t seed) {
          return Activation::bernoulli(ExecutionModel::kAsync, 0.6,
                                       derive_seed(seed, 0xa5));
        }},
-      {"adaptive-greedy+lockstep",
-       [](const Ring& ring, std::uint64_t) {
-         return std::make_unique<SsyncFromFsyncAdversary>(
-             std::make_unique<GreedyBlockerAdversary>(ring,
-                                                      /*max_absence=*/4));
-       },
+      {"t-interval+round-robin", t_interval, round_robin},
+      {"eventual-missing+round-robin", eventual_missing, round_robin},
+      {"adaptive-greedy+lockstep", greedy,
        [](std::uint64_t) { return Activation::full(ExecutionModel::kAsync); }},
   };
 }
 
 TEST(UnifiedAsyncTest, MatchesReferenceAcrossRegistryAndScenarios) {
   for (const std::string& algorithm : algorithm_names()) {
-    for (const AsyncScenario& scenario : async_scenarios()) {
+    for (const Scenario& scenario : async_scenarios()) {
       for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         SCOPED_TRACE(algorithm + " vs " + scenario.name + " seed " +
                      std::to_string(seed));
@@ -221,6 +220,18 @@ TEST(UnifiedEngineTest, SsyncStatsAccumulateWithoutTrace) {
   engine.run(600);
   // The [10] impossibility: frozen forever, only the 3 start nodes visited.
   EXPECT_EQ(engine.stats().rounds, 600u);
+  EXPECT_EQ(engine.stats().total_moves, 0u);
+  EXPECT_EQ(engine.stats().visited_node_count, 3u);
+}
+
+TEST(UnifiedEngineTest, FsyncFullMaskFreezesTheBlocker) {
+  // FSYNC hands the adversary every robot: the blocker removes the edges
+  // beside all of them every round.
+  const Ring ring(6);
+  Engine engine(ring, make_algorithm("pef3+"),
+                std::make_unique<SsyncBlockingAdversary>(ring),
+                spread_placements(ring, 3));
+  engine.run(300);
   EXPECT_EQ(engine.stats().total_moves, 0u);
   EXPECT_EQ(engine.stats().visited_node_count, 3u);
 }

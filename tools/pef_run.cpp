@@ -14,7 +14,7 @@
 //
 // The execution model is a flag: --model fsync|ssync|async selects the
 // activation model (SSYNC/ASYNC run under seeded Bernoulli activation /
-// phase scheduling, the adversary adapted through SsyncFromFsyncAdversary).
+// phase scheduling; the adversary is the same in every model).
 // Runs execute on the unified Engine (engine/engine.hpp), or under --batch
 // on BatchEngine; the reference simulators are the test suites' oracle,
 // not a CLI choice.
