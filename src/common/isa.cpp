@@ -5,7 +5,7 @@
 
 namespace pef {
 
-IsaTier detect_isa() {
+IsaTier cpu_isa() {
 #ifdef PEF_HAS_ISA_WRAPPERS
   IsaTier best = IsaTier::kPortable;
   if (__builtin_cpu_supports("avx2")) best = IsaTier::kAvx2;
@@ -15,6 +15,14 @@ IsaTier detect_isa() {
       __builtin_cpu_supports("avx512vl")) {
     best = IsaTier::kAvx512;
   }
+  return best;
+#else
+  return IsaTier::kPortable;
+#endif
+}
+
+IsaTier detect_isa() {
+  IsaTier best = cpu_isa();
   if (const char* env = std::getenv("PEF_BATCH_ISA")) {
     IsaTier cap = best;
     if (std::strcmp(env, "portable") == 0) cap = IsaTier::kPortable;
@@ -23,9 +31,6 @@ IsaTier detect_isa() {
     if (cap < best) best = cap;  // clamp only — never exceed the hardware
   }
   return best;
-#else
-  return IsaTier::kPortable;
-#endif
 }
 
 }  // namespace pef

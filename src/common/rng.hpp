@@ -18,8 +18,10 @@ inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
 
 /// SplitMix64's output finalizer: the bijective mix applied to each
 /// incremented state.  Shared by SplitMix64::next and by kernels that
-/// evaluate SplitMix64 outputs directly, without a generator object.
-[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+/// evaluate SplitMix64 outputs directly, without a generator object.  T is
+/// std::uint64_t or a vector of them (isa.hpp), one state per lane.
+template <typename T>
+[[nodiscard]] constexpr T splitmix64_finalize(T z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
@@ -54,15 +56,29 @@ class Xoshiro256 {
 
   result_type operator()() { return next(); }
 
+  /// A generator resumed from state() words.
+  explicit Xoshiro256(const std::array<std::uint64_t, 4>& state)
+      : state_(state) {}
+
   std::uint64_t next() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
+    return step(state_[0], state_[1], state_[2], state_[3]);
+  }
+
+  /// One xoshiro256** step on the state words s0..s3, returning its
+  /// output: rotl(s1 * 5, 7) * 9, the multiplies as shift-and-add.  T is
+  /// std::uint64_t or a vector of them, one generator per lane.
+  template <typename T>
+  static constexpr T step(T& s0, T& s1, T& s2, T& s3) {
+    const T x = s1 + (s1 << 2);
+    const T r = (x << 7) | (x >> 57);
+    const T result = r + (r << 3);
+    const T t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = (s3 << 45) | (s3 >> 19);
     return result;
   }
 
@@ -84,10 +100,6 @@ class Xoshiro256 {
   }
 
  private:
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
   std::array<std::uint64_t, 4> state_{};
 };
 
@@ -101,12 +113,13 @@ class Xoshiro256 {
 
 /// Xoshiro256(seed).next() without building the generator.  The first
 /// xoshiro256** output reads only state[1], which is the seed's second
-/// SplitMix64 output.
-[[nodiscard]] constexpr std::uint64_t xoshiro256_first_output(
-    std::uint64_t seed) {
-  const std::uint64_t s1 = splitmix64_finalize(seed + 2 * kSplitMix64Gamma);
-  const std::uint64_t x = s1 * 5;
-  return ((x << 7) | (x >> 57)) * 9;
+/// SplitMix64 output.  T is std::uint64_t or a vector of them.
+template <typename T>
+[[nodiscard]] constexpr T xoshiro256_first_output(T seed) {
+  const T s1 = splitmix64_finalize(seed + 2 * kSplitMix64Gamma);
+  const T x = s1 + (s1 << 2);
+  const T r = (x << 7) | (x >> 57);
+  return r + (r << 3);
 }
 
 /// The multiplier derive_seed applies to its `b` coordinate.

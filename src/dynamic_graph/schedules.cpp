@@ -1,6 +1,7 @@
 #include "dynamic_graph/schedules.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "common/isa.hpp"
@@ -50,59 +51,41 @@ void RecordedSchedule::edges_into_words(Time t, std::uint64_t* words) const {
 //     SplitMix64 output of its seed (xoshiro256_first_output);
 //   * next_bool(p) is an integer compare of the output's top 53 bits
 //     against bernoulli_threshold(p).
-// The draw itself is bernoulli_present (bernoulli_draw.hpp), which
-// BatchEngine also calls for the edges beside its lanes' robots.
+// The draw itself is bernoulli_draw_value (bernoulli_draw.hpp), which
+// BatchEngine also draws for the edges beside its lanes' robots.
 
 namespace {
 
-void bernoulli_words_portable(const std::uint64_t* keys, std::uint32_t n,
-                              Time t, std::uint64_t threshold,
-                              std::uint64_t* words) {
-  for (std::uint32_t base = 0; base < n; base += 64) {
-    const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
-    std::uint64_t word = 0;
-    for (std::uint32_t b = 0; b < bits; ++b) {
-      word |= std::uint64_t{bernoulli_present(keys[base + b], t, threshold)}
-              << b;
+/// The row fill, W edges per step (W = the tier's u64 lanes: 8 on
+/// AVX-512, where vpmullq does the multiplies, 4 on AVX2, where each
+/// 64-bit multiply is three vpmuludq, and 1 portable).  Reads whole
+/// W-key chunks (keys are padded to a multiple of 8) and masks the bits
+/// past n off the last word.
+struct BernoulliWords {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const std::uint64_t* keys,
+                                         std::uint32_t n, Time t,
+                                         std::uint64_t threshold,
+                                         std::uint64_t* words) {
+    using V = typename Lanes::U64;
+    constexpr std::uint32_t kW = Lanes::kU64Lanes;
+    const V limit = V{} + threshold;
+    const std::uint64_t tb = t * kDeriveSeedB;
+    for (std::uint32_t base = 0; base < n; base += 64) {
+      const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
+      std::uint64_t word = 0;
+      for (std::uint32_t j = 0; j < bits; j += kW) {
+        V key;
+        std::memcpy(&key, keys + base + j, sizeof key);
+        word |= std::uint64_t{Lanes::lt_bits(bernoulli_draw_value(key, tb),
+                                             limit)}
+                << j;
+      }
+      words[base >> 6] =
+          bits == 64 ? word : word & ((std::uint64_t{1} << bits) - 1);
     }
-    words[base >> 6] = word;
   }
-}
-
-#ifdef PEF_HAS_ISA_WRAPPERS
-// bernoulli_words_portable, 8 edges per step.  Reads whole 8-key chunks
-// (keys are padded) and masks the bits past n off the last word.
-__attribute__((target(PEF_AVX512_TARGET))) void bernoulli_words_avx512(
-    const std::uint64_t* keys, std::uint32_t n, Time t,
-    std::uint64_t threshold, std::uint64_t* words) {
-  const __m512i tb =
-      _mm512_set1_epi64(static_cast<long long>(t * kDeriveSeedB));
-  const __m512i limit = _mm512_set1_epi64(static_cast<long long>(threshold));
-  for (std::uint32_t base = 0; base < n; base += 64) {
-    const std::uint32_t bits = std::min<std::uint32_t>(64, n - base);
-    std::uint64_t word = 0;
-    for (std::uint32_t j = 0; j < bits; j += 8) {
-      const __mmask8 hit = bernoulli_present_x8(
-          _mm512_loadu_si512(keys + base + j), tb, limit);
-      word |= std::uint64_t{_cvtmask8_u32(hit)} << j;
-    }
-    words[base >> 6] =
-        bits == 64 ? word : word & ((std::uint64_t{1} << bits) - 1);
-  }
-}
-#endif
-
-void bernoulli_words(const std::uint64_t* keys, std::uint32_t n, Time t,
-                     std::uint64_t threshold, std::uint64_t* words) {
-#ifdef PEF_HAS_ISA_WRAPPERS
-  // AVX2 has no 64-bit multiply, so below AVX-512 the portable body runs.
-  if (active_isa() == IsaTier::kAvx512) {
-    bernoulli_words_avx512(keys, n, t, threshold, words);
-    return;
-  }
-#endif
-  bernoulli_words_portable(keys, n, t, threshold, words);
-}
+};
 
 }  // namespace
 
@@ -119,7 +102,8 @@ BernoulliSchedule::BernoulliSchedule(Ring ring, double p, std::uint64_t seed)
 }
 
 void BernoulliSchedule::edges_into_words(Time t, std::uint64_t* words) const {
-  bernoulli_words(keys_.data(), ring_.edge_count(), t, threshold_, words);
+  dispatch<BernoulliWords>(keys_.data(), ring_.edge_count(), t, threshold_,
+                           words);
 }
 
 std::string BernoulliSchedule::name() const {

@@ -103,8 +103,8 @@ class BernoulliSchedule final : public EdgeSchedule {
 
   [[nodiscard]] double presence_probability() const { return p_; }
   /// The draw's inputs, for callers that draw single edges: edge e is
-  /// present at round t iff bernoulli_present(keys()[e], t, threshold())
-  /// (bernoulli_draw.hpp).
+  /// present at round t iff bernoulli_draw_value(keys()[e], t *
+  /// kDeriveSeedB) < threshold() (bernoulli_draw.hpp).
   [[nodiscard]] const std::uint64_t* keys() const { return keys_.data(); }
   [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
 

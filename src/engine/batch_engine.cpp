@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "adversary/greedy_blocker.hpp"
@@ -118,7 +117,7 @@ template <std::uint32_t W>
 // The driver walks one LANE RANGE [off0, off0+live): callers pass
 // plane-base pointers plus the range, so one multiplicity boundary can be
 // sliced across worker threads (tower[] here is pre-rebased to the range).
-// WMax is the leading chunk width: 16 u32 (two ymm per row) for AVX2 and
+// WMax is the leading chunk width, two u32 vectors per row: 16 for AVX2 and
 // the portable tier, 32 (two zmm) for AVX-512 — one zmm per row leaves the
 // compare ports half idle and measured SLOWER than the AVX2 tier.
 template <std::uint32_t WMax>
@@ -149,142 +148,91 @@ template <std::uint32_t WMax>
   }
 }
 
-#ifdef PEF_HAS_ISA_WRAPPERS
-__attribute__((target("avx2"))) void compute_multiplicity_rows_avx2(
-    const NodeId* __restrict node, std::uint8_t* __restrict mult,
-    std::uint8_t* __restrict tower, std::uint32_t k, std::uint32_t stride,
-    std::uint32_t off0, std::uint32_t live) {
-  compute_multiplicity_rows_body<16>(node, mult, tower, k, stride, off0,
-                                     live);
-}
-
-// AVX-512 pairwise kernel for k <= 16.  One chunk covers 16 lanes (one zmm
-// per robot row), and with k <= 16 ALL robot rows fit in zmm registers at
-// once — the pair loop then runs i<j compares with zero memory traffic.
-// Each vpcmpeqd yields a 16-bit lane mask which is OR-accumulated for BOTH
-// rows of the pair in scalar GPRs; this (a) halves the compares versus the
-// count-equal formulation (multiplicity is a bit, not a count), and (b)
-// leaves nothing for the compiler to spill — the autovectorized W=32
-// counting body loses ~4x to stack traffic on exactly this loop.
-template <std::uint32_t KC>
-__attribute__((target(PEF_AVX512_TARGET))) [[gnu::always_inline]] inline
-void mult_pairs_chunk_avx512(const NodeId* __restrict node,
-                             std::uint8_t* __restrict mult,
-                             std::uint8_t* __restrict tower,
-                             std::uint32_t stride, std::uint32_t off,
-                             __mmask16 lanes) {
-  // Masked-out tail lanes load as zero in every row, so they compare equal
-  // everywhere — harmless, because every store below is masked by `lanes`.
-  __m512i rows[KC];
-  for (std::uint32_t i = 0; i < KC; ++i) {
-    rows[i] =
-        _mm512_maskz_loadu_epi32(lanes, node + std::size_t{i} * stride + off);
-  }
-  std::uint32_t acc[KC] = {};
-  for (std::uint32_t i = 0; i + 1 < KC; ++i) {
-    for (std::uint32_t j = i + 1; j < KC; ++j) {
-      const std::uint32_t eq =
-          _cvtmask16_u32(_mm512_cmpeq_epi32_mask(rows[i], rows[j]));
-      acc[i] |= eq;
-      acc[j] |= eq;
-    }
-  }
-  const __m128i ones = _mm_set1_epi8(1);
-  std::uint32_t tw = 0;
-  for (std::uint32_t i = 0; i < KC; ++i) {
-    tw |= acc[i];
-    _mm_mask_storeu_epi8(
-        mult + std::size_t{i} * stride + off, lanes,
-        _mm_maskz_mov_epi8(static_cast<__mmask16>(acc[i]), ones));
-  }
-  _mm_mask_storeu_epi8(tower + off, lanes,
-                       _mm_maskz_mov_epi8(static_cast<__mmask16>(tw), ones));
-}
-
-template <std::uint32_t KC>
-__attribute__((target(PEF_AVX512_TARGET))) void mult_pairs_avx512(
-    const NodeId* __restrict node, std::uint8_t* __restrict mult,
-    std::uint8_t* __restrict tower, std::uint32_t stride, std::uint32_t off0,
-    std::uint32_t live) {
+// The pairwise kernel for k <= 16.  One chunk covers one u32 vector of
+// lanes per robot row (16 on AVX-512, 8 below), and with k <= 16 ALL robot
+// rows of a chunk fit in vector registers at once on AVX-512 — the pair
+// loop then runs i<j compares with zero memory traffic.  Each compare
+// yields a lane mask which is OR-accumulated for BOTH rows of the pair in
+// scalar GPRs; this (a) halves the compares versus the count-equal
+// formulation (multiplicity is a bit, not a count), and (b) leaves nothing
+// for the compiler to spill — the autovectorized W=32 counting body loses
+// ~4x to stack traffic on exactly this loop.
+template <typename Lanes, std::uint32_t KC>
+[[gnu::always_inline]] inline void mult_pairs(const NodeId* __restrict node,
+                                              std::uint8_t* __restrict mult,
+                                              std::uint8_t* __restrict tower,
+                                              std::uint32_t stride,
+                                              std::uint32_t off0,
+                                              std::uint32_t live) {
+  constexpr std::uint32_t kW = Lanes::kU32Lanes;
   tower -= off0;  // chunks index tower by absolute offset, like mult_chunk
-  std::uint32_t off = off0;
   const std::uint32_t end = off0 + live;
-  for (; off + 16 <= end; off += 16) {
-    mult_pairs_chunk_avx512<KC>(node, mult, tower, stride, off, 0xffff);
-  }
-  if (off < end) {
-    const __mmask16 tail =
-        static_cast<__mmask16>((1u << (end - off)) - 1u);
-    mult_pairs_chunk_avx512<KC>(node, mult, tower, stride, off, tail);
-  }
-}
-
-__attribute__((target(PEF_AVX512_TARGET))) void
-compute_multiplicity_rows_avx512(const NodeId* __restrict node,
-                                 std::uint8_t* __restrict mult,
-                                 std::uint8_t* __restrict tower,
-                                 std::uint32_t k, std::uint32_t stride,
-                                 std::uint32_t off0, std::uint32_t live) {
-  switch (k) {
-#define PEF_MULT_PAIRS_CASE(KC)                                  \
-  case KC:                                                       \
-    mult_pairs_avx512<KC>(node, mult, tower, stride, off0, live); \
-    return;
-    PEF_MULT_PAIRS_CASE(2)
-    PEF_MULT_PAIRS_CASE(3)
-    PEF_MULT_PAIRS_CASE(4)
-    PEF_MULT_PAIRS_CASE(5)
-    PEF_MULT_PAIRS_CASE(6)
-    PEF_MULT_PAIRS_CASE(7)
-    PEF_MULT_PAIRS_CASE(8)
-    PEF_MULT_PAIRS_CASE(9)
-    PEF_MULT_PAIRS_CASE(10)
-    PEF_MULT_PAIRS_CASE(11)
-    PEF_MULT_PAIRS_CASE(12)
-    PEF_MULT_PAIRS_CASE(13)
-    PEF_MULT_PAIRS_CASE(14)
-    PEF_MULT_PAIRS_CASE(15)
-    PEF_MULT_PAIRS_CASE(16)
-#undef PEF_MULT_PAIRS_CASE
-    case 0:
-    case 1: {
-      // A lone robot can never stand on a tower.
-      for (std::uint32_t i = 0; i < k; ++i) {
-        std::memset(mult + std::size_t{i} * stride + off0, 0, live);
-      }
-      std::memset(tower, 0, live);
-      return;
+  for (std::uint32_t off = off0; off < end; off += kW) {
+    const std::uint32_t count = std::min(kW, end - off);
+    // Lanes past `count` load as zero in every row, so they compare equal
+    // everywhere — harmless, because every store below stops at `count`.
+    typename Lanes::U32 rows[KC];
+    for (std::uint32_t i = 0; i < KC; ++i) {
+      rows[i] = Lanes::load_u32(node + std::size_t{i} * stride + off, count);
     }
-    default:
-      compute_multiplicity_rows_body<32>(node, mult, tower, k, stride, off0,
-                                         live);
-      return;
+    std::uint32_t acc[KC] = {};
+    for (std::uint32_t i = 0; i + 1 < KC; ++i) {
+      for (std::uint32_t j = i + 1; j < KC; ++j) {
+        const std::uint32_t eq = Lanes::eq_bits(rows[i], rows[j]);
+        acc[i] |= eq;
+        acc[j] |= eq;
+      }
+    }
+    std::uint32_t tw = 0;
+    for (std::uint32_t i = 0; i < KC; ++i) {
+      tw |= acc[i];
+      Lanes::store_bytes(mult + std::size_t{i} * stride + off, acc[i], count);
+    }
+    Lanes::store_bytes(tower + off, tw, count);
   }
 }
-#endif
 
-void compute_multiplicity_rows(const NodeId* __restrict node,
-                               std::uint8_t* __restrict mult,
-                               std::uint8_t* __restrict tower,
-                               std::uint32_t k, std::uint32_t stride,
-                               std::uint32_t off0, std::uint32_t live) {
-#ifdef PEF_HAS_ISA_WRAPPERS
-  switch (active_isa()) {
-    case IsaTier::kAvx512:
-      compute_multiplicity_rows_avx512(node, mult, tower, k, stride, off0,
-                                       live);
-      return;
-    case IsaTier::kAvx2:
-      compute_multiplicity_rows_avx2(node, mult, tower, k, stride, off0,
-                                     live);
-      return;
-    case IsaTier::kPortable:
-      break;
+/// The multiplicity kernel: the pairwise body for 2 to 16 robots where a
+/// compare lands in bits in one instruction, the counting body otherwise
+/// (leading chunks of two u32 vectors per row).
+struct Multiplicity {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const NodeId* node,
+                                         std::uint8_t* mult,
+                                         std::uint8_t* tower, std::uint32_t k,
+                                         std::uint32_t stride,
+                                         std::uint32_t off0,
+                                         std::uint32_t live) {
+    if constexpr (Lanes::kBitCompares) {
+      switch (k) {
+#define PEF_MULT_PAIRS_CASE(KC)                                   \
+  case KC:                                                        \
+    mult_pairs<Lanes, KC>(node, mult, tower, stride, off0, live); \
+    return;
+        PEF_MULT_PAIRS_CASE(2)
+        PEF_MULT_PAIRS_CASE(3)
+        PEF_MULT_PAIRS_CASE(4)
+        PEF_MULT_PAIRS_CASE(5)
+        PEF_MULT_PAIRS_CASE(6)
+        PEF_MULT_PAIRS_CASE(7)
+        PEF_MULT_PAIRS_CASE(8)
+        PEF_MULT_PAIRS_CASE(9)
+        PEF_MULT_PAIRS_CASE(10)
+        PEF_MULT_PAIRS_CASE(11)
+        PEF_MULT_PAIRS_CASE(12)
+        PEF_MULT_PAIRS_CASE(13)
+        PEF_MULT_PAIRS_CASE(14)
+        PEF_MULT_PAIRS_CASE(15)
+        PEF_MULT_PAIRS_CASE(16)
+#undef PEF_MULT_PAIRS_CASE
+        default:
+          break;
+      }
+    }
+    compute_multiplicity_rows_body<2 * Lanes::kU32Lanes>(node, mult, tower, k,
+                                                         stride, off0, live);
   }
-#endif
-  compute_multiplicity_rows_body<16>(node, mult, tower, k, stride, off0,
-                                     live);
-}
+};
 
 /// The two ring-edge ids adjacent to node `u` in a robot's frame: .first
 /// is the pointed (ahead) edge, .second the opposite one.  Single source of
@@ -780,38 +728,15 @@ struct AsyncPass {
   }
 };
 
-// The ISA dispatch mirrors compute_multiplicity_rows; target_clones does
-// not apply to templates, so the AVX2/AVX-512 wrappers carry plain target
-// attributes (the always_inline Pass::run body is re-codegenned inside
-// each) and pass_on_tier picks a wrapper via the shared active_isa() tier.
-#ifdef PEF_HAS_ISA_WRAPPERS
+/// A fused pass as a dispatched kernel: it names no lane type, and its
+/// loops vectorize for each tier's target.
 template <typename Pass>
-__attribute__((target("avx2"))) void pass_avx2(const PassArgs& a) {
-  Pass::run(a);
-}
-template <typename Pass>
-__attribute__((target(PEF_AVX512_TARGET))) void pass_avx512(
-    const PassArgs& a) {
-  Pass::run(a);
-}
-#endif
-
-template <typename Pass>
-void pass_on_tier(const PassArgs& a) {
-#ifdef PEF_HAS_ISA_WRAPPERS
-  switch (active_isa()) {
-    case IsaTier::kAvx512:
-      pass_avx512<Pass>(a);
-      return;
-    case IsaTier::kAvx2:
-      pass_avx2<Pass>(a);
-      return;
-    case IsaTier::kPortable:
-      break;
+struct OnTier {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const PassArgs& a) {
+    Pass::run(a);
   }
-#endif
-  Pass::run(a);
-}
+};
 
 /// The touched words of lanes [l0, l1) (l0 64-aligned): bit l & 63 of
 /// word i * lw + l / 64 is set iff robot i of lane l stands on one of the
@@ -819,137 +744,55 @@ void pass_on_tier(const PassArgs& a) {
 /// `stride` nodes, unused slots holding n).  One compare of each node row
 /// against the first `Planes` endpoint planes — those a row of the range
 /// can fill.  Bits past l1 in the last word are zero.
-template <std::uint32_t Planes>
-[[gnu::always_inline]] inline void touched_words_body(
-    const NodeId* node, const NodeId* ends, std::uint32_t stride,
-    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
-    std::uint64_t* touched, std::uint32_t lw) {
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const NodeId* const row = node + std::size_t{i} * stride;
-    for (std::uint32_t lo = l0; lo < l1;) {
-      const std::uint32_t hi = std::min(l1, (lo | 63) + 1);
-      std::uint64_t word = 0;
-      for (std::uint32_t l = lo; l < hi; ++l) {
-        bool hit = false;
-        for (std::uint32_t j = 0; j < Planes; ++j) {
-          hit |= row[l] == ends[std::size_t{j} * stride + l];
-        }
-        word |= std::uint64_t{hit} << (l & 63);
-      }
-      touched[std::size_t{i} * lw + (lo >> 6)] = word;
-      lo = hi;
-    }
-  }
-}
-
-#ifdef PEF_HAS_ISA_WRAPPERS
-// The vector forms run lane-major: each group of lanes loads its endpoint
+//
+// Lane-major: each group of one u32 vector of lanes loads its endpoint
 // planes once and compares every robot row against them, storing the hit
-// mask straight into its byte(s) of the robot's word — bit l & 63 of a
+// bits straight into its byte(s) of the robot's word — bit l & 63 of a
 // little-endian word is bit l & 7 of byte l >> 3 of the robot's row.
 // Groups past l1, up to the end of the last word, store zero.
-
-// 8 lanes per ymm compare, gathered by movemask; a group short of 8 live
-// lanes takes the scalar compare.
 template <std::uint32_t Planes>
-__attribute__((target("avx2"))) void touched_words_avx2(
-    const NodeId* node, const NodeId* ends, std::uint32_t stride,
-    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
-    std::uint64_t* touched, std::uint32_t lw) {
-  const std::uint32_t end = (l1 + 63) & ~63u;
-  for (std::uint32_t l = l0; l < end; l += 8) {
-    __m256i plane[Planes > 0 ? Planes : 1];
-    if (l + 8 <= l1) {
-      for (std::uint32_t j = 0; j < Planes; ++j) {
-        plane[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            ends + std::size_t{j} * stride + l));
+struct TouchedWords {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const NodeId* node,
+                                         const NodeId* ends,
+                                         std::uint32_t stride, std::uint32_t k,
+                                         std::uint32_t l0, std::uint32_t l1,
+                                         std::uint64_t* touched,
+                                         std::uint32_t lw) {
+    constexpr std::uint32_t kW = Lanes::kU32Lanes;
+    const std::uint32_t end = (l1 + 63) & ~63u;
+    if constexpr (Planes == 0) {
+      for (std::uint32_t i = 0; i < k; ++i) {
+        std::fill(touched + std::size_t{i} * lw + (l0 >> 6),
+                  touched + std::size_t{i} * lw + (end >> 6), 0);
       }
-    }
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const NodeId* const row = node + std::size_t{i} * stride;
-      std::uint8_t bits = 0;
-      if (l + 8 <= l1) {
-        const __m256i u =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + l));
-        __m256i hit = _mm256_setzero_si256();
+    } else {
+      for (std::uint32_t l = l0; l < end; l += kW) {
+        const std::uint32_t count = l >= l1 ? 0 : std::min(kW, l1 - l);
+        typename Lanes::U32 plane[Planes];
         for (std::uint32_t j = 0; j < Planes; ++j) {
-          hit = _mm256_or_si256(hit, _mm256_cmpeq_epi32(u, plane[j]));
+          plane[j] = Lanes::load_u32(ends + std::size_t{j} * stride + l, count);
         }
-        bits = static_cast<std::uint8_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(hit)));
-      } else {
-        for (std::uint32_t t = l; t < l1 && t < l + 8; ++t) {
-          bool hit = false;
+        for (std::uint32_t i = 0; i < k; ++i) {
+          const auto u =
+              Lanes::load_u32(node + std::size_t{i} * stride + l, count);
+          std::uint32_t hit = 0;
           for (std::uint32_t j = 0; j < Planes; ++j) {
-            hit |= row[t] == ends[std::size_t{j} * stride + t];
+            hit |= Lanes::eq_bits(u, plane[j]);
           }
-          bits |= static_cast<std::uint8_t>(hit << (t & 7));
+          hit &= low_bits(count);
+          std::memcpy(reinterpret_cast<unsigned char*>(touched +
+                                                       std::size_t{i} * lw) +
+                          (l >> 3),
+                      &hit, kW / 8);
         }
       }
-      std::memcpy(reinterpret_cast<unsigned char*>(touched +
-                                                   std::size_t{i} * lw) +
-                      (l >> 3),
-                  &bits, 1);
     }
   }
-}
+};
 
-// 16 lanes per zmm compare straight into a mask register; a group short
-// of 16 live lanes loads and compares under a lane mask.
-template <std::uint32_t Planes>
-__attribute__((target(PEF_AVX512_TARGET))) void touched_words_avx512(
-    const NodeId* node, const NodeId* ends, std::uint32_t stride,
-    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
-    std::uint64_t* touched, std::uint32_t lw) {
-  const std::uint32_t end = (l1 + 63) & ~63u;
-  for (std::uint32_t l = l0; l < end; l += 16) {
-    const auto live = static_cast<__mmask16>(
-        l >= l1 ? 0u : l1 - l >= 16 ? 0xffffu : (1u << (l1 - l)) - 1u);
-    __m512i plane[Planes > 0 ? Planes : 1];
-    for (std::uint32_t j = 0; j < Planes; ++j) {
-      plane[j] =
-          _mm512_maskz_loadu_epi32(live, ends + std::size_t{j} * stride + l);
-    }
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const __m512i u =
-          _mm512_maskz_loadu_epi32(live, node + std::size_t{i} * stride + l);
-      __mmask16 hit = 0;
-      for (std::uint32_t j = 0; j < Planes; ++j) {
-        hit |= _mm512_mask_cmpeq_epi32_mask(live, u, plane[j]);
-      }
-      const auto bits = static_cast<std::uint16_t>(_cvtmask16_u32(hit));
-      std::memcpy(reinterpret_cast<unsigned char*>(touched +
-                                                   std::size_t{i} * lw) +
-                      (l >> 3),
-                  &bits, 2);
-    }
-  }
-}
-#endif
-
-template <std::uint32_t Planes>
-void touched_words_on_tier(const NodeId* node, const NodeId* ends,
-                           std::uint32_t stride, std::uint32_t k,
-                           std::uint32_t l0, std::uint32_t l1,
-                           std::uint64_t* touched, std::uint32_t lw) {
-#ifdef PEF_HAS_ISA_WRAPPERS
-  switch (active_isa()) {
-    case IsaTier::kAvx512:
-      touched_words_avx512<Planes>(node, ends, stride, k, l0, l1, touched,
-                                   lw);
-      return;
-    case IsaTier::kAvx2:
-      touched_words_avx2<Planes>(node, ends, stride, k, l0, l1, touched, lw);
-      return;
-    case IsaTier::kPortable:
-      break;
-  }
-#endif
-  touched_words_body<Planes>(node, ends, stride, k, l0, l1, touched, lw);
-}
-
-/// touched_words_body over the first 2 * `absent` endpoint planes, with
-/// the plane count a compile-time constant of the tier body.
+/// TouchedWords over the first 2 * `absent` endpoint planes, with the
+/// plane count a compile-time constant of the kernel.
 void touched_words(const NodeId* node, const NodeId* ends,
                    std::uint8_t absent, std::uint32_t stride,
                    std::uint32_t k, std::uint32_t l0, std::uint32_t l1,
@@ -957,13 +800,13 @@ void touched_words(const NodeId* node, const NodeId* ends,
   static_assert(kAbsentEnds == 4, "one instantiation per absent count");
   switch (absent) {
     case 0:
-      touched_words_on_tier<0>(node, ends, stride, k, l0, l1, touched, lw);
+      dispatch<TouchedWords<0>>(node, ends, stride, k, l0, l1, touched, lw);
       return;
     case 1:
-      touched_words_on_tier<2>(node, ends, stride, k, l0, l1, touched, lw);
+      dispatch<TouchedWords<2>>(node, ends, stride, k, l0, l1, touched, lw);
       return;
     default:
-      touched_words_on_tier<4>(node, ends, stride, k, l0, l1, touched, lw);
+      dispatch<TouchedWords<4>>(node, ends, stride, k, l0, l1, touched, lw);
       return;
   }
 }
@@ -975,132 +818,125 @@ void touched_words(const NodeId* node, const NodeId* ends,
   return p > 0 ? bernoulli_threshold(std::min(p, 1.0)) : 0;
 }
 
-[[gnu::always_inline]] inline bool bernoulli_draw(Xoshiro256& rng,
-                                                  std::uint64_t threshold) {
-  return (rng.next() >> 11) < threshold;
-}
-
-#ifdef PEF_HAS_ISA_WRAPPERS
-// The visit-cell update of observe_boundary, 8 lanes per step, robots in
-// index order: robot i gathers the {count, last} cells (one u64 each,
-// count in the low half) of lanes [l, l + 8) at (lane, node of i), updates
-// them and scatters them back.  Each lane has its own row, so a scatter
-// never conflicts with itself; robot i + 1's gather sees robot i's
-// scatter, so robots sharing a node keep the serial order (the second one
-// reads gap 0).  Gap maxima go straight into max_gap; first visits are
-// counted into fresh (zeroed here) for the caller to fold into the stats.
-__attribute__((target(PEF_AVX512_TARGET))) void visit_cells_avx512(
-    const NodeId* node, std::uint32_t stride, std::uint32_t k,
-    std::uint32_t n, std::uint64_t* cells, Time* max_gap,
-    std::uint32_t* fresh, std::uint32_t l0, std::uint32_t l1, Time t) {
-  const auto n64 = static_cast<long long>(n);
-  const __m512i lane_rows = _mm512_set_epi64(7 * n64, 6 * n64, 5 * n64,
-                                             4 * n64, 3 * n64, 2 * n64, n64, 0);
-  const __m512i now = _mm512_set1_epi64(static_cast<long long>(t));
-  const __m512i stamp = _mm512_set1_epi64(static_cast<long long>(
-      std::uint64_t{static_cast<std::uint32_t>(t)} << 32));
-  const __m512i low = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m256i one32 = _mm256_set1_epi32(1);
-  std::fill(fresh + l0, fresh + l1, 0u);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    const NodeId* const row = node + std::size_t{i} * stride;
-    for (std::uint32_t l = l0; l < l1; l += 8) {
-      const auto live = static_cast<__mmask8>(
-          l1 - l >= 8 ? 0xffu : (1u << (l1 - l)) - 1u);
-      const __m512i at = _mm512_add_epi64(
-          lane_rows,
-          _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(live, row + l)));
-      std::uint64_t* const base = cells + std::size_t{l} * n;
-      const __m512i cell = _mm512_mask_i64gather_epi64(
-          _mm512_setzero_si512(), live, at, base, 8);
-      const __m512i count = _mm512_and_si512(cell, low);
-      const __mmask8 seen = _mm512_mask_test_epi64_mask(live, count, count);
-      const __m512i gap =
-          _mm512_maskz_sub_epi64(seen, now, _mm512_srli_epi64(cell, 32));
-      _mm512_mask_storeu_epi64(
-          max_gap + l, live,
-          _mm512_max_epu64(_mm512_maskz_loadu_epi64(live, max_gap + l), gap));
-      const __m256i f = _mm256_maskz_loadu_epi32(live, fresh + l);
-      _mm256_mask_storeu_epi32(
-          fresh + l, live,
-          _mm256_mask_add_epi32(f, static_cast<__mmask8>(live & ~seen), f,
-                                one32));
-      // count wraps in 32 bits like the scalar cell: mask the increment
-      // before stamping `last` into the high half.
-      const __m512i next = _mm512_or_si512(
-          _mm512_and_si512(_mm512_add_epi64(count, one), low), stamp);
-      _mm512_mask_i64scatter_epi64(base, live, at, next, 8);
+// The visit-cell update of observe_boundary, one u64 vector of lanes per
+// step (8 on AVX-512, 4 on AVX2, 1 portable), robots in index order:
+// robot i gathers the {count, last} cells (one u64 each, count in the low
+// half) of its lanes at (lane, node of i), updates them and scatters them
+// back.  Each lane has its own row, so a scatter never conflicts with
+// itself; robot i + 1's gather sees robot i's scatter, so robots sharing a
+// node keep the serial order (the second one reads gap 0).  The lanes' gap
+// maxima and first visits stay in registers across the robots; the maxima
+// go straight into max_gap and the first visits into fresh, for the caller
+// to fold into the stats.
+struct VisitCells {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const NodeId* node,
+                                         std::uint32_t stride,
+                                         std::uint32_t k, std::uint32_t n,
+                                         std::uint64_t* cells, Time* max_gap,
+                                         std::uint32_t* fresh,
+                                         std::uint32_t l0, std::uint32_t l1,
+                                         Time t) {
+    using V = typename Lanes::U64;
+    constexpr std::uint32_t kW = Lanes::kU64Lanes;
+    const V rows = lane_multiples<V>(std::uint64_t{8} * n);
+    const std::uint64_t stamp = std::uint64_t{static_cast<std::uint32_t>(t)}
+                                << 32;
+    for (std::uint32_t l = l0; l < l1; l += kW) {
+      const std::uint32_t count = std::min(kW, l1 - l);
+      const std::uint32_t live = low_bits(count);
+      const V base =
+          rows + reinterpret_cast<std::uintptr_t>(cells + std::size_t{l} * n);
+      V most = load_lanes<V>(max_gap + l, count);
+      V first = {};
+      for (std::uint32_t i = 0; i < k; ++i) {
+        const V at =
+            base +
+            (Lanes::widen_u32(node + std::size_t{i} * stride + l, count) << 3);
+        const V cell = Lanes::gather_u64(at, live);
+        const V visits = cell & 0xffffffffULL;
+        const V gap = (t - (cell >> 32)) & (V)(visits != 0);
+        most = most > gap ? most : gap;
+        first -= (V)(visits == 0);
+        // count wraps in 32 bits like the scalar cell: mask the increment
+        // before stamping `last` into the high half.
+        Lanes::scatter_u64(at, ((visits + 1) & 0xffffffffULL) | stamp, live);
+      }
+      store_lanes(max_gap + l, most, count);
+      for (std::uint32_t j = 0; j < count; ++j) {
+        fresh[l + j] = static_cast<std::uint32_t>(first[j]);
+      }
     }
   }
-}
+};
 
-// The Bernoulli activation fill of 8 consecutive lanes: each zmm lane
-// steps one lane's xoshiro256** stream, so every lane draws exactly its
-// scalar stream, robot by robot.  `rng` holds the 8 generators
-// (array-of-structs, transposed into 4 state registers and back);
-// `threshold` the 8 draw thresholds; `words` robot 0's mask word holding
-// the lanes, whose bits start at `shift` (a multiple of 8).  Returns the
-// lanes that drew no robot: the caller runs their next_below(k) fallback
-// on the advanced streams.
-__attribute__((target(PEF_AVX512_TARGET))) std::uint32_t
-bernoulli_masks_x8_avx512(Xoshiro256* rng, const std::uint64_t* threshold,
-                          std::uint32_t k, std::uint64_t* words,
-                          std::uint32_t lw, std::uint32_t shift) {
-  static_assert(sizeof(Xoshiro256) == 4 * sizeof(std::uint64_t) &&
-                    std::is_standard_layout_v<Xoshiro256>,
-                "a generator is its four state words");
-  auto* const raw = reinterpret_cast<std::uint64_t*>(rng);
-  // Lanes 2j and 2j + 1 share a row; pairing two rows by these indices
-  // yields words {0, 1} (lo) or {2, 3} (hi) of four lanes, and the same
-  // permutation maps the transposed halves back.
-  const __m512i lo_idx = _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0);
-  const __m512i hi_idx = _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2);
-  const __m512i r0 = _mm512_loadu_si512(raw);
-  const __m512i r1 = _mm512_loadu_si512(raw + 8);
-  const __m512i r2 = _mm512_loadu_si512(raw + 16);
-  const __m512i r3 = _mm512_loadu_si512(raw + 24);
-  const __m512i a = _mm512_permutex2var_epi64(r0, lo_idx, r1);
-  const __m512i b = _mm512_permutex2var_epi64(r0, hi_idx, r1);
-  const __m512i c = _mm512_permutex2var_epi64(r2, lo_idx, r3);
-  const __m512i d = _mm512_permutex2var_epi64(r2, hi_idx, r3);
-  __m512i s0 = _mm512_shuffle_i64x2(a, c, 0x44);
-  __m512i s1 = _mm512_shuffle_i64x2(a, c, 0xee);
-  __m512i s2 = _mm512_shuffle_i64x2(b, d, 0x44);
-  __m512i s3 = _mm512_shuffle_i64x2(b, d, 0xee);
-
-  const __m512i limit = _mm512_loadu_si512(threshold);
-  std::uint32_t drew = 0;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    // Xoshiro256::next: rotl(s1 * 5, 7) * 9, the multiplies as
-    // shift-and-add.
-    const __m512i x = _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2));
-    const __m512i r = _mm512_rol_epi64(x, 7);
-    const __m512i out = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
-    const __m512i t = _mm512_slli_epi64(s1, 17);
-    s2 = _mm512_xor_si512(s2, s0);
-    s3 = _mm512_xor_si512(s3, s1);
-    s1 = _mm512_xor_si512(s1, s2);
-    s0 = _mm512_xor_si512(s0, s3);
-    s2 = _mm512_xor_si512(s2, t);
-    s3 = _mm512_rol_epi64(s3, 45);
-    const std::uint32_t hit = _cvtmask8_u32(
-        _mm512_cmplt_epu64_mask(_mm512_srli_epi64(out, 11), limit));
-    words[std::size_t{i} * lw] |= std::uint64_t{hit} << shift;
-    drew |= hit;
+// The Bernoulli activation fill of lanes [l0, l1) (l0 64-aligned), one u64
+// vector of lanes per step (8 on AVX-512, 4 on AVX2, 1 portable): each
+// vector lane steps one lane's xoshiro256** stream from the four state
+// planes (word j of lane l at state[j * stride + l]; the planes are padded
+// to whole 64-lane words, so a group never reads past them), so every lane
+// draws exactly its scalar stream, robot by robot, and sets its hits in
+// the mask words (robot i's word of lane l at words[i * lw + l / 64]).  A
+// lane that drew no robot takes Activation::fill's next_below(k) fallback
+// on its advanced stream.  Lanes whose kind is not Bernoulli keep their
+// state untouched.
+struct BernoulliActivation {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const std::uint8_t* kind,
+                                         std::uint8_t bernoulli,
+                                         std::uint64_t* state,
+                                         const std::uint64_t* threshold,
+                                         std::uint32_t stride, std::uint32_t k,
+                                         std::uint32_t l0, std::uint32_t l1,
+                                         std::uint64_t* words,
+                                         std::uint32_t lw) {
+    using V = typename Lanes::U64;
+    constexpr std::uint32_t kW = Lanes::kU64Lanes;
+    for (std::uint32_t l = l0; l < l1; l += kW) {
+      std::uint32_t lanes = 0;
+      for (std::uint32_t j = 0; j < kW && l + j < l1; ++j) {
+        lanes |= static_cast<std::uint32_t>(kind[l + j] == bernoulli) << j;
+      }
+      if (lanes == 0) continue;
+      V s[4];
+      for (std::uint32_t w = 0; w < 4; ++w) {
+        std::memcpy(&s[w], state + std::size_t{w} * stride + l, sizeof(V));
+      }
+      V limit;
+      std::memcpy(&limit, threshold + l, sizeof limit);
+      std::uint64_t* const word = words + (l >> 6);
+      const std::uint32_t shift = l & 63;
+      std::uint32_t drew = 0;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        const V out = Xoshiro256::step(s[0], s[1], s[2], s[3]);
+        const std::uint32_t hit = Lanes::lt_bits(out >> 11, limit) & lanes;
+        word[std::size_t{i} * lw] |= std::uint64_t{hit} << shift;
+        drew |= hit;
+      }
+      for (std::uint32_t w = 0; w < 4; ++w) {
+        std::uint64_t* const plane = state + std::size_t{w} * stride + l;
+        if (lanes == low_bits(kW)) {
+          std::memcpy(plane, &s[w], sizeof(V));
+        } else {
+          for (std::uint32_t m = lanes; m != 0; m &= m - 1) {
+            const auto j = static_cast<std::uint32_t>(__builtin_ctz(m));
+            plane[j] = s[w][j];
+          }
+        }
+      }
+      for (std::uint32_t m = lanes & ~drew; m != 0; m &= m - 1) {
+        const auto j = static_cast<std::uint32_t>(__builtin_ctz(m));
+        std::uint64_t* const lane = state + l + j;
+        Xoshiro256 rng({lane[0], lane[stride], lane[2 * std::size_t{stride}],
+                        lane[3 * std::size_t{stride}]});
+        word[rng.next_below(k) * lw] |= std::uint64_t{1} << (shift + j);
+        for (std::uint32_t w = 0; w < 4; ++w) {
+          lane[std::size_t{w} * stride] = rng.state()[w];
+        }
+      }
+    }
   }
-
-  const __m512i a2 = _mm512_shuffle_i64x2(s0, s1, 0x44);
-  const __m512i c2 = _mm512_shuffle_i64x2(s0, s1, 0xee);
-  const __m512i b2 = _mm512_shuffle_i64x2(s2, s3, 0x44);
-  const __m512i d2 = _mm512_shuffle_i64x2(s2, s3, 0xee);
-  _mm512_storeu_si512(raw, _mm512_permutex2var_epi64(a2, lo_idx, b2));
-  _mm512_storeu_si512(raw + 8, _mm512_permutex2var_epi64(a2, hi_idx, b2));
-  _mm512_storeu_si512(raw + 16, _mm512_permutex2var_epi64(c2, lo_idx, d2));
-  _mm512_storeu_si512(raw + 24, _mm512_permutex2var_epi64(c2, hi_idx, d2));
-  return ~drew & 0xffu;
-}
-#endif
+};
 
 /// What the Bernoulli neighbourhood draw reads and writes.  Lane l is drawn
 /// iff source[l] == bernoulli; keys[l] and threshold[l] are its schedule's
@@ -1122,108 +958,77 @@ struct BernoulliRows {
   std::uint8_t dense = 0;
 };
 
-/// The neighbourhood draw one lane at a time (the portable and AVX2
-/// tiers): every edge present, then each robot's two edges drawn and the
-/// absent ones cleared.
-void bernoulli_rows_scalar(const BernoulliRows& a, std::uint32_t l0,
-                           std::uint32_t l1, Time t) {
-  for (std::uint32_t l = l0; l < l1; ++l) {
-    if (a.source[l] != a.bernoulli) continue;
-    const std::uint64_t* const keys = a.keys[l];
-    const std::uint64_t threshold = a.threshold[l];
-    std::uint64_t* const row = a.edges + std::size_t{l} * a.ewpr;
-    fill_edge_words(row, a.n);
-    bool any = false;
-    for (std::uint32_t i = 0; i < a.k; ++i) {
-      const NodeId u = a.node[std::size_t{i} * a.stride + l];
-      for (const EdgeId e : {u, u == 0 ? a.n - 1 : u - 1}) {
-        const bool gone = !bernoulli_present(keys[e], t, threshold);
-        row[e >> 6] &= ~(std::uint64_t{gone} << (e & 63));
-        any = any || gone;
+// The neighbourhood draw, one u64 vector of lanes per step: one vector
+// holds one (robot, side) pair of its lanes.  The keys are gathered from
+// the lanes' key tables and drawn by bernoulli_draw_value against the
+// lanes' thresholds; each absent draw then clears its bit in its lane's
+// row, which the group first filled with every edge present.  Lanes that
+// are not Bernoulli are masked out.
+struct BernoulliLaneRows {
+  template <typename Lanes>
+  [[gnu::always_inline]] static void run(const BernoulliRows& a,
+                                         std::uint32_t l0, std::uint32_t l1,
+                                         Time t) {
+    using V = typename Lanes::U64;
+    constexpr std::uint32_t kW = Lanes::kU64Lanes;
+    const std::uint64_t tb = t * kDeriveSeedB;
+    const V lanes = lane_multiples<V>(1);
+    const std::uint32_t tail_bits = a.n - (a.ewpr - 1) * 64;
+    const std::uint64_t tail = tail_bits == 64
+                                   ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << tail_bits) - 1;
+    for (std::uint32_t l = l0; l < l1; l += kW) {
+      const std::uint32_t count = std::min(kW, l1 - l);
+      std::uint32_t drawn = 0;
+      for (std::uint32_t j = 0; j < count; ++j) {
+        drawn |= static_cast<std::uint32_t>(a.source[l + j] == a.bernoulli)
+                 << j;
       }
-    }
-    a.absent[l] = any ? a.dense : 0;
-  }
-}
-
-#ifdef PEF_HAS_ISA_WRAPPERS
-// The neighbourhood draw, 8 lanes per step: one zmm holds one (robot,
-// side) pair of lanes [l, l + 8).  The 8 keys are gathered from the 8
-// lanes' key tables and drawn by bernoulli_present_x8 against the lanes'
-// thresholds; the absent draws clear their bits by gathering the 8 lanes'
-// row words, and-not, and scattering them back.  The lanes of one vector
-// are distinct rows, so a scatter never collides with itself, and robot
-// i + 1's gather sees robot i's scatter.  One-word rows (n <= 64) are 8
-// consecutive words, so they stay in one register through the chunk and
-// are stored once.  Lanes that are not Bernoulli are masked out.
-__attribute__((target(PEF_AVX512_TARGET))) void bernoulli_rows_avx512(
-    const BernoulliRows& a, std::uint32_t l0, std::uint32_t l1, Time t) {
-  const auto ewpr = static_cast<long long>(a.ewpr);
-  const __m512i lane_rows =
-      _mm512_set_epi64(7 * ewpr, 6 * ewpr, 5 * ewpr, 4 * ewpr, 3 * ewpr,
-                       2 * ewpr, ewpr, 0);
-  const __m512i tb =
-      _mm512_set1_epi64(static_cast<long long>(t * kDeriveSeedB));
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i low6 = _mm512_set1_epi64(63);
-  const __m512i last = _mm512_set1_epi64(a.n - 1);
-  const std::uint32_t tail_bits = a.n - (a.ewpr - 1) * 64;
-  const __m512i tail = _mm512_set1_epi64(static_cast<long long>(
-      tail_bits == 64 ? ~0ULL : (1ULL << tail_bits) - 1));
-  const __m128i bernoulli = _mm_set1_epi8(static_cast<char>(a.bernoulli));
-  for (std::uint32_t l = l0; l < l1; l += 8) {
-    const auto live = static_cast<__mmask16>(
-        l1 - l >= 8 ? 0xffu : (1u << (l1 - l)) - 1u);
-    const auto drawn = static_cast<__mmask8>(_mm_mask_cmpeq_epi8_mask(
-        live, _mm_maskz_loadu_epi8(live, a.source + l), bernoulli));
-    if (drawn == 0) continue;
-    const __m512i rows = _mm512_add_epi64(
-        lane_rows, _mm512_set1_epi64(static_cast<long long>(l) * ewpr));
-    // Every edge present: one-word rows in the register, wider ones in
-    // place.
-    __m512i one_word = tail;
-    if (a.ewpr > 1) {
-      for (std::uint32_t w = 0; w < a.ewpr; ++w) {
-        _mm512_mask_i64scatter_epi64(
-            a.edges, drawn, _mm512_add_epi64(rows, _mm512_set1_epi64(w)),
-            w + 1 == a.ewpr ? tail : _mm512_set1_epi64(-1), 8);
-      }
-    }
-    const __m512i keys = _mm512_maskz_loadu_epi64(drawn, a.keys + l);
-    const __m512i limit = _mm512_maskz_loadu_epi64(drawn, a.threshold + l);
-    __mmask8 any = 0;
-    for (std::uint32_t i = 0; i < a.k; ++i) {
-      const __m512i cw = _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(
-          drawn, a.node + std::size_t{i} * a.stride + l));
-      const __m512i ccw = _mm512_mask_blend_epi64(
-          _mm512_cmpeq_epi64_mask(cw, zero), _mm512_sub_epi64(cw, one), last);
-      for (const __m512i e : {cw, ccw}) {
-        const __m512i key = _mm512_mask_i64gather_epi64(
-            zero, drawn, _mm512_add_epi64(keys, _mm512_slli_epi64(e, 3)),
-            nullptr, 1);
-        const __mmask8 gone = static_cast<__mmask8>(
-            drawn & ~bernoulli_present_x8(key, tb, limit));
-        any = static_cast<__mmask8>(any | gone);
-        const __m512i bit =
-            _mm512_sllv_epi64(one, _mm512_and_si512(e, low6));
-        if (a.ewpr == 1) {
-          one_word = _mm512_mask_andnot_epi64(one_word, gone, bit, one_word);
-          continue;
+      if (drawn == 0) continue;
+      // Every lane's key table and threshold: the gathers below skip the
+      // lanes that are not drawn.
+      V keys = {};
+      if (count == kW) {
+        std::memcpy(&keys, a.keys + l, sizeof keys);
+      } else {
+        for (std::uint32_t j = 0; j < count; ++j) {
+          keys[j] = reinterpret_cast<std::uintptr_t>(a.keys[l + j]);
         }
-        const __m512i at = _mm512_add_epi64(rows, _mm512_srli_epi64(e, 6));
-        const __m512i word =
-            _mm512_mask_i64gather_epi64(zero, gone, at, a.edges, 8);
-        _mm512_mask_i64scatter_epi64(a.edges, gone, at,
-                                     _mm512_andnot_si512(bit, word), 8);
+      }
+      const V limit = load_lanes<V>(a.threshold + l, count);
+      // Every edge present: one word of every drawn row per scatter.
+      const V rows =
+          lane_multiples<V>(std::uint64_t{8} * a.ewpr) +
+          reinterpret_cast<std::uintptr_t>(a.edges + std::size_t{l} * a.ewpr);
+      for (std::uint32_t w = 0; w + 1 < a.ewpr; ++w) {
+        Lanes::scatter_u64(rows + 8 * w, V{} + ~std::uint64_t{0}, drawn);
+      }
+      Lanes::scatter_u64(rows + 8 * (a.ewpr - 1), V{} + tail, drawn);
+      // Each draw clears its absent bits by a gather, and-not and scatter
+      // of its lanes' row words: no branch waits on a draw's outcome, so
+      // the multiply chains of consecutive draws overlap.
+      std::uint32_t any = 0;
+      for (std::uint32_t i = 0; i < a.k; ++i) {
+        const V cw =
+            Lanes::widen_u32(a.node + std::size_t{i} * a.stride + l, count);
+        const V sides[2] = {cw, cw - 1 + ((V)(cw == 0) & a.n)};
+        for (const V& e : sides) {
+          const V key = Lanes::gather_u64(keys + (e << 3), drawn);
+          const std::uint32_t gone =
+              drawn & ~Lanes::lt_bits(bernoulli_draw_value(key, tb), limit);
+          any |= gone;
+          const V at = rows + ((e >> 6) << 3);
+          const V bit = (((V{} + gone) >> lanes) & 1) << (e & 63);
+          Lanes::scatter_u64(at, Lanes::gather_u64(at, drawn) & ~bit, drawn);
+        }
+      }
+      for (std::uint32_t m = drawn; m != 0; m &= m - 1) {
+        const auto j = static_cast<std::uint32_t>(__builtin_ctz(m));
+        a.absent[l + j] = (any >> j) & 1 ? a.dense : 0;
       }
     }
-    if (a.ewpr == 1) _mm512_mask_storeu_epi64(a.edges + l, drawn, one_word);
-    _mm_mask_storeu_epi8(a.absent + l, drawn,
-                         _mm_maskz_set1_epi8(any, static_cast<char>(a.dense)));
   }
-}
-#endif
+};
 
 }  // namespace
 
@@ -1404,8 +1209,9 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
       }
     }
     act_kind_.assign(batch_, 0);
-    act_threshold_.assign(batch_, 0);
-    act_rng_.assign(batch_, Xoshiro256(0));
+    act_stride_ = lane_words_ * 64;
+    act_threshold_.assign(act_stride_, 0);
+    act_state_.assign(std::size_t{4} * act_stride_, 0);
   }
 
   for (std::uint32_t l = 0; l < batch_; ++l) {
@@ -1538,7 +1344,10 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     const Activation& activation = replica.activation;
     act_kind_[lane] = static_cast<std::uint8_t>(activation.kind);
     act_threshold_[lane] = activation_threshold(activation.p);
-    act_rng_[lane] = activation.rng;
+    for (std::uint32_t w = 0; w < 4; ++w) {
+      act_state_[std::size_t{w} * act_stride_ + lane] =
+          activation.rng.state()[w];
+    }
   }
 
   // Route the lane's edge rows (EdgeSource), the same way in every model:
@@ -1630,9 +1439,8 @@ void BatchEngine::recompute_multiplicity(std::uint32_t l0, std::uint32_t l1,
   // histogram, whose per-robot scattered updates defeat the replica-stride
   // layout (the stamp path above covers the narrow-batch / huge-k
   // regimes).
-  compute_multiplicity_rows(node_.data(), mult_.data(),
-                            tower_flag_.data() + l0, robots_, batch_, l0,
-                            l1 - l0);
+  dispatch<Multiplicity>(node_.data(), mult_.data(), tower_flag_.data() + l0,
+                         robots_, batch_, l0, l1 - l0);
 }
 
 void BatchEngine::recompute_multiplicity_stamped(std::uint32_t l0,
@@ -1681,71 +1489,20 @@ void BatchEngine::recompute_multiplicity_stamped(std::uint32_t l0,
 
 void BatchEngine::observe_boundary(Time t, std::uint32_t l0,
                                    std::uint32_t l1) {
-  const std::uint32_t stride = batch_;
-  const std::uint32_t k = robots_;
   const std::uint32_t n = nodes_;
-  const NodeId* const node = node_.data();
-#ifdef PEF_HAS_ISA_WRAPPERS
-  if (active_isa() == IsaTier::kAvx512) {
-    static_assert(sizeof(VisitCell) == sizeof(std::uint64_t) &&
-                      offsetof(VisitCell, count) == 0 &&
-                      offsetof(VisitCell, last) == sizeof(std::uint32_t),
-                  "the AVX-512 visit body moves a cell as one u64");
-    std::uint32_t* const fresh = fresh_visits_.data();
-    visit_cells_avx512(node, stride, k, n,
+  static_assert(sizeof(VisitCell) == sizeof(std::uint64_t) &&
+                    offsetof(VisitCell, count) == 0 &&
+                    offsetof(VisitCell, last) == sizeof(std::uint32_t),
+                "the visit kernel moves a cell as one u64");
+  std::uint32_t* const fresh = fresh_visits_.data();
+  dispatch<VisitCells>(node_.data(), batch_, robots_, n,
                        reinterpret_cast<std::uint64_t*>(visits_.data()),
                        max_closed_gap_.data(), fresh, l0, l1, t);
-    for (std::uint32_t l = l0; l < l1; ++l) {
-      if (fresh[l] == 0) continue;
-      EngineStats& st = stats_[l];
-      st.visited_node_count += fresh[l];
-      if (st.visited_node_count == n && !st.cover_time) st.cover_time = t;
-    }
-    return;
-  }
-#endif
-  const auto t32 = static_cast<std::uint32_t>(t);
-  // Lane-major: each lane's visit row stays hot for its k cell updates and
-  // the per-lane aggregates (gap maximum, cover bookkeeping) live in
-  // registers across the robot loop.  Within a lane robots are processed
-  // in index order, exactly like Engine::observe_boundary.  The cell
-  // update is branch-free — first-visit handling and the gap maximum fold
-  // into selects — because the first-visit and new-max branches flip
-  // unpredictably and the mispredicts were costing more than the whole
-  // fused pass (the tiled run keeps these rows L2-resident, so the
-  // scattered touches themselves are cheap).
   for (std::uint32_t l = l0; l < l1; ++l) {
-    VisitCell* const row = visits_.data() + std::size_t{l} * n;
-    // Get all k scattered cell lines in flight before the update loop
-    // touches any of them: a tile-round touches more lines than L1 holds,
-    // so every cell is an L1 miss and the prefetches overlap what would
-    // otherwise serialize behind the loop's loads.
-    for (std::uint32_t i = 0; i < k; ++i) {
-      __builtin_prefetch(row + node[std::size_t{i} * stride + l], 1);
-    }
+    if (fresh[l] == 0) continue;
     EngineStats& st = stats_[l];
-    // Four interleaved gap maxima: a single accumulator makes the round's
-    // k updates one serial compare/select chain; four break it into
-    // independent chains the core overlaps with the cell loads.
-    Time mg[4] = {max_closed_gap_[l], 0, 0, 0};
-    std::uint32_t visited = st.visited_node_count;
-    for (std::uint32_t i = 0; i < k; ++i) {
-      const NodeId u = node[std::size_t{i} * stride + l];
-      VisitCell& cell = row[u];
-      const bool first = cell.count == 0;
-      const Time gap = first ? 0 : t - cell.last;
-      Time& m = mg[i & 3];
-      if (gap > m) m = gap;
-      visited += first ? 1 : 0;
-      ++cell.count;
-      cell.last = t32;
-    }
-    if (visited != st.visited_node_count) {
-      st.visited_node_count = visited;
-      if (visited == n && !st.cover_time) st.cover_time = t;
-    }
-    max_closed_gap_[l] =
-        std::max(std::max(mg[0], mg[1]), std::max(mg[2], mg[3]));
+    st.visited_node_count += fresh[l];
+    if (st.visited_node_count == n && !st.cover_time) st.cover_time = t;
   }
 }
 
@@ -1877,13 +1634,7 @@ void BatchEngine::draw_bernoulli_rows(std::uint32_t l0, std::uint32_t l1,
   rows.ewpr = edge_words_per_row_;
   rows.absent = absent_.data();
   rows.dense = kSparseAbsent + 1;
-#ifdef PEF_HAS_ISA_WRAPPERS
-  if (active_isa() == IsaTier::kAvx512) {
-    bernoulli_rows_avx512(rows, l0, l1, t);
-    return;
-  }
-#endif
-  bernoulli_rows_scalar(rows, l0, l1, t);
+  dispatch<BernoulliLaneRows>(rows, l0, l1, t);
 }
 
 void BatchEngine::block_row(std::uint32_t lane, Time t) {
@@ -1960,7 +1711,7 @@ void BatchEngine::run_pass(std::uint32_t l0, std::uint32_t l1) {
   args.pending_ahead = pending_ahead_.data();
   args.pending_behind = pending_behind_.data();
   args.pending_mult = pending_mult_.data();
-  pass_on_tier<Pass>(args);
+  dispatch<OnTier<Pass>>(args);
 }
 
 template <KernelId Id>
@@ -2005,72 +1756,12 @@ void BatchEngine::fill_mask_words(std::uint32_t l0, std::uint32_t l1,
   }
 
   const auto bernoulli = static_cast<std::uint8_t>(ActivationKind::kBernoulli);
-  std::uint32_t l = l0;
-#ifdef PEF_HAS_ISA_WRAPPERS
-  // AVX-512: whole 8-lane groups of Bernoulli lanes step their 8 streams
-  // in one zmm per state word (groups start 8-aligned: l0 is 64-aligned).
-  // Any other group, and k > 64, takes the loops below.
-  if (k <= 64 && active_isa() == IsaTier::kAvx512) {
-    constexpr std::uint64_t kAllBernoulli = 0x0101010101010101ULL;
-    for (; l + 8 <= l1; l += 8) {
-      std::uint64_t kinds = 0;
-      std::memcpy(&kinds, act_kind_.data() + l, sizeof kinds);
-      if (kinds != kAllBernoulli * bernoulli) {
-        for (std::uint32_t j = l; j < l + 8; ++j) fill_lane_mask(j, t);
-        continue;
-      }
-      const std::uint32_t word = l >> 6;
-      const std::uint32_t empty =
-          bernoulli_masks_x8_avx512(act_rng_.data() + l,
-                                    act_threshold_.data() + l, k,
-                                    words + word, lw, l & 63);
-      for (std::uint32_t e = empty; e != 0; e &= e - 1) {
-        const std::uint32_t j = l + static_cast<std::uint32_t>(
-                                        __builtin_ctz(e));
-        words[act_rng_[j].next_below(k) * lw + word] |= 1ULL << (j & 63);
-      }
-    }
+  for (std::uint32_t l = l0; l < l1; ++l) {
+    if (act_kind_[l] != bernoulli) fill_lane_mask(l, t);
   }
-#endif
-
-  // Bernoulli fast path, four lanes at a time: each lane's draws are a
-  // serial xoshiro dependency chain, so interleaving four independent
-  // chains multiplies the instruction-level parallelism of the fill (draw
-  // order WITHIN each lane is unchanged — bit-identity holds, whatever
-  // lane grouping a slice boundary induces).  k <= 64 keeps each lane's
-  // activation set in one register.
-  if (k <= 64) {
-    while (l + 4 <= l1 && act_kind_[l] == bernoulli &&
-           act_kind_[l + 1] == bernoulli && act_kind_[l + 2] == bernoulli &&
-           act_kind_[l + 3] == bernoulli) {
-      Xoshiro256 rng[4] = {act_rng_[l], act_rng_[l + 1], act_rng_[l + 2],
-                           act_rng_[l + 3]};
-      const std::uint64_t th[4] = {act_threshold_[l], act_threshold_[l + 1],
-                                   act_threshold_[l + 2],
-                                   act_threshold_[l + 3]};
-      std::uint64_t bits[4] = {0, 0, 0, 0};
-      for (std::uint32_t i = 0; i < k; ++i) {
-        bits[0] |= std::uint64_t{bernoulli_draw(rng[0], th[0])} << i;
-        bits[1] |= std::uint64_t{bernoulli_draw(rng[1], th[1])} << i;
-        bits[2] |= std::uint64_t{bernoulli_draw(rng[2], th[2])} << i;
-        bits[3] |= std::uint64_t{bernoulli_draw(rng[3], th[3])} << i;
-      }
-      for (std::uint32_t j = 0; j < 4; ++j) {
-        if (bits[j] == 0) bits[j] = 1ULL << rng[j].next_below(k);
-        act_rng_[l + j] = rng[j];
-        const std::uint32_t word = (l + j) >> 6;
-        const std::uint64_t bit = 1ULL << ((l + j) & 63);
-        std::uint64_t b = bits[j];
-        while (b != 0) {
-          const auto i = static_cast<std::uint32_t>(__builtin_ctzll(b));
-          b &= b - 1;
-          words[std::size_t{i} * lw + word] |= bit;
-        }
-      }
-      l += 4;
-    }
-  }
-  for (; l < l1; ++l) fill_lane_mask(l, t);
+  dispatch<BernoulliActivation>(act_kind_.data(), bernoulli, act_state_.data(),
+                                act_threshold_.data(), act_stride_, k, l0, l1,
+                                words, lw);
 }
 
 void BatchEngine::fill_lane_mask(std::uint32_t l, Time t) {
@@ -2088,43 +1779,9 @@ void BatchEngine::fill_lane_mask(std::uint32_t l, Time t) {
     case ActivationKind::kRoundRobin:
       words[std::size_t{t % k} * lw + word] |= bit;
       break;
-    case ActivationKind::kBernoulli: {
-      // Draw-for-draw replay of Activation::fill: k Bernoulli trials in
-      // robot order, then the forced-nonempty fallback from the same
-      // stream.  The RNG runs on a LOCAL copy (written back after the
-      // lane) and the k <= 64 case accumulates into one register: no
-      // stores inside the draw loop, so the generator state stays in
-      // registers instead of round-tripping memory per draw (the plane
-      // stores could alias the rng plane otherwise).
-      Xoshiro256 rng = act_rng_[l];
-      const std::uint64_t threshold = act_threshold_[l];
-      if (k <= 64) {
-        std::uint64_t robots_bits = 0;
-        for (std::uint32_t i = 0; i < k; ++i) {
-          robots_bits |= std::uint64_t{bernoulli_draw(rng, threshold)} << i;
-        }
-        if (robots_bits == 0) robots_bits = 1ULL << rng.next_below(k);
-        while (robots_bits != 0) {
-          const auto i =
-              static_cast<std::uint32_t>(__builtin_ctzll(robots_bits));
-          robots_bits &= robots_bits - 1;
-          words[std::size_t{i} * lw + word] |= bit;
-        }
-      } else {
-        bool any = false;
-        for (std::uint32_t i = 0; i < k; ++i) {
-          if (bernoulli_draw(rng, threshold)) {
-            words[std::size_t{i} * lw + word] |= bit;
-            any = true;
-          }
-        }
-        if (!any) {
-          words[std::size_t{rng.next_below(k)} * lw + word] |= bit;
-        }
-      }
-      act_rng_[l] = rng;
+    case ActivationKind::kBernoulli:
+      // BernoulliActivation draws these lanes, all of a group at once.
       break;
-    }
   }
 }
 
@@ -2424,7 +2081,10 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   if (model_ != ExecutionModel::kFsync) {
     swap(act_kind_[a], act_kind_[b]);
     swap(act_threshold_[a], act_threshold_[b]);
-    swap(act_rng_[a], act_rng_[b]);
+    for (std::uint32_t w = 0; w < 4; ++w) {
+      swap(act_state_[std::size_t{w} * act_stride_ + a],
+           act_state_[std::size_t{w} * act_stride_ + b]);
+    }
   }
 
   const std::uint32_t replica_a = replica_of_lane_[a];

@@ -40,7 +40,7 @@
 // frozen for the round, Look, Compute and Move fuse into ONE
 // replica-stride pass (no robot's action changes another's inputs),
 // followed by a visit-bookkeeping pass over 8-byte per-(replica, node)
-// cells — on the AVX-512 tier 8 lanes per gather/scatter.
+// cells, one vector of lanes per gather/scatter.
 //
 // The per-round ROUND PROLOGUE (who acts, which edges exist) is batched
 // too — SSYNC and ASYNC are first-class citizens of the planes, not a
@@ -57,11 +57,10 @@
 //     mirror, and only at the rounds the schedule's next_change names (a
 //     time-invariant schedule fills once, at construction; t-interval once
 //     per interval).  A Bernoulli lane draws only the edges beside its
-//     robots, every round, and reads "present" everywhere else: on the
-//     AVX-512 tier one zmm draws one (robot, side) pair of 8 lanes, keys
-//     gathered from each lane's key table, absent bits cleared by a
-//     gather / and-not / scatter of the 8 rows' words (one-word rows stay
-//     in a register).  A crowded batch (2k >= n) fills its Bernoulli rows
+//     robots, every round, and reads "present" everywhere else: one
+//     vector draws one (robot, side) pair of its lanes, keys gathered
+//     from each lane's key table, then each absent draw clears its bit in
+//     its lane's row.  A crowded batch (2k >= n) fills its Bernoulli rows
 //     whole instead, like any schedule.  A greedy-blocker
 //     lane computes its row straight from the node and direction planes,
 //     through the adversary's own rule (greedy_block), with its absence
@@ -98,8 +97,8 @@
 //     enum-dispatched like KernelId) — copied into per-lane planes at
 //     construction: one pass fills every replica's mask words from a
 //     per-replica RNG plane seeded with the activation's own generator,
-//     draw for draw what Activation::fill draws (on the AVX-512 tier, 8
-//     Bernoulli lanes' streams step per zmm).  The per-bit SSYNC / ASYNC
+//     draw for draw what Activation::fill draws (one vector of Bernoulli
+//     lanes' streams steps per draw).  The per-bit SSYNC / ASYNC
 //     passes then iterate mask words (ctz over set bits) instead of
 //     testing every (robot, replica) byte.
 //   * Configuration mirrors are materialized LAZILY: only replicas whose
@@ -312,8 +311,7 @@ class BatchEngine {
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
   /// The Bernoulli lanes of [l0, l1) at round t: each row reset to every
   /// edge present, then the draws of the two edges beside each robot, and
-  /// absent_ full or dense.  8 lanes per zmm on the AVX-512 tier, one lane
-  /// at a time below it.
+  /// absent_ full or dense, one vector of lanes per draw.
   void draw_bernoulli_rows(std::uint32_t l0, std::uint32_t l1, Time t);
   /// Greedy-blocker lane `lane` at round t: restore last round's removals,
   /// then greedy_block over the lane's robots, its absence-run row and its
@@ -342,10 +340,10 @@ class BatchEngine {
   /// The batched activation prologue shared by SSYNC and ASYNC: clear the
   /// mask word plane, then fill the bits of lanes [l0, l1) (a whole-word
   /// range) from the per-lane activation planes (full / round-robin /
-  /// Bernoulli over the act_rng_ plane), 8 Bernoulli lanes per zmm on the
-  /// AVX-512 tier.
+  /// Bernoulli over the act_state_ planes, one vector of Bernoulli lanes
+  /// per step).
   void fill_mask_words(std::uint32_t l0, std::uint32_t l1, Time t);
-  /// fill_mask_words for the one lane `lane`.
+  /// fill_mask_words for the one full or round-robin lane `lane`.
   void fill_lane_mask(std::uint32_t lane, Time t);
   /// ASYNC: moving = advancing AND (phase == Move), word columns [l0, l1).
   void fill_moving_words(std::uint32_t l0, std::uint32_t l1);
@@ -366,8 +364,8 @@ class BatchEngine {
                                       Time boundary_t);
   /// Visit/cover bookkeeping for every robot of lanes [l0, l1) at config
   /// time `t` (the batched equivalent of Engine::observe_boundary, minus
-  /// the tower flags which recompute_multiplicity owns).  The AVX-512 tier
-  /// updates 8 lanes' cells per gather/scatter; the others walk lanes.
+  /// the tower flags which recompute_multiplicity owns), one vector of
+  /// lanes' cells per gather/scatter.
   void observe_boundary(Time t, std::uint32_t l0, std::uint32_t l1);
   /// Refresh the gamma mirrors of lanes [l0, l1) from the planes (dirs +
   /// positions).  Mirrors are lazy: only lanes whose adversary sees gamma
@@ -470,16 +468,16 @@ class BatchEngine {
   /// Visit bookkeeping of one (lane, node): one cache access per robot per
   /// boundary.  `last` is only meaningful when `count > 0`; 32 bits suffice
   /// because construction checks every horizon with batch_horizon_fits.
-  /// The AVX-512 visit body moves a cell as one u64, count in the low half.
+  /// The visit kernel moves a cell as one u64, count in the low half.
   struct VisitCell {
     std::uint32_t count = 0;
     std::uint32_t last = 0;
   };
   // Per-(lane, node) cells, lane-major rows of length nodes_.
   PlaneVector<VisitCell> visits_;
-  /// AVX-512 visit body: first visits per lane of one boundary, folded
-  /// into the stats after the robot loop.  Lane-indexed, so worker slices
-  /// write disjoint entries.
+  /// First visits per lane of one boundary, folded into the stats after
+  /// the visit kernel.  Lane-indexed, so worker slices write disjoint
+  /// entries.
   std::vector<std::uint32_t> fresh_visits_;
 
   // The edge-word plane: lane l's row of edge_words_per_row_ words at
@@ -543,10 +541,15 @@ class BatchEngine {
 
   // Each lane's Activation as planes (SSYNC and ASYNC alike): its
   // ActivationKind, the Bernoulli draw threshold (next() >> 11 below it ==
-  // next_bool(p)) and the RNG plane, a copy of each activation's generator.
+  // next_bool(p)) and its generator's four state words, a copy of each
+  // activation's generator as four planes (word w of lane l at
+  // w * act_stride_ + l).  The threshold and state planes are padded to
+  // whole 64-lane words (act_stride_ lanes), so the activation kernel
+  // loads whole vectors of lanes from them.
   std::vector<std::uint8_t> act_kind_;
-  std::vector<std::uint64_t> act_threshold_;
-  std::vector<Xoshiro256> act_rng_;
+  std::uint32_t act_stride_ = 0;
+  PlaneVector<std::uint64_t> act_threshold_;
+  PlaneVector<std::uint64_t> act_state_;
 
   // ASYNC phase machines as ONE-HOT word planes (same geometry as
   // mask_words_): a robot's phase is which plane holds its lane bit.

@@ -40,9 +40,16 @@
 #include "engine/engine.hpp"
 #include "engine/placements.hpp"
 #include "engine/sweep_runner.hpp"
+#include "isa_tier_check.hpp"
 
 namespace pef {
 namespace {
+
+// First, so a misspelled PEF_BATCH_ISA registration fails before the
+// kernels re-test the native tier.
+TEST(IsaTierTest, ActiveTierIsTheOnePefBatchIsaNames) {
+  expect_active_isa_is_the_named_tier();
+}
 
 constexpr double kActivationP = 0.5;
 
@@ -267,6 +274,34 @@ TEST(WideBatch, CrowdedRingMatchesSoloForEveryKernel) {
       for (const WideScenario& scenario : wide_scenarios(false)) {
         expect_batch_matches_solo(shape, algorithm, model, scenario, {1, 3});
         if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(WideBatch, RobotCountsTheKernelsBranchOnMatchSolo) {
+  // The batch kernels branch on k: the pairwise multiplicity body runs up
+  // to k = 16 and the counting body from 17; k = 48 takes the stamped
+  // multiplicity path below 64 lanes and k = 64 at 64 lanes or more; and
+  // at k = 65 a lane draws more activation bits than one 64-bit word
+  // holds.  Bernoulli activation (SSYNC, ASYNC) and Bernoulli edges (drawn
+  // beside the robots: 2k < n) draw per robot at every k.
+  const std::vector<WideScenario> scenarios = {
+      {"static", adversary_config(AdversaryKind::kStatic)},
+      {"t-interval",
+       adversary_config(AdversaryKind::kTInterval, {{"interval", 4}})},
+      {"bernoulli", adversary_config(AdversaryKind::kBernoulli, {{"p", 0.8}})},
+  };
+  for (const std::uint32_t robots : {16u, 17u, 48u, 64u, 65u}) {
+    for (const std::uint32_t lanes : {10u, 77u}) {
+      SCOPED_TRACE("k=" + std::to_string(robots) +
+                   " lanes=" + std::to_string(lanes));
+      for (const ExecutionModel model : kAllModels) {
+        for (const WideScenario& scenario : scenarios) {
+          expect_batch_matches_solo({160, robots, lanes}, "pef3+", model,
+                                    scenario, {1});
+          if (HasFatalFailure()) return;
+        }
       }
     }
   }

@@ -26,9 +26,16 @@
 #include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
+#include "isa_tier_check.hpp"
 
 namespace pef {
 namespace {
+
+// First, so a misspelled PEF_BATCH_ISA registration fails before the
+// kernels re-test the native tier.
+TEST(IsaTierTest, ActiveTierIsTheOnePefBatchIsaNames) {
+  expect_active_isa_is_the_named_tier();
+}
 
 constexpr std::uint32_t kBatch = 10;  // one replica per seed
 /// Wide enough for SSYNC and ASYNC to split their rows (the batch

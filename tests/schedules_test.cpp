@@ -11,9 +11,16 @@
 
 #include "dynamic_graph/chain.hpp"
 #include "dynamic_graph/markov_schedule.hpp"
+#include "isa_tier_check.hpp"
 
 namespace pef {
 namespace {
+
+// First, so a misspelled PEF_BATCH_ISA registration fails before the
+// kernels re-test the native tier.
+TEST(IsaTierTest, ActiveTierIsTheOnePefBatchIsaNames) {
+  expect_active_isa_is_the_named_tier();
+}
 
 TEST(StaticScheduleTest, AllEdgesAlways) {
   const StaticSchedule s(Ring(5));

@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "orchestrator/ledger.hpp"
@@ -801,6 +807,85 @@ TEST(SweepSpecTest, CheckedInExampleSpecsParseAndValidate) {
   std::string error;
   const auto scenario = parse_scenario_spec(buffer.str(), &error);
   EXPECT_TRUE(scenario.has_value()) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Accepted specs that cannot run: the tools exit with a status, never abort
+
+/// Runs `argv` in a child whose address space is capped at `cap` bytes
+/// (set between fork and exec), stdout discarded and stderr into `err`;
+/// returns the wait status.
+int run_capped(const std::vector<std::string>& argv, rlim_t cap,
+               std::string& err) {
+  int pipe_fds[2];
+  if (pipe(pipe_fds) != 0) return -1;
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const rlimit limit{cap, cap};
+    setrlimit(RLIMIT_AS, &limit);
+    dup2(pipe_fds[1], STDERR_FILENO);
+    const int null_fd = open("/dev/null", O_WRONLY);
+    dup2(null_fd, STDOUT_FILENO);
+    close(pipe_fds[0]);
+    close(pipe_fds[1]);
+    std::vector<char*> args;
+    for (const std::string& arg : argv) {
+      args.push_back(const_cast<char*>(arg.c_str()));
+    }
+    args.push_back(nullptr);
+    execv(args[0], args.data());
+    _exit(127);
+  }
+  close(pipe_fds[1]);
+  char buffer[4096];
+  ssize_t got = 0;
+  while ((got = read(pipe_fds[0], buffer, sizeof buffer)) > 0) {
+    err.append(buffer, static_cast<std::size_t>(got));
+  }
+  close(pipe_fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return status;
+}
+
+TEST(AcceptedSpecTest, ToolsExitWhenARingIsTooLargeToAllocate) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's shadow mapping cannot start under the "
+                  "address-space cap";
+#endif
+  // validate() accepts a 2^31-node ring; its first vector alone asks for
+  // 8 GB, so never run these without the cap.
+  constexpr rlim_t kCap = rlim_t{2} << 30;
+  constexpr int kRunFailedExit = 3;  // named in both tools' --help
+  const std::string bin = PEF_BIN_DIR;
+  const std::string spec_path = testing::TempDir() + "huge_ring_sweep.json";
+  std::ofstream(spec_path)
+      << R"({"algorithms": ["pef3+"], "adversaries": [{"kind": "static"}], )"
+      << R"("models": ["fsync"], "ring_sizes": [2147483648], )"
+      << R"("robot_counts": [3], "seeds": [1], "horizon": 10})";
+  const std::vector<std::string> run = {bin + "/pef_run", "--nodes",
+                                        "2147483648", "--robots", "3",
+                                        "--horizon", "10"};
+  std::vector<std::string> batch = run;
+  batch.insert(batch.end(), {"--batch", "4"});
+  const struct {
+    std::vector<std::string> argv;
+    std::string tool;
+  } cases[] = {
+      {run, "pef_run"},
+      {batch, "pef_run"},
+      {{bin + "/pef_sweep", "--spec", spec_path, "--threads", "1"},
+       "pef_sweep"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.argv.back());
+    std::string err;
+    const int status = run_capped(c.argv, kCap, err);
+    ASSERT_TRUE(WIFEXITED(status)) << "signal " << WTERMSIG(status) << ": "
+                                   << err;
+    EXPECT_EQ(WEXITSTATUS(status), kRunFailedExit) << err;
+    EXPECT_EQ(err.rfind(c.tool + ": ", 0), 0u) << err;
+  }
 }
 
 }  // namespace

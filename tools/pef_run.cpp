@@ -42,6 +42,9 @@
 namespace pef {
 namespace {
 
+/// The exit status of a run that threw.
+constexpr int kRunFailedExit = 3;
+
 void print_help(const char* program) {
   std::cout
       << "usage: " << program << " [flags]\n\n"
@@ -103,15 +106,14 @@ void print_help(const char* program) {
       << "  --p X            presence probability for bernoulli (0.5)\n"
       << "  --render         print an ASCII strip of the execution\n"
       << "  --render-lines L max strip lines (default 40)\n"
-      << "  --help           this text\n";
+      << "  --help           this text\n\n"
+      << "exit status: 0 perpetual exploration (every seed with --batch),\n"
+      << "  1 not, 2 usage error or refused scenario, " << kRunFailedExit
+      << " the run failed\n"
+      << "  (e.g. out of memory)\n";
 }
 
-}  // namespace
-}  // namespace pef
-
-int main(int argc, char** argv) {
-  using namespace pef;
-
+int run(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (args.has("--help")) {
     print_help(argv[0]);
@@ -442,4 +444,18 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   return coverage.perpetual(nodes) ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace pef
+
+// A scenario validate() accepts can still fail to run — a ring too large
+// to allocate — and exits with its own status and message, not an abort.
+int main(int argc, char** argv) {
+  try {
+    return pef::run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "pef_run: " << error.what() << "\n";
+    return pef::kRunFailedExit;
+  }
 }

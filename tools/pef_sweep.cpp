@@ -34,6 +34,9 @@
 namespace pef {
 namespace {
 
+/// The exit status of a sweep that threw.
+constexpr int kRunFailedExit = 3;
+
 void print_help(const char* program) {
   std::cout
       << "usage: " << program << " --spec FILE [flags]\n"
@@ -66,7 +69,11 @@ void print_help(const char* program) {
       << "                   way)\n"
       << "  --validate       parse + validate the spec, print the resolved\n"
       << "                   canonical JSON, run nothing\n"
-      << "  --help           this text\n";
+      << "  --help           this text\n\n"
+      << "exit status: 0 done, 1 incomplete merge or unwritable output,\n"
+      << "  2 usage error or invalid spec, " << kRunFailedExit
+      << " the sweep failed (e.g. out of\n"
+      << "  memory)\n";
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -121,12 +128,7 @@ std::vector<std::string> split_commas(const std::string& list) {
   return out;
 }
 
-}  // namespace
-}  // namespace pef
-
-int main(int argc, char** argv) {
-  using namespace pef;
-
+int run(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (args.has("--help")) {
     print_help(argv[0]);
@@ -332,4 +334,18 @@ int main(int argc, char** argv) {
     }
   }
   return emit(json, out_path);
+}
+
+}  // namespace
+}  // namespace pef
+
+// A spec validate() accepts can still fail to run — a ring too large to
+// allocate — and exits with its own status and message, not an abort.
+int main(int argc, char** argv) {
+  try {
+    return pef::run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "pef_sweep: " << error.what() << "\n";
+    return pef::kRunFailedExit;
+  }
 }
