@@ -2,12 +2,45 @@
 
 #include <fstream>
 #include <iostream>
+#include <thread>
+
+#include "common/isa.hpp"
+#include "engine/topology.hpp"
+
+// CMakeLists.txt sets both for this file; a build without them says so.
+#ifndef PEF_BUILD_TYPE
+#define PEF_BUILD_TYPE "unknown"
+#endif
+#ifndef PEF_GIT_SHA
+#define PEF_GIT_SHA "none"
+#endif
 
 namespace pef {
 namespace {
 
 std::string encode_string(const std::string& value) {
   return "\"" + JsonWriter::escape(value) + "\"";
+}
+
+/// The machine and build a report comes from, as one JSON object with
+/// perfbench's fingerprint keys: hardware threads, physical cores, the
+/// batch ISA tier the kernels run (PEF_BATCH_ISA honoured), compiler,
+/// build type and the git SHA CMake read at configure time ("none"
+/// outside a checkout).
+std::string fingerprint() {
+#if defined(__clang__) || !defined(__GNUC__)
+  const std::string compiler = __VERSION__;
+#else
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#endif
+  return "{\"nproc\":" +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ",\"physical_cores\":" +
+         std::to_string(HwTopology::detect().physical_cores) +
+         ",\"batch_isa\":" + encode_string(to_string(active_isa())) +
+         ",\"compiler\":" + encode_string(compiler) +
+         ",\"build_type\":" + encode_string(PEF_BUILD_TYPE) +
+         ",\"git_sha\":" + encode_string(PEF_GIT_SHA) + "}";
 }
 
 }  // namespace
@@ -78,6 +111,7 @@ void BenchReport::write() const {
           .count();
 
   std::string out = "{\"bench\":" + encode_string(name_);
+  out += ",\"fingerprint\":" + fingerprint();
   out += ",\"wall_seconds\":" + JsonWriter::format_number(wall);
   out += ",\"total_rounds\":" + std::to_string(total_rounds_);
   out += ",\"rounds_per_sec\":" +

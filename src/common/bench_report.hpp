@@ -50,7 +50,9 @@ class BenchReport {
   void add_rounds(std::uint64_t rounds) { total_rounds_ += rounds; }
 
   /// Writes BENCH_<name>.json into the working directory; prints a one-line
-  /// confirmation to stdout.  Wall-time is measured from construction.
+  /// confirmation to stdout.  Wall-time is measured from construction.  A
+  /// "fingerprint" object names the machine and build: hardware threads,
+  /// physical cores, batch ISA tier, compiler, build type and git SHA.
   void write() const;
 
  private:

@@ -25,9 +25,10 @@ IsaTier detect_isa() {
   IsaTier best = cpu_isa();
   if (const char* env = std::getenv("PEF_BATCH_ISA")) {
     IsaTier cap = best;
-    if (std::strcmp(env, "portable") == 0) cap = IsaTier::kPortable;
-    if (std::strcmp(env, "avx2") == 0) cap = IsaTier::kAvx2;
-    if (std::strcmp(env, "avx512") == 0) cap = IsaTier::kAvx512;
+    for (const IsaTier tier :
+         {IsaTier::kPortable, IsaTier::kAvx2, IsaTier::kAvx512}) {
+      if (std::strcmp(env, to_string(tier)) == 0) cap = tier;
+    }
     if (cap < best) best = cap;  // clamp only — never exceed the hardware
   }
   return best;

@@ -42,6 +42,19 @@ namespace pef {
 
 enum class IsaTier : std::uint8_t { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 
+/// The tier's PEF_BATCH_ISA name: "portable", "avx2" or "avx512".
+[[nodiscard]] constexpr const char* to_string(IsaTier tier) {
+  switch (tier) {
+    case IsaTier::kPortable:
+      return "portable";
+    case IsaTier::kAvx2:
+      return "avx2";
+    case IsaTier::kAvx512:
+      return "avx512";
+  }
+  return "portable";
+}
+
 /// The widest tier the CPU supports.
 [[nodiscard]] IsaTier cpu_isa();
 

@@ -122,8 +122,49 @@ template <typename T>
   return r + (r << 3);
 }
 
+/// Xoshiro256(seed).next_below(bound) for one bound and many seeds.
+/// next_below rejects outputs below 2^64 mod bound; this takes that
+/// remainder once, at construction, and tests the seed's first output
+/// (xoshiro256_first_output) without building the generator.  Only a
+/// rejected first output builds it and continues next_below's loop from
+/// its second output.
+class SeededBelow {
+ public:
+  explicit constexpr SeededBelow(std::uint64_t bound)
+      : bound_(bound), reject_(bound == 0 ? 0 : (~bound + 1) % bound) {}
+
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t seed) const {
+    if (bound_ == 0) return 0;
+    const std::uint64_t first = xoshiro256_first_output(seed);
+    if (first >= reject_) return first % bound_;
+    Xoshiro256 rng(seed);
+    rng.next();
+    return rng.next_below(bound_);
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t reject_;  // 2^64 mod bound_
+};
+
 /// The multiplier derive_seed applies to its `b` coordinate.
 inline constexpr std::uint64_t kDeriveSeedB = 0xbf58476d1ce4e5b9ULL;
+
+/// derive_seed's first mix, over the master seed alone.  It splits
+/// derive_seed_key as
+///   derive_seed_key(master, a) ==
+///       derive_seed_key_from_prefix(derive_seed_prefix(master), a),
+/// so a caller keying many `a` under one master mixes the master once.
+[[nodiscard]] constexpr std::uint64_t derive_seed_prefix(
+    std::uint64_t master) {
+  return splitmix64_finalize(master + kSplitMix64Gamma);
+}
+
+[[nodiscard]] constexpr std::uint64_t derive_seed_key_from_prefix(
+    std::uint64_t prefix, std::uint64_t a) {
+  return splitmix64_finalize((prefix ^ (a * kSplitMix64Gamma)) +
+                             kSplitMix64Gamma);
+}
 
 /// derive_seed's prefix over (master, a).  It splits derive_seed as
 ///   derive_seed(master, a, b, c) ==
@@ -132,9 +173,7 @@ inline constexpr std::uint64_t kDeriveSeedB = 0xbf58476d1ce4e5b9ULL;
 /// once.
 [[nodiscard]] constexpr std::uint64_t derive_seed_key(std::uint64_t master,
                                                       std::uint64_t a) {
-  const std::uint64_t s =
-      splitmix64_finalize(master + kSplitMix64Gamma) ^ (a * kSplitMix64Gamma);
-  return splitmix64_finalize(s + kSplitMix64Gamma);
+  return derive_seed_key_from_prefix(derive_seed_prefix(master), a);
 }
 
 [[nodiscard]] constexpr std::uint64_t derive_seed_from_key(

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "common/types.hpp"
@@ -49,6 +51,20 @@ class EdgeSchedule {
   /// past edge_count are left clear.  BatchEngine writes each replica's
   /// edge words straight into its contiguous edge plane through it.
   virtual void edges_into_words(Time t, std::uint64_t* words) const = 0;
+
+  /// E_t as the list of its absent edges, for families whose every E_t
+  /// misses at most out.size() edges and that can name them without
+  /// building the row: such a family writes its absent edges of round `t`
+  /// into `out`, each once and in any order, and returns how many there
+  /// are.  It then does so at every t for that out.size(), and
+  /// edges_into_words(t) is every edge present minus exactly those.  The
+  /// default, nullopt, says the family does not list; BatchEngine then
+  /// fills and scans whole rows.  A listing lane patches its row instead:
+  /// it sets the bits of its previous list and clears the new one's.
+  [[nodiscard]] virtual std::optional<std::uint32_t> absent_edges(
+      Time /*t*/, std::span<EdgeId> /*out*/) const {
+    return std::nullopt;
+  }
 
   /// E_t into a caller-owned scratch set sized to ring().edge_count(), with
   /// no allocation: the solo Engine's per-round fill.

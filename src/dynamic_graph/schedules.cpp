@@ -165,18 +165,35 @@ void PeriodicSchedule::literal_words(Time t, std::uint64_t* words) const {
 TIntervalConnectedSchedule::TIntervalConnectedSchedule(Ring ring,
                                                        Time interval,
                                                        std::uint64_t seed)
-    : ring_(ring), interval_(interval), seed_(seed) {
+    : ring_(ring),
+      interval_(interval),
+      seed_prefix_(derive_seed_prefix(seed)),
+      below_(std::uint64_t{ring.edge_count()} + 1) {
   PEF_CHECK(interval > 0);
+}
+
+std::uint64_t TIntervalConnectedSchedule::pick(Time t) const {
+  // derive_seed(seed, epoch) from the prefix; value n means "no edge
+  // missing this epoch".
+  const std::uint64_t key =
+      derive_seed_key_from_prefix(seed_prefix_, t / interval_);
+  return below_(derive_seed_from_key(key, 0));
 }
 
 void TIntervalConnectedSchedule::edges_into_words(Time t,
                                                   std::uint64_t* words) const {
-  const Time epoch = t / interval_;
-  Xoshiro256 rng(derive_seed(seed_, epoch));
-  // Draw in [0, n]: value n means "no edge missing this epoch".
-  const std::uint64_t pick = rng.next_below(ring_.edge_count() + 1);
+  const std::uint64_t e = pick(t);
   fill_edge_words(words, ring_.edge_count());
-  if (pick < ring_.edge_count()) words[pick >> 6] &= ~(1ULL << (pick & 63));
+  if (e < ring_.edge_count()) words[e >> 6] &= ~(1ULL << (e & 63));
+}
+
+std::optional<std::uint32_t> TIntervalConnectedSchedule::absent_edges(
+    Time t, std::span<EdgeId> out) const {
+  if (out.empty()) return std::nullopt;
+  const std::uint64_t e = pick(t);
+  if (e == ring_.edge_count()) return 0;
+  out[0] = static_cast<EdgeId>(e);
+  return 1;
 }
 
 Time TIntervalConnectedSchedule::next_change(Time t) const {

@@ -177,15 +177,27 @@ class TIntervalConnectedSchedule final : public EdgeSchedule {
 
   [[nodiscard]] const Ring& ring() const override { return ring_; }
   void edges_into_words(Time t, std::uint64_t* words) const override;
+  /// The epoch's pick, or nothing when it drew "no edge missing"; nullopt
+  /// for an empty `out`.
+  [[nodiscard]] std::optional<std::uint32_t> absent_edges(
+      Time t, std::span<EdgeId> out) const override;
   /// The next multiple of the interval (the pick is redrawn there),
   /// kTimeInfinity when that multiple does not fit a Time.
   [[nodiscard]] Time next_change(Time t) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
+  /// Xoshiro256(derive_seed(seed, t / interval)).next_below(n + 1): the
+  /// absent edge of round t's epoch, or n for none.
+  [[nodiscard]] std::uint64_t pick(Time t) const;
+
   Ring ring_;
   Time interval_;
-  std::uint64_t seed_;
+  // derive_seed_prefix(seed) and the draw's bound n + 1, taken once: an
+  // epoch's pick then costs three SplitMix64 mixes and one division unless
+  // its first output is rejected.
+  std::uint64_t seed_prefix_;
+  SeededBelow below_;
 };
 
 // ---------------------------------------------------------------------------

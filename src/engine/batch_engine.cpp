@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "adversary/greedy_blocker.hpp"
@@ -1181,6 +1182,8 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   absent_.assign(batch_, 0);
   absent_ends_.assign(std::size_t{kAbsentEnds} * batch_, nodes_);
   moves_.assign(batch_, 0);
+  tower_rounds_.assign(batch_, 0);
+  tower_formations_.assign(batch_, 0);
   tower_flag_.assign(batch_, 0);
   prev_had_tower_.assign(batch_, 0);
   max_closed_gap_.assign(batch_, 0);
@@ -1224,9 +1227,10 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   // Monte-Carlo case) the per-round edge prologue has nothing to do.
   edge_refill_needed_ = false;
   for (std::uint32_t l = 0; l < batch_; ++l) {
+    const auto source = static_cast<EdgeSource>(edge_source_[l]);
     edge_refill_needed_ =
         edge_refill_needed_ ||
-        edge_source_[l] != static_cast<std::uint8_t>(EdgeSource::kSchedule) ||
+        (source != EdgeSource::kSchedule && source != EdgeSource::kListed) ||
         refill_at_[l] != kTimeInfinity;
   }
 
@@ -1237,11 +1241,9 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   recompute_multiplicity(0, active_, 0);
   observe_boundary(0, 0, active_);
   for (std::uint32_t l = 0; l < batch_; ++l) {
-    if (tower_flag_[l]) {
-      ++stats_[l].tower_rounds;
-      ++stats_[l].tower_formations;
-      prev_had_tower_[l] = 1;
-    }
+    tower_rounds_[l] = tower_flag_[l];
+    tower_formations_[l] = tower_flag_[l];
+    prev_had_tower_[l] = tower_flag_[l];
   }
 
   // Zero-horizon replicas are done before the first step.
@@ -1274,21 +1276,51 @@ BatchEngine::BatchEngine(Ring ring, ExecutionModel model,
   // its greedy-blocker and mirror-path rows every round, skips the
   // listing.
   if (model_ != ExecutionModel::kFsync && batch_ < kSplitMinLanes) return;
+  EdgeId gone[kSparseAbsent];
+  std::uint32_t listed = 0;
+  for (std::uint32_t w = 0; w < edge_words_per_row_; ++w) {
+    for (std::uint64_t bits = gone_in(w); bits != 0; bits &= bits - 1) {
+      gone[listed++] = w * 64 + static_cast<EdgeId>(__builtin_ctzll(bits));
+    }
+  }
+  list_ends(lane, gone, listed);
+}
+
+void BatchEngine::list_ends(std::uint32_t lane, const EdgeId* gone,
+                            std::uint32_t count) {
   // Edge e joins nodes e and e + 1 mod n, so those two are the only robot
   // positions whose view an absent e changes.  Unused slots hold n, a node
   // no robot stands on.
+  NodeId* const ends = absent_ends_.data() + lane;
   std::uint32_t slot = 0;
-  for (std::uint32_t w = 0; w < edge_words_per_row_; ++w) {
-    for (std::uint64_t gone = gone_in(w); gone != 0; gone &= gone - 1) {
-      const EdgeId e = w * 64 + static_cast<EdgeId>(__builtin_ctzll(gone));
-      absent_ends_[std::size_t{slot++} * batch_ + lane] = e;
-      absent_ends_[std::size_t{slot++} * batch_ + lane] =
-          e + 1 == nodes_ ? 0 : e + 1;
-    }
+  for (std::uint32_t j = 0; j < count; ++j) {
+    const EdgeId e = gone[j];
+    ends[std::size_t{slot++} * batch_] = e;
+    ends[std::size_t{slot++} * batch_] = e + 1 == nodes_ ? 0 : e + 1;
   }
-  for (; slot < kAbsentEnds; ++slot) {
-    absent_ends_[std::size_t{slot} * batch_ + lane] = nodes_;
+  for (; slot < kAbsentEnds; ++slot) ends[std::size_t{slot} * batch_] = nodes_;
+}
+
+void BatchEngine::patch_row(std::uint32_t lane, Time t) {
+  // The row is every edge present minus the ones slot 2j lists (j below
+  // absent_): put those back, then take round t's list out.
+  std::uint64_t* const row = edge_row(lane);
+  const NodeId* const ends = absent_ends_.data() + lane;
+  for (std::uint32_t j = 0; j < absent_[lane]; ++j) {
+    const EdgeId e = ends[std::size_t{2 * j} * batch_];
+    row[e >> 6] |= std::uint64_t{1} << (e & 63);
   }
+  const EdgeSchedule& schedule = *schedules_[lane];
+  EdgeId gone[kSparseAbsent];
+  const std::optional<std::uint32_t> count = schedule.absent_edges(t, gone);
+  PEF_CHECK_MSG(count.has_value() && *count <= kSparseAbsent,
+                "a listing schedule must list every round");
+  for (std::uint32_t j = 0; j < *count; ++j) {
+    row[gone[j] >> 6] &= ~(std::uint64_t{1} << (gone[j] & 63));
+  }
+  absent_[lane] = static_cast<std::uint8_t>(*count);
+  list_ends(lane, gone, *count);
+  refill_at_[lane] = schedule.next_change(t);
 }
 
 void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
@@ -1352,10 +1384,11 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
 
   // Route the lane's edge rows (EdgeSource), the same way in every model:
   // schedule-backed lanes fill their plane row in place (E_0 here, then at
-  // each next_change; a time-invariant schedule never again); Bernoulli
-  // and greedy-blocker lanes start full and are filled every round from
-  // t = 0; everything else keeps a per-lane EdgeSet scratch and a gamma
-  // mirror for the virtual adversary.
+  // each next_change; a time-invariant schedule never again), or, when the
+  // schedule lists its absent edges, start full and patch the listed edges
+  // at those rounds; Bernoulli and greedy-blocker lanes start full and are
+  // filled every round from t = 0; everything else keeps a per-lane EdgeSet
+  // scratch and a gamma mirror for the virtual adversary.
   const Adversary* const adversary = adversaries_[lane].get();
   if (const auto* oblivious =
           dynamic_cast<const ObliviousAdversary*>(adversary)) {
@@ -1371,6 +1404,9 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
           ? dynamic_cast<const BernoulliSchedule*>(schedules_[lane])
           : nullptr;
   const auto* blocker = dynamic_cast<const GreedyBlockerAdversary*>(adversary);
+  EdgeId probe[kSparseAbsent];
+  const bool listed = schedules_[lane] != nullptr &&
+                      schedules_[lane]->absent_edges(0, probe).has_value();
   EdgeSource source = EdgeSource::kMirror;
   if (bernoulli != nullptr) {
     source = EdgeSource::kBernoulli;
@@ -1378,6 +1414,10 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
     bernoulli_keys_[lane] = bernoulli->keys();
     bernoulli_threshold_[lane] = bernoulli->threshold();
     fill_edge_words(edge_row(lane), edge_count_);
+  } else if (listed) {
+    source = EdgeSource::kListed;
+    fill_edge_words(edge_row(lane), edge_count_);
+    patch_row(lane, 0);
   } else if (schedules_[lane] != nullptr) {
     source = EdgeSource::kSchedule;
     schedules_[lane]->edges_into_words(0, edge_row(lane));
@@ -1396,6 +1436,7 @@ void BatchEngine::init_replica(std::uint32_t lane, BatchReplica& replica) {
   } else {
     edges_[lane] = EdgeSet(edge_count_);
     mirrors_[lane] = std::make_unique<Configuration>(snapshot_lane(lane));
+    mirror_lanes_ = true;
   }
   edge_source_[lane] = static_cast<std::uint8_t>(source);
 }
@@ -1577,7 +1618,8 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
   // Bernoulli lanes draw the edges beside their robots, all lanes of the
   // range at once.  Oblivious lanes refill the row in place once they
   // reach the round their schedule's next_change named (time-invariant
-  // ones never); greedy-blocker lanes apply the rule to the planes;
+  // ones never), listed ones by patching the bits of their old and new
+  // absent edges; greedy-blocker lanes apply the rule to the planes;
   // mirror-path lanes see their gamma mirror and their own lane's mask
   // column (every robot under FSYNC, the actors under SSYNC, the firing
   // Moves under ASYNC), fill the lane's scratch set in place and copy its
@@ -1599,6 +1641,9 @@ void BatchEngine::refill_edges(std::uint32_t l0, std::uint32_t l1, Time t) {
           refill_at_[l] = schedules_[l]->next_change(t);
           note_absent(l);
         }
+        continue;
+      case EdgeSource::kListed:
+        if (t >= refill_at_[l]) patch_row(l, t);
         continue;
       case EdgeSource::kBlocker:
         block_row(l, t);
@@ -1737,7 +1782,7 @@ void BatchEngine::fsync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
-  finish_round(l0, l1, t + 1);
+  finish_round(l0, l1);
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
@@ -1839,7 +1884,7 @@ void BatchEngine::ssync_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
-  finish_round(l0, l1, t + 1);
+  finish_round(l0, l1);
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
@@ -1858,7 +1903,7 @@ void BatchEngine::async_round(std::uint32_t l0, std::uint32_t l1, Time t) {
   recompute_multiplicity(l0, l1, t + 1);
   observe_boundary(t + 1, l0, l1);
   update_mirrors(l0, l1);
-  finish_round(l0, l1, t + 1);
+  finish_round(l0, l1);
   if (!cycles_.empty()) observe_cycles(l0, l1, t + 1);
 }
 
@@ -1867,7 +1912,8 @@ void BatchEngine::update_mirrors(std::uint32_t l0, std::uint32_t l1) {
   // positions that did not change are no-op writes (relocate_robot
   // self-checks), so one uniform pass is correct for every model.  Lanes
   // without a mirror (a batchable adversary — the common sweep case) skip
-  // this entirely.
+  // this entirely, and a batch without any returns at once.
+  if (!mirror_lanes_) return;
   for (std::uint32_t l = l0; l < l1; ++l) {
     Configuration* const mirror = mirrors_[l].get();
     if (mirror == nullptr) continue;
@@ -1879,18 +1925,26 @@ void BatchEngine::update_mirrors(std::uint32_t l0, std::uint32_t l1) {
   }
 }
 
-void BatchEngine::finish_round(std::uint32_t l0, std::uint32_t l1, Time t1) {
+void BatchEngine::finish_round(std::uint32_t l0, std::uint32_t l1) {
+  // A towered boundary is a tower round, and a formation when the boundary
+  // before it was towerless (flags are 0 or 1).
+  const std::uint8_t* const __restrict tower = tower_flag_.data();
+  std::uint8_t* const __restrict prev = prev_had_tower_.data();
+  Time* const __restrict rounds = tower_rounds_.data();
+  std::uint64_t* const __restrict formations = tower_formations_.data();
   for (std::uint32_t l = l0; l < l1; ++l) {
-    stats_[l].rounds = t1;
-    stats_[l].total_moves = moves_[l];
-    if (tower_flag_[l]) {
-      ++stats_[l].tower_rounds;
-      if (!prev_had_tower_[l]) ++stats_[l].tower_formations;
-      prev_had_tower_[l] = 1;
-    } else {
-      prev_had_tower_[l] = 0;
-    }
+    rounds[l] += tower[l];
+    formations[l] += tower[l] & (prev[l] ^ 1);
+    prev[l] = tower[l];
   }
+}
+
+void BatchEngine::fold_stats(std::uint32_t lane, Time t) {
+  EngineStats& st = stats_[lane];
+  st.rounds = t;
+  st.total_moves = moves_[lane];
+  st.tower_rounds = tower_rounds_[lane];
+  st.tower_formations = tower_formations_[lane];
 }
 
 void BatchEngine::init_cycles() {
@@ -1940,6 +1994,7 @@ void BatchEngine::observe_cycles(std::uint32_t l0, std::uint32_t l1,
     CycleTracker& cycle = cycles_[l];
     if (!cycle.due(t)) continue;
     if (cycle.searching()) pack_lane(l, cycle.sample_words());
+    fold_stats(l, t);
     const VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
     // Armed lanes wait for the next epoch boundary (apply_armed_cycles);
     // the deltas do not depend on where in the cycle they are applied.
@@ -1956,6 +2011,8 @@ void BatchEngine::apply_armed_cycles() {
     if (reps == 0) continue;
     cycle.extrapolate(reps, stats_[l]);
     moves_[l] = stats_[l].total_moves;
+    tower_rounds_[l] = stats_[l].tower_rounds;
+    tower_formations_[l] = stats_[l].tower_formations;
     VisitCell* row = visits_.data() + std::size_t{l} * nodes_;
     cycle.for_each_cycle_node([&](NodeId u, std::uint64_t delta) {
       row[u].count += static_cast<std::uint32_t>(delta * reps);
@@ -1979,8 +2036,9 @@ void BatchEngine::finalize_cycle(std::uint32_t lane) {
 
 void BatchEngine::retire_finished() {
   // retire_finished runs exactly at epoch boundaries (run_all) or between
-  // rounds (step), so no epoch span is in flight: safe point to shrink
-  // armed lanes' horizons.
+  // rounds (step), so no epoch span is in flight: safe point to fold the
+  // lane counters and to shrink armed lanes' horizons.
+  for (std::uint32_t l = 0; l < active_; ++l) fold_stats(l, now_);
   if (!cycles_.empty()) apply_armed_cycles();
   for (std::uint32_t l = active_; l-- > 0;) {
     if (stats_[l].rounds >= horizons_[l]) {
@@ -2073,6 +2131,8 @@ void BatchEngine::swap_lanes(std::uint32_t a, std::uint32_t b) {
   swap(refill_at_[a], refill_at_[b]);
   swap(absent_[a], absent_[b]);
   swap(moves_[a], moves_[b]);
+  swap(tower_rounds_[a], tower_rounds_[b]);
+  swap(tower_formations_[a], tower_formations_[b]);
   swap(tower_flag_[a], tower_flag_[b]);
   swap(prev_had_tower_[a], prev_had_tower_[b]);
   swap(max_closed_gap_[a], max_closed_gap_[b]);

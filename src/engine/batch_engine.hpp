@@ -55,8 +55,12 @@
 //     registry kind) fill their row in place via
 //     EdgeSchedule::edges_into_words, with no EdgeSet and no Configuration
 //     mirror, and only at the rounds the schedule's next_change names (a
-//     time-invariant schedule fills once, at construction; t-interval once
-//     per interval).  A Bernoulli lane draws only the edges beside its
+//     time-invariant schedule fills once, at construction).  A schedule
+//     that lists its absent edges (EdgeSchedule::absent_edges: t-interval)
+//     never fills its row: the row starts full, and at each next_change
+//     the lane sets its previous absent edges again, clears the listed
+//     ones and writes their endpoints from the list, at the cost of what
+//     changed.  A Bernoulli lane draws only the edges beside its
 //     robots, every round, and reads "present" everywhere else: one
 //     vector draws one (robot, side) pair of its lanes, keys gathered
 //     from each lane's key table, then each absent draw clears its bit in
@@ -64,12 +68,13 @@
 //     whole instead, like any schedule.  A greedy-blocker
 //     lane computes its row straight from the node and direction planes,
 //     through the adversary's own rule (greedy_block), with its absence
-//     runs in a lane plane.  One scan of each refilled schedule or blocker
-//     row counts its absent edges and, for at most kSparseAbsent of them,
-//     lists their endpoint nodes (for the split passes below; an SSYNC or
-//     ASYNC batch too narrow for them skips it).  A Bernoulli row with any
-//     absent edge counts as dense: each of its absent edges touches a
-//     robot, so a split pass could skip nothing.
+//     runs in a lane plane.  One scan (note_absent) of each other refilled
+//     schedule or blocker row counts its absent edges and, for at most
+//     kSparseAbsent of them, lists their endpoint nodes (for the split
+//     passes below; an SSYNC or ASYNC batch too narrow for them skips it,
+//     except on listed lanes, whose list lives there).  A Bernoulli row
+//     with any absent edge counts as dense: each of its absent edges
+//     touches a robot, so a split pass could skip nothing.
 //   * the pass body is chosen per lane range by its densest row.  A range
 //     whose rows are all full runs FSYNC's AllFull instantiation with no
 //     edge tests at all.  A range whose rows miss at most kSparseAbsent
@@ -105,9 +110,12 @@
 //     adversary sees gamma through the virtual call (adaptive-missing, the
 //     cage and proof adversaries, the SSYNC / ASYNC blockers) carry one;
 //     schedule, Bernoulli and greedy-blocker lanes skip the per-round
-//     mirror refresh entirely.  The virtual call gets the lane's mask
-//     column: every robot under FSYNC, the actors under SSYNC, the firing
-//     Moves under ASYNC.
+//     mirror refresh, and a batch without mirrors skips the call.  The
+//     virtual call gets the lane's mask column: every robot under FSYNC,
+//     the actors under SSYNC, the firing Moves under ASYNC.
+//   * the round-end counters (moves, tower rounds, tower formations) live
+//     in lane planes, updated branch-free each round; EngineStats takes
+//     them once per epoch (and before a cycle tracker reads them).
 //   * replicas that reach their horizon are compacted out (their lane is
 //     swapped with the last live lane), so the inner loops always run over
 //     a dense prefix of live replicas and a ragged batch never idles.
@@ -302,12 +310,12 @@ class BatchEngine {
   void run_pass(std::uint32_t l0, std::uint32_t l1);
   /// E_t for lanes [l0, l1) at time t, by each lane's EdgeSource:
   /// schedule-backed lanes refill their edge row in place once t reaches
-  /// refill_at_, Bernoulli lanes draw the edges beside their robots
-  /// (draw_bernoulli_rows), greedy-blocker lanes apply the rule to the
-  /// planes (block_row), and mirror-path lanes go through the virtual
-  /// adversary every round (reading only their own lane's gamma mirror and
-  /// mask column, which is full under FSYNC).  Every refilled row is
-  /// noted.
+  /// refill_at_ (listed lanes patch it), Bernoulli lanes draw the edges
+  /// beside their robots (draw_bernoulli_rows), greedy-blocker lanes apply
+  /// the rule to the planes (block_row), and mirror-path lanes go through
+  /// the virtual adversary every round (reading only their own lane's
+  /// gamma mirror and mask column, which is full under FSYNC).  Every
+  /// refilled row is noted.
   void refill_edges(std::uint32_t l0, std::uint32_t l1, Time t);
   /// The Bernoulli lanes of [l0, l1) at round t: each row reset to every
   /// edge present, then the draws of the two edges beside each robot, and
@@ -322,6 +330,13 @@ class BatchEngine {
   /// split, both endpoints of each absent edge in the lane's column of
   /// absent_ends_.
   void note_absent(std::uint32_t lane);
+  /// A listed lane at round t: set the bits of the edges its endpoint
+  /// slots list, clear those of the schedule's absent_edges(t), and list
+  /// these in absent_ and absent_ends_ (in every model and width).
+  void patch_row(std::uint32_t lane, Time t);
+  /// `count` <= kSparseAbsent absent edges of `lane`'s row into its
+  /// absent_ends_ slots, both endpoints each, the unused slots at n.
+  void list_ends(std::uint32_t lane, const EdgeId* gone, std::uint32_t count);
   /// The densest row of [l0, l1): the largest absent_ count.
   [[nodiscard]] std::uint8_t max_absent(std::uint32_t l0,
                                         std::uint32_t l1) const;
@@ -369,11 +384,19 @@ class BatchEngine {
   void observe_boundary(Time t, std::uint32_t l0, std::uint32_t l1);
   /// Refresh the gamma mirrors of lanes [l0, l1) from the planes (dirs +
   /// positions).  Mirrors are lazy: only lanes whose adversary sees gamma
-  /// carry one, everything else is skipped.
+  /// carry one, everything else is skipped, and a batch without any
+  /// returns at once.
   void update_mirrors(std::uint32_t l0, std::uint32_t l1);
-  /// Per-lane end-of-round bookkeeping for lanes [l0, l1) at round-end
-  /// time t1: tower stats, round counters.
-  void finish_round(std::uint32_t l0, std::uint32_t l1, Time t1);
+  /// Per-lane end-of-round bookkeeping for lanes [l0, l1): branch-free
+  /// updates of the tower-round and tower-formation planes from this
+  /// boundary's tower flags.  stats_ takes them at fold_stats.
+  void finish_round(std::uint32_t l0, std::uint32_t l1);
+  /// stats_[lane]'s round, move and tower counters from the lane planes at
+  /// the lane's boundary t.  Between folds those fields are stale: each
+  /// epoch end (retire_finished, so after every step() and run_all())
+  /// folds every live lane, and observe_cycles folds a due lane before its
+  /// tracker reads them.
+  void fold_stats(std::uint32_t lane, Time t);
   /// One CycleTracker per lane when some lane is eligible (called once at
   /// construction; cycles_ stays empty otherwise).
   void init_cycles();
@@ -422,11 +445,15 @@ class BatchEngine {
   std::vector<const EdgeSchedule*> schedules_;
   /// Lazy gamma mirrors: null for lanes nothing looks at.
   std::vector<std::unique_ptr<Configuration>> mirrors_;
+  /// Some lane carries a mirror (monotone under retirement).
+  bool mirror_lanes_ = false;
   std::vector<Time> horizons_;
 
   /// Where a lane's edge row comes from (edge_source_, one byte per lane).
   enum class EdgeSource : std::uint8_t {
     kSchedule,   // schedules_ refills the row at its next_change
+    kListed,     // schedules_ lists the absent edges (absent_edges) at its
+                 // next_change, and patch_row patches the row
     kBernoulli,  // the edges beside the robots, drawn every round
     kBlocker,    // greedy_block over the planes, every round
     kMirror,     // the virtual adversary on the gamma mirror
@@ -517,10 +544,16 @@ class BatchEngine {
   std::vector<std::uint8_t> absent_;
   /// The endpoint nodes of a sparse row's absent edges: 2 * kSparseAbsent
   /// slot-major planes of batch_ nodes (slot j of lane l at j * batch_ + l),
-  /// unused slots holding n.  An SSYNC or ASYNC batch of fewer than 32
-  /// lanes never splits, so it never lists them.
+  /// unused slots holding n.  An edge e joins nodes e and e + 1 mod n, so
+  /// slot 2j holds the absent edge itself.  An SSYNC or ASYNC batch of
+  /// fewer than 32 lanes never splits, so only its listed lanes list them:
+  /// there they are the lane's current list, which patch_row restores.
   PlaneVector<NodeId> absent_ends_;
-  std::vector<std::uint64_t> moves_;      // per-lane move counter (hot)
+  // Per-lane counters, folded into stats_ by fold_stats: moves (written by
+  // the passes), tower rounds and tower formations (finish_round).
+  std::vector<std::uint64_t> moves_;
+  std::vector<Time> tower_rounds_;
+  std::vector<std::uint64_t> tower_formations_;
   std::vector<std::uint8_t> tower_flag_;  // some node holds >= 2 robots
   std::vector<std::uint8_t> prev_had_tower_;
   std::vector<Time> max_closed_gap_;

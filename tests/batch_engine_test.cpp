@@ -8,13 +8,20 @@
 // kWideBatch lanes, so SSYNC and ASYNC take their split passes until
 // retirements narrow the batch and their per-bit passes after.  So does one
 // mixed batch per model whose lanes cycle through static, t-interval,
-// greedy-blocker and Bernoulli rows (mixed_family).
+// greedy-blocker and Bernoulli rows (mixed_family).  T-interval lanes
+// patch their rows from the schedule's listed absent edge; those run on
+// 130 nodes too (rows of three words), and a counting schedule shows the
+// batch never fills their rows whole.
 #include "engine/batch_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "adversary/confinement.hpp"
@@ -133,6 +140,12 @@ void expect_same_configuration(const Configuration& actual,
   }
 }
 
+/// The fields expect_same_stats compares, for a cheap test per boundary.
+auto stats_fields(const EngineStats& s) {
+  return std::tie(s.rounds, s.total_moves, s.tower_rounds, s.tower_formations,
+                  s.visited_node_count, s.cover_time);
+}
+
 void expect_same_stats(const EngineStats& actual, const EngineStats& expected) {
   EXPECT_EQ(actual.rounds, expected.rounds);
   EXPECT_EQ(actual.total_moves, expected.total_moves);
@@ -155,19 +168,21 @@ void expect_same_coverage(const CoverageReport& actual,
 }
 
 /// Runs one (algorithm, model, scenario) batch against its B solo Engine
-/// twins.  `make_replica` and `make_engine` must construct the same
-/// scenario from the same seed (fresh objects each call).  Two batches run:
-/// one driven by step() in lock-step with the solo Engines, its every
-/// replica's configuration pinned at every boundary, and one by run_all()
-/// (the tiled path sweeps take).  Both must end on the solo stats, coverage
-/// and configurations.
+/// twins on a ring of `nodes` nodes.  `make_replica` and `make_engine` must
+/// construct the same scenario from the same seed (fresh objects each
+/// call).  Two batches run: one driven by step() in lock-step with the solo
+/// Engines, its every replica's configuration and stats pinned at every
+/// boundary (the batch folds its lane counters into the stats at each
+/// step), and one by run_all() (the tiled path sweeps take).  Both must end
+/// on the solo stats, coverage and configurations.
 void run_differential(
     const std::string& label,
     const std::function<BatchReplica(std::uint32_t replica)>& make_replica,
     const std::function<Engine(std::uint32_t replica)>& make_engine,
-    ExecutionModel model, std::uint32_t lanes = kBatch) {
+    ExecutionModel model, std::uint32_t lanes = kBatch,
+    std::uint32_t nodes = kNodes) {
   SCOPED_TRACE(label);
-  const Ring ring(kNodes);
+  const Ring ring(nodes);
   const auto replicas = [&] {
     std::vector<BatchReplica> out;
     out.reserve(lanes);
@@ -186,6 +201,12 @@ void run_differential(
       expect_same_configuration(stepped.snapshot(b), solo[b]->snapshot(), b,
                                 t);
       if (::testing::Test::HasFatalFailure()) return;
+      if (stats_fields(stepped.stats(b)) != stats_fields(solo[b]->stats())) {
+        SCOPED_TRACE("replica " + std::to_string(b) + " time " +
+                     std::to_string(t));
+        expect_same_stats(stepped.stats(b), solo[b]->stats());
+        return;
+      }
     }
     if (stepped.active_replicas() == 0) break;
     stepped.step();
@@ -564,6 +585,113 @@ TEST(BatchEngineActivationFillTest, EdgeCasesMatchSoloEngines) {
           }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Listed rows: a t-interval lane starts from a full row and, at each
+// interval, sets its previous absent edge again and clears the one
+// absent_edges names, keeping the list in its endpoint slots.
+
+/// A t-interval schedule that counts its edges_into_words calls.  It lists
+/// its absent edges, so a batch lane holding it patches its row and must
+/// never fill it.
+class CountingTInterval final : public EdgeSchedule {
+ public:
+  CountingTInterval(const Ring& ring, std::uint64_t seed,
+                    std::shared_ptr<std::uint64_t> fills)
+      : inner_(ring, 3, seed), fills_(std::move(fills)) {}
+
+  [[nodiscard]] const Ring& ring() const override { return inner_.ring(); }
+  void edges_into_words(Time t, std::uint64_t* words) const override {
+    ++*fills_;
+    inner_.edges_into_words(t, words);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> absent_edges(
+      Time t, std::span<EdgeId> out) const override {
+    return inner_.absent_edges(t, out);
+  }
+  [[nodiscard]] Time next_change(Time t) const override {
+    return inner_.next_change(t);
+  }
+  [[nodiscard]] std::string name() const override { return "counting"; }
+
+ private:
+  TIntervalConnectedSchedule inner_;
+  std::shared_ptr<std::uint64_t> fills_;
+};
+
+/// The activation of the listed-row tests: FSYNC's, or Bernoulli.
+Activation listed_activation(ExecutionModel model, std::uint64_t seed) {
+  if (model == ExecutionModel::kFsync) return Activation{};
+  return Activation::bernoulli(model, 0.6, derive_seed(seed, 0x15));
+}
+
+constexpr ExecutionModel kModels[] = {
+    ExecutionModel::kFsync, ExecutionModel::kSsync, ExecutionModel::kAsync};
+
+TEST(BatchEngineListedRowsTest, ListedLanesNeverFillTheirRows) {
+  const Ring ring(kNodes);
+  for (const ExecutionModel model : kModels) {
+    // kBatch lanes: an SSYNC or ASYNC batch this narrow never splits, yet
+    // its listed lanes keep their lists in the endpoint slots.
+    for (const std::uint32_t lanes : {kBatch, kWideBatch}) {
+      const auto fills = std::make_shared<std::uint64_t>(0);
+      run_differential(
+          std::string("pef3+ vs counting t-interval under ") +
+              to_string(model) + " at " + std::to_string(lanes) + " lanes",
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            BatchReplica replica;
+            replica.algorithm = make_algorithm("pef3+", seed);
+            replica.adversary = make_oblivious(
+                std::make_shared<CountingTInterval>(ring, seed, fills));
+            replica.activation = listed_activation(model, seed);
+            replica.placements = anywhere(ring, seed);
+            replica.horizon = horizon_of(b);
+            return replica;
+          },
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            return Engine(ring, make_algorithm("pef3+", seed),
+                          make_oblivious(t_interval(ring, seed)),
+                          listed_activation(model, seed),
+                          anywhere(ring, seed));
+          },
+          model, lanes);
+      EXPECT_EQ(*fills, 0u) << to_string(model) << " " << lanes;
+    }
+  }
+}
+
+TEST(BatchEngineListedRowsTest, ThreeWordRowsMatchSoloEngines) {
+  // 130 edges: three words per row, the last holding two edges, so the
+  // listed edge lands in every word.
+  constexpr std::uint32_t kWideNodes = 130;
+  const Ring ring(kWideNodes);
+  for (const ExecutionModel model : kModels) {
+    for (const std::string& algorithm : algorithm_names()) {
+      run_differential(
+          algorithm + " vs t-interval on 130 nodes under " + to_string(model),
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            BatchReplica replica;
+            replica.algorithm = make_algorithm(algorithm, seed);
+            replica.adversary = make_oblivious(t_interval(ring, seed));
+            replica.activation = listed_activation(model, seed);
+            replica.placements = random_placements(ring, kRobots, seed);
+            replica.horizon = horizon_of(b);
+            return replica;
+          },
+          [&](std::uint32_t b) {
+            const std::uint64_t seed = b + 1;
+            return Engine(ring, make_algorithm(algorithm, seed),
+                          make_oblivious(t_interval(ring, seed)),
+                          listed_activation(model, seed),
+                          random_placements(ring, kRobots, seed));
+          },
+          model, kWideBatch, kWideNodes);
     }
   }
 }

@@ -121,6 +121,33 @@ TEST(RngTest, StreamsMatchPinnedValues) {
   }
 }
 
+TEST(RngTest, SeededBelowIsNextBelowOfTheSeed) {
+  // 10^5 seeds per bound.  At 2^63 + 1 next_below rejects outputs below
+  // 2^63 - 1, about half of them, so the generator path runs too.
+  constexpr std::uint64_t kSeeds = 100000;
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{65}, std::uint64_t{1025}, std::uint64_t{1} << 32,
+        kHalf + 1}) {
+    const SeededBelow below(bound);
+    const std::uint64_t reject = (~bound + 1) % bound;
+    std::uint64_t rejected = 0;
+    SplitMix64 seeds(bound);
+    for (std::uint64_t i = 0; i < kSeeds; ++i) {
+      const std::uint64_t seed = seeds.next();
+      Xoshiro256 rng(seed);
+      ASSERT_EQ(below(seed), rng.next_below(bound))
+          << "bound " << bound << " seed " << seed;
+      rejected += xoshiro256_first_output(seed) < reject ? 1 : 0;
+    }
+    if (bound == kHalf + 1) {
+      EXPECT_GT(rejected, kSeeds * 2 / 5);
+      EXPECT_LT(rejected, kSeeds * 3 / 5);
+    }
+  }
+}
+
 TEST(RngTest, BernoulliThresholdIsNextBool) {
   // next_bool(p) tests x * 2^-53 < p for x = next() >> 11.  Check the
   // integer form on both sides of each threshold, where a floor-for-ceil

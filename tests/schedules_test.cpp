@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -505,6 +507,96 @@ TEST(NextChangeTest, TIntervalBoundaryPastTimeSaturates) {
   EXPECT_EQ(t.next_change(2 * edge - 1), 2 * edge);
   EXPECT_EQ(t.next_change(2 * edge), kTimeInfinity);
   expect_next_change_holds(t, 2 * edge - 3, 2 * edge);
+}
+
+// ---------------------------------------------------------------------------
+// absent_edges: a listing family names exactly the clear bits of its row,
+// and BatchEngine patches its lanes' rows from that list.
+
+TEST(AbsentEdgesTest, TIntervalListsExactlyTheClearBitsOfItsRow) {
+  for (const std::uint32_t n : {2u, 64u, 65u, 130u}) {
+    const Ring ring(n);
+    for (const std::uint64_t seed : {1u, 7u, 99u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed " +
+                   std::to_string(seed));
+      const TIntervalConnectedSchedule s(ring, 4, seed);
+      std::vector<std::uint64_t> row(edge_word_count(n));
+      std::uint32_t listed_any = 0;
+      // Every round of 60 intervals.
+      for (Time t = 0; t < 240; ++t) {
+        s.edges_into_words(t, row.data());
+        std::vector<EdgeId> clear;
+        for (EdgeId e = 0; e < n; ++e) {
+          if ((row[e >> 6] >> (e & 63) & 1) == 0) clear.push_back(e);
+        }
+        for (const std::size_t slots : {std::size_t{1}, std::size_t{2}}) {
+          EdgeId out[2] = {n, n};
+          const std::optional<std::uint32_t> count =
+              s.absent_edges(t, std::span<EdgeId>(out, slots));
+          ASSERT_TRUE(count.has_value()) << "t=" << t;
+          ASSERT_EQ(*count, clear.size()) << "t=" << t;
+          for (std::uint32_t j = 0; j < *count; ++j) {
+            EXPECT_EQ(out[j], clear[j]) << "t=" << t;
+          }
+        }
+        listed_any += clear.empty() ? 0 : 1;
+      }
+      EXPECT_GT(listed_any, 0u);
+      // Nothing fits an empty list, so the family does not list into one.
+      EXPECT_FALSE(s.absent_edges(0, {}).has_value());
+    }
+  }
+}
+
+TEST(AbsentEdgesTest, TIntervalPickIsTheLiteralDraw) {
+  for (const std::uint32_t n : {2u, 9u, 64u, 65u, 130u, 1024u}) {
+    const Ring ring(n);
+    for (const Time interval : {Time{1}, Time{4}, Time{7}}) {
+      for (const std::uint64_t seed :
+           {std::uint64_t{0}, std::uint64_t{21}, ~std::uint64_t{0}}) {
+        const TIntervalConnectedSchedule s(ring, interval, seed);
+        std::vector<Time> times;
+        for (Time t = 0; t < 300; ++t) times.push_back(t);
+        for (const Time t : {Time{1} << 40, kTimeInfinity - 1}) {
+          times.push_back(t);
+        }
+        for (const Time t : times) {
+          const std::uint64_t literal =
+              Xoshiro256(derive_seed(seed, t / interval)).next_below(n + 1);
+          EdgeId out[1];
+          const std::optional<std::uint32_t> count = s.absent_edges(t, out);
+          ASSERT_TRUE(count.has_value());
+          if (literal == n) {
+            EXPECT_EQ(*count, 0u) << "n=" << n << " t=" << t;
+          } else {
+            ASSERT_EQ(*count, 1u) << "n=" << n << " t=" << t;
+            EXPECT_EQ(out[0], literal) << "n=" << n << " t=" << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AbsentEdgesTest, OtherFamiliesDoNotList) {
+  const Ring ring(9);
+  const auto stat = std::make_shared<StaticSchedule>(ring);
+  const auto tint = std::make_shared<TIntervalConnectedSchedule>(ring, 5, 3);
+  const std::vector<SchedulePtr> schedules = {
+      stat,
+      std::make_shared<BernoulliSchedule>(ring, 0.5, 7),
+      std::make_shared<PeriodicSchedule>(
+          PeriodicSchedule::rotating(ring, 4, 3)),
+      std::make_shared<EventualMissingEdgeSchedule>(tint, 3, 17),
+      std::make_shared<BoundedAbsenceSchedule>(ring, 3, 4, 11),
+      std::make_shared<MarkovSchedule>(ring, 0.2, 0.5, 13),
+      ChainSchedule::cut_last(tint),
+  };
+  for (const SchedulePtr& schedule : schedules) {
+    EdgeId out[2];
+    EXPECT_FALSE(schedule->absent_edges(0, out).has_value())
+        << schedule->name();
+  }
 }
 
 // ---------------------------------------------------------------------------
