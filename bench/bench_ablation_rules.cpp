@@ -139,6 +139,6 @@ int main(int argc, char** argv) {
                "sentinel/explorer protocol.\nAblation reproduction "
             << (shape_holds ? "HOLDS" : "FAILS") << ".\n";
   report.summary("shape_holds", shape_holds);
-  report.write();
+  if (!report.write()) return 2;
   return shape_holds ? 0 : 1;
 }

@@ -138,6 +138,6 @@ int main(int argc, char** argv) {
   std::cout << "\nChain reproduction " << (holds ? "HOLDS" : "FAILS")
             << ".\n";
   report.summary("reproduction_holds", holds);
-  report.write();
+  if (!report.write()) return 2;
   return holds ? 0 : 1;
 }

@@ -140,6 +140,6 @@ int main(int argc, char** argv) {
          "deterministic algorithm.\n"
       << "\nFigure-1 reproduction " << (all_hold ? "HOLDS" : "FAILS") << ".\n";
   bench_report.summary("reproduction_holds", all_hold);
-  bench_report.write();
+  if (!bench_report.write()) return 2;
   return all_hold ? 0 : 1;
 }

@@ -124,6 +124,6 @@ int main(int argc, char** argv) {
                "the terminal single-missing-edge fallback) on every ring of "
                "size >= 4, with a connected-over-time prefix.\n";
   report.summary("reproduction_holds", all_defeated);
-  report.write();
+  if (!report.write()) return 2;
   return all_defeated ? 0 : 1;
 }

@@ -110,6 +110,6 @@ int main(int argc, char** argv) {
             << ": a single robot never sees more than 2 nodes of any ring "
                "of size >= 3, under a connected-over-time prefix.\n";
   report.summary("reproduction_holds", all_defeated);
-  report.write();
+  if (!report.write()) return 2;
   return all_defeated ? 0 : 1;
 }

@@ -156,6 +156,5 @@ int main(int argc, char** argv) {
 
   std::cout << "\nExpected shape: formation always happens (Lemma 3.7), "
                "delay ~ linear in n, decreasing in k, ~1/p in flicker.\n";
-  report.write();
-  return 0;
+  return report.write() ? 0 : 2;
 }

@@ -1,42 +1,32 @@
-// bench_scaling — simulator throughput as a function of ring size, robot
-// count and adversary:
+// bench_scaling — throughput of the engines that run the paper's
+// reproductions at scale, written to BENCH_scaling.json:
 //
-//   * google-benchmark micro-benchmarks: Simulator vs Engine rounds/sec
-//     across (n, k) and schedule families;
-//   * a head-to-head macro measurement at n=4096, k=64 (trace recording off)
-//     recorded in BENCH_scaling.json: the reference Simulator vs the
-//     unified Engine (fast_engine_speedup, target >= 5x);
-//   * the batch-throughput series, per EXECUTION MODEL: BatchEngine
-//     aggregate replica-rounds/sec vs per-seed Engines at n=1024, k=16
-//     (FSYNC at B in {1, 4, 16, 64}; SSYNC/ASYNC — the batch-native
-//     prologue with devirtualized Bernoulli activation and plane-filled
-//     edge rows — at B in {1, 16}).  batch_speedup_over_per_seed (FSYNC),
-//     batch_speedup_ssync and batch_speedup_async (all targeting >= 2x at
-//     B=16) are the acceptance metrics of the batching PRs, and
-//     batch_speedup_all_models / batch_stats_identical are the CI gates;
-//   * the cycle-fastforward series: one 1e6-round deterministic cell run
-//     plain and with the periodicity detector — fastforward_bit_identical
-//     and fastforward_speedup (>= 10x) are the acceptance gates of the
-//     fast-forward PR;
-//   * SweepRunner thread-scaling on a fixed grid (1 thread vs 4), with a
-//     byte-identity check of the two JSON outputs.
+//   * head-to-head: the reference Simulator vs the unified Engine at
+//     n=4096, k=64, static schedule, no trace (fast_engine_speedup);
+//   * batch throughput, per execution model: BatchEngine aggregate
+//     replica-rounds/sec vs per-seed Engines at n=1024, k=16 (FSYNC at B in
+//     {1, 4, 16, 64, 256}; SSYNC/ASYNC, under Bernoulli activation, at B in
+//     {1, 16, 256}), and whether every replica's stats match its solo
+//     Engine's;
+//   * intra-cell threads: one B=256 FSYNC batch on 1 vs up to 4 workers;
+//   * cycle fast-forward: one 1e6-round deterministic cell, plain vs the
+//     periodicity detector;
+//   * SweepRunner on a fixed grid, 1 thread vs 4, with a byte-identity
+//     check of the two JSON outputs.
 //
-// --smoke shrinks every macro series to CI-sized parameters; the CI
-// bench-smoke job gates on the JSON's batch_speedup_over_per_seed,
-// batch_speedup_all_models, batch_stats_identical and fast-forward
-// verdicts.
-#include <benchmark/benchmark.h>
-
+// The bench only measures.  bench/gates.json holds the bar each summary
+// key must clear and why; bench/check_gates.py judges runs against it
+// (CI's bench-smoke job: five --smoke runs, each numeric row on their
+// median).  --smoke shrinks every series to CI-sized parameters.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "adversary/proof_adversary.hpp"
 #include "algorithms/registry.hpp"
 #include "analysis/coverage.hpp"
+#include "common/args.hpp"
 #include "common/bench_report.hpp"
 #include "core/experiment.hpp"
 #include "dynamic_graph/schedules.hpp"
@@ -49,161 +39,11 @@
 namespace pef {
 namespace {
 
-/// --smoke shrinks every macro series to CI-sized parameters (set in main,
-/// used by the bench-smoke CI job; the verdict booleans in the JSON keep
-/// their meaning, only the sizes shrink).
+/// Set by --smoke in main.
 bool smoke_mode = false;
 
-void BM_SimulatorRoundsStatic(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto k = static_cast<std::uint32_t>(state.range(1));
-  const Ring ring(n);
-  SimulatorOptions options;
-  options.record_trace = false;
-  Simulator sim(ring, make_algorithm("pef3+"),
-                make_oblivious(std::make_shared<StaticSchedule>(ring)),
-                spread_placements(ring, k), options);
-  for (auto _ : state) {
-    sim.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SimulatorRoundsStatic)
-    ->Args({8, 3})
-    ->Args({64, 3})
-    ->Args({256, 3})
-    ->Args({64, 8})
-    ->Args({64, 32})
-    ->Args({4096, 64});
-
-void BM_FastEngineRoundsStatic(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto k = static_cast<std::uint32_t>(state.range(1));
-  const Ring ring(n);
-  Engine engine(ring, make_algorithm("pef3+"),
-                    make_oblivious(std::make_shared<StaticSchedule>(ring)),
-                    spread_placements(ring, k));
-  for (auto _ : state) {
-    engine.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FastEngineRoundsStatic)
-    ->Args({8, 3})
-    ->Args({64, 3})
-    ->Args({256, 3})
-    ->Args({64, 8})
-    ->Args({64, 32})
-    ->Args({4096, 64});
-
-void BM_SimulatorRoundsBernoulli(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const Ring ring(n);
-  SimulatorOptions options;
-  options.record_trace = false;
-  Simulator sim(
-      ring, make_algorithm("pef3+"),
-      make_oblivious(std::make_shared<BernoulliSchedule>(ring, 0.5, 1)),
-      spread_placements(ring, 3), options);
-  for (auto _ : state) {
-    sim.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SimulatorRoundsBernoulli)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_FastEngineRoundsBernoulli(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const Ring ring(n);
-  Engine engine(
-      ring, make_algorithm("pef3+"),
-      make_oblivious(std::make_shared<BernoulliSchedule>(ring, 0.5, 1)),
-      spread_placements(ring, 3));
-  for (auto _ : state) {
-    engine.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FastEngineRoundsBernoulli)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_StagedProofAdversary(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const Ring ring(n);
-  SimulatorOptions options;
-  options.record_trace = false;
-  Simulator sim(ring, make_algorithm("bounce"),
-                std::make_unique<StagedProofAdversary>(ring, 0, 3, 64),
-                {{0, Chirality(true)}, {1, Chirality(true)}}, options);
-  for (auto _ : state) {
-    sim.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StagedProofAdversary)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_FastEngineStagedProofAdversary(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const Ring ring(n);
-  Engine engine(ring, make_algorithm("bounce"),
-                    std::make_unique<StagedProofAdversary>(ring, 0, 3, 64),
-                    {{0, Chirality(true)}, {1, Chirality(true)}});
-  for (auto _ : state) {
-    engine.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FastEngineStagedProofAdversary)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_ScheduleQuery(benchmark::State& state) {
-  const Ring ring(static_cast<std::uint32_t>(state.range(0)));
-  const BernoulliSchedule schedule(ring, 0.5, 7);
-  Time t = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(schedule.edges_at(t++));
-  }
-}
-BENCHMARK(BM_ScheduleQuery)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_ScheduleQueryInPlace(benchmark::State& state) {
-  const Ring ring(static_cast<std::uint32_t>(state.range(0)));
-  const BernoulliSchedule schedule(ring, 0.5, 7);
-  EdgeSet scratch(ring.edge_count());
-  Time t = 0;
-  for (auto _ : state) {
-    schedule.edges_into(t++, scratch);
-    benchmark::DoNotOptimize(scratch);
-  }
-}
-BENCHMARK(BM_ScheduleQueryInPlace)->Arg(8)->Arg(64)->Arg(512);
-
-/// Cover time of PEF_3+ as a function of n (reported as a counter so the
-/// scaling series prints alongside the timing output).  Runs on Engine;
-/// the coverage numbers are engine-independent (differential-tested).
-void BM_CoverTimeVsN(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const Ring ring(n);
-  double total_cover = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    auto schedule =
-        std::make_shared<BernoulliSchedule>(ring, 0.5, 100 + runs);
-    Engine engine(ring, make_algorithm("pef3+"),
-                      make_oblivious(schedule), spread_placements(ring, 3));
-    engine.run(200 * n);
-    const auto coverage = engine.coverage_report();
-    total_cover += coverage.cover_time
-                       ? static_cast<double>(*coverage.cover_time)
-                       : static_cast<double>(200 * n);
-    ++runs;
-  }
-  state.counters["cover_time_mean"] =
-      total_cover / static_cast<double>(runs);
-}
-BENCHMARK(BM_CoverTimeVsN)->Arg(6)->Arg(12)->Arg(24)->Arg(48)
-    ->Unit(benchmark::kMillisecond);
-
 // ---------------------------------------------------------------------------
-// Head-to-head macro measurement + BENCH_scaling.json.
+// Head-to-head: the reference Simulator vs the production Engine.
 
 double measure_simulator_rps(std::uint32_t n, std::uint32_t k, Time rounds) {
   const Ring ring(n);
@@ -266,7 +106,7 @@ void head_to_head(BenchReport& report) {
   std::cout << "Simulator: " << static_cast<std::uint64_t>(sim_rps)
             << " rounds/sec\n"
             << "Engine:    " << static_cast<std::uint64_t>(engine_rps)
-            << " rounds/sec (" << speedup << "x vs Simulator, target >= 5x)\n";
+            << " rounds/sec (" << speedup << "x vs Simulator)\n";
 
   report.add_rounds(kSimRounds + 5 * kFastRounds);
   report.add_cell()
@@ -278,7 +118,6 @@ void head_to_head(BenchReport& report) {
       .metric("fast_engine_rounds_per_sec", engine_rps)
       .metric("speedup", speedup);
   report.summary("fast_engine_speedup", speedup);
-  report.summary("speedup_target_met", speedup >= 5.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,26 +206,25 @@ double measure_batch_rps(const Ring& ring, ExecutionModel model,
 }
 
 void batch_throughput(BenchReport& report) {
-  const std::uint32_t kNodes = smoke_mode ? 256 : 1024;
   const std::uint32_t kRobots = 16;
   const Time kRounds = smoke_mode ? 10000 : 40000;
   constexpr int kReps = 3;
 
-  const Ring ring(kNodes);
   bool all_identical = true;
-  bool all_models_beat_per_seed = true;
   double fsync_speedup_at_16 = 0;
   double ssync_speedup_at_16 = 0;
   double async_speedup_at_16 = 0;
   double fsync_speedup_at_64 = 0;
   double fsync_speedup_at_256 = 0;
+  double fsync_batch_rps_at_64 = 0;
+  double fsync_batch_rps_at_256 = 0;
   for (const ExecutionModel model :
        {ExecutionModel::kFsync, ExecutionModel::kSsync,
         ExecutionModel::kAsync}) {
     // FSYNC keeps its historical B sweep plus the wide B=256 point (the
     // cache-tiled regime); the non-FSYNC series bracket the B=16 and B=256
-    // acceptance points (their per-seed baselines are slower, so the full
-    // sweep would dominate the bench's wall time).
+    // points (their per-seed baselines are slower, so the full sweep would
+    // dominate the bench's wall time).
     const std::vector<std::uint32_t> batches =
         model == ExecutionModel::kFsync
             ? (smoke_mode ? std::vector<std::uint32_t>{1, 16, 64, 256}
@@ -394,13 +232,18 @@ void batch_throughput(BenchReport& report) {
             : (smoke_mode ? std::vector<std::uint32_t>{1, 16}
                           : std::vector<std::uint32_t>{1, 16, 256});
     std::cout << "\n=== Batch throughput [" << to_string(model)
-              << "]: BatchEngine vs per-seed Engines (n=" << kNodes
-              << ", k=" << kRobots << ", pef3+ kernel, static schedule"
+              << "]: BatchEngine vs per-seed Engines (k=" << kRobots
+              << ", pef3+ kernel, static schedule"
               << (model == ExecutionModel::kFsync
                       ? ""
                       : ", Bernoulli(p=0.5) activation")
               << ", aggregate replica-rounds/sec) ===\n";
     for (const std::uint32_t batch : batches) {
+      // B=64 and B=256 run at n=1024 even under --smoke: only there do 256
+      // lanes' visit rows outgrow the tile budget, so only there does the
+      // B=256 point run tiled (at n=256 one tile holds every lane).
+      const std::uint32_t nodes = smoke_mode && batch < 64 ? 256 : 1024;
+      const Ring ring(nodes);
       double per_seed_rps = 0;
       double batch_rps = 0;
       bool bit_identical = true;
@@ -426,16 +269,17 @@ void batch_throughput(BenchReport& report) {
             async_speedup_at_16 = speedup;
             break;
         }
-        all_models_beat_per_seed = all_models_beat_per_seed && speedup > 1.0;
       }
       if (model == ExecutionModel::kFsync && batch == 64) {
         fsync_speedup_at_64 = speedup;
+        fsync_batch_rps_at_64 = batch_rps;
       }
       if (model == ExecutionModel::kFsync && batch == 256) {
         fsync_speedup_at_256 = speedup;
+        fsync_batch_rps_at_256 = batch_rps;
       }
       all_identical = all_identical && bit_identical;
-      std::cout << "B=" << batch << ": per-seed "
+      std::cout << "B=" << batch << " (n=" << nodes << "): per-seed "
                 << static_cast<std::uint64_t>(per_seed_rps)
                 << " rounds/sec, batch "
                 << static_cast<std::uint64_t>(batch_rps) << " rounds/sec ("
@@ -445,7 +289,7 @@ void batch_throughput(BenchReport& report) {
       report.add_cell()
           .param("series", "batch-throughput")
           .param("model", to_string(model))
-          .param("n", std::uint64_t{kNodes})
+          .param("n", std::uint64_t{nodes})
           .param("k", std::uint64_t{kRobots})
           .param("batch", std::uint64_t{batch})
           .metric("per_seed_rounds_per_sec", per_seed_rps)
@@ -454,40 +298,24 @@ void batch_throughput(BenchReport& report) {
           .metric("stats_identical", bit_identical);
     }
   }
-  // The acceptance metrics: aggregate batch speedup per model and
-  // bit-identity across every model.  The FSYNC gate is based on the B=64
-  // series: B=16 sits near the break-even knee on single-core shared boxes
-  // where run-to-run parity noise (~10-15%) can drag a true ~2x reading
-  // under the threshold, while B=64 has enough amortization headroom that
-  // only a real regression trips it.  B=16 is still reported above for
-  // trend tracking.
   report.summary("batch_speedup_over_per_seed", fsync_speedup_at_16);
-  report.summary("batch_speedup_target_met", fsync_speedup_at_64 >= 2.0);
   report.summary("batch_speedup_ssync", ssync_speedup_at_16);
   report.summary("batch_speedup_async", async_speedup_at_16);
-  report.summary("batch_speedup_all_models", all_models_beat_per_seed);
   report.summary("batch_stats_identical", all_identical);
-  // The wide-batch gates: B=256 must HOLD the B=64 speedup — the verdict is
-  // a cache-tiling collapse detector (the pre-tiling engine fell to ~0.78x
-  // of B=64 there), so it tolerates run-to-run parity noise (single-sample
-  // series on shared boxes swing ~10%) but trips on a real falloff.  The
-  // adaptive planner must route a single seed to the solo Engine.
+  report.summary("batch_speedup_b64", fsync_speedup_at_64);
   report.summary("batch_speedup_b256", fsync_speedup_at_256);
-  report.summary("batch_b256_beats_b64",
-                 smoke_mode ? fsync_speedup_at_256 > 0
-                            : fsync_speedup_at_256 >=
-                                  0.85 * fsync_speedup_at_64);
-  report.summary(
-      "adaptive_b1_routes_solo",
-      !plan_batch(ExecutionModel::kFsync, kNodes, kRobots, 1, 1).use_batch());
+  // Both points run the same solo baseline (n=1024, k=16), so B=256 holds
+  // B=64's speedup iff it holds B=64's batch rate; comparing the rates
+  // keeps that baseline's drift out of the ratio (the per-seed rate of the
+  // two points differed by up to 1.6x within one run on a shared host).
+  report.summary("batch_b256_over_b64",
+                 fsync_batch_rps_at_256 / fsync_batch_rps_at_64);
 }
 
 // ---------------------------------------------------------------------------
 // Intra-cell thread scaling: one wide FSYNC batch, replica blocks split
-// across a pinned WorkerTeam.  The identity verdict (threads must be
-// bit-identical to serial) gates everywhere; the speedup number is only
-// meaningful on machines with >= 4 physical cores, so single-core CI boxes
-// report it without gating on it.
+// across a pinned WorkerTeam of up to 4 threads (at least 2, so the
+// identity check runs a team even on one core).
 
 void intra_cell_threads(BenchReport& report) {
   const std::uint32_t kNodes = smoke_mode ? 256 : 1024;
@@ -542,17 +370,14 @@ void intra_cell_threads(BenchReport& report) {
       .metric("stats_identical", identical);
   report.summary("intra_cell_thread_scaling", scaling);
   report.summary("intra_cell_threads_identical", identical);
-  // The speedup gate only binds where the hardware can show one.
-  report.summary("intra_cell_scaling_target_met",
-                 topo.physical_cores < 4 || scaling >= 1.5);
 }
 
 // ---------------------------------------------------------------------------
 // Cycle fast-forward: one long-horizon deterministic FSYNC cell, plain vs
-// the cycle detector.  Bit-identity of every statistic is the gate; the
-// wall-clock ratio is the point of the feature (O(period) instead of
-// O(horizon)).  The horizon stays at 1e6 even under --smoke: the plain run
-// is milliseconds, and the CI gate wants the real speedup.
+// the cycle detector: every statistic must match, and the wall-clock ratio
+// is the point of the feature (O(period) instead of O(horizon)).  The
+// horizon stays at 1e6 even under --smoke: the plain run is milliseconds,
+// and a shorter one would shrink the ratio being measured.
 
 void cycle_fastforward(BenchReport& report) {
   std::cout << "\n=== Cycle fast-forward (plain vs detector, 1e6-round "
@@ -618,7 +443,7 @@ void cycle_fastforward(BenchReport& report) {
             << " rounds)\n"
             << "fast-forward: " << ff_wall << " s (" << rounds_simulated
             << " rounds simulated, period " << detected_period << ")\n"
-            << "speedup: " << speedup << "x (target >= 10)\n"
+            << "speedup: " << speedup << "x\n"
             << "bit-identical stats: " << (identical ? "yes" : "NO") << "\n";
 
   report.add_rounds(kReps * (kHorizon + rounds_simulated));
@@ -662,8 +487,7 @@ void sweep_scaling(BenchReport& report) {
             << parallel.threads << " workers ("
             << static_cast<std::uint64_t>(parallel.rounds_per_sec())
             << " rounds/sec)\n"
-            << "wall-time ratio: " << ratio
-            << " (target <= 0.4 on >= 4 cores)\n"
+            << "wall-time ratio: " << ratio << "\n"
             << "bit-identical JSON: " << (identical ? "yes" : "NO") << "\n";
 
   report.add_rounds(serial.total_rounds() + parallel.total_rounds());
@@ -685,19 +509,9 @@ void sweep_scaling(BenchReport& report) {
 }  // namespace pef
 
 int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees (and rejects) it.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      pef::smoke_mode = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  pef::ArgParser args(argc, argv);
+  pef::smoke_mode = args.has("--smoke");
+  args.check_unused();
 
   pef::BenchReport report("scaling");
   pef::head_to_head(report);
@@ -705,6 +519,5 @@ int main(int argc, char** argv) {
   pef::intra_cell_threads(report);
   pef::cycle_fastforward(report);
   pef::sweep_scaling(report);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 2;
 }

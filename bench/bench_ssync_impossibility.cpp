@@ -196,6 +196,6 @@ int main(int argc, char** argv) {
                "studies FSYNC.\nReproduction "
             << (reproduction_holds ? "HOLDS" : "FAILS") << ".\n";
   report.summary("reproduction_holds", reproduction_holds);
-  report.write();
+  if (!report.write()) return 2;
   return reproduction_holds ? 0 : 1;
 }

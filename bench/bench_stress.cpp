@@ -185,6 +185,5 @@ int main(int argc, char** argv) {
 
   std::cout << "\nExpected shape: pef3+ never flips to FAILS anywhere "
                "(Theorem 3.1); gaps grow as dynamics harshen.\n";
-  report.write();
-  return 0;
+  return report.write() ? 0 : 2;
 }

@@ -192,6 +192,6 @@ int main(int argc, char** argv) {
             << ": every cell matches TABLE 1 of the paper and every "
                "adversary prefix passed the connected-over-time audit.\n";
   report.summary("reproduction_holds", reproduction_holds);
-  report.write();
+  if (!report.write()) return 2;
   return reproduction_holds ? 0 : 1;
 }

@@ -125,6 +125,6 @@ int main(int argc, char** argv) {
   std::cout << "\nTheorem 3.1 reproduction "
             << (all_perpetual ? "HOLDS" : "FAILS") << ".\n";
   bench_report.summary("reproduction_holds", all_perpetual);
-  bench_report.write();
+  if (!bench_report.write()) return 2;
   return all_perpetual ? 0 : 1;
 }

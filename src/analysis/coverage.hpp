@@ -53,8 +53,9 @@ struct CoverageReport {
   }
 };
 
-/// Analyse coverage over the whole trace.  `suffix_window` defaults to a
-/// quarter of the horizon when 0.
+/// Analyse coverage over the whole trace.  `suffix_window` 0 means
+/// horizon / 4 + 1 rounds, the default of Engine's and BatchEngine's
+/// coverage reports too.
 [[nodiscard]] CoverageReport analyze_coverage(const Trace& trace,
                                               Time suffix_window = 0);
 

@@ -105,7 +105,7 @@ void BenchReport::summary(const std::string& key, bool value) {
   summary_.emplace_back(key, value ? "true" : "false");
 }
 
-void BenchReport::write() const {
+bool BenchReport::write() const {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
@@ -145,10 +145,14 @@ void BenchReport::write() const {
 
   const std::string path = "BENCH_" + name_ + ".json";
   std::ofstream file(path);
-  if (file.is_open()) {
-    file << out << '\n';
-    std::cout << "\n[" << path << " written]\n";
+  file << out << '\n';
+  file.close();
+  if (!file) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
   }
+  std::cout << "\n[" << path << " written]\n";
+  return true;
 }
 
 }  // namespace pef

@@ -53,7 +53,9 @@ class BenchReport {
   /// confirmation to stdout.  Wall-time is measured from construction.  A
   /// "fingerprint" object names the machine and build: hardware threads,
   /// physical cores, batch ISA tier, compiler, build type and git SHA.
-  void write() const;
+  /// Returns false, after naming the path on stderr, when the file cannot
+  /// be opened or written; a bench then exits 2.
+  [[nodiscard]] bool write() const;
 
  private:
   std::string name_;

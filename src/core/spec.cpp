@@ -45,52 +45,47 @@ std::optional<Topology> parse_topology(const std::string& name) {
 // The registry
 
 const std::vector<AdversaryKindInfo>& adversary_registry() {
-  // Field order: kind, name, description, params, adaptive, batchable.
-  // `batchable` marks the per-replica-independent families (oblivious
-  // schedules) whose edge words BatchEngine fills directly into its edge
-  // plane; the adaptive lower-bound families keep the mirror path.
+  // Field order: kind, name, description, params.
   static const std::vector<AdversaryKindInfo> registry = {
       {AdversaryKind::kStatic, "static",
-       "every edge present at every round", {}, false, true},
+       "every edge present at every round", {}},
       {AdversaryKind::kBernoulli, "bernoulli",
        "iid edge presence with probability p",
-       {{"p", 0.5, "per-edge presence probability"}}, false, true},
+       {{"p", 0.5, "per-edge presence probability"}}},
       {AdversaryKind::kPeriodic, "periodic",
        "rotating public-transport pattern: present iff t mod period < duty",
        {{"period", 5, "pattern period (rounds)"},
-        {"duty", 3, "present rounds per period"}}, false, true},
+        {"duty", 3, "present rounds per period"}}},
       {AdversaryKind::kTInterval, "t-interval",
        "at most one absent edge, redrawn every T rounds",
-       {{"interval", 4, "rounds between redraws (T)"}}, false, true},
+       {{"interval", 4, "rounds between redraws (T)"}}},
       {AdversaryKind::kBoundedAbsence, "bounded-absence",
        "random absences of at most A consecutive rounds per edge",
        {{"max_absence", 6, "longest absence run (A)"},
-        {"max_presence", 8, "longest presence run"}}, false, true},
+        {"max_presence", 8, "longest presence run"}}},
       {AdversaryKind::kEventualMissing, "eventual-missing",
-       "one seed-chosen edge vanishes forever (forces sentinels)", {}, false,
-       true},
+       "one seed-chosen edge vanishes forever (forces sentinels)", {}},
       {AdversaryKind::kAdaptiveMissing, "adaptive-missing",
        "waits for a seed-chosen trigger round, then kills the edge most "
-       "robots point at", {}, true, false},
+       "robots point at", {}},
       {AdversaryKind::kMarkov, "markov",
        "per-edge two-state Markov chain (fail / recover)",
        {{"p_fail", 0.2, "present -> absent transition probability"},
-        {"p_recover", 0.4, "absent -> present transition probability"}},
-       false, true},
+        {"p_recover", 0.4, "absent -> present transition probability"}}},
       {AdversaryKind::kGreedyBlocker, "greedy-blocker",
        "legality-capped blocker: removes the edge ahead of each robot for "
        "up to A rounds",
-       {{"max_absence", 6, "legality cap per edge (A)"}}, true, false},
+       {{"max_absence", 6, "legality cap per edge (A)"}}},
       {AdversaryKind::kCage, "cage",
        "confinement window of `width` nodes around `anchor` (Theorem 4.1 "
        "style)",
        {{"anchor", 0, "first node of the window"},
-        {"width", 0, "window width; 0 = min(k + 1, n - 1)"}}, true, false},
+        {"width", 0, "window width; 0 = min(k + 1, n - 1)"}}},
       {AdversaryKind::kProof, "proof",
        "staged lower-bound adversary of Theorems 4.1 / 5.1",
        {{"anchor", 0, "first node of the window"},
         {"width", 0, "window width; 0 = min(k + 1, n - 1)"},
-        {"patience", 64, "rounds per stage before tightening"}}, true, false},
+        {"patience", 64, "rounds per stage before tightening"}}},
   };
   return registry;
 }

@@ -86,17 +86,6 @@ struct AdversaryKindInfo {
   const char* description = "";
   /// Declared parameters with defaults; configs may only set these.
   std::vector<AdversaryParamInfo> params;
-  /// True for the genuinely adaptive lower-bound adversaries (they see the
-  /// configuration); false for oblivious schedules.
-  bool adaptive = false;
-  /// Capability flag for the batched engine: true iff the resolved
-  /// adversary is per-replica-independent (a pure function of time and its
-  /// own seed stream, never of the configuration or activation mask), so
-  /// BatchEngine can fill its edge words straight into the contiguous edge
-  /// plane via the schedule's edges_into_words() and skip the replica's
-  /// Configuration mirror.  Stateful / view-dependent kinds keep the
-  /// mirror path (still batched, just with a per-lane mirror prologue).
-  bool batchable = false;
 };
 
 /// Every adversary family, in canonical order.
@@ -152,7 +141,7 @@ struct AdversaryConfig {
 /// scenario's k.  Seed derivation matches the historical battery factories
 /// bit-for-bit.  On Topology::kChain the resolved adversary is restricted to
 /// the chain: oblivious schedules are rewrapped in ChainSchedule::cut_last
-/// (preserving the batchable word-plane fast path), adaptive adversaries get
+/// (preserving BatchEngine's schedule-filled rows), adaptive adversaries get
 /// the cut edge erased from every choice.
 [[nodiscard]] AdversaryPtr adversary_from_config(
     const AdversaryConfig& config, const Ring& ring, std::uint64_t seed,

@@ -51,8 +51,9 @@
 //     hold E_t on the edges beside the lane's robots; every pass tests
 //     edges at robot nodes only.  Each lane's row source is picked the
 //     same way in every model.  Replicas whose adversary is
-//     per-replica-independent (an oblivious schedule — every `batchable`
-//     registry kind) fill their row in place via
+//     per-replica-independent (an ObliviousAdversary over a schedule: the
+//     static, bernoulli, periodic, t-interval, bounded-absence,
+//     eventual-missing and markov kinds) fill their row in place via
 //     EdgeSchedule::edges_into_words, with no EdgeSet and no Configuration
 //     mirror, and only at the rounds the schedule's next_change names (a
 //     time-invariant schedule fills once, at construction).  A schedule
@@ -126,7 +127,7 @@
 // stream draw-for-draw), and tests/batch_engine_test.cpp
 // steps batches in lock-step with solo Engines and pins every replica's
 // configuration each round, plus stats and coverage, across every registry
-// kernel x {FSYNC, SSYNC, ASYNC} x batchable and non-batchable adversaries
+// kernel x {FSYNC, SSYNC, ASYNC} x schedule-backed and adaptive adversaries
 // x seeds, including ragged horizons.  The batch records no trace: runs
 // that need one (scenario analyses, rendering) use the solo Engine.
 #pragma once

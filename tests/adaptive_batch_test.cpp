@@ -6,9 +6,9 @@
 //   * plan_batch's routing (break-even fallback, preferred width, caps);
 //   * bit-identical stats/coverage for wide (B=256, multi-tile), crowded
 //     (k = n/2, 77 lanes) and threaded batches against solo Engines, on
-//     all three models, with batchable (static, t-interval,
+//     all three models, with schedule-backed (static, t-interval,
 //     eventual-missing, a chain under t-interval, Bernoulli) and
-//     non-batchable (adaptive greedy-blocker) adversaries, and every
+//     adaptive (greedy-blocker) adversaries, and every
 //     registry kernel on the crowded ring;
 //   * byte-identical sweep JSON across max_batch in {0, 1, 16, 256} and
 //     engine_threads in {1, 4};

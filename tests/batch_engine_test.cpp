@@ -22,8 +22,11 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <typeindex>
+#include <typeinfo>
 #include <vector>
 
+#include "adversary/adaptive_missing_edge.hpp"
 #include "adversary/confinement.hpp"
 #include "adversary/greedy_blocker.hpp"
 #include "adversary/ssync_adversary.hpp"
@@ -31,6 +34,7 @@
 #include "common/rng.hpp"
 #include "core/spec.hpp"
 #include "dynamic_graph/chain.hpp"
+#include "dynamic_graph/markov_schedule.hpp"
 #include "dynamic_graph/schedules.hpp"
 #include "scheduler/simulator.hpp"
 #include "isa_tier_check.hpp"
@@ -424,14 +428,15 @@ TEST(BatchEngineAsyncTest, MatchesSoloEnginesAcrossRegistryAndScenarios) {
 
 // ---------------------------------------------------------------------------
 // The batched round prologue, pinned through the standard wiring: every
-// registry kernel x {SSYNC(activation_p in {0.3, 1.0}), ASYNC} x batchable
-// AND non-batchable registry adversary kinds x 10 ragged-horizon seeds must
-// match solo Engines round by round.  This is the differential pin of
-// the mask/edge word planes: the devirtualized Bernoulli activation kernels
-// (p=0.3 sparse masks, p=1.0 full masks including the forced-nonempty
-// fallback path), the schedule-filled edge rows of the batchable kinds (no
-// Configuration mirror at all) and the lazily-mirrored virtual path of the
-// adaptive kinds all feed the same word-plane passes.
+// registry kernel x {SSYNC(activation_p in {0.3, 1.0}), ASYNC} x
+// schedule-backed AND adaptive registry adversary kinds x 10 ragged-horizon
+// seeds must match solo Engines round by round.  This is the differential
+// pin of the mask/edge word planes: the devirtualized Bernoulli activation
+// kernels (p=0.3 sparse masks, p=1.0 full masks including the
+// forced-nonempty fallback path), the schedule-filled edge rows (no
+// Configuration mirror at all), the greedy blocker's plane-computed rows
+// and the lazily-mirrored virtual path of adaptive-missing all feed the
+// same word-plane passes.
 
 struct ModelCase {
   const char* name;
@@ -445,23 +450,34 @@ std::vector<ModelCase> model_cases() {
           {"async-p0.5", ExecutionModel::kAsync, 0.5}};
 }
 
-/// Two batchable (plane-filled, mirror-free) and two non-batchable
-/// (adaptive, mirror-path) registry kinds; the registry's `batchable`
-/// capability flag is asserted so the matrix stays honest if the registry
-/// evolves.
+/// Two schedule-backed kinds (plane-filled, mirror-free) and two adaptive
+/// ones: greedy-blocker (row computed from the planes) and adaptive-missing
+/// (gamma mirror).  BatchEngine routes each lane by the type of its
+/// resolved adversary, or of the schedule an ObliviousAdversary holds, so
+/// that type is asserted to keep the matrix honest if resolution changes.
 std::vector<AdversaryConfig> registry_adversary_matrix() {
   // (cage/proof stay out: the staged lower-bound adversaries require the
   // robots to start inside their window, which random placements violate.)
-  const std::vector<std::pair<AdversaryConfig, bool>> picks = {
-      {adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}}), true},
-      {adversary_config(AdversaryKind::kMarkov), true},
-      {adversary_config(AdversaryKind::kGreedyBlocker), false},
-      {adversary_config(AdversaryKind::kAdaptiveMissing), false},
+  const std::vector<std::pair<AdversaryConfig, std::type_index>> picks = {
+      {adversary_config(AdversaryKind::kBernoulli, {{"p", 0.5}}),
+       typeid(BernoulliSchedule)},
+      {adversary_config(AdversaryKind::kMarkov), typeid(MarkovSchedule)},
+      {adversary_config(AdversaryKind::kGreedyBlocker),
+       typeid(GreedyBlockerAdversary)},
+      {adversary_config(AdversaryKind::kAdaptiveMissing),
+       typeid(AdaptiveMissingEdgeAdversary)},
   };
+  const Ring ring(kNodes);
   std::vector<AdversaryConfig> configs;
-  for (const auto& [config, expect_batchable] : picks) {
-    EXPECT_EQ(adversary_kind_info(config.kind).batchable, expect_batchable)
-        << adversary_kind_info(config.kind).name;
+  for (const auto& [config, expected] : picks) {
+    const AdversaryPtr adversary =
+        adversary_from_config(config, ring, /*seed=*/1, kRobots);
+    const auto* oblivious =
+        dynamic_cast<const ObliviousAdversary*>(adversary.get());
+    const std::type_index resolved =
+        oblivious != nullptr ? std::type_index(typeid(*oblivious->schedule()))
+                             : std::type_index(typeid(*adversary));
+    EXPECT_EQ(resolved, expected) << adversary_kind_info(config.kind).name;
     configs.push_back(config);
   }
   return configs;

@@ -96,28 +96,6 @@ TEST(JsonParseTest, RoundTripsWriterOutput) {
 // ---------------------------------------------------------------------------
 // The adversary registry
 
-TEST(AdversaryRegistryTest, BatchableFlagMatchesResolutionForEveryKind) {
-  // The `batchable` capability flag must track what adversary_from_config
-  // actually resolves to, for EVERY registry kind: batchable == the live
-  // adversary is an oblivious schedule (a pure function of time), which is
-  // exactly the property BatchEngine's plane-fill path detects at runtime
-  // (ObliviousAdversary, in every model).  A kind
-  // whose resolution changes without its flag becomes stale metadata —
-  // this pin makes that a test failure instead.
-  const Ring ring(12);
-  for (const AdversaryKindInfo& info : adversary_registry()) {
-    const AdversaryPtr adversary =
-        adversary_from_config(adversary_config(info.kind), ring, /*seed=*/3,
-                              /*robots=*/3);
-    const bool oblivious =
-        dynamic_cast<const ObliviousAdversary*>(adversary.get()) != nullptr;
-    EXPECT_EQ(info.batchable, oblivious) << info.name;
-    // And batchable/adaptive partition the registry: an adversary either
-    // never sees gamma (batchable) or is one of the adaptive families.
-    EXPECT_EQ(info.batchable, !info.adaptive) << info.name;
-  }
-}
-
 TEST(AdversaryRegistryTest, NamesRoundTripThroughTheRegistry) {
   for (const AdversaryKindInfo& info : adversary_registry()) {
     const auto kind = parse_adversary_kind(info.name);

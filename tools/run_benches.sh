@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Build Release and run every bench, leaving one BENCH_<name>.json per bench
-# in the output directory (default: bench-out/ at the repo root).
+# Build Release, run every bench (one per bench/bench_*.cpp, CMake's bench
+# glob), leaving one BENCH_<name>.json per bench in the output directory
+# (default: bench-out/ at the repo root), then judge those reports with
+# bench/check_gates.py.
 #
 #   tools/run_benches.sh [output-dir]
 #
-# The JSON files are the machine-readable perf/correctness trajectory of the
-# repo; diff them across commits to see what moved.
+# Exits non-zero when a bench fails, leaves no JSON, or a gate row FAILs.
+# One run gates the identity rows; the numeric rows need three runs for a
+# median and SKIP here.  The JSON files are the machine-readable
+# perf/correctness trajectory of the repo; diff them across commits to see
+# what moved.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -18,50 +23,41 @@ cmake --build "$build_dir" -j"$(nproc)"
 mkdir -p "$out_dir"
 cd "$out_dir"
 
-benches=(
-  bench_scaling
-  bench_stress
-  bench_table1
-  bench_chains
-  bench_thm31_pef3plus
-  bench_ablation_rules
-  bench_fig1_lemma41
-  bench_fig2_thm41
-  bench_fig3_thm51
-  bench_lemma37_sentinels
-  bench_ssync_impossibility
-)
-
 failed=()
-for bench in "${benches[@]}"; do
+reports=()
+for source in "$repo_root"/bench/bench_*.cpp; do
+  bench="$(basename "$source" .cpp)"
+  json="$out_dir/BENCH_${bench#bench_}.json"
+  rm -f "$json"
   echo "==== $bench ===="
-  if [ ! -x "$build_dir/$bench" ]; then
-    # bench_scaling is skipped by CMake when google-benchmark is absent.
-    echo "  skipped (not built)"
-    continue
-  fi
   if ! "$build_dir/$bench" > "$out_dir/$bench.log" 2>&1; then
     echo "  FAILED (see $out_dir/$bench.log)"
     failed+=("$bench")
     continue
   fi
   tail -3 "$out_dir/$bench.log"
-  # Every bench must leave its BENCH_<name>.json behind: a bench that runs
-  # but emits no JSON silently drops out of the perf trajectory, which is
-  # exactly the failure mode that left BENCH_scaling.json empty once.
-  json="$out_dir/BENCH_${bench#bench_}.json"
+  # A bench that runs but emits no JSON silently drops out of the perf
+  # trajectory, which is exactly the failure mode that left
+  # BENCH_scaling.json empty once.
   if [ ! -s "$json" ]; then
     echo "  FAILED: no JSON report at $json"
     failed+=("$bench")
+    continue
   fi
+  reports+=("$json")
 done
 
 echo
-echo "JSON reports in $out_dir:"
-ls -1 "$out_dir"/BENCH_*.json 2>/dev/null || echo "  (none)"
+echo "==== gates (bench/gates.json) ===="
+gates=0
+python3 "$repo_root/bench/check_gates.py" "${reports[@]}" || gates=$?
 
 if [ "${#failed[@]}" -gt 0 ]; then
   echo "FAILED benches: ${failed[*]}"
+  exit 1
+fi
+if [ "$gates" -ne 0 ]; then
+  echo "FAILED gates"
   exit 1
 fi
 echo "All benches passed."
